@@ -332,8 +332,9 @@ type FieldResult struct {
 
 // SolveWithField computes potentials *and* their gradients with the
 // treecode on the CPU backend. The kernel must provide an analytic
-// gradient (all built-in kernels except Yukawa's fp32 path do); gradients
-// reuse the same modified charges as the potential, since the barycentric
+// gradient: every built-in kernel constructor's does, a KernelFunc kernel
+// does not (SolveWithField returns an error for it). Gradients reuse the
+// same modified charges as the potential, since the barycentric
 // approximation interpolates in the source variable only:
 //
 //	grad phi(x) ~= sum_k grad_x G(x, s_k) qhat_k.

@@ -81,6 +81,51 @@ func TestCustomKernel(t *testing.T) {
 	}
 }
 
+// TestZeroSofteningSelfTerms pins the self-interaction convention through
+// the public field API: with zero softening, targets that coincide with
+// sources get finite fields, not +Inf potentials and NaN gradients.
+// RegularizedCoulomb(0) is then the Coulomb kernel — its direct
+// potentials are Coulomb's bit for bit, its gradients Coulomb's to
+// rounding — and Multiquadric(0) has a zero gradient at its apex.
+func TestZeroSofteningSelfTerms(t *testing.T) {
+	pts := barytree.NewParticles(3)
+	pts.Append(0, 0, 0, 1)
+	pts.Append(1, 0, 0, -0.5)
+	pts.Append(0, 2, 1, 2)
+	close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-14*math.Max(1, math.Abs(b)) }
+	coulomb, err := barytree.DirectField(barytree.Coulomb(), pts, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []barytree.Kernel{barytree.RegularizedCoulomb(0), barytree.Multiquadric(0)} {
+		direct, err := barytree.DirectField(k, pts, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := barytree.SolveWithField(k, pts, pts, smallParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < pts.Len(); i++ {
+			for _, f := range [][2]float64{{direct.Phi[i], tree.Phi[i]}, {direct.GX[i], tree.GX[i]},
+				{direct.GY[i], tree.GY[i]}, {direct.GZ[i], tree.GZ[i]}} {
+				if math.IsNaN(f[0]) || math.IsInf(f[0], 0) || !close(f[1], f[0]) {
+					t.Fatalf("%s target %d: direct %g, treecode %g", k.Name(), i, f[0], f[1])
+				}
+			}
+			if k.Name() != "regularized-coulomb" {
+				continue
+			}
+			if direct.Phi[i] != coulomb.Phi[i] || !close(direct.GX[i], coulomb.GX[i]) ||
+				!close(direct.GY[i], coulomb.GY[i]) || !close(direct.GZ[i], coulomb.GZ[i]) {
+				t.Fatalf("target %d: regularized-coulomb(0) (%g,%g,%g,%g) != coulomb (%g,%g,%g,%g)", i,
+					direct.Phi[i], direct.GX[i], direct.GY[i], direct.GZ[i],
+					coulomb.Phi[i], coulomb.GX[i], coulomb.GY[i], coulomb.GZ[i])
+			}
+		}
+	}
+}
+
 func TestSinglePrecisionDevice(t *testing.T) {
 	pts := barytree.UniformCube(2000, 5)
 	k := barytree.Coulomb()

@@ -15,14 +15,8 @@ type FieldResult struct {
 	Times      perfmodel.PhaseTimes
 }
 
-// EvalDirectFieldTarget accumulates the potential and its gradient at one
-// target due to direct summation over sources [cLo, cHi), with the sources'
-// own charges.
-func EvalDirectFieldTarget(k kernel.GradKernel, tg *particle.Set, ti int, src *particle.Set, cLo, cHi int) (phi, gx, gy, gz float64) {
-	return EvalDirectFieldTargetQ(k, tg, ti, src, src.Q, cLo, cHi)
-}
-
-// EvalDirectFieldTargetQ is EvalDirectFieldTarget with explicit charges q
+// EvalDirectFieldTargetQ accumulates the potential and its gradient at one
+// target due to direct summation over sources [cLo, cHi), with charges q
 // (tree order) — the plan's own or a ChargeState's; the arithmetic is
 // identical, so equal charges yield bit-identical sums.
 func EvalDirectFieldTargetQ(k kernel.GradKernel, tg *particle.Set, ti int, src *particle.Set, q []float64, cLo, cHi int) (phi, gx, gy, gz float64) {
@@ -92,33 +86,65 @@ func RunCPUFields(pl *Plan, k kernel.GradKernel, opt CPUOptions) *FieldResult {
 // charges q and modified charges qhat — the plan's own (RunCPUFields) or a
 // ChargeState's (RunFieldsState). The loop structure and per-target add
 // order are identical for both, so equal charges yield byte-identical
-// fields.
+// fields. The gradient tile is resolved once here.
 func runFieldsBatches(pl *Plan, k kernel.GradKernel, q []float64, qhat [][]float64, phi, gx, gy, gz []float64, workers int) {
+	gt := kernel.GradTile(k)
+	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
+		fieldBatchLists(pl, k, gt, bi, q, qhat, phi, gx, gy, gz)
+	})
+}
+
+// fieldBatchLists accumulates batch bi's full interaction list into the
+// field buffers (batch target order). With a gradient tile (gt != nil),
+// TileWidth-target tiles walk the whole list — direct entries, then
+// approximation entries, each source block streamed once per tile — and
+// the last <TileWidth targets take the per-target path; without one, the
+// per-target path runs the whole batch. The tile's accumulators are the
+// buffers themselves, and the tile contract adds exactly one block total
+// per list entry to each, so every target keeps the per-target path's add
+// chain and its bits.
+//
+//hot:path
+func fieldBatchLists(pl *Plan, k kernel.GradKernel, gt kernel.GradTileFunc, bi int, q []float64, qhat [][]float64, phi, gx, gy, gz []float64) {
+	b := &pl.Batches.Batches[bi]
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
 	cd := pl.Clusters
-	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		b := &pl.Batches.Batches[bi]
-		for _, ci := range pl.Lists.Direct[bi] {
-			nd := &pl.Sources.Nodes[ci]
-			for ti := b.Lo; ti < b.Hi; ti++ {
-				p, x, y, z := EvalDirectFieldTargetQ(k, tg, ti, src, q, nd.Lo, nd.Hi)
-				phi[ti] += p
-				gx[ti] += x
-				gy[ti] += y
-				gz[ti] += z
+	direct, approx := pl.Lists.Direct[bi], pl.Lists.Approx[bi]
+
+	ti := b.Lo
+	if gt != nil {
+		for ; ti+kernel.TileWidth <= b.Hi; ti += kernel.TileWidth {
+			tx, ty, tz := tileAt(tg.X, ti), tileAt(tg.Y, ti), tileAt(tg.Z, ti)
+			p, x, y, z := tileAt(phi, ti), tileAt(gx, ti), tileAt(gy, ti), tileAt(gz, ti)
+			for _, ci := range direct {
+				nd := &pl.Sources.Nodes[ci]
+				gt(tx, ty, tz, src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], q[nd.Lo:nd.Hi], p, x, y, z)
+			}
+			for _, ci := range approx {
+				gt(tx, ty, tz, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci], p, x, y, z)
 			}
 		}
-		for _, ci := range pl.Lists.Approx[bi] {
-			for ti := b.Lo; ti < b.Hi; ti++ {
-				p, x, y, z := EvalApproxFieldTarget(k, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
-				phi[ti] += p
-				gx[ti] += x
-				gy[ti] += y
-				gz[ti] += z
-			}
+	}
+	for _, ci := range direct {
+		nd := &pl.Sources.Nodes[ci]
+		for tj := ti; tj < b.Hi; tj++ {
+			p, x, y, z := EvalDirectFieldTargetQ(k, tg, tj, src, q, nd.Lo, nd.Hi)
+			phi[tj] += p
+			gx[tj] += x
+			gy[tj] += y
+			gz[tj] += z
 		}
-	})
+	}
+	for _, ci := range approx {
+		for tj := ti; tj < b.Hi; tj++ {
+			p, x, y, z := EvalApproxFieldTarget(k, tg, tj, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
+			phi[tj] += p
+			gx[tj] += x
+			gy[tj] += y
+			gz[tj] += z
+		}
+	}
 }
 
 // RunFieldsState evaluates potentials and gradients against a ChargeState's
@@ -129,4 +155,9 @@ func runFieldsBatches(pl *Plan, k kernel.GradKernel, q []float64, qhat [][]float
 func RunFieldsState(pl *Plan, k kernel.GradKernel, st *ChargeState, phi, gx, gy, gz []float64, workers int) {
 	st.checkGen(pl)
 	runFieldsBatches(pl, k, st.Q, st.Qhat, phi, gx, gy, gz, workers)
+}
+
+// tileAt views s[i:i+TileWidth] as a tile array, in place.
+func tileAt(s []float64, i int) *[kernel.TileWidth]float64 {
+	return (*[kernel.TileWidth]float64)(s[i:])
 }

@@ -99,3 +99,61 @@ func TestFieldTimesExceedPotentialTimes(t *testing.T) {
 		t.Errorf("field time %.4g not above potential time %.4g", fld.Times.Total(), pot.Times.Total())
 	}
 }
+
+// TestFieldsTiledBitIdentical pins the tiled field path to the per-target
+// one: RunCPUFields and RunFieldsState return exactly (==) the potentials
+// and gradients they return with the assembly kernels off, where
+// kernel.GradTile resolves nil and every target takes the per-target
+// path. It covers midpoint and Morton plans whose batches leave every tail
+// length 0-3 after the tiles, and zero softening with targets == sources,
+// where the self terms take the masked lanes.
+func TestFieldsTiledBitIdentical(t *testing.T) {
+	pts := testParticles(t, 2203, 31)
+	for _, morton := range []bool{false, true} {
+		pl, err := NewPlan(pts, pts, Params{Theta: 0.7, Degree: 5, LeafSize: 60, BatchSize: 37, Morton: morton})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tails [kernel.TileWidth]int
+		for _, b := range pl.Batches.Batches {
+			tails[(b.Hi-b.Lo)%kernel.TileWidth]++
+		}
+		for r, c := range tails {
+			if c == 0 {
+				t.Fatalf("morton=%v: no batch leaves a tail of %d targets (tails %v)", morton, r, tails)
+			}
+		}
+		for _, eps := range []float64{0.05, 0} {
+			k := kernel.RegularizedCoulomb{Eps: eps}
+			tiledCPU, tiledState := fieldsBothWays(pl, k)
+			prev := kernel.SetAsmKernels(false)
+			scalarCPU, scalarState := fieldsBothWays(pl, k)
+			kernel.SetAsmKernels(prev)
+			for _, c := range []struct {
+				name      string
+				got, want *FieldResult
+			}{{"RunCPUFields", tiledCPU, scalarCPU}, {"RunFieldsState", tiledState, scalarState}} {
+				for i := range c.want.Phi {
+					if c.got.Phi[i] != c.want.Phi[i] || c.got.GX[i] != c.want.GX[i] ||
+						c.got.GY[i] != c.want.GY[i] || c.got.GZ[i] != c.want.GZ[i] {
+						t.Fatalf("morton=%v eps=%g %s: target %d tiled (%g,%g,%g,%g) != per-target (%g,%g,%g,%g)",
+							morton, eps, c.name, i, c.got.Phi[i], c.got.GX[i], c.got.GY[i], c.got.GZ[i],
+							c.want.Phi[i], c.want.GX[i], c.want.GY[i], c.want.GZ[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// fieldsBothWays evaluates pl's fields through RunCPUFields (input order)
+// and through RunFieldsState on a fresh ChargeState (batch order).
+func fieldsBothWays(pl *Plan, k kernel.GradKernel) (cpu, state *FieldResult) {
+	cpu = RunCPUFields(pl, k, CPUOptions{})
+	st := NewChargeState(pl)
+	st.Compute(pl, 0)
+	n := pl.Batches.Targets.Len()
+	state = &FieldResult{Phi: make([]float64, n), GX: make([]float64, n), GY: make([]float64, n), GZ: make([]float64, n)}
+	RunFieldsState(pl, k, st, state.Phi, state.GX, state.GY, state.GZ, 0)
+	return cpu, state
+}

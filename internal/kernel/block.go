@@ -201,7 +201,7 @@ func (r RegularizedCoulomb) EvalBlockAccum(tx, ty, tz float64, sx, sy, sz, q []f
 	var phi float64
 	for j := range q {
 		dx, dy, dz := tx-sx[j], ty-sy[j], tz-sz[j]
-		phi += 1 / math.Sqrt(dx*dx+dy*dy+dz*dz+e2) * q[j]
+		phi += softInvSqrt(dx*dx+dy*dy+dz*dz+e2) * q[j]
 	}
 	return phi
 }
@@ -296,7 +296,7 @@ func (r RegularizedCoulomb) EvalBlockAccumF32(tx, ty, tz float32, sx, sy, sz, q 
 	var phi float32
 	for j := range q {
 		dx, dy, dz := tx-float32(sx[j]), ty-float32(sy[j]), tz-float32(sz[j])
-		phi += 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e2))) * float32(q[j])
+		phi += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * float32(q[j])
 	}
 	return phi
 }

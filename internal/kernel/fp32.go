@@ -46,5 +46,5 @@ func (g Gaussian) EvalF32(tx, ty, tz, sx, sy, sz float32) float32 {
 func (r RegularizedCoulomb) EvalF32(tx, ty, tz, sx, sy, sz float32) float32 {
 	dx, dy, dz := tx-sx, ty-sy, tz-sz
 	e := float32(r.Eps)
-	return 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e*e)))
+	return softInvSqrtF32(dx*dx + dy*dy + dz*dz + e*e)
 }

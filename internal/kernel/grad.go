@@ -60,23 +60,84 @@ func (gk Gaussian) EvalGrad(tx, ty, tz, sx, sy, sz float64) (g, gx, gy, gz float
 }
 
 // EvalGrad implements GradKernel:
-// grad sqrt(r^2+c^2) = (x-y)/sqrt(r^2+c^2).
+// grad sqrt(r^2+c^2) = (x-y)/sqrt(r^2+c^2). With C = 0 the gradient is
+// undefined at x = y; the self-interaction convention gives (0, 0, 0, 0).
 func (m Multiquadric) EvalGrad(tx, ty, tz, sx, sy, sz float64) (g, gx, gy, gz float64) {
 	dx, dy, dz := tx-sx, ty-sy, tz-sz
 	g = math.Sqrt(dx*dx + dy*dy + dz*dz + m.C*m.C)
+	if g == 0 {
+		return 0, 0, 0, 0
+	}
 	inv := 1 / g
 	return g, inv * dx, inv * dy, inv * dz
 }
 
 // EvalGrad implements GradKernel:
-// grad (r^2+eps^2)^{-1/2} = -(x-y)(r^2+eps^2)^{-3/2}.
+// grad (r^2+eps^2)^{-1/2} = -(x-y)(r^2+eps^2)^{-3/2}. With Eps = 0 the
+// kernel is Coulomb's, singular at x = y, where the self-interaction
+// convention gives (0, 0, 0, 0).
 func (rk RegularizedCoulomb) EvalGrad(tx, ty, tz, sx, sy, sz float64) (g, gx, gy, gz float64) {
 	dx, dy, dz := tx-sx, ty-sy, tz-sz
 	d2 := dx*dx + dy*dy + dz*dz + rk.Eps*rk.Eps
+	if d2 == 0 {
+		return 0, 0, 0, 0
+	}
 	g = 1 / math.Sqrt(d2)
 	c := -g / d2
 	return g, c * dx, c * dy, c * dz
 }
+
+// GradTileFunc evaluates a source block against a TileWidth-target tile and
+// adds each target's block sums of the potential and its gradient into
+// phi, gx, gy and gz. Per target t it is bit-identical to
+//
+//	var p, x, y, z float64
+//	for j := range q {
+//		g, dx, dy, dz := k.EvalGrad(tx[t], ty[t], tz[t], sx[j], sy[j], sz[j])
+//		p += g * q[j]
+//		x += dx * q[j]
+//		y += dy * q[j]
+//		z += dz * q[j]
+//	}
+//	phi[t] += p
+//	gx[t] += x
+//	gy[t] += y
+//	gz[t] += z
+//
+// — the TileKernel contract with four accumulator chains per target.
+// len(q) must be positive.
+type GradTileFunc func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi, gx, gy, gz *[TileWidth]float64)
+
+// GradTile resolves the vectorized gradient tile for k, or nil when k has
+// none (non-amd64 builds, CPUs without AVX, kernels other than
+// RegularizedCoulomb, or asm kernels disabled via SetAsmKernels). There is
+// deliberately no pure-Go tile: without the loop the drivers run
+// per-target EvalGrad calls, the reference the loop is tested against,
+// and a Go tile would keep the scalar chain's square root and two divides
+// per interaction (docs/performance.md, "Field path"). Resolve once per
+// run, outside the hot loops.
+func GradTile(k Kernel) GradTileFunc {
+	switch k := k.(type) {
+	case RegularizedCoulomb:
+		loop := regCoulombGradTileLoop
+		if loop == nil {
+			return nil
+		}
+		e2 := k.Eps * k.Eps
+		return func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi, gx, gy, gz *[TileWidth]float64) {
+			if len(q) == 0 {
+				return
+			}
+			loop(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), e2, phi, gx, gy, gz)
+		}
+	}
+	return nil
+}
+
+// regCoulombGradTileLoop, when non-nil, is the softened-Coulomb gradient
+// tile over n > 0 sources with the four targets packed across YMM lanes
+// (tile_amd64.s); e2 is Eps*Eps.
+var regCoulombGradTileLoop func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[TileWidth]float64)
 
 // GradCost returns the modeled flop-equivalents of one EvalGrad call: the
 // base kernel cost plus the gradient arithmetic (~6 extra mul-adds and one

@@ -173,7 +173,8 @@ func (m Multiquadric) Cost(arch Arch) float64 {
 }
 
 // RegularizedCoulomb is G(x,y) = 1/sqrt(|x-y|^2 + eps^2), the Plummer-
-// softened Coulomb kernel common in gravitational N-body codes.
+// softened Coulomb kernel common in gravitational N-body codes. With
+// Eps = 0 it is the Coulomb kernel, self-interaction convention included.
 type RegularizedCoulomb struct {
 	Eps float64
 }
@@ -181,10 +182,28 @@ type RegularizedCoulomb struct {
 // Name implements Kernel.
 func (r RegularizedCoulomb) Name() string { return "regularized-coulomb" }
 
-// Eval implements Kernel.
+// Eval implements Kernel. G(x,x) = 0 by convention when Eps = 0.
 func (r RegularizedCoulomb) Eval(tx, ty, tz, sx, sy, sz float64) float64 {
 	dx, dy, dz := tx-sx, ty-sy, tz-sz
-	return 1 / math.Sqrt(dx*dx+dy*dy+dz*dz+r.Eps*r.Eps)
+	return softInvSqrt(dx*dx + dy*dy + dz*dz + r.Eps*r.Eps)
+}
+
+// softInvSqrt is the softened kernel value 1/sqrt(d2) for the softened
+// squared distance d2 = r^2 + eps^2, or 0 when d2 is exactly 0 (a self
+// term with Eps = 0, where the Coulomb convention applies).
+func softInvSqrt(d2 float64) float64 {
+	if d2 == 0 {
+		return 0
+	}
+	return 1 / math.Sqrt(d2)
+}
+
+// softInvSqrtF32 is softInvSqrt in single precision.
+func softInvSqrtF32(d2 float32) float32 {
+	if d2 == 0 {
+		return 0
+	}
+	return 1 / float32(math.Sqrt(float64(d2)))
 }
 
 // Cost implements Kernel.

@@ -402,13 +402,13 @@ func (r RegularizedCoulomb) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy
 	for j := range q {
 		sxj, syj, szj, qj := sx[j], sy[j], sz[j], q[j]
 		dx, dy, dz := tx0-sxj, ty0-syj, tz0-szj
-		p0 += 1 / math.Sqrt(dx*dx+dy*dy+dz*dz+e2) * qj
+		p0 += softInvSqrt(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx1-sxj, ty1-syj, tz1-szj
-		p1 += 1 / math.Sqrt(dx*dx+dy*dy+dz*dz+e2) * qj
+		p1 += softInvSqrt(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx2-sxj, ty2-syj, tz2-szj
-		p2 += 1 / math.Sqrt(dx*dx+dy*dy+dz*dz+e2) * qj
+		p2 += softInvSqrt(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx3-sxj, ty3-syj, tz3-szj
-		p3 += 1 / math.Sqrt(dx*dx+dy*dy+dz*dz+e2) * qj
+		p3 += softInvSqrt(dx*dx+dy*dy+dz*dz+e2) * qj
 	}
 	phi[0] += p0
 	phi[1] += p1
@@ -727,21 +727,21 @@ func (r RegularizedCoulomb) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, 
 		sxj, syj, szj := float32(sx[j]), float32(sy[j]), float32(sz[j])
 		qj := float32(q[j])
 		dx, dy, dz := tx0-sxj, ty0-syj, tz0-szj
-		p0 += 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e2))) * qj
+		p0 += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx1-sxj, ty1-syj, tz1-szj
-		p1 += 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e2))) * qj
+		p1 += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx2-sxj, ty2-syj, tz2-szj
-		p2 += 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e2))) * qj
+		p2 += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx3-sxj, ty3-syj, tz3-szj
-		p3 += 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e2))) * qj
+		p3 += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx4-sxj, ty4-syj, tz4-szj
-		p4 += 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e2))) * qj
+		p4 += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx5-sxj, ty5-syj, tz5-szj
-		p5 += 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e2))) * qj
+		p5 += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx6-sxj, ty6-syj, tz6-szj
-		p6 += 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e2))) * qj
+		p6 += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx7-sxj, ty7-syj, tz7-szj
-		p7 += 1 / float32(math.Sqrt(float64(dx*dx+dy*dy+dz*dz+e2))) * qj
+		p7 += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * qj
 	}
 	phi[0] += p0
 	phi[1] += p1

@@ -41,6 +41,14 @@ func coulombTile8AVX512(tx, ty, tz *[Tile8Width]float64, sx, sy, sz, q *float64,
 //go:noescape
 func coulombTile8ZMM(tx, ty, tz *[Tile8Width]float64, sx, sy, sz, q *float64, n int, phi *[Tile8Width]float64)
 
+// regCoulombGradTileAVX evaluates the softened-Coulomb potential and
+// gradient of a source block at a 4-target tile, bit-identical to the
+// per-target EvalGrad chains (GradTileFunc's contract). e2 is Eps*Eps.
+// AVX only. See tile_amd64.s.
+//
+//go:noescape
+func regCoulombGradTileAVX(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[TileWidth]float64)
+
 // yukawaTileFMA evaluates a Yukawa source block against a 4-target tile
 // with exp computed by a range-reduced polynomial on the FMA ports
 // (EXPPD in tile_amd64.s). Requires AVX2+FMA; carries the measured-ULP
@@ -95,6 +103,7 @@ func init() {
 			coulombBlockHead = nil
 			coulombTileLoop = nil
 			coulombTile8Loop = nil
+			regCoulombGradTileLoop = nil
 			yukawaTileLoop = nil
 			coulombTileF32Loop = nil
 			yukawaTileF32Loop = nil
@@ -123,6 +132,7 @@ func init() {
 			}
 			tile8(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), phi)
 		}
+		regCoulombGradTileLoop = regCoulombGradTileAVX
 		if !fma {
 			return
 		}

@@ -151,6 +151,14 @@ DATA ·expBias+16(SB)/8, $1023
 DATA ·expBias+24(SB)/8, $1023
 GLOBL ·expBias(SB), RODATA|NOPTR, $32
 
+// The fp64 sign bit in every lane, for the gradient tile's -g (a VXORPD
+// memory operand: VEX cannot broadcast one).
+DATA ·avxSignBit+0(SB)/8, $0x8000000000000000
+DATA ·avxSignBit+8(SB)/8, $0x8000000000000000
+DATA ·avxSignBit+16(SB)/8, $0x8000000000000000
+DATA ·avxSignBit+24(SB)/8, $0x8000000000000000
+GLOBL ·avxSignBit(SB), RODATA|NOPTR, $32
+
 DATA ·avxOnesF32+0(SB)/4, $0x3f800000 // 1.0f x8 for VDIVPS reciprocals
 DATA ·avxOnesF32+4(SB)/4, $0x3f800000
 DATA ·avxOnesF32+8(SB)/4, $0x3f800000
@@ -495,6 +503,113 @@ done:
 	VMOVUPD (AX), Y6
 	VADDPD  Y3, Y6, Y6
 	VMOVUPD Y6, (AX)
+	VZEROUPPER
+	RET
+
+// func regCoulombGradTileAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[4]float64)
+//
+// Softened-Coulomb potential and gradient of a source block at a 4-target
+// tile, one target per YMM lane: the per-lane twin of RegularizedCoulomb's
+// EvalGrad plus the per-target accumulation of the field drivers,
+//
+//	d2 = ((dx*dx + dy*dy) + dz*dz) + e2
+//	g  = 1 / sqrt(d2)                      (VSQRTPD, then VDIVPD)
+//	c  = (-g) / d2                         (sign-bit VXORPD, then VDIVPD)
+//	p += g*q[j]; x += (c*dx)*q[j]; y += (c*dy)*q[j]; z += (c*dz)*q[j]
+//
+// with g and c zeroed by mask on d2 == 0 lanes (a self term at Eps = 0,
+// where EvalGrad returns zeros; the scalar's 0*q and this loop's (0*dx)*q
+// can differ only in the sign of a zero, which cannot reach a chain that
+// starts at +0). Every operation is the correctly-rounded vector twin of
+// the scalar one in the same order — no FMA — the four block sums start
+// at +0 and take one add per source in j order, and each output gets one
+// per-lane add of its block total, so every lane is bit-identical to the
+// per-target scalar chain. The loop is bound by the divide/sqrt unit: one
+// VSQRTPD and two VDIVPD per source, i.e. per four interactions, against
+// one SQRTSD and two DIVSD per interaction on the scalar path. Sixteen
+// YMM registers hold the targets, e2, 1.0, zero, the four block sums and
+// one source's six temporaries, so there is no two-source unroll; the
+// out-of-order window overlaps consecutive sources anyway. n must be
+// positive.
+TEXT ·regCoulombGradTileAVX(SB), NOSPLIT, $0-104
+	MOVQ         tx+0(FP), AX
+	VMOVUPD      (AX), Y0          // tx[0:4]
+	MOVQ         ty+8(FP), AX
+	VMOVUPD      (AX), Y1          // ty[0:4]
+	MOVQ         tz+16(FP), AX
+	VMOVUPD      (AX), Y2          // tz[0:4]
+	VBROADCASTSD e2+64(FP), Y3     // eps^2 in every lane
+	VBROADCASTSD ·avxOne(SB), Y4
+	MOVQ         sx+24(FP), SI
+	MOVQ         sy+32(FP), DI
+	MOVQ         sz+40(FP), R8
+	MOVQ         q+48(FP), R9
+	MOVQ         n+56(FP), CX
+	VXORPD       Y5, Y5, Y5        // zeros for the d2 == 0 mask
+	VXORPD       Y6, Y6, Y6        // per-lane block sums: potential,
+	VXORPD       Y7, Y7, Y7        // x,
+	VXORPD       Y8, Y8, Y8        // y
+	VXORPD       Y9, Y9, Y9        // and z gradient
+
+gradloop:
+	VBROADCASTSD (SI), Y10         // sx[j] in every lane
+	VBROADCASTSD (DI), Y11         // sy[j]
+	VBROADCASTSD (R8), Y12         // sz[j]
+	VSUBPD       Y10, Y0, Y10      // dx = tx - sx[j]
+	VSUBPD       Y11, Y1, Y11      // dy = ty - sy[j]
+	VSUBPD       Y12, Y2, Y12      // dz = tz - sz[j]
+	VMULPD       Y10, Y10, Y13     // dx*dx
+	VMULPD       Y11, Y11, Y14     // dy*dy
+	VADDPD       Y14, Y13, Y13     // dx*dx + dy*dy
+	VMULPD       Y12, Y12, Y14     // dz*dz
+	VADDPD       Y14, Y13, Y13     // (dx*dx + dy*dy) + dz*dz
+	VADDPD       Y3, Y13, Y13      // d2 = ... + e2
+	VSQRTPD      Y13, Y14          // sqrt(d2)
+	VDIVPD       Y14, Y4, Y14      // g = 1 / sqrt(d2)
+	VCMPPD       $0, Y5, Y13, Y15  // mask = (d2 == 0), EQ_OQ
+	VANDNPD      Y14, Y15, Y14     // g = 0 on self-interaction lanes
+	VXORPD       ·avxSignBit(SB), Y14, Y15 // -g
+	VDIVPD       Y13, Y15, Y15     // c = -g / d2
+	VCMPPD       $0, Y5, Y13, Y13  // the mask again; d2 is dead after it
+	VANDNPD      Y15, Y13, Y15     // c = 0 on self-interaction lanes
+	VBROADCASTSD (R9), Y13         // q[j]
+	VMULPD       Y13, Y14, Y14     // g * q[j]
+	VADDPD       Y14, Y6, Y6       // p += g*q[j]
+	VMULPD       Y15, Y10, Y10     // c*dx
+	VMULPD       Y13, Y10, Y10     // (c*dx) * q[j]
+	VADDPD       Y10, Y7, Y7       // x += (c*dx)*q[j]
+	VMULPD       Y15, Y11, Y11     // c*dy
+	VMULPD       Y13, Y11, Y11
+	VADDPD       Y11, Y8, Y8       // y += (c*dy)*q[j]
+	VMULPD       Y15, Y12, Y12     // c*dz
+	VMULPD       Y13, Y12, Y12
+	VADDPD       Y12, Y9, Y9       // z += (c*dz)*q[j]
+
+	ADDQ $8, SI
+	ADDQ $8, DI
+	ADDQ $8, R8
+	ADDQ $8, R9
+	DECQ CX
+	JNZ  gradloop
+
+	// phi[t] += p[t], gx[t] += x[t], ...: one per-lane add of each block
+	// total.
+	MOVQ    phi+72(FP), AX
+	VMOVUPD (AX), Y10
+	VADDPD  Y6, Y10, Y10
+	VMOVUPD Y10, (AX)
+	MOVQ    gx+80(FP), AX
+	VMOVUPD (AX), Y10
+	VADDPD  Y7, Y10, Y10
+	VMOVUPD Y10, (AX)
+	MOVQ    gy+88(FP), AX
+	VMOVUPD (AX), Y10
+	VADDPD  Y8, Y10, Y10
+	VMOVUPD Y10, (AX)
+	MOVQ    gz+96(FP), AX
+	VMOVUPD (AX), Y10
+	VADDPD  Y9, Y10, Y10
+	VMOVUPD Y10, (AX)
 	VZEROUPPER
 	RET
 

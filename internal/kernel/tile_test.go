@@ -778,10 +778,63 @@ func FuzzTileAccum(f *testing.F) {
 	})
 }
 
+// FuzzGradTile checks the gradient tile against four per-target EvalGrad
+// chains bit for bit on random tiles and source blocks: coincident
+// targets, sources on targets and duplicated sources, zero and nonzero
+// softening, and coordinates scaled by 2^exp for exp in [-540, 540]
+// (about 1e±162), where squared distances underflow or overflow.
+func FuzzGradTile(f *testing.F) {
+	f.Add(int64(1), uint(4), int16(0), uint8(0))
+	f.Add(int64(2), uint(7), int16(498), uint8(1))    // about 1e150
+	f.Add(int64(3), uint(129), int16(-498), uint8(2)) // about 1e-150
+	f.Add(int64(4), uint(1), int16(-540), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, size uint, exp int16, epsSel uint8) {
+		if GradTile(RegularizedCoulomb{}) == nil {
+			t.Skip("no gradient tile on this machine")
+		}
+		n := int(size%256) + 1
+		mag := math.Ldexp(1, int(exp%541))
+		rng := rand.New(rand.NewSource(seed))
+		var eps float64
+		switch epsSel % 4 {
+		case 1:
+			eps = mag / 20
+		case 2:
+			eps = mag * 1e-9
+		case 3:
+			eps = 1
+		}
+		k := RegularizedCoulomb{Eps: eps}
+		var tx, ty, tz, phi0 [TileWidth]float64
+		for i := range tx {
+			tx[i] = (rng.Float64()*2 - 1) * mag
+			ty[i] = (rng.Float64()*2 - 1) * mag
+			tz[i] = (rng.Float64()*2 - 1) * mag
+			phi0[i] = rng.Float64()*2 - 1
+		}
+		tx[3], ty[3], tz[3] = tx[rng.Intn(3)], ty[rng.Intn(3)], tz[rng.Intn(3)]
+		sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
+		for j := range sx {
+			switch {
+			case j == n/2: // the self term blockTestSources placed
+			case j > 0 && rng.Intn(8) == 0: // a duplicated source
+				sx[j], sy[j], sz[j] = sx[j-1], sy[j-1], sz[j-1]
+			case rng.Intn(16) == 0: // on a random target
+				i := rng.Intn(TileWidth)
+				sx[j], sy[j], sz[j] = tx[i], ty[i], tz[i]
+			default:
+				sx[j], sy[j], sz[j] = sx[j]*mag, sy[j]*mag, sz[j]*mag
+			}
+		}
+		checkGradTile(t, "fuzz", k, GradTile(k), &tx, &ty, &tz, sx, sy, sz, q, &phi0)
+	})
+}
+
 // BenchmarkEvalTile compares tile calls against per-target block calls
 // over the same 2000-source block — the amortization the tile path exists
 // to provide — for the Coulomb and Yukawa fp64 paths, the 8-wide
-// register-blocked Coulomb tile, and the fp32 tiles.
+// register-blocked Coulomb tile, the fp32 tiles, and the softened-Coulomb
+// gradient tile against four per-target EvalGrad chains.
 func BenchmarkEvalTile(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 2000
@@ -841,5 +894,23 @@ func BenchmarkEvalTile(b *testing.B) {
 				}
 			})
 		}
+	}
+	rc := RegularizedCoulomb{Eps: 0.05}
+	b.Run(rc.Name()+"/grad-x4", func(b *testing.B) {
+		var gk GradKernel = rc // the drivers' interface call per interaction
+		var phi, gx, gy, gz [TileWidth]float64
+		b.SetBytes(4 * n * 8)
+		for i := 0; i < b.N; i++ {
+			gradChains(gk, &tx, &ty, &tz, sx, sy, sz, q, &phi, &gx, &gy, &gz)
+		}
+	})
+	if gt := GradTile(rc); gt != nil {
+		b.Run(rc.Name()+"/grad-tile", func(b *testing.B) {
+			var phi, gx, gy, gz [TileWidth]float64
+			b.SetBytes(4 * n * 8)
+			for i := 0; i < b.N; i++ {
+				gt(&tx, &ty, &tz, sx, sy, sz, q, &phi, &gx, &gy, &gz)
+			}
+		})
 	}
 }

@@ -93,11 +93,12 @@ func (pl *Plan) Solve(k Kernel, q []float64) ([]float64, error) {
 // SolveWithField evaluates potentials *and* their gradients against the
 // plan — the stepping path of dynamic simulations, which need forces every
 // timestep without re-paying setup. The kernel must provide an analytic
-// gradient (all built-in kernels except Yukawa's fp32 path do); q follows
-// the same convention as Solve (original source order, nil for the
-// build-time charges). For the same geometry, charges and kernel the
-// result is byte-identical to the one-shot SolveWithField. Concurrent-safe
-// like Solve.
+// gradient: every built-in kernel constructor's does, a KernelFunc kernel
+// does not (SolveWithField returns an error for it). q follows the same
+// convention as Solve (original source order, nil for the build-time
+// charges). For the same geometry, charges and kernel the result is
+// byte-identical to the one-shot SolveWithField. Concurrent-safe like
+// Solve.
 func (pl *Plan) SolveWithField(k Kernel, q []float64) (*FieldResult, error) {
 	gk, ok := k.(kernel.GradKernel)
 	if !ok {

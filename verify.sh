@@ -2,8 +2,9 @@
 # verify.sh — the repo's tier-1 gate (see ROADMAP.md). Every PR must pass:
 #   gofmt -s (no unformatted or unsimplified files), go vet, the project's
 #   own static analysis suite (cmd/bltcvet, see docs/static-analysis.md),
-#   full build, full tests with the race detector, and a one-iteration
-#   smoke run of the tracked benchmarks so they cannot bit-rot.
+#   full build, full tests with the race detector, vet and tests of the
+#   bench/ module, and a one-iteration smoke run of the tracked benchmarks
+#   so they cannot bit-rot.
 set -e
 
 cd "$(dirname "$0")"
@@ -33,6 +34,13 @@ echo "go build: ok"
 
 go test -race ./...
 echo "go test -race: ok"
+
+# bench/ is a module of its own (bltcbench, see bench/README.md), so the
+# root ./... above never enters it, yet it calls internal packages
+# directly: vet it and run its tests (every workload at toy sizes).
+go -C bench vet ./...
+go -C bench test ./...
+echo "bench module vet + test: ok"
 
 # Daemon smoke: start bltcd in-process, create a plan, run one solve
 # through the full HTTP path, verify the potentials bit-for-bit against
