@@ -491,16 +491,14 @@ func BenchmarkDeviceSimulatorDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalDirectBlock measures the devirtualized block fast path
-// against the per-interaction interface loop it replaced, for every
-// built-in kernel: one target against a 2000-source block, the shape of a
-// batch/leaf direct-sum inner loop. "iface" dispatches through
-// kernel.Kernel per source (the pre-block-path code, reproduced here via
-// the generic adapter around kernel.Func); "block" is the specialized
-// loop the treecode now runs. Every iteration evaluates the same target:
-// cycling `i % tg.Len()` through distinct targets made ns/op depend on
-// which targets a given b.N landed on (their distances to the block
-// differ), which read as run-to-run noise in the tracked record.
+// BenchmarkEvalDirectBlock measures each built-in kernel's width-1 tile
+// against the width-1 Eval loop kernel.Func resolves to: one target
+// against a 2000-source block, the shape of a batch/leaf direct-sum inner
+// loop. "iface" dispatches through kernel.Kernel per source; "block" is
+// the specialized loop every cascade ends with. Every iteration evaluates
+// the same target: cycling `i % tg.Len()` through distinct targets made
+// ns/op depend on which targets a given b.N landed on (their distances to
+// the block differ), which read as run-to-run noise in the tracked record.
 func BenchmarkEvalDirectBlock(b *testing.B) {
 	const nSrc = 2000
 	src := barytree.UniformCube(nSrc, 11)
@@ -513,22 +511,25 @@ func BenchmarkEvalDirectBlock(b *testing.B) {
 		kernel.RegularizedCoulomb{Eps: 0.02},
 		kernel.InversePower{P: 3},
 	} {
-		iface := kernel.AsBlock(kernel.Func{KernelName: k.Name(), F: k.Eval})
-		block := kernel.AsBlock(k)
-		b.Run(k.Name()+"/iface", func(b *testing.B) {
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += iface.EvalBlockAccum(tg.X[0], tg.Y[0], tg.Z[0], src.X, src.Y, src.Z, src.Q)
-			}
-			benchSink = sink
-		})
-		b.Run(k.Name()+"/block", func(b *testing.B) {
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += block.EvalBlockAccum(tg.X[0], tg.Y[0], tg.Z[0], src.X, src.Y, src.Z, src.Q)
-			}
-			benchSink = sink
-		})
+		width1 := func(k kernel.Kernel) kernel.Tile {
+			tiles := kernel.Tiles(k)
+			return tiles[len(tiles)-1].Eval
+		}
+		for _, c := range []struct {
+			name string
+			tile kernel.Tile
+		}{
+			{"iface", width1(kernel.Func{KernelName: k.Name(), F: k.Eval})},
+			{"block", width1(k)},
+		} {
+			b.Run(k.Name()+"/"+c.name, func(b *testing.B) {
+				var phi [1]float64
+				for i := 0; i < b.N; i++ {
+					c.tile(tg.X[:1], tg.Y[:1], tg.Z[:1], src.X, src.Y, src.Z, src.Q, phi[:])
+				}
+				benchSink = phi[0]
+			})
+		}
 	}
 }
 

@@ -31,11 +31,12 @@ func helper(n int) []float64 {
 	return make([]float64, n)
 }
 
-// tileCascade is the shape of the new register-blocked drivers
-// (direct.sumRange, core.evalBatchLists): fixed-size tile arrays live on
-// the stack — no make — and the wide tile arrives as a function value
-// resolved once by the caller, invoked per tile. Neither the arrays nor
-// the indirect call may trip the analyzer.
+// tileCascade is the shape of a fixed-width tile loop over caller-owned
+// buffers: fixed-size tile arrays live on the stack — no make — and the
+// wide tile arrives as a function value resolved once by the caller,
+// invoked per tile. Neither the arrays nor the indirect call may trip the
+// analyzer. (The repository's drivers pass slices of caller-owned
+// buffers to kernel.Cascade, which is marked //hot:path too.)
 //
 //hot:path
 func tileCascade(t8 func(tx *[8]float64, phi *[8]float64), xs, phi []float64) {

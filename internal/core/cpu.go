@@ -62,14 +62,13 @@ func RunCPU(pl *Plan, k kernel.Kernel, opt CPUOptions) *Result {
 	res.Wall[perfmodel.PhasePrecompute] = time.Since(start).Seconds()
 	res.Times[perfmodel.PhasePrecompute] = chargeFlops / rate
 
-	// Compute phase: walk every batch's interaction list. The tile kernel
-	// is resolved once here; every inner loop below it is devirtualized.
+	// Compute phase: walk every batch's interaction list. The tiles are
+	// resolved once here; every inner loop below them is devirtualized.
 	start = time.Now()
-	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
+	tiles := kernel.Tiles(k)
 	phiBatch := make([]float64, pl.Batches.Targets.Len())
 	pool.For(len(pl.Batches.Batches), opt.Workers, func(bi int) {
-		evalBatchLists(pl, tk, t8, bi, phiBatch, pl.Sources.Particles.Q, pl.Clusters.Qhat)
+		evalBatchLists(pl, tiles, bi, phiBatch, pl.Sources.Particles.Q, pl.Clusters.Qhat)
 	})
 	res.Wall[perfmodel.PhaseCompute] = time.Since(start).Seconds()
 	res.Times[perfmodel.PhaseCompute] = computeFlops(pl.Lists.Stats, k, kernel.ArchCPU) / rate
@@ -93,26 +92,20 @@ func RunComputeOnly(pl *Plan, k kernel.Kernel, phi []float64) float64 {
 // (<= 0 selects GOMAXPROCS; 1 is serial). It is the multi-core scaling
 // probe the compute-phase benchmarks sweep.
 func RunComputeOnlyWorkers(pl *Plan, k kernel.Kernel, phi []float64, workers int) float64 {
-	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
+	tiles := kernel.Tiles(k)
 	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		evalBatchLists(pl, tk, t8, bi, phi, pl.Sources.Particles.Q, pl.Clusters.Qhat)
+		evalBatchLists(pl, tiles, bi, phi, pl.Sources.Particles.Q, pl.Clusters.Qhat)
 	})
 	return computeFlops(pl.Lists.Stats, k, kernel.ArchCPU)
 }
 
 // evalBatchLists accumulates batch bi's full interaction list into phi
-// (batch target order) through the tiled fast path: a register-width group
-// of targets walks the whole list together so each source block streams
-// from memory once per tile instead of once per target. Per target the
-// adds still land in list order — the tile contracts add exactly one block
-// total per list entry — and the accumulators are seeded from and stored
-// back to phi, so the result is bit-identical to the single-target block
-// path (up to each kernel's documented tile ULP contract). The cascade is
-// 8 → 4 → 1: when the kernel has a register-blocked Tile8Width tile
-// (t8 != nil), full 8-target groups take it first; remaining targets take
-// TileWidth tiles; the last <TileWidth targets take the single-target
-// epilogue.
+// (batch target order) through the kernel's tiles, widest first: each
+// group of targets walks the whole list together, so every source block
+// streams from memory once per group instead of once per target. Each
+// tile adds one block total per list entry into phi in place, so every
+// target's adds land in list order exactly as on the single-target path,
+// whichever width its group has (up to each kernel's tile ULP contract).
 //
 // q and qhat supply the source charges (tree order) and per-node modified
 // charges: the plan's own (RunCPU, RunComputeOnly) or a per-request
@@ -121,51 +114,23 @@ func RunComputeOnlyWorkers(pl *Plan, k kernel.Kernel, phi []float64, workers int
 // disjoint phi are safe.
 //
 //hot:path
-func evalBatchLists(pl *Plan, tk kernel.TileKernel, t8 kernel.Tile8Func, bi int, phi, q []float64, qhat [][]float64) {
+func evalBatchLists(pl *Plan, tiles []kernel.Sized[kernel.Tile], bi int, phi, q []float64, qhat [][]float64) {
 	b := &pl.Batches.Batches[bi]
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
+	nodes := pl.Sources.Nodes
 	cd := pl.Clusters
 	direct, approx := pl.Lists.Direct[bi], pl.Lists.Approx[bi]
-
-	ti := b.Lo
-	if t8 != nil {
-		var t80 TargetTile8
-		for ; ti+kernel.Tile8Width <= b.Hi; ti += kernel.Tile8Width {
-			t80.LoadParticles(tg, ti)
-			t80.LoadPotentials(phi, ti)
-			for _, ci := range direct {
-				nd := &pl.Sources.Nodes[ci]
-				EvalDirectTile8BlockQ(t8, &t80, src, q, nd.Lo, nd.Hi)
-			}
-			for _, ci := range approx {
-				EvalApproxTile8Block(t8, &t80, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
-			}
-			t80.Store(phi, ti)
-		}
-	}
-	var t TargetTile
-	for ; ti+kernel.TileWidth <= b.Hi; ti += kernel.TileWidth {
-		t.LoadParticles(tg, ti)
-		t.LoadPotentials(phi, ti)
+	kernel.Cascade(tiles, b.Lo, b.Hi, func(tile kernel.Tile, i, j int) {
+		tx, ty, tz, p := tg.X[i:j], tg.Y[i:j], tg.Z[i:j], phi[i:j]
 		for _, ci := range direct {
-			nd := &pl.Sources.Nodes[ci]
-			EvalDirectTileBlockQ(tk, &t, src, q, nd.Lo, nd.Hi)
+			nd := &nodes[ci]
+			tile(tx, ty, tz, src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], q[nd.Lo:nd.Hi], p)
 		}
 		for _, ci := range approx {
-			EvalApproxTileBlock(tk, &t, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
+			tile(tx, ty, tz, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci], p)
 		}
-		t.Store(phi, ti)
-	}
-	for ; ti < b.Hi; ti++ {
-		for _, ci := range direct {
-			nd := &pl.Sources.Nodes[ci]
-			phi[ti] += EvalDirectTargetBlockQ(tk, tg, ti, src, q, nd.Lo, nd.Hi)
-		}
-		for _, ci := range approx {
-			phi[ti] += EvalApproxTargetBlock(tk, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
-		}
-	}
+	})
 }
 
 // ComputeWork returns the modeled flop-equivalents of one compute phase of

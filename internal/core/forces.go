@@ -2,7 +2,6 @@ package core
 
 import (
 	"barytree/internal/kernel"
-	"barytree/internal/particle"
 	"barytree/internal/perfmodel"
 	"barytree/internal/pool"
 )
@@ -13,39 +12,6 @@ type FieldResult struct {
 	Phi        []float64
 	GX, GY, GZ []float64 // gradient of phi at each target
 	Times      perfmodel.PhaseTimes
-}
-
-// EvalDirectFieldTargetQ accumulates the potential and its gradient at one
-// target due to direct summation over sources [cLo, cHi), with charges q
-// (tree order) — the plan's own or a ChargeState's; the arithmetic is
-// identical, so equal charges yield bit-identical sums.
-func EvalDirectFieldTargetQ(k kernel.GradKernel, tg *particle.Set, ti int, src *particle.Set, q []float64, cLo, cHi int) (phi, gx, gy, gz float64) {
-	tx, ty, tz := tg.X[ti], tg.Y[ti], tg.Z[ti]
-	for j := cLo; j < cHi; j++ {
-		g, dx, dy, dz := k.EvalGrad(tx, ty, tz, src.X[j], src.Y[j], src.Z[j])
-		qq := q[j]
-		phi += g * qq
-		gx += dx * qq
-		gy += dy * qq
-		gz += dz * qq
-	}
-	return phi, gx, gy, gz
-}
-
-// EvalApproxFieldTarget accumulates the potential and gradient at one
-// target due to a cluster's Chebyshev proxies: the same direct-sum shape
-// as the potential-only kernel, with gradient evaluations of G.
-func EvalApproxFieldTarget(k kernel.GradKernel, tg *particle.Set, ti int, px, py, pz, qhat []float64) (phi, gx, gy, gz float64) {
-	tx, ty, tz := tg.X[ti], tg.Y[ti], tg.Z[ti]
-	for j := range qhat {
-		g, dx, dy, dz := k.EvalGrad(tx, ty, tz, px[j], py[j], pz[j])
-		q := qhat[j]
-		phi += g * q
-		gx += dx * q
-		gy += dy * q
-		gz += dz * q
-	}
-	return phi, gx, gy, gz
 }
 
 // RunCPUFields evaluates potentials and gradients for the plan on the CPU
@@ -86,65 +52,40 @@ func RunCPUFields(pl *Plan, k kernel.GradKernel, opt CPUOptions) *FieldResult {
 // charges q and modified charges qhat — the plan's own (RunCPUFields) or a
 // ChargeState's (RunFieldsState). The loop structure and per-target add
 // order are identical for both, so equal charges yield byte-identical
-// fields. The gradient tile is resolved once here.
+// fields. The gradient tiles are resolved once here.
 func runFieldsBatches(pl *Plan, k kernel.GradKernel, q []float64, qhat [][]float64, phi, gx, gy, gz []float64, workers int) {
-	gt := kernel.GradTile(k)
+	tiles := kernel.GradTiles(k)
 	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		fieldBatchLists(pl, k, gt, bi, q, qhat, phi, gx, gy, gz)
+		fieldBatchLists(pl, tiles, bi, q, qhat, phi, gx, gy, gz)
 	})
 }
 
 // fieldBatchLists accumulates batch bi's full interaction list into the
-// field buffers (batch target order). With a gradient tile (gt != nil),
-// TileWidth-target tiles walk the whole list — direct entries, then
-// approximation entries, each source block streamed once per tile — and
-// the last <TileWidth targets take the per-target path; without one, the
-// per-target path runs the whole batch. The tile's accumulators are the
-// buffers themselves, and the tile contract adds exactly one block total
-// per list entry to each, so every target keeps the per-target path's add
-// chain and its bits.
+// field buffers (batch target order), widest gradient tile first: each
+// group of targets walks the whole list — direct entries, then
+// approximation entries — with the buffers themselves as accumulators.
+// Each tile adds exactly one block total per list entry, so every target
+// keeps the width-1 EvalGrad chain's add order and its bits.
 //
 //hot:path
-func fieldBatchLists(pl *Plan, k kernel.GradKernel, gt kernel.GradTileFunc, bi int, q []float64, qhat [][]float64, phi, gx, gy, gz []float64) {
+func fieldBatchLists(pl *Plan, tiles []kernel.Sized[kernel.GradTile], bi int, q []float64, qhat [][]float64, phi, gx, gy, gz []float64) {
 	b := &pl.Batches.Batches[bi]
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
+	nodes := pl.Sources.Nodes
 	cd := pl.Clusters
 	direct, approx := pl.Lists.Direct[bi], pl.Lists.Approx[bi]
-
-	ti := b.Lo
-	if gt != nil {
-		for ; ti+kernel.TileWidth <= b.Hi; ti += kernel.TileWidth {
-			tx, ty, tz := tileAt(tg.X, ti), tileAt(tg.Y, ti), tileAt(tg.Z, ti)
-			p, x, y, z := tileAt(phi, ti), tileAt(gx, ti), tileAt(gy, ti), tileAt(gz, ti)
-			for _, ci := range direct {
-				nd := &pl.Sources.Nodes[ci]
-				gt(tx, ty, tz, src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], q[nd.Lo:nd.Hi], p, x, y, z)
-			}
-			for _, ci := range approx {
-				gt(tx, ty, tz, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci], p, x, y, z)
-			}
+	kernel.Cascade(tiles, b.Lo, b.Hi, func(tile kernel.GradTile, i, j int) {
+		tx, ty, tz := tg.X[i:j], tg.Y[i:j], tg.Z[i:j]
+		p, x, y, z := phi[i:j], gx[i:j], gy[i:j], gz[i:j]
+		for _, ci := range direct {
+			nd := &nodes[ci]
+			tile(tx, ty, tz, src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], q[nd.Lo:nd.Hi], p, x, y, z)
 		}
-	}
-	for _, ci := range direct {
-		nd := &pl.Sources.Nodes[ci]
-		for tj := ti; tj < b.Hi; tj++ {
-			p, x, y, z := EvalDirectFieldTargetQ(k, tg, tj, src, q, nd.Lo, nd.Hi)
-			phi[tj] += p
-			gx[tj] += x
-			gy[tj] += y
-			gz[tj] += z
+		for _, ci := range approx {
+			tile(tx, ty, tz, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci], p, x, y, z)
 		}
-	}
-	for _, ci := range approx {
-		for tj := ti; tj < b.Hi; tj++ {
-			p, x, y, z := EvalApproxFieldTarget(k, tg, tj, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
-			phi[tj] += p
-			gx[tj] += x
-			gy[tj] += y
-			gz[tj] += z
-		}
-	}
+	})
 }
 
 // RunFieldsState evaluates potentials and gradients against a ChargeState's
@@ -155,9 +96,4 @@ func fieldBatchLists(pl *Plan, k kernel.GradKernel, gt kernel.GradTileFunc, bi i
 func RunFieldsState(pl *Plan, k kernel.GradKernel, st *ChargeState, phi, gx, gy, gz []float64, workers int) {
 	st.checkGen(pl)
 	runFieldsBatches(pl, k, st.Q, st.Qhat, phi, gx, gy, gz, workers)
-}
-
-// tileAt views s[i:i+TileWidth] as a tile array, in place.
-func tileAt(s []float64, i int) *[kernel.TileWidth]float64 {
-	return (*[kernel.TileWidth]float64)(s[i:])
 }

@@ -103,10 +103,10 @@ func TestFieldTimesExceedPotentialTimes(t *testing.T) {
 // TestFieldsTiledBitIdentical pins the tiled field path to the per-target
 // one: RunCPUFields and RunFieldsState return exactly (==) the potentials
 // and gradients they return with the assembly kernels off, where
-// kernel.GradTile resolves nil and every target takes the per-target
-// path. It covers midpoint and Morton plans whose batches leave every tail
-// length 0-3 after the tiles, and zero softening with targets == sources,
-// where the self terms take the masked lanes.
+// kernel.GradTiles resolves only the width-1 tile and every target takes
+// the per-target path. It covers midpoint and Morton plans whose batches
+// leave every tail length 0-3 after the 4-wide tiles, and zero softening
+// with targets == sources, where the self terms take the masked lanes.
 func TestFieldsTiledBitIdentical(t *testing.T) {
 	pts := testParticles(t, 2203, 31)
 	for _, morton := range []bool{false, true} {
@@ -114,9 +114,9 @@ func TestFieldsTiledBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tails [kernel.TileWidth]int
+		var tails [4]int
 		for _, b := range pl.Batches.Batches {
-			tails[(b.Hi-b.Lo)%kernel.TileWidth]++
+			tails[(b.Hi-b.Lo)%len(tails)]++
 		}
 		for r, c := range tails {
 			if c == 0 {

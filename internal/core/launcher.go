@@ -27,8 +27,10 @@ type Launcher struct {
 	// depend on.
 	DataReady float64
 
-	tk        kernel.TileKernel
-	f32t      kernel.F32TileKernel
+	tiles     []kernel.Sized[kernel.Tile]
+	f32Tiles  []kernel.Sized[kernel.F32Tile]
+	acc       []float64 // host-block accumulators, one per target of a launch
+	f32       f32Scratch
 	rate      float64
 	capacity  float64
 	perEval   float64
@@ -57,10 +59,9 @@ func NewLauncher(dev *device.Device, host *perfmodel.Clock, k kernel.Kernel,
 		capacity:  float64(dev.Spec.ThreadCapacity()),
 		perEval:   k.Cost(kernel.ArchGPU) + 2,
 	}
-	// Resolve the tiled fast path once for the whole compute phase; every
-	// kernel body launched below dispatches once per block, not per source,
-	// and the host executes TileWidth targets per dispatch.
-	l.tk = kernel.AsTile(k)
+	// Resolve the tiles once for the whole compute phase; every kernel
+	// body launched below dispatches once per source block and group of
+	// targets, not per source.
 	if prec == device.FP32 {
 		l.rate *= dev.Spec.FP32Speedup
 		f32, ok := k.(kernel.F32Kernel)
@@ -68,10 +69,18 @@ func NewLauncher(dev *device.Device, host *perfmodel.Clock, k kernel.Kernel,
 			panic("core: FP32 requested but kernel does not implement kernel.F32Kernel")
 		}
 		if ok {
-			l.f32t = kernel.AsF32Tile(f32)
+			l.f32Tiles = kernel.F32Tiles(f32)
 		}
+	} else {
+		l.tiles = kernel.Tiles(k)
 	}
 	return l
+}
+
+// f32Scratch holds one launch's targets rounded to float32 and their
+// float32 accumulators.
+type f32Scratch struct {
+	tx, ty, tz, acc []float32
 }
 
 // queue advances the host clock for one launch and returns the kernel's
@@ -107,114 +116,95 @@ func (l *Launcher) queue(label string, work float64, grid, block int) (device.La
 // LaunchDirect queues one batch-cluster direct sum kernel: targets
 // [bLo, bLo+nb) of tg against source particles [cLo, cHi) of src, with one
 // modeled thread block per target and atomic accumulation into phi (batch
-// target order). The host executes the same arithmetic tiled: one host
-// block per TileWidth targets plus single-target blocks for the ragged
-// tail, adding each target's block total into phi once. The tile's
-// accumulators start at zero, and a sum accumulated from +0 under
-// round-to-nearest can never be -0, so the per-lane 0 + total add is
-// bit-exact against the single-target path; the modeled spec (grid nb)
-// is unchanged.
+// target order).
 func (l *Launcher) LaunchDirect(tg *particle.Set, bLo, nb int, src *particle.Set, cLo, cHi int, phi *device.AccumBuffer) {
-	work := float64(nb) * float64(cHi-cLo) * l.perEval
-	spec, submit := l.queue("direct", work, nb, min(cHi-cLo, 1024))
-	fnGrid := nb
-	var fn func(int)
-	if !l.ModelOnly {
-		tk := l.tk
-		f32t := l.f32t
-		prec := l.Precision
-		// The host tile width is per precision: fp32 tiles are
-		// F32TileWidth lanes wide, fp64 tiles TileWidth. The modeled spec
-		// (grid nb) is unchanged either way.
-		tw := kernel.TileWidth
-		if prec == device.FP32 {
-			tw = kernel.F32TileWidth
-		}
-		nTiles := nb / tw
-		fnGrid = nTiles + nb%tw
-		fn = func(block int) {
-			if block < nTiles {
-				ti := bLo + block*tw
-				if prec == device.FP32 {
-					var t TargetTileF32
-					t.LoadParticles(tg, ti)
-					EvalDirectTileBlockF32(f32t, &t, src, cLo, cHi)
-					for lane := 0; lane < kernel.F32TileWidth; lane++ {
-						phi.Add(ti+lane, float64(t.Acc[lane]))
-					}
-				} else {
-					var t TargetTile
-					t.LoadParticles(tg, ti)
-					EvalDirectTileBlock(tk, &t, src, cLo, cHi)
-					for lane := 0; lane < kernel.TileWidth; lane++ {
-						phi.Add(ti+lane, t.Acc[lane])
-					}
-				}
-				return
-			}
-			ti := bLo + nTiles*tw + (block - nTiles)
-			var v float64
-			if prec == device.FP32 {
-				v = EvalDirectTargetBlockF32(f32t, tg, ti, src, cLo, cHi)
-			} else {
-				v = EvalDirectTargetBlock(tk, tg, ti, src, cLo, cHi)
-			}
-			phi.Add(ti, v)
-		}
-	}
-	l.Dev.LaunchBlocks(spec, submit, fnGrid, fn)
+	l.launchBlock("direct", tg, bLo, nb, src.X[cLo:cHi], src.Y[cLo:cHi], src.Z[cLo:cHi], src.Q[cLo:cHi], phi)
 }
 
 // LaunchApprox queues one batch-cluster approximation kernel: targets
 // [bLo, bLo+nb) against a cluster's Chebyshev points px/py/pz with modified
-// charges qhat. Host execution is tiled exactly as in LaunchDirect.
+// charges qhat (nil in model-only runs).
 func (l *Launcher) LaunchApprox(tg *particle.Set, bLo, nb int, px, py, pz, qhat []float64, phi *device.AccumBuffer) {
-	np := len(px)
-	work := float64(nb) * float64(np) * l.perEval
-	spec, submit := l.queue("approx", work, nb, min(np, 1024))
-	fnGrid := nb
-	var fn func(int)
-	if !l.ModelOnly {
-		tk := l.tk
-		f32t := l.f32t
-		prec := l.Precision
-		tw := kernel.TileWidth
-		if prec == device.FP32 {
-			tw = kernel.F32TileWidth
-		}
-		nTiles := nb / tw
-		fnGrid = nTiles + nb%tw
-		fn = func(block int) {
-			if block < nTiles {
-				ti := bLo + block*tw
-				if prec == device.FP32 {
-					var t TargetTileF32
-					t.LoadParticles(tg, ti)
-					EvalApproxTileBlockF32(f32t, &t, px, py, pz, qhat)
-					for lane := 0; lane < kernel.F32TileWidth; lane++ {
-						phi.Add(ti+lane, float64(t.Acc[lane]))
-					}
-				} else {
-					var t TargetTile
-					t.LoadParticles(tg, ti)
-					EvalApproxTileBlock(tk, &t, px, py, pz, qhat)
-					for lane := 0; lane < kernel.TileWidth; lane++ {
-						phi.Add(ti+lane, t.Acc[lane])
-					}
-				}
-				return
-			}
-			ti := bLo + nTiles*tw + (block - nTiles)
-			var v float64
-			if prec == device.FP32 {
-				v = EvalApproxTargetBlockF32(f32t, tg, ti, px, py, pz, qhat)
-			} else {
-				v = EvalApproxTargetBlock(tk, tg, ti, px, py, pz, qhat)
-			}
-			phi.Add(ti, v)
+	l.launchBlock("approx", tg, bLo, nb, px, py, pz, qhat, phi)
+}
+
+// launchBlock queues one kernel of targets [bLo, bLo+nb) against a source
+// block: the modeled spec has one thread block per target, while the host
+// runs one block per widest-tile group of targets. Each host block
+// cascades its targets through the tiles into zeroed accumulators and adds
+// each target's total into phi once. A block total accumulated from +0
+// under round-to-nearest is never -0, so 0 + total == total bit for bit
+// and every target receives exactly the sum the CPU driver adds for this
+// list entry. Host blocks cut the targets exactly where one cascade over
+// all nb targets would, and they write disjoint slots of the launcher's
+// scratch, which launches reuse because each runs to completion before
+// the next is queued.
+func (l *Launcher) launchBlock(label string, tg *particle.Set, bLo, nb int, sx, sy, sz, q []float64, phi *device.AccumBuffer) {
+	ns := len(sx)
+	work := float64(nb) * float64(ns) * l.perEval
+	spec, submit := l.queue(label, work, nb, min(ns, 1024))
+	if l.ModelOnly {
+		l.Dev.LaunchBlocks(spec, submit, nb, nil)
+		return
+	}
+	w := l.reserve(nb)
+	fn := func(block int) {
+		lo := block * w
+		hi := min(lo+w, nb)
+		if l.f32Tiles != nil {
+			l.hostBlockF32(tg, bLo+lo, bLo+hi, sx, sy, sz, q, phi, lo)
+		} else {
+			l.hostBlock(tg, bLo+lo, bLo+hi, sx, sy, sz, q, phi, lo)
 		}
 	}
-	l.Dev.LaunchBlocks(spec, submit, fnGrid, fn)
+	l.Dev.LaunchBlocks(spec, submit, (nb+w-1)/w, fn)
+}
+
+// reserve grows the host-block scratch to nb targets and returns the
+// host-block width: the widest tile's.
+func (l *Launcher) reserve(nb int) int {
+	if l.f32Tiles != nil {
+		if len(l.f32.acc) < nb {
+			l.f32 = f32Scratch{make([]float32, nb), make([]float32, nb), make([]float32, nb), make([]float32, nb)}
+		}
+		return l.f32Tiles[0].Width
+	}
+	if len(l.acc) < nb {
+		l.acc = make([]float64, nb)
+	}
+	return l.tiles[0].Width
+}
+
+// hostBlock evaluates targets [ti, tj) against one source block and adds
+// the totals into phi; s is the block's first scratch slot.
+//
+//hot:path
+func (l *Launcher) hostBlock(tg *particle.Set, ti, tj int, sx, sy, sz, q []float64, phi *device.AccumBuffer, s int) {
+	acc := l.acc[s : s+tj-ti]
+	clear(acc)
+	kernel.Accumulate(l.tiles, tg.X[ti:tj], tg.Y[ti:tj], tg.Z[ti:tj], sx, sy, sz, q, acc)
+	for i, v := range acc {
+		phi.Add(ti+i, v)
+	}
+}
+
+// hostBlockF32 is hostBlock in single precision: the targets are rounded
+// to float32 once, as the fp32 device kernel loads them.
+//
+//hot:path
+func (l *Launcher) hostBlockF32(tg *particle.Set, ti, tj int, sx, sy, sz, q []float64, phi *device.AccumBuffer, s int) {
+	n := tj - ti
+	tx, ty, tz, acc := l.f32.tx[s:s+n], l.f32.ty[s:s+n], l.f32.tz[s:s+n], l.f32.acc[s:s+n]
+	for i := range acc {
+		tx[i], ty[i], tz[i] = float32(tg.X[ti+i]), float32(tg.Y[ti+i]), float32(tg.Z[ti+i])
+		acc[i] = 0
+	}
+	kernel.Cascade(l.f32Tiles, 0, n, func(tile kernel.F32Tile, i, j int) {
+		tile(tx[i:j], ty[i:j], tz[i:j], sx, sy, sz, q, acc[i:j])
+	})
+	for i, v := range acc {
+		phi.Add(ti+i, float64(v))
+	}
 }
 
 // LaunchChargeKernels queues the two preprocessing kernels for every node

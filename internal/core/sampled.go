@@ -60,14 +60,14 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 		scratchPool.Put(s)
 	})
 
-	// Evaluate the sampled targets through the tiled fast path (resolved
-	// once). Samples are grouped by batch so that up to TileWidth targets
-	// sharing an interaction list walk it together, streaming each source
-	// block once per group; leftovers take the single-target path. Every
-	// sample's potential is accumulated from zero in list order in either
-	// form, so the grouping — and where the worker split cuts a group —
-	// cannot change bits.
-	tk := kernel.AsTile(k)
+	// Evaluate the sampled targets through the kernel's tiles (resolved
+	// once). Samples are sorted by batch, and each run of samples sharing
+	// a batch is gathered and walks its interaction list together, widest
+	// tile first, streaming each source block once per group. Every
+	// sample's potential is accumulated from zero in list order whatever
+	// its group's width, so for exact kernels neither the grouping nor
+	// where the worker split cuts a run can change bits.
+	tiles := kernel.Tiles(k)
 	phi := make([]float64, len(sample))
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
@@ -78,40 +78,32 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return batchOf[order[a]] < batchOf[order[b]] })
 	pool.Blocks(len(order), 0, func(_, lo, hi int) {
-		var t TargetTile
-		for i := lo; i < hi; {
-			bi := batchOf[order[i]]
-			g := i + 1
-			for g < hi && g-i < kernel.TileWidth && batchOf[order[g]] == bi {
+		n := hi - lo
+		tx, ty, tz, acc := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for s := range acc {
+			ti := inv[sample[order[lo+s]]]
+			tx[s], ty[s], tz[s] = tg.X[ti], tg.Y[ti], tg.Z[ti]
+		}
+		for r := 0; r < n; {
+			bi := batchOf[order[lo+r]]
+			g := r + 1
+			for g < n && batchOf[order[lo+g]] == bi {
 				g++
 			}
 			direct, approx := pl.Lists.Direct[bi], pl.Lists.Approx[bi]
-			if g-i == kernel.TileWidth {
-				i0, i1, i2, i3 := order[i], order[i+1], order[i+2], order[i+3]
-				t.LoadParticlesAt(tg, inv[sample[i0]], inv[sample[i1]], inv[sample[i2]], inv[sample[i3]])
+			kernel.Cascade(tiles, r, g, func(tile kernel.Tile, i, j int) {
 				for _, ci := range direct {
 					nd := &pl.Sources.Nodes[ci]
-					EvalDirectTileBlock(tk, &t, src, nd.Lo, nd.Hi)
+					tile(tx[i:j], ty[i:j], tz[i:j], src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], src.Q[nd.Lo:nd.Hi], acc[i:j])
 				}
 				for _, ci := range approx {
-					EvalApproxTileBlock(tk, &t, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci])
+					tile(tx[i:j], ty[i:j], tz[i:j], cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci], acc[i:j])
 				}
-				phi[i0], phi[i1], phi[i2], phi[i3] = t.Acc[0], t.Acc[1], t.Acc[2], t.Acc[3]
-			} else {
-				for s := i; s < g; s++ {
-					ti := inv[sample[order[s]]]
-					var v float64
-					for _, ci := range direct {
-						nd := &pl.Sources.Nodes[ci]
-						v += EvalDirectTargetBlock(tk, tg, ti, src, nd.Lo, nd.Hi)
-					}
-					for _, ci := range approx {
-						v += EvalApproxTargetBlock(tk, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci])
-					}
-					phi[order[s]] = v
-				}
-			}
-			i = g
+			})
+			r = g
+		}
+		for s, v := range acc {
+			phi[order[lo+s]] = v
 		}
 	})
 	return phi, nil

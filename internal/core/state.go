@@ -130,10 +130,9 @@ func (st *ChargeState) ResetToPlan(pl *Plan) {
 // modified charges must be fresh (call st.Compute first). Returns the
 // modeled compute-phase flop count.
 func RunComputeState(pl *Plan, k kernel.Kernel, st *ChargeState, phi []float64, workers int) float64 {
-	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
+	tiles := kernel.Tiles(k)
 	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		evalBatchLists(pl, tk, t8, bi, phi, st.Q, st.Qhat)
+		evalBatchLists(pl, tiles, bi, phi, st.Q, st.Qhat)
 	})
 	return computeFlops(pl.Lists.Stats, k, kernel.ArchCPU)
 }
@@ -158,15 +157,13 @@ type GroupMember struct {
 // coalescing.
 func RunComputeGroup(pl *Plan, members []GroupMember, workers int) {
 	nb := len(pl.Batches.Batches)
-	tks := make([]kernel.TileKernel, len(members))
-	t8s := make([]kernel.Tile8Func, len(members))
+	tiles := make([][]kernel.Sized[kernel.Tile], len(members))
 	for i := range members {
-		tks[i] = kernel.AsTile(members[i].Kernel)
-		t8s[i] = kernel.Tile8(members[i].Kernel)
+		tiles[i] = kernel.Tiles(members[i].Kernel)
 	}
 	pool.For(len(members)*nb, workers, func(idx int) {
 		mi, bi := idx/nb, idx%nb
 		m := &members[mi]
-		evalBatchLists(pl, tks[mi], t8s[mi], bi, m.Phi, m.State.Q, m.State.Qhat)
+		evalBatchLists(pl, tiles[mi], bi, m.Phi, m.State.Q, m.State.Qhat)
 	})
 }

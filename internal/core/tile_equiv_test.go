@@ -7,11 +7,38 @@ import (
 
 	"barytree/internal/device"
 	"barytree/internal/kernel"
+	"barytree/internal/particle"
 	"barytree/internal/perfmodel"
 )
 
+// evalDirectTarget computes the potential at one target due to direct
+// summation over source particles [cLo, cHi) — the body of one thread block
+// of the batch-cluster direct sum kernel (Figure 3b) — through the scalar
+// reference path: one interface Eval per pairwise interaction.
+func evalDirectTarget(k kernel.Kernel, tg *particle.Set, ti int, src *particle.Set, cLo, cHi int) float64 {
+	tx, ty, tz := tg.X[ti], tg.Y[ti], tg.Z[ti]
+	var phi float64
+	for j := cLo; j < cHi; j++ {
+		phi += k.Eval(tx, ty, tz, src.X[j], src.Y[j], src.Z[j]) * src.Q[j]
+	}
+	return phi
+}
+
+// evalApproxTarget computes the potential at one target due to the
+// barycentric particle-cluster approximation (equation (11)): a direct sum
+// over the cluster's Chebyshev points with modified charges, through the
+// scalar reference path.
+func evalApproxTarget(k kernel.Kernel, tg *particle.Set, ti int, px, py, pz, qhat []float64) float64 {
+	tx, ty, tz := tg.X[ti], tg.Y[ti], tg.Z[ti]
+	var phi float64
+	for j := range qhat {
+		phi += k.Eval(tx, ty, tz, px[j], py[j], pz[j]) * qhat[j]
+	}
+	return phi
+}
+
 // referenceListPhi evaluates every batch's interaction list through the
-// per-source scalar reference path (EvalDirectTarget/EvalApproxTarget) in
+// per-source scalar reference path (evalDirectTarget/evalApproxTarget) in
 // exactly the per-target add order the drivers guarantee, and returns the
 // potentials in original target order. The plan's modified charges must
 // already be computed.
@@ -25,12 +52,12 @@ func referenceListPhi(pl *Plan, k kernel.Kernel) []float64 {
 		for _, ci := range pl.Lists.Direct[bi] {
 			nd := &pl.Sources.Nodes[ci]
 			for ti := b.Lo; ti < b.Hi; ti++ {
-				phi[ti] += EvalDirectTarget(k, tg, ti, src, nd.Lo, nd.Hi)
+				phi[ti] += evalDirectTarget(k, tg, ti, src, nd.Lo, nd.Hi)
 			}
 		}
 		for _, ci := range pl.Lists.Approx[bi] {
 			for ti := b.Lo; ti < b.Hi; ti++ {
-				phi[ti] += EvalApproxTarget(k, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci])
+				phi[ti] += evalApproxTarget(k, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci])
 			}
 		}
 	}
@@ -115,13 +142,13 @@ func checkSolvePhi(t *testing.T, label string, pl *Plan, k kernel.Kernel, got, w
 }
 
 // TestTiledCPUPathBitIdenticalRagged is the full-solve guarantee for the
-// target-tiled compute phase: RunCPU — which cascades Tile8Width and
-// TileWidth target tiles per kernel dispatch and finishes ragged batch
-// tails on the single-target path — matches the per-source scalar
-// reference for batch sizes covering every residue mod Tile8Width and for
-// all TileKernel resolutions (assembly-backed Coulomb with its 8-wide
-// register-blocked tile, assembly Yukawa under its measured-ULP contract,
-// generic adapter over kernel.Func). The "pure-go" subtest repeats the
+// target-tiled compute phase: RunCPU — which cascades each batch's
+// targets through the kernel's tiles widest first, down to the width-1
+// tile for the ragged tail — matches the per-source scalar reference for
+// batch sizes covering every residue mod 8 and for every resolution
+// (assembly-backed Coulomb with its 8-wide register-blocked tile,
+// assembly Yukawa under its measured-ULP contract, the width-1 Eval loop
+// of kernel.Func). The "pure-go" subtest repeats the
 // sweep with the assembly kernels switched off, where every kernel —
 // Yukawa included — must be bit-identical to the scalar reference.
 func TestTiledCPUPathBitIdenticalRagged(t *testing.T) {
@@ -155,43 +182,73 @@ func TestTiledCPUPathBitIdenticalRagged(t *testing.T) {
 }
 
 // TestDeviceTiledBitIdentical pins the two device-path guarantees of the
-// target-tiled rewiring. Functionally, the tiled host execution behind
-// LaunchBlocks accumulates each target's per-launch block totals in launch
-// order, exactly like the CPU driver's list order, so the device result
-// equals the CPU result bit for bit even at ragged batch sizes. For the
-// model, the launch specs are untouched (one modeled thread block per
-// target), so the functional run's phase times equal a model-only run's
-// exactly.
+// shared cascade. Functionally, the host blocks behind LaunchBlocks
+// cascade each launch's targets through the same tiles as the CPU driver
+// and add each target's per-launch block total in launch order, exactly
+// like the CPU driver's list order, so the device result equals the CPU
+// result bit for bit — for the exact Coulomb kernel with its 8-wide tile,
+// for Yukawa (the gpu-4rank-32k kernel) whose ULP-contract tile must take
+// the same targets on both drivers, and for kernel.Func's width-1 loop —
+// at batch sizes covering every residue mod 8, with the assembly on and
+// off. For the model, the launch specs are untouched (one modeled thread
+// block per target), so the functional run's phase times equal a
+// model-only run's exactly.
 func TestDeviceTiledBitIdentical(t *testing.T) {
-	pts := testParticles(t, 3001, 33)
-	k := kernel.Coulomb{}
-	p := Params{Theta: 0.7, Degree: 4, LeafSize: 150, BatchSize: 123}
-
-	plCPU, err := NewPlan(pts, pts, p)
-	if err != nil {
-		t.Fatal(err)
+	pts := testParticles(t, 1501, 33)
+	kernels := []kernel.Kernel{
+		kernel.Coulomb{},
+		kernel.Yukawa{Kappa: 0.5},
+		kernel.Func{KernelName: "coulomb-func", F: kernel.Coulomb{}.Eval},
 	}
-	cpu := RunCPU(plCPU, k, CPUOptions{})
+	sweep := func(t *testing.T) {
+		var tails [8]int
+		for _, batch := range []int{120, 121, 122, 123, 124, 125, 126, 127} {
+			p := Params{Theta: 0.7, Degree: 4, LeafSize: 150, BatchSize: batch}
+			for ki, k := range kernels {
+				plCPU, err := NewPlan(pts, pts, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ki == 0 {
+					for _, b := range plCPU.Batches.Batches {
+						tails[(b.Hi-b.Lo)%len(tails)]++
+					}
+				}
+				cpu := RunCPU(plCPU, k, CPUOptions{})
 
-	plDev, err := NewPlan(pts, pts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := device.New(perfmodel.TitanV(), 0)
-	gpu := RunDevice(plDev, k, dev, DeviceOptions{})
-	for i := range cpu.Phi {
-		if gpu.Phi[i] != cpu.Phi[i] {
-			t.Fatalf("target %d: device %v != cpu %v (diff %g)",
-				i, gpu.Phi[i], cpu.Phi[i], gpu.Phi[i]-cpu.Phi[i])
+				plDev, err := NewPlan(pts, pts, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gpu := RunDevice(plDev, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{})
+				for i := range cpu.Phi {
+					if gpu.Phi[i] != cpu.Phi[i] {
+						t.Fatalf("batch=%d kernel=%s target %d: device %v != cpu %v (diff %g)",
+							batch, k.Name(), i, gpu.Phi[i], cpu.Phi[i], gpu.Phi[i]-cpu.Phi[i])
+					}
+				}
+
+				plModel, err := NewPlan(pts, pts, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				model := RunDevice(plModel, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{ModelOnly: true})
+				if model.Times != gpu.Times {
+					t.Errorf("batch=%d kernel=%s: functional tiled run changed modeled times: %v != model-only %v",
+						batch, k.Name(), gpu.Times, model.Times)
+				}
+			}
+		}
+		for r, c := range tails {
+			if c == 0 {
+				t.Fatalf("no batch has %d mod 8 targets (counts %v)", r, tails)
+			}
 		}
 	}
-
-	plModel, err := NewPlan(pts, pts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := RunDevice(plModel, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{ModelOnly: true})
-	if model.Times != gpu.Times {
-		t.Errorf("functional tiled run changed modeled times: %v != model-only %v", gpu.Times, model.Times)
-	}
+	t.Run("installed", sweep)
+	t.Run("pure-go", func(t *testing.T) {
+		prev := kernel.SetAsmKernels(false)
+		defer kernel.SetAsmKernels(prev)
+		sweep(t)
+	})
 }

@@ -5,18 +5,20 @@
 // evaluation for error measurement at large N (Section 4 samples the error
 // at a random subset of targets for systems of 8M particles and up).
 //
-// All evaluators resolve the kernel's tiled fast path (kernel.AsTile, and
-// the register-blocked kernel.Tile8 when the kernel has one) once per call
-// and evaluate a tile of targets per dispatch, so the O(N^2) inner loop
-// streams the source arrays once per target tile and pays one dynamic
-// dispatch per tile, not per pairwise interaction. Each target's potential
-// is accumulated from zero in source order either way, so the tiling is
-// bit-identical to the per-target block path for exact kernels; kernels
-// whose installed tile carries a measured-ULP contract (kernel.TileMaxULP
-// > 0, e.g. the vectorized Yukawa exp) match it within that contract.
+// All evaluators resolve the kernel's tiles (kernel.Tiles) once per call
+// and cascade groups of targets through them widest first, so the O(N^2)
+// inner loop streams the source arrays once per group and pays one
+// dynamic dispatch per group, not per pairwise interaction. Each target's
+// potential is accumulated from zero in source order whatever its group's
+// width, so the result is bit-identical to the width-1 tile for exact
+// kernels; kernels whose installed tile carries a measured-ULP contract
+// (kernel.TileMaxULP > 0, e.g. the vectorized Yukawa exp) match it within
+// that contract.
 package direct
 
 import (
+	"fmt"
+
 	"barytree/internal/kernel"
 	"barytree/internal/particle"
 	"barytree/internal/pool"
@@ -26,11 +28,7 @@ import (
 // When targets and sources are the same set, the singular self term is
 // excluded by the kernel convention G(x,x) = 0.
 func Sum(k kernel.Kernel, targets, sources *particle.Set) []float64 {
-	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
-	phi := make([]float64, targets.Len())
-	sumRange(tk, t8, targets, sources, phi, 0, len(phi))
-	return phi
+	return SumParallel(k, targets, sources, 1)
 }
 
 // SumParallel computes the same potentials using up to workers goroutines
@@ -38,93 +36,39 @@ func Sum(k kernel.Kernel, targets, sources *particle.Set) []float64 {
 // contiguous blocks; each worker owns its block of the output and tiles
 // within it, so no synchronization on phi is needed.
 func SumParallel(k kernel.Kernel, targets, sources *particle.Set, workers int) []float64 {
-	tk := kernel.AsTile(k)
-	t8 := kernel.Tile8(k)
+	tiles := kernel.Tiles(k)
 	phi := make([]float64, targets.Len())
 	pool.Blocks(len(phi), workers, func(_, lo, hi int) {
-		sumRange(tk, t8, targets, sources, phi, lo, hi)
+		kernel.Accumulate(tiles, targets.X[lo:hi], targets.Y[lo:hi], targets.Z[lo:hi],
+			sources.X, sources.Y, sources.Z, sources.Q, phi[lo:hi])
 	})
 	return phi
 }
 
 // SumAt computes the potentials only at the target indices in sample,
 // returning them in the same order. This is the sampled reference used for
-// error norms at large N. Tiles gather up to TileWidth sampled targets per
-// dispatch; the indices need not be contiguous.
+// error norms at large N; the indices need not be contiguous, and each
+// worker gathers its share of the sampled targets into tiles. Every index
+// is checked before any work starts: an index outside [0, targets.Len())
+// panics on the calling goroutine with a message naming the index and the
+// target count.
 func SumAt(k kernel.Kernel, targets *particle.Set, sample []int, sources *particle.Set) []float64 {
-	tk := kernel.AsTile(k)
+	for _, si := range sample {
+		if si < 0 || si >= targets.Len() {
+			panic(fmt.Sprintf("direct: sample index %d out of range [0,%d)", si, targets.Len()))
+		}
+	}
+	tiles := kernel.Tiles(k)
 	phi := make([]float64, len(sample))
 	pool.Blocks(len(sample), 0, func(_, lo, hi int) {
-		var tx, ty, tz, acc [kernel.TileWidth]float64
-		i := lo
-		for ; i+kernel.TileWidth <= hi; i += kernel.TileWidth {
-			for l := 0; l < kernel.TileWidth; l++ {
-				si := sample[i+l]
-				tx[l] = targets.X[si]
-				ty[l] = targets.Y[si]
-				tz[l] = targets.Z[si]
-				acc[l] = 0
-			}
-			tk.EvalTileAccum(&tx, &ty, &tz, sources.X, sources.Y, sources.Z, sources.Q, &acc)
-			for l := 0; l < kernel.TileWidth; l++ {
-				phi[i+l] = acc[l]
-			}
+		n := hi - lo
+		tx, ty, tz := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i, si := range sample[lo:hi] {
+			tx[i], ty[i], tz[i] = targets.X[si], targets.Y[si], targets.Z[si]
 		}
-		for ; i < hi; i++ {
-			phi[i] = at(tk, targets, sample[i], sources)
-		}
+		kernel.Accumulate(tiles, tx, ty, tz, sources.X, sources.Y, sources.Z, sources.Q, phi[lo:hi])
 	})
 	return phi
-}
-
-// sumRange fills phi[lo:hi] with the potentials of targets [lo, hi)
-// against all sources: Tile8Width register-blocked tiles first when the
-// kernel has them, then TileWidth tiles, then the ragged tail through the
-// single-target block path.
-//
-//hot:path
-func sumRange(tk kernel.TileKernel, t8 kernel.Tile8Func, targets, sources *particle.Set, phi []float64, lo, hi int) {
-	i := lo
-	if t8 != nil {
-		var tx8, ty8, tz8, acc8 [kernel.Tile8Width]float64
-		for ; i+kernel.Tile8Width <= hi; i += kernel.Tile8Width {
-			for l := 0; l < kernel.Tile8Width; l++ {
-				tx8[l] = targets.X[i+l]
-				ty8[l] = targets.Y[i+l]
-				tz8[l] = targets.Z[i+l]
-				acc8[l] = 0
-			}
-			t8(&tx8, &ty8, &tz8, sources.X, sources.Y, sources.Z, sources.Q, &acc8)
-			for l := 0; l < kernel.Tile8Width; l++ {
-				phi[i+l] = acc8[l]
-			}
-		}
-	}
-	var tx, ty, tz, acc [kernel.TileWidth]float64
-	for ; i+kernel.TileWidth <= hi; i += kernel.TileWidth {
-		for l := 0; l < kernel.TileWidth; l++ {
-			tx[l] = targets.X[i+l]
-			ty[l] = targets.Y[i+l]
-			tz[l] = targets.Z[i+l]
-			acc[l] = 0
-		}
-		tk.EvalTileAccum(&tx, &ty, &tz, sources.X, sources.Y, sources.Z, sources.Q, &acc)
-		for l := 0; l < kernel.TileWidth; l++ {
-			phi[i+l] = acc[l]
-		}
-	}
-	for ; i < hi; i++ {
-		phi[i] = at(tk, targets, i, sources)
-	}
-}
-
-// at computes the potential at target index i due to all sources through
-// the single-target block fast path.
-//
-//hot:path
-func at(bk kernel.BlockKernel, targets *particle.Set, i int, sources *particle.Set) float64 {
-	return bk.EvalBlockAccum(targets.X[i], targets.Y[i], targets.Z[i],
-		sources.X, sources.Y, sources.Z, sources.Q)
 }
 
 // Interactions returns the number of kernel evaluations a full direct sum

@@ -1,8 +1,10 @@
 package direct
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"barytree/internal/kernel"
@@ -93,6 +95,28 @@ func TestSumAtMatchesFull(t *testing.T) {
 	for i, idx := range sample {
 		if sampled[i] != full[idx] {
 			t.Fatalf("sampled[%d] = %g, full[%d] = %g", i, sampled[i], idx, full[idx])
+		}
+	}
+}
+
+// TestSumAtBadIndexPanics pins that a sample index outside the target
+// range panics on the calling goroutine, before any worker starts, so the
+// caller's recover sees it; the message names the index and the count.
+func TestSumAtBadIndexPanics(t *testing.T) {
+	pts := particle.UniformCube(100, rand.New(rand.NewSource(1)))
+	for _, bad := range []int{100, -1} {
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			SumAt(kernel.Coulomb{}, pts, []int{0, 1, 2, bad}, pts)
+			return ""
+		}()
+		want := fmt.Sprintf("sample index %d out of range [0,100)", bad)
+		if !strings.Contains(msg, want) {
+			t.Errorf("SumAt with index %d: recovered %q, want a panic containing %q", bad, msg, want)
 		}
 	}
 }

@@ -7,42 +7,21 @@ import (
 )
 
 // Fields computes potentials and gradients at all targets by direct
-// summation, parallelized over targets. The returned slices are indexed by
-// target.
+// summation, parallelized over contiguous blocks of targets, each
+// cascaded through the kernel's gradient tiles widest first. The returned
+// slices are indexed by target.
 func Fields(k kernel.GradKernel, targets, sources *particle.Set) (phi, gx, gy, gz []float64) {
 	n := targets.Len()
 	phi = make([]float64, n)
 	gx = make([]float64, n)
 	gy = make([]float64, n)
 	gz = make([]float64, n)
-	pool.For(n, 0, func(i int) {
-		phi[i], gx[i], gy[i], gz[i] = fieldAt(k, targets, i, sources)
+	tiles := kernel.GradTiles(k)
+	pool.Blocks(n, 0, func(_, lo, hi int) {
+		kernel.Cascade(tiles, lo, hi, func(tile kernel.GradTile, i, j int) {
+			tile(targets.X[i:j], targets.Y[i:j], targets.Z[i:j], sources.X, sources.Y, sources.Z, sources.Q,
+				phi[i:j], gx[i:j], gy[i:j], gz[i:j])
+		})
 	})
-	return phi, gx, gy, gz
-}
-
-// FieldsAt computes potentials and gradients only at the sampled target
-// indices.
-func FieldsAt(k kernel.GradKernel, targets *particle.Set, sample []int, sources *particle.Set) (phi, gx, gy, gz []float64) {
-	phi = make([]float64, len(sample))
-	gx = make([]float64, len(sample))
-	gy = make([]float64, len(sample))
-	gz = make([]float64, len(sample))
-	for i, t := range sample {
-		phi[i], gx[i], gy[i], gz[i] = fieldAt(k, targets, t, sources)
-	}
-	return phi, gx, gy, gz
-}
-
-func fieldAt(k kernel.GradKernel, targets *particle.Set, i int, sources *particle.Set) (phi, gx, gy, gz float64) {
-	tx, ty, tz := targets.X[i], targets.Y[i], targets.Z[i]
-	for j := 0; j < sources.Len(); j++ {
-		g, dx, dy, dz := k.EvalGrad(tx, ty, tz, sources.X[j], sources.Y[j], sources.Z[j])
-		q := sources.Q[j]
-		phi += g * q
-		gx += dx * q
-		gy += dy * q
-		gz += dz * q
-	}
 	return phi, gx, gy, gz
 }

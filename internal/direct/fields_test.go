@@ -55,18 +55,36 @@ func TestFieldsMatchFiniteDifferenceOfPotential(t *testing.T) {
 	}
 }
 
-func TestFieldsAtMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pts := particle.UniformCube(400, rng)
-	k := kernel.Coulomb{}
-	phi, gx, gy, gz := Fields(k, pts, pts)
-	sample := []int{0, 100, 399}
-	sp, sgx, sgy, sgz := FieldsAt(k, pts, sample, pts)
-	for i, idx := range sample {
-		if sp[i] != phi[idx] || sgx[i] != gx[idx] || sgy[i] != gy[idx] || sgz[i] != gz[idx] {
-			t.Fatalf("sampled field mismatch at %d", idx)
+// TestFieldsMatchScalarChains pins Fields' cascade — the softened-Coulomb
+// 4-wide assembly tile where installed, the width-1 EvalGrad loop for the
+// rest — to per-target EvalGrad chains accumulated from zero, bit for
+// bit, with the assembly on and off.
+func TestFieldsMatchScalarChains(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	pts := particle.UniformCube(403, rng)
+	k := kernel.RegularizedCoulomb{Eps: 0.01}
+	check := func(t *testing.T) {
+		phi, gx, gy, gz := Fields(k, pts, pts)
+		for i := range phi {
+			var p, x, y, z float64
+			for j := 0; j < pts.Len(); j++ {
+				g, dx, dy, dz := k.EvalGrad(pts.X[i], pts.Y[i], pts.Z[i], pts.X[j], pts.Y[j], pts.Z[j])
+				p += g * pts.Q[j]
+				x += dx * pts.Q[j]
+				y += dy * pts.Q[j]
+				z += dz * pts.Q[j]
+			}
+			if phi[i] != p || gx[i] != x || gy[i] != y || gz[i] != z {
+				t.Fatalf("target %d: (%v %v %v %v) != chains (%v %v %v %v)", i, phi[i], gx[i], gy[i], gz[i], p, x, y, z)
+			}
 		}
 	}
+	t.Run("installed", check)
+	t.Run("pure-go", func(t *testing.T) {
+		prev := kernel.SetAsmKernels(false)
+		defer kernel.SetAsmKernels(prev)
+		check(t)
+	})
 }
 
 func TestFieldsEmptySources(t *testing.T) {

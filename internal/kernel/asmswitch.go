@@ -1,7 +1,7 @@
 package kernel
 
-// The assembly fast paths install themselves into the package-level loop
-// variables (coulombBlockHead, coulombTileLoop, ...) from an arch init.
+// The assembly tiles install themselves into the package-level tile
+// variables (coulombTile8Asm, coulombTile4Asm, ...) from an arch init.
 // asmInstall, registered by that init, can re-run or undo the whole
 // installation, which gives tests a way to exercise the pure-Go fallback
 // loops on machines where init() would otherwise shadow them forever.
@@ -22,10 +22,11 @@ func AsmKernelsAvailable() bool {
 
 // SetAsmKernels enables (true) or disables (false) every assembly kernel
 // loop at once, returning the previous setting so callers can restore
-// it. With the kernels disabled, dispatch falls through to the pure-Go
-// loops — the reference implementations the assembly is tested against —
-// and the accuracy API (TileMaxULP, F32TileMaxULP) reflects the change,
-// reporting the Go loops' exactness.
+// it. With the kernels disabled, the resolvers (Tiles, F32Tiles,
+// GradTiles) return the pure-Go loops — the reference implementations the
+// assembly is tested against — and the accuracy API (TileMaxULP,
+// F32TileMaxULP) reflects the change, reporting the Go loops' exactness.
+// Tiles resolved before the switch keep the loops they resolved.
 //
 // The switch is package-global and not synchronized with running
 // evaluations: it is a test and benchmark knob, to be flipped only while

@@ -87,58 +87,6 @@ func (rk RegularizedCoulomb) EvalGrad(tx, ty, tz, sx, sy, sz float64) (g, gx, gy
 	return g, c * dx, c * dy, c * dz
 }
 
-// GradTileFunc evaluates a source block against a TileWidth-target tile and
-// adds each target's block sums of the potential and its gradient into
-// phi, gx, gy and gz. Per target t it is bit-identical to
-//
-//	var p, x, y, z float64
-//	for j := range q {
-//		g, dx, dy, dz := k.EvalGrad(tx[t], ty[t], tz[t], sx[j], sy[j], sz[j])
-//		p += g * q[j]
-//		x += dx * q[j]
-//		y += dy * q[j]
-//		z += dz * q[j]
-//	}
-//	phi[t] += p
-//	gx[t] += x
-//	gy[t] += y
-//	gz[t] += z
-//
-// — the TileKernel contract with four accumulator chains per target.
-// len(q) must be positive.
-type GradTileFunc func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi, gx, gy, gz *[TileWidth]float64)
-
-// GradTile resolves the vectorized gradient tile for k, or nil when k has
-// none (non-amd64 builds, CPUs without AVX, kernels other than
-// RegularizedCoulomb, or asm kernels disabled via SetAsmKernels). There is
-// deliberately no pure-Go tile: without the loop the drivers run
-// per-target EvalGrad calls, the reference the loop is tested against,
-// and a Go tile would keep the scalar chain's square root and two divides
-// per interaction (docs/performance.md, "Field path"). Resolve once per
-// run, outside the hot loops.
-func GradTile(k Kernel) GradTileFunc {
-	switch k := k.(type) {
-	case RegularizedCoulomb:
-		loop := regCoulombGradTileLoop
-		if loop == nil {
-			return nil
-		}
-		e2 := k.Eps * k.Eps
-		return func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi, gx, gy, gz *[TileWidth]float64) {
-			if len(q) == 0 {
-				return
-			}
-			loop(tx, ty, tz, &sx[0], &sy[0], &sz[0], &q[0], len(q), e2, phi, gx, gy, gz)
-		}
-	}
-	return nil
-}
-
-// regCoulombGradTileLoop, when non-nil, is the softened-Coulomb gradient
-// tile over n > 0 sources with the four targets packed across YMM lanes
-// (tile_amd64.s); e2 is Eps*Eps.
-var regCoulombGradTileLoop func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[TileWidth]float64)
-
 // GradCost returns the modeled flop-equivalents of one EvalGrad call: the
 // base kernel cost plus the gradient arithmetic (~6 extra mul-adds and one
 // extra divide-class operation).

@@ -74,14 +74,17 @@ func TestEvalGradSelfInteractionZero(t *testing.T) {
 	rc := RegularizedCoulomb{}
 	src := []float64{1, 2}
 	q := []float64{0.5, 0.25}
-	if v := rc.EvalBlockAccum(1, 1, 1, src, src, src, q); v != 0.25/math.Sqrt(3) {
-		t.Errorf("regularized-coulomb(0): block sum with a self term = %g, want %g", v, 0.25/math.Sqrt(3))
+	one := []float64{1}
+	phi1 := []float64{0}
+	rc.tile1(one, one, one, src, src, src, q, phi1)
+	if phi1[0] != 0.25/math.Sqrt(3) {
+		t.Errorf("regularized-coulomb(0): width-1 tile with a self term = %g, want %g", phi1[0], 0.25/math.Sqrt(3))
 	}
-	tile := [TileWidth]float64{1, 2, 1, 2}
-	var phi [TileWidth]float64
-	rc.EvalTileAccum(&tile, &tile, &tile, src, src, src, q, &phi)
-	if want := ([TileWidth]float64{0.25 / math.Sqrt(3), 0.5 / math.Sqrt(3), 0.25 / math.Sqrt(3), 0.5 / math.Sqrt(3)}); phi != want {
-		t.Errorf("regularized-coulomb(0): tile with self terms = %v, want %v", phi, want)
+	tile := []float64{1, 2, 1, 2}
+	phi := make([]float64, 4)
+	rc.tile4(tile, tile, tile, src, src, src, q, phi)
+	if want := []float64{0.25 / math.Sqrt(3), 0.5 / math.Sqrt(3), 0.25 / math.Sqrt(3), 0.5 / math.Sqrt(3)}; !sameBits(phi, want) {
+		t.Errorf("regularized-coulomb(0): width-4 tile with self terms = %v, want %v", phi, want)
 	}
 	if v := rc.EvalF32(1, 2, 3, 1, 2, 3); v != 0 {
 		t.Errorf("regularized-coulomb(0): fp32 self interaction value %g, want 0", v)
@@ -99,11 +102,11 @@ func TestEvalGradSelfInteractionZero(t *testing.T) {
 	}
 }
 
-// gradChains is GradTileFunc's reference: four per-target EvalGrad chains,
-// each accumulated from +0 in source order and added once into the
-// outputs.
-func gradChains(k GradKernel, tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi, gx, gy, gz *[TileWidth]float64) {
-	for t := 0; t < TileWidth; t++ {
+// gradChains is the GradTile contract's reference: per target, four
+// EvalGrad chains, each accumulated from +0 in source order and added
+// once into the outputs.
+func gradChains(k GradKernel, tx, ty, tz, sx, sy, sz, q, phi, gx, gy, gz []float64) {
+	for t := range phi {
 		var p, x, y, z float64
 		for j := range q {
 			g, dx, dy, dz := k.EvalGrad(tx[t], ty[t], tz[t], sx[j], sy[j], sz[j])
@@ -119,9 +122,12 @@ func gradChains(k GradKernel, tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []fl
 	}
 }
 
-// sameBits4 reports whether a and b hold identical bit patterns lane by
-// lane (so NaNs compare, and +0 differs from -0).
-func sameBits4(a, b *[TileWidth]float64) bool {
+// sameBits reports whether a and b hold identical bit patterns element by
+// element (so NaNs compare, and +0 differs from -0).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
@@ -130,41 +136,44 @@ func sameBits4(a, b *[TileWidth]float64) bool {
 	return true
 }
 
-// checkGradTile runs gt and the reference chains from the same seeded
-// outputs and fails on any differing bit.
-func checkGradTile(t *testing.T, label string, k RegularizedCoulomb, gt GradTileFunc, tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, seed *[TileWidth]float64) {
+// checkGradTile runs a width-w gradient tile and the reference chains on
+// the first w targets from the same seeded outputs and fails on any
+// differing bit.
+func checkGradTile(t *testing.T, label string, k GradKernel, gt Sized[GradTile], tx, ty, tz, sx, sy, sz, q, seed []float64) {
 	t.Helper()
-	wp, wx, wy, wz := *seed, *seed, *seed, *seed
-	gradChains(k, tx, ty, tz, sx, sy, sz, q, &wp, &wx, &wy, &wz)
-	gp, gx, gy, gz := *seed, *seed, *seed, *seed
-	gt(tx, ty, tz, sx, sy, sz, q, &gp, &gx, &gy, &gz)
-	if !sameBits4(&gp, &wp) || !sameBits4(&gx, &wx) || !sameBits4(&gy, &wy) || !sameBits4(&gz, &wz) {
-		t.Fatalf("%s eps=%g n=%d: tile (%v %v %v %v) != chains (%v %v %v %v)",
-			label, k.Eps, len(q), gp, gx, gy, gz, wp, wx, wy, wz)
+	w := gt.Width
+	tx, ty, tz = tx[:w], ty[:w], tz[:w]
+	out := func() (p, x, y, z []float64) {
+		return append([]float64(nil), seed[:w]...), append([]float64(nil), seed[:w]...),
+			append([]float64(nil), seed[:w]...), append([]float64(nil), seed[:w]...)
+	}
+	wp, wx, wy, wz := out()
+	gradChains(k, tx, ty, tz, sx, sy, sz, q, wp, wx, wy, wz)
+	gp, gx, gy, gz := out()
+	gt.Eval(tx, ty, tz, sx, sy, sz, q, gp, gx, gy, gz)
+	if !sameBits(gp, wp) || !sameBits(gx, wx) || !sameBits(gy, wy) || !sameBits(gz, wz) {
+		t.Fatalf("%s %s width %d n=%d: tile (%v %v %v %v) != chains (%v %v %v %v)",
+			label, k.Name(), w, len(q), gp, gx, gy, gz, wp, wx, wy, wz)
 	}
 }
 
-// TestGradTileBitIdentical pins the gradient tile to the per-target
-// EvalGrad chains bit for bit, at every ragged block length, with self
-// terms, at zero softening and across the binary exponent range (from
+// TestGradTileBitIdentical pins every gradient tile GradTiles resolves for
+// the softened Coulomb kernel to the per-target EvalGrad chains bit for
+// bit, at every ragged block length, with self terms and coincident
+// targets, at zero softening and across the binary exponent range (from
 // underflowing to overflowing squared distances).
 func TestGradTileBitIdentical(t *testing.T) {
-	if GradTile(RegularizedCoulomb{}) == nil {
-		t.Skip("no gradient tile on this machine")
-	}
 	rng := rand.New(rand.NewSource(49))
 	for _, eps := range []float64{0.05, 0, 1e-3, 3} {
 		k := RegularizedCoulomb{Eps: eps}
-		gt := GradTile(k)
-		for _, n := range tileTestSizes {
-			tx, ty, tz := tileTestTargets(rng)
-			tx[3], ty[3], tz[3] = tx[2], ty[2], tz[2] // coincident targets
-			sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
-			var seed [TileWidth]float64
-			for i := range seed {
-				seed[i] = rng.Float64()*2 - 1
+		for _, gt := range GradTiles(k) {
+			for _, n := range tileTestSizes {
+				tx, ty, tz := tileTestTargets(rng, 4)
+				tx[3], ty[3], tz[3] = tx[2], ty[2], tz[2] // coincident targets
+				sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
+				seed := randomPhi(rng, 4)
+				checkGradTile(t, "ragged", k, gt, tx, ty, tz, sx, sy, sz, q, seed)
 			}
-			checkGradTile(t, "ragged", k, gt, &tx, &ty, &tz, sx, sy, sz, q, &seed)
 		}
 	}
 	step := 1.0
@@ -176,11 +185,9 @@ func TestGradTileBitIdentical(t *testing.T) {
 		for _, eps := range []float64{0, mag / 8} {
 			k := RegularizedCoulomb{Eps: eps}
 			n := 1 + rng.Intn(9)
-			var tx, ty, tz [TileWidth]float64
+			tx, ty, tz := tileTestTargets(rng, 4)
 			for i := range tx {
-				tx[i] = (rng.Float64()*2 - 1) * mag
-				ty[i] = (rng.Float64()*2 - 1) * mag
-				tz[i] = (rng.Float64()*2 - 1) * mag
+				tx[i], ty[i], tz[i] = tx[i]*mag, ty[i]*mag, tz[i]*mag
 			}
 			sx, sy, sz, q := blockTestSources(rng, n, tx[0], ty[0], tz[0])
 			for j := range sx {
@@ -188,29 +195,55 @@ func TestGradTileBitIdentical(t *testing.T) {
 					sx[j], sy[j], sz[j] = sx[j]*mag, sy[j]*mag, sz[j]*mag
 				}
 			}
-			var seed [TileWidth]float64
-			checkGradTile(t, "scale 2^"+itoa(int(scale)), k, GradTile(k), &tx, &ty, &tz, sx, sy, sz, q, &seed)
+			for _, gt := range GradTiles(k) {
+				checkGradTile(t, "scale 2^"+itoa(int(scale)), k, gt, tx, ty, tz, sx, sy, sz, q, make([]float64, 4))
+			}
 		}
 	}
 }
 
-// TestGradTileResolution pins GradTile's dispatch: only RegularizedCoulomb
-// has a tile, and none resolves with the assembly kernels disabled.
+// TestGradTileResolution pins GradTiles' dispatch: every kernel ends with
+// the width-1 EvalGrad loop, only RegularizedCoulomb has a wider tile,
+// and none resolves with the assembly kernels disabled.
 func TestGradTileResolution(t *testing.T) {
-	for _, k := range []Kernel{Coulomb{}, Yukawa{Kappa: 0.5}, Gaussian{Sigma: 1}, Multiquadric{C: 1}, InversePower{P: 2},
-		Func{KernelName: "custom", F: RegularizedCoulomb{}.Eval}} {
-		if GradTile(k) != nil {
-			t.Errorf("GradTile(%s) resolved a tile", k.Name())
+	widths := func(k GradKernel) []int {
+		var w []int
+		for _, s := range GradTiles(k) {
+			w = append(w, s.Width)
 		}
+		return w
 	}
-	if AsmKernelsAvailable() && GradTile(RegularizedCoulomb{Eps: 0.1}) == nil {
-		t.Errorf("GradTile(regularized-coulomb) is nil with the assembly kernels on")
+	rc := RegularizedCoulomb{Eps: 0.1}
+	for _, k := range append(gradKernels(), customGrad{rc}) {
+		want := []int{1}
+		if _, ok := k.(RegularizedCoulomb); ok && AsmKernelsAvailable() {
+			want = []int{4, 1}
+		}
+		if got := widths(k); !equalInts(got, want) {
+			t.Errorf("GradTiles(%s) widths %v, want %v", k.Name(), got, want)
+		}
 	}
 	prev := SetAsmKernels(false)
 	defer SetAsmKernels(prev)
-	if GradTile(RegularizedCoulomb{Eps: 0.1}) != nil {
-		t.Errorf("GradTile(regularized-coulomb) resolved with the assembly kernels off")
+	if got := widths(rc); !equalInts(got, []int{1}) {
+		t.Errorf("GradTiles(regularized-coulomb) widths %v with the assembly kernels off, want [1]", got)
 	}
+}
+
+// customGrad hides a built-in gradient kernel behind a foreign type, so
+// the resolvers cannot recognize it.
+type customGrad struct{ GradKernel }
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestGradPointsDownhill(t *testing.T) {

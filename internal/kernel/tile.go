@@ -2,173 +2,337 @@ package kernel
 
 import "math"
 
-// TileWidth is the number of targets a tile-kernel call evaluates together.
-// It matches the four-lane width of the AVX tile loop; the drivers handle
-// ragged batch edges with single-target block-path epilogues.
-const TileWidth = 4
-
-// Tile8Width is the width of the register-blocked fp64 tile fast path:
-// kernels for which Tile8 resolves non-nil evaluate eight targets per
-// source stream. The drivers treat the width as a per-kernel dispatch
-// property — a width-8 main loop when available, then the width-4
-// TileKernel loop, then single-target epilogues — so kernels without an
-// 8-wide implementation lose nothing.
-const Tile8Width = 8
-
-// F32TileWidth is the number of targets a single-precision tile evaluates
-// together. fp32 lanes are half as wide as fp64 lanes, so the same 256-bit
-// vector holds eight float32 targets (the __m256 SoA layout): the fp32
-// tile contract, drivers and assembly are all 8-wide.
-const F32TileWidth = 8
-
-// TileKernel is the target-tiled block-evaluation fast path: one call
-// evaluates a whole block of sources against a *tile* of TileWidth targets,
-// accumulating each target's charge-weighted potential into phi:
+// Tile evaluates one source block against len(phi) targets and adds each
+// target's block sum into phi in place:
 //
-//	for t := range phi { phi[t] += sum_j G(tile_t, s_j) * q[j] }
-//
-// This is the host-side analogue of the paper's GPU thread-block layout,
-// where a block of targets shares every streamed source/cluster block: the
-// sx/sy/sz/q arrays are loaded once per tile instead of once per target,
-// and the four per-target accumulator chains run independently.
-//
-// Contract: EvalTileAccum must be bit-identical to the per-target reference
-//
-//	for t := 0; t < TileWidth; t++ {
-//		phi[t] += k.EvalBlockAccum(tx[t], ty[t], tz[t], sx, sy, sz, q)
+//	for t := range phi {
+//		var s float64
+//		for j := range q {
+//			s += k.Eval(tx[t], ty[t], tz[t], sx[j], sy[j], sz[j]) * q[j]
+//		}
+//		phi[t] += s
 //	}
 //
-// — each target's inner sum accumulated in source order from zero, and
-// exactly one add of that block total into phi[t] (so tiling never changes
-// how partial sums are grouped across blocks). Implementations may
-// interleave the four chains source-by-source — the chains are independent
-// — but must not reorder any single target's accumulation. All built-in
-// kernels implement TileKernel; every other kernel gets the generic
-// adapter from AsTile, which falls back to the BlockKernel path per
-// target, so kernel.Func and user kernels keep working unchanged.
-type TileKernel interface {
-	BlockKernel
-	EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64)
-}
+// Each target's sum is accumulated from zero in source order and lands in
+// phi[t] with exactly one add, so splitting a target range into tiles of
+// any widths, or evaluating a list of blocks tile by tile, never changes
+// any target's rounding chain. This is the host-side analogue of the
+// paper's GPU thread-block layout (Figure 3): a group of targets shares
+// every streamed source or cluster block. Implementations may interleave
+// the per-target chains, which are independent, but must not reorder any
+// one of them; exact kernels are bit-identical to the loop above and
+// transcendental kernels whose vector path approximates exp stay within
+// TileMaxULP. A width-w tile is called with exactly w targets, except
+// width-1 tiles, which loop over any number. sx, sy, sz and q have equal
+// length, and the block may be empty.
+type Tile func(tx, ty, tz, sx, sy, sz, q, phi []float64)
 
-// F32TileKernel is the single-precision tile fast path. Source coordinates
-// and charges arrive as the float64 storage arrays and are rounded per
-// element; per target the contract mirrors EvalBlockAccumF32:
+// F32Tile is Tile in single precision: float32 targets and accumulators,
+// with the float64 source arrays rounded per element, so per target it
+// is bit-identical (or within F32TileMaxULP) to
 //
-//	for t := 0; t < F32TileWidth; t++ {
-//		phi[t] += k.EvalBlockAccumF32(tx[t], ty[t], tz[t], sx, sy, sz, q)
+//	var s float32
+//	for j := range q {
+//		s += k.EvalF32(tx[t], ty[t], tz[t], float32(sx[j]), float32(sy[j]), float32(sz[j])) * float32(q[j])
 //	}
+//	phi[t] += s
+type F32Tile func(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32)
+
+// GradTile is Tile for the potential and its gradient: four chains per
+// target, each bit-identical to its EvalGrad accumulation
 //
-// As with TileKernel, the per-target chains may be interleaved but not
-// reordered, and exact kernels must stay bit-identical to that reference;
-// transcendental kernels are covered by the F32TileMaxULP contract.
-type F32TileKernel interface {
-	F32BlockKernel
-	EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32)
+//	var p, x, y, z float64
+//	for j := range q {
+//		g, dx, dy, dz := k.EvalGrad(tx[t], ty[t], tz[t], sx[j], sy[j], sz[j])
+//		p += g * q[j]
+//		x += dx * q[j]
+//		y += dy * q[j]
+//		z += dz * q[j]
+//	}
+//	phi[t] += p; gx[t] += x; gy[t] += y; gz[t] += z
+type GradTile func(tx, ty, tz, sx, sy, sz, q, phi, gx, gy, gz []float64)
+
+// Sized is a tile with the number of targets it evaluates per call.
+type Sized[T any] struct {
+	Width int
+	Eval  T
 }
 
-// Tile8Func evaluates a source block against an 8-target fp64 tile under
-// the same contract as TileKernel.EvalTileAccum, at Tile8Width. len(q)
-// must be positive.
-type Tile8Func func(tx, ty, tz *[Tile8Width]float64, sx, sy, sz, q []float64, phi *[Tile8Width]float64)
+// Cascade walks targets [lo, hi) widest tile first: as many groups of
+// tiles[0].Width targets as fit, then groups of the next width from where
+// those stopped, down to the final width-1 tile, which takes the rest. It
+// calls body once per group [i, j) with the tile for that width. tiles is
+// a resolver's result (Tiles, F32Tiles, GradTiles), whose last entry has
+// width 1, so every target lands in exactly one group.
+//
+//hot:path
+func Cascade[T any](tiles []Sized[T], lo, hi int, body func(tile T, i, j int)) {
+	for _, s := range tiles {
+		for ; lo+s.Width <= hi; lo += s.Width {
+			body(s.Eval, lo, lo+s.Width)
+		}
+	}
+}
 
-// Tile8 resolves the register-blocked 8-wide fp64 tile fast path for k,
-// or nil when k has none (non-amd64 builds, CPUs without the required
-// features, kernels without an 8-wide loop, or asm kernels disabled via
-// SetAsmKernels). There is deliberately no pure-Go 8-wide fallback: for
-// exact kernels a width-8 tile is bit-identical to two width-4 tiles of
-// the same targets — regrouping targets cannot change any target's
-// chain — so the Go TileKernel loop already *is* the 8-wide reference,
-// and the drivers simply skip the width-8 pass when Tile8 returns nil.
-// Resolve once per run, outside the hot loops.
-func Tile8(k Kernel) Tile8Func {
-	switch k.(type) {
+// Accumulate adds one source block into the potentials phi of the targets
+// (tx, ty, tz), widest tile first.
+//
+//hot:path
+func Accumulate(tiles []Sized[Tile], tx, ty, tz, sx, sy, sz, q, phi []float64) {
+	Cascade(tiles, 0, len(phi), func(tile Tile, i, j int) {
+		tile(tx[i:j], ty[i:j], tz[i:j], sx, sy, sz, q, phi[i:j])
+	})
+}
+
+// The assembly tiles (tile_amd64.go), installed by the amd64 init on CPUs
+// that support them and cleared by SetAsmKernels(false); nil elsewhere.
+// The parameterized ones take the kernel's constant after the sources:
+// -Kappa for Yukawa, Eps*Eps for the softened-Coulomb gradient.
+var (
+	coulombTile8Asm    Tile
+	coulombTile4Asm    Tile
+	coulombF32Tile8Asm F32Tile
+	yukawaTile4Asm     func(tx, ty, tz, sx, sy, sz, q []float64, negKappa float64, phi []float64)
+	yukawaF32Tile8Asm  func(tx, ty, tz []float32, sx, sy, sz, q []float64, negKappa float32, phi []float32)
+	regCoulombGrad4Asm func(tx, ty, tz, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz []float64)
+)
+
+// Tiles resolves k's fp64 tiles widest first, ending with its width-1
+// tile. Coulomb runs 8 → 4 → 1 with the assembly installed and 4 → 1
+// without: there is no pure-Go 8-wide tile because an exact kernel's
+// width-8 tile is bit-identical to two width-4 tiles of the same targets.
+// The other built-ins run their hand-specialized 4 → 1 loops; Yukawa's
+// width 4 is the assembly tile under YukawaTileMaxULP when installed, and
+// its width 1 stays the math.Exp loop, so which targets take the vector
+// exp is the same on every driver. Any other kernel, kernel.Func
+// included, gets only the width-1 Eval loop. Resolve once per driver
+// call, outside the hot loops: the result follows SetAsmKernels only when
+// resolved again.
+func Tiles(k Kernel) []Sized[Tile] {
+	switch k := k.(type) {
 	case Coulomb:
-		return coulombTile8Loop
+		if coulombTile8Asm != nil {
+			return []Sized[Tile]{{8, coulombTile8Asm}, {4, coulombTile4Asm}, {1, k.tile1}}
+		}
+		return []Sized[Tile]{{4, k.tile4}, {1, k.tile1}}
+	case Yukawa:
+		t4 := Tile(k.tile4)
+		if yukawaTile4Asm != nil {
+			t4 = yukawaAsm{yukawaTile4Asm, -k.Kappa}.tile
+		}
+		return []Sized[Tile]{{4, t4}, {1, k.tile1}}
+	case Gaussian:
+		return []Sized[Tile]{{4, k.tile4}, {1, k.tile1}}
+	case Multiquadric:
+		return []Sized[Tile]{{4, k.tile4}, {1, k.tile1}}
+	case RegularizedCoulomb:
+		return []Sized[Tile]{{4, k.tile4}, {1, k.tile1}}
+	case InversePower:
+		return []Sized[Tile]{{4, k.tile4}, {1, k.tile1}}
 	}
-	return nil
+	return []Sized[Tile]{{1, evalLoop{k}.tile}}
 }
 
-// coulombTile8Loop, when non-nil, is the register-blocked 8-target Coulomb
-// tile: two 4-lane groups sharing each source's broadcasts (tile_amd64.s).
-var coulombTile8Loop Tile8Func
-
-// AsTile resolves the tile fast path for k: kernels implementing
-// TileKernel (all built-ins) are returned unchanged; any other Kernel —
-// kernel.Func and user-defined kernels — is wrapped in a generic adapter
-// that evaluates the tile one target at a time through the BlockKernel
-// path (itself resolved with AsBlock, so a custom BlockKernel
-// implementation is honored). Resolve once per run, outside the hot loops.
-func AsTile(k Kernel) TileKernel {
-	if tk, ok := k.(TileKernel); ok {
-		return tk
+// F32Tiles resolves k's single-precision tiles widest first: 8 → 1 for
+// the built-in F32 kernels (the assembly width 8 for Coulomb and Yukawa
+// when installed, the Go loops otherwise) and the width-1 EvalF32 loop
+// alone for any other kernel.
+func F32Tiles(k F32Kernel) []Sized[F32Tile] {
+	switch k := k.(type) {
+	case Coulomb:
+		t8 := F32Tile(k.f32Tile8)
+		if coulombF32Tile8Asm != nil {
+			t8 = coulombF32Tile8Asm
+		}
+		return []Sized[F32Tile]{{8, t8}, {1, k.f32Tile1}}
+	case Yukawa:
+		t8 := F32Tile(k.f32Tile8)
+		if yukawaF32Tile8Asm != nil {
+			t8 = yukawaF32Asm{yukawaF32Tile8Asm, -float32(k.Kappa)}.tile
+		}
+		return []Sized[F32Tile]{{8, t8}, {1, k.f32Tile1}}
+	case Gaussian:
+		return []Sized[F32Tile]{{8, k.f32Tile8}, {1, k.f32Tile1}}
+	case RegularizedCoulomb:
+		return []Sized[F32Tile]{{8, k.f32Tile8}, {1, k.f32Tile1}}
 	}
-	return tileAdapter{AsBlock(k)}
+	return []Sized[F32Tile]{{1, evalF32Loop{k}.tile}}
 }
 
-// AsF32Tile resolves the single-precision tile fast path for k, wrapping
-// kernels without a native F32TileKernel implementation in a generic
-// per-target adapter over the F32 block path.
-func AsF32Tile(k F32Kernel) F32TileKernel {
-	if tk, ok := k.(F32TileKernel); ok {
-		return tk
+// GradTiles resolves k's gradient tiles widest first: the 4-wide assembly
+// tile for RegularizedCoulomb when installed, then the width-1 EvalGrad
+// loop, which is every other kernel's only tile. There is deliberately no
+// pure-Go wide gradient tile: it would keep the scalar chain's square
+// root and two divides per interaction (docs/performance.md).
+func GradTiles(k GradKernel) []Sized[GradTile] {
+	t1 := Sized[GradTile]{1, evalGradLoop{k}.tile}
+	if rc, ok := k.(RegularizedCoulomb); ok && regCoulombGrad4Asm != nil {
+		return []Sized[GradTile]{{4, regCoulombGradAsm{regCoulombGrad4Asm, rc.Eps * rc.Eps}.tile}, t1}
 	}
-	return f32TileAdapter{AsF32Block(k)}
+	return []Sized[GradTile]{t1}
 }
 
-// tileAdapter lifts any BlockKernel to TileKernel with a per-target block
-// loop — the executable form of the TileKernel contract.
-type tileAdapter struct {
-	BlockKernel
+// yukawaAsm, yukawaF32Asm and regCoulombGradAsm bind a kernel's constant
+// to the assembly tile installed when it was resolved, so a resolved tile
+// keeps its loop whatever SetAsmKernels does later.
+type (
+	yukawaAsm struct {
+		asm      func(tx, ty, tz, sx, sy, sz, q []float64, negKappa float64, phi []float64)
+		negKappa float64
+	}
+	yukawaF32Asm struct {
+		asm      func(tx, ty, tz []float32, sx, sy, sz, q []float64, negKappa float32, phi []float32)
+		negKappa float32
+	}
+	regCoulombGradAsm struct {
+		asm func(tx, ty, tz, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz []float64)
+		e2  float64
+	}
+)
+
+//hot:path
+func (y yukawaAsm) tile(tx, ty, tz, sx, sy, sz, q, phi []float64) {
+	y.asm(tx, ty, tz, sx, sy, sz, q, y.negKappa, phi)
 }
 
-// EvalTileAccum implements TileKernel.
+//hot:path
+func (y yukawaF32Asm) tile(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
+	y.asm(tx, ty, tz, sx, sy, sz, q, y.negKappa, phi)
+}
+
+//hot:path
+func (r regCoulombGradAsm) tile(tx, ty, tz, sx, sy, sz, q, phi, gx, gy, gz []float64) {
+	r.asm(tx, ty, tz, sx, sy, sz, q, r.e2, phi, gx, gy, gz)
+}
+
+// evalLoop is the width-1 tile of a kernel without specialized loops: the
+// Tile contract's reference loop, one Eval per pairwise interaction.
+type evalLoop struct{ k Kernel }
+
+//hot:path
+func (l evalLoop) tile(tx, ty, tz, sx, sy, sz, q, phi []float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float64
+		for j := range q {
+			p += l.k.Eval(x, y, z, sx[j], sy[j], sz[j]) * q[j]
+		}
+		phi[t] += p
+	}
+}
+
+// evalF32Loop is the width-1 fp32 tile of a kernel without specialized
+// loops.
+type evalF32Loop struct{ k F32Kernel }
+
+//hot:path
+func (l evalF32Loop) tile(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float32
+		for j := range q {
+			p += l.k.EvalF32(x, y, z, float32(sx[j]), float32(sy[j]), float32(sz[j])) * float32(q[j])
+		}
+		phi[t] += p
+	}
+}
+
+// evalGradLoop is every gradient kernel's width-1 tile: per target, four
+// EvalGrad chains accumulated from zero in source order.
+type evalGradLoop struct{ k GradKernel }
+
+//hot:path
+func (l evalGradLoop) tile(tx, ty, tz, sx, sy, sz, q, phi, gx, gy, gz []float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p, px, py, pz float64
+		for j := range q {
+			g, dx, dy, dz := l.k.EvalGrad(x, y, z, sx[j], sy[j], sz[j])
+			qj := q[j]
+			p += g * qj
+			px += dx * qj
+			py += dy * qj
+			pz += dz * qj
+		}
+		phi[t] += p
+		gx[t] += px
+		gy[t] += py
+		gz[t] += pz
+	}
+}
+
+// Accuracy contract for the vectorized tiles, per kernel:
+//
+//   - An exact kernel's tiles are bit-identical to the per-target scalar
+//     reference (the Tile contract): TileMaxULP reports 0 and the tests
+//     compare with `==`.
+//   - A transcendental kernel whose vector path approximates exp/log/...
+//     differently from math.* cannot be exact; it instead pins a measured
+//     per-pairwise-term ULP bound. TileMaxULP reports that bound, and the
+//     tests check |tile - scalar| against it (scaled by the sum of
+//     absolute terms for multi-source blocks, since per-term errors
+//     accumulate additively at worst).
+//
+// The bounds are constants, not knobs: they were measured over the fuzz
+// corpus and the full [-745, 710] exp argument range with margin, and
+// TestYukawaTileULPContract fails if the implementation ever drifts past
+// them, exactly as the bit-identity tests fail on a single flipped bit.
+const (
+	// YukawaTileMaxULP bounds |yukawaTileFMA - scalar| for one pairwise
+	// Yukawa term, in fp64 ulps of the scalar term. EXPPD's error budget:
+	// ~2.2 ulp from the polynomial + reduction, ~0.5 from each scale
+	// multiply, ~0.5 from the division, against math.Exp's own ~1 ulp —
+	// measured max over the fuzz corpus is 4 ulp; 6 leaves margin without
+	// weakening the contract below observability.
+	YukawaTileMaxULP = 6
+
+	// YukawaTileF32MaxULP bounds the fp32 Yukawa tile's per-term error in
+	// float32 ulps. The fp64 exp error above narrows to <= 1 ulp32 almost
+	// everywhere; 3 covers the narrowing+division double rounding worst
+	// case observed under fuzzing (max seen: 2).
+	YukawaTileF32MaxULP = 3
+)
+
+// TileMaxULP reports the accuracy contract of k's fp64 tiles against the
+// scalar per-target reference: 0 means every tile Tiles(k) resolves is
+// bit-identical (`==`), n > 0 means pairwise terms may differ by up to n
+// ulps (transcendental kernels whose vector exp is not math.Exp). The Go
+// loops are exact by construction. The result reflects the loops
+// installed right now, so it follows SetAsmKernels.
+func TileMaxULP(k Kernel) int {
+	if _, ok := k.(Yukawa); ok && yukawaTile4Asm != nil {
+		return YukawaTileMaxULP
+	}
+	return 0
+}
+
+// F32TileMaxULP is TileMaxULP for the single-precision tiles, in float32
+// ulps.
+func F32TileMaxULP(k F32Kernel) int {
+	if _, ok := k.(Yukawa); ok && yukawaF32Tile8Asm != nil {
+		return YukawaTileF32MaxULP
+	}
+	return 0
+}
+
+// --- Hand-specialized Go tiles for the built-in kernels, width 4 (fp64)
+// and width 8 (fp32). Each loop nest streams the source arrays once: for
+// every source, all targets evaluate their kernel expression (repeated
+// verbatim from the scalar Eval, loop-invariant parameter products
+// hoisted) and advance their own scalar accumulator chain, so each
+// chain's bits match the width-1 loop exactly while the sources are
+// loaded once per tile.
+
+// tile4 is Coulomb's width-4 tile.
 //
 //hot:path
-func (a tileAdapter) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
-	for t := 0; t < TileWidth; t++ {
-		phi[t] += a.BlockKernel.EvalBlockAccum(tx[t], ty[t], tz[t], sx, sy, sz, q)
-	}
-}
-
-// f32TileAdapter lifts any F32BlockKernel to F32TileKernel.
-type f32TileAdapter struct {
-	F32BlockKernel
-}
-
-// EvalTileAccumF32 implements F32TileKernel.
-//
-//hot:path
-func (a f32TileAdapter) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
-	for t := 0; t < F32TileWidth; t++ {
-		phi[t] += a.F32BlockKernel.EvalBlockAccumF32(tx[t], ty[t], tz[t], sx, sy, sz, q)
-	}
-}
-
-// --- Hand-specialized fp64 tile loops for the built-in kernels. Each loop
-// nest streams the source arrays once: for every source, all four targets
-// evaluate their kernel expression (repeated verbatim from the scalar
-// Eval, loop-invariant parameter products hoisted) and advance their own
-// scalar accumulator chain, so each chain's bits match the per-target
-// block loop exactly while the sources are loaded once per tile.
-
-// coulombTileLoop, when non-nil, evaluates a whole Coulomb tile with the
-// targets packed across SIMD lanes — per-lane IEEE-correctly-rounded
-// vector sqrt/div, per-lane (hence per-target, in source order) vector
-// accumulation — so the bits match the scalar chains exactly (see
-// tile_amd64.s). The source block is handled whole: broadcasting one
-// source at a time needs no multiple-of-anything prefix. Nil on
-// architectures without an implementation and on x86 CPUs without AVX.
-var coulombTileLoop func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64)
-
-// EvalTileAccum implements TileKernel.
-//
-//hot:path
-func (Coulomb) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
-	if coulombTileLoop != nil && len(q) > 0 {
-		coulombTileLoop(tx, ty, tz, sx, sy, sz, q, phi)
-		return
-	}
+func (Coulomb) tile4(tx, ty, tz, sx, sy, sz, q, phi []float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	tx0, tx1, tx2, tx3 := tx[0], tx[1], tx[2], tx[3]
@@ -212,78 +376,10 @@ func (Coulomb) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []flo
 	phi[3] += p3
 }
 
-// yukawaTileLoop, when non-nil, evaluates a whole Yukawa tile with the
-// exp computed by a range-reduced polynomial on the FMA ports
-// (tile_amd64.s). Unlike the Coulomb loops it is NOT bit-identical to
-// the scalar chains: the polynomial and math.Exp are different faithful
-// approximations, so the tile carries the measured-ULP contract below
-// (YukawaTileMaxULP) instead of the exact `==` contract. negKappa is
-// -k.Kappa, so the vector (-kappa)*r product matches the scalar's bits.
-var yukawaTileLoop func(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, negKappa float64, phi *[TileWidth]float64)
-
-// Accuracy contract for the vectorized tiles, per kernel:
-//
-//   - An exact kernel's tile paths are bit-identical to the per-target
-//     scalar reference (the TileKernel contract) — TileMaxULP reports 0
-//     and the tests compare with `==`.
-//   - A transcendental kernel whose vector path approximates exp/log/...
-//     differently from math.* cannot be exact; it instead pins a measured
-//     per-pairwise-term ULP bound. TileMaxULP reports that bound, and the
-//     tests check |tile - scalar| against it (scaled by the sum of
-//     absolute terms for multi-source blocks, since per-term errors
-//     accumulate additively at worst).
-//
-// The bounds are constants, not knobs: they were measured over the fuzz
-// corpus and the full [-745, 710] exp argument range with margin, and
-// TestYukawaTileULPContract fails if the implementation ever drifts past
-// them, exactly as the bit-identity tests fail on a single flipped bit.
-const (
-	// YukawaTileMaxULP bounds |yukawaTileLoop - scalar| for one pairwise
-	// Yukawa term, in fp64 ulps of the scalar term. EXPPD's error budget:
-	// ~2.2 ulp from the polynomial + reduction, ~0.5 from each scale
-	// multiply, ~0.5 from the division, against math.Exp's own ~1 ulp —
-	// measured max over the fuzz corpus is 4 ulp; 6 leaves margin without
-	// weakening the contract below observability.
-	YukawaTileMaxULP = 6
-
-	// YukawaTileF32MaxULP bounds the fp32 Yukawa tile's per-term error in
-	// float32 ulps. The fp64 exp error above narrows to <= 1 ulp32 almost
-	// everywhere; 3 covers the narrowing+division double rounding worst
-	// case observed under fuzzing (max seen: 2).
-	YukawaTileF32MaxULP = 3
-)
-
-// TileMaxULP reports the accuracy contract of k's vectorized fp64 tile
-// paths against the scalar per-target reference: 0 means every installed
-// vector path is bit-identical (`==`), n > 0 means pairwise terms may
-// differ by up to n ulps (transcendental kernels whose vector exp is not
-// math.Exp). Kernels currently running pure-Go tile loops are exact by
-// construction. The result reflects the loops installed right now, so it
-// follows SetAsmKernels.
-func TileMaxULP(k Kernel) int {
-	if _, ok := k.(Yukawa); ok && yukawaTileLoop != nil {
-		return YukawaTileMaxULP
-	}
-	return 0
-}
-
-// F32TileMaxULP is TileMaxULP for the single-precision tile paths, in
-// float32 ulps.
-func F32TileMaxULP(k F32Kernel) int {
-	if _, ok := k.(Yukawa); ok && yukawaTileF32Loop != nil {
-		return YukawaTileF32MaxULP
-	}
-	return 0
-}
-
-// EvalTileAccum implements TileKernel.
+// tile4 is Yukawa's width-4 tile.
 //
 //hot:path
-func (k Yukawa) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
-	if yukawaTileLoop != nil && len(q) > 0 {
-		yukawaTileLoop(tx, ty, tz, sx, sy, sz, q, -k.Kappa, phi)
-		return
-	}
+func (k Yukawa) tile4(tx, ty, tz, sx, sy, sz, q, phi []float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	kappa := k.Kappa
@@ -332,10 +428,10 @@ func (k Yukawa) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []fl
 	phi[3] += p3
 }
 
-// EvalTileAccum implements TileKernel.
+// tile4 is Gaussian's width-4 tile.
 //
 //hot:path
-func (g Gaussian) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
+func (g Gaussian) tile4(tx, ty, tz, sx, sy, sz, q, phi []float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	s2 := g.Sigma * g.Sigma
@@ -360,10 +456,10 @@ func (g Gaussian) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []
 	phi[3] += p3
 }
 
-// EvalTileAccum implements TileKernel.
+// tile4 is Multiquadric's width-4 tile.
 //
 //hot:path
-func (m Multiquadric) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
+func (m Multiquadric) tile4(tx, ty, tz, sx, sy, sz, q, phi []float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	c2 := m.C * m.C
@@ -388,10 +484,10 @@ func (m Multiquadric) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, 
 	phi[3] += p3
 }
 
-// EvalTileAccum implements TileKernel.
+// tile4 is RegularizedCoulomb's width-4 tile.
 //
 //hot:path
-func (r RegularizedCoulomb) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
+func (r RegularizedCoulomb) tile4(tx, ty, tz, sx, sy, sz, q, phi []float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	e2 := r.Eps * r.Eps
@@ -416,10 +512,10 @@ func (r RegularizedCoulomb) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy
 	phi[3] += p3
 }
 
-// EvalTileAccum implements TileKernel.
+// tile4 is InversePower's width-4 tile.
 //
 //hot:path
-func (ip InversePower) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz, q []float64, phi *[TileWidth]float64) {
+func (ip InversePower) tile4(tx, ty, tz, sx, sy, sz, q, phi []float64) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	e := -ip.P / 2
@@ -464,30 +560,10 @@ func (ip InversePower) EvalTileAccum(tx, ty, tz *[TileWidth]float64, sx, sy, sz,
 	phi[3] += p3
 }
 
-// --- Hand-specialized fp32 tile loops for the built-in F32 kernels, at
-// the eight-lane F32TileWidth.
-
-// coulombTileF32Loop, when non-nil, evaluates a whole fp32 Coulomb tile
-// with the eight targets packed across float32 SIMD lanes. It is
-// bit-identical to the scalar chains below: the per-element float32
-// roundings of the source arrays, the fp32 distance math, the
-// double-rounding-innocuous fp32 sqrt, the division and the per-lane
-// source-order accumulation all have exact vector twins (tile_amd64.s).
-var coulombTileF32Loop func(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32)
-
-// yukawaTileF32Loop, when non-nil, is the fp32 Yukawa tile: exact twins
-// everywhere except the exp, which runs the fp64 EXPPD polynomial on
-// widened lanes and narrows back — the YukawaTileF32MaxULP contract.
-var yukawaTileF32Loop func(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, negKappa float32, phi *[F32TileWidth]float32)
-
-// EvalTileAccumF32 implements F32TileKernel.
+// f32Tile8 is Coulomb's width-8 fp32 tile.
 //
 //hot:path
-func (Coulomb) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
-	if coulombTileF32Loop != nil && len(q) > 0 {
-		coulombTileF32Loop(tx, ty, tz, sx, sy, sz, q, phi)
-		return
-	}
+func (Coulomb) f32Tile8(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	tx0, tx1, tx2, tx3 := tx[0], tx[1], tx[2], tx[3]
@@ -567,14 +643,10 @@ func (Coulomb) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q
 	phi[7] += p7
 }
 
-// EvalTileAccumF32 implements F32TileKernel.
+// f32Tile8 is Yukawa's width-8 fp32 tile.
 //
 //hot:path
-func (k Yukawa) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
-	if yukawaTileF32Loop != nil && len(q) > 0 {
-		yukawaTileF32Loop(tx, ty, tz, sx, sy, sz, q, -float32(k.Kappa), phi)
-		return
-	}
+func (k Yukawa) f32Tile8(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	kappa := float32(k.Kappa)
@@ -663,10 +735,10 @@ func (k Yukawa) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, 
 	phi[7] += p7
 }
 
-// EvalTileAccumF32 implements F32TileKernel.
+// f32Tile8 is Gaussian's width-8 fp32 tile.
 //
 //hot:path
-func (g Gaussian) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
+func (g Gaussian) f32Tile8(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	s := float32(g.Sigma)
@@ -708,10 +780,10 @@ func (g Gaussian) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz
 	phi[7] += p7
 }
 
-// EvalTileAccumF32 implements F32TileKernel.
+// f32Tile8 is RegularizedCoulomb's width-8 fp32 tile.
 //
 //hot:path
-func (r RegularizedCoulomb) EvalTileAccumF32(tx, ty, tz *[F32TileWidth]float32, sx, sy, sz, q []float64, phi *[F32TileWidth]float32) {
+func (r RegularizedCoulomb) f32Tile8(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
 	// Hoist the slice bounds: one check here instead of three per source.
 	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
 	e := float32(r.Eps)

@@ -1,0 +1,221 @@
+package kernel
+
+import "math"
+
+// --- Width-1 tiles of the built-in kernels: the last stage of every
+// cascade, and the per-target reference the wider tiles are tested
+// against. Each body repeats its kernel's Eval expression verbatim
+// (loop-invariant parameter products hoisted), so every target's sum is
+// bit-identical to the scalar Eval chain while the loop itself is free of
+// dynamic dispatch. They loop over any number of targets.
+
+// tile1 is Coulomb's width-1 tile.
+//
+//hot:path
+func (Coulomb) tile1(tx, ty, tz, sx, sy, sz, q, phi []float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float64
+		for j := range q {
+			dx, dy, dz := x-sx[j], y-sy[j], z-sz[j]
+			r2 := dx*dx + dy*dy + dz*dz
+			g := 0.0
+			if r2 != 0 {
+				g = 1 / math.Sqrt(r2)
+			}
+			p += g * q[j]
+		}
+		phi[t] += p
+	}
+}
+
+// tile1 is Yukawa's width-1 tile.
+//
+//hot:path
+func (k Yukawa) tile1(tx, ty, tz, sx, sy, sz, q, phi []float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	kappa := k.Kappa
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float64
+		for j := range q {
+			dx, dy, dz := x-sx[j], y-sy[j], z-sz[j]
+			r2 := dx*dx + dy*dy + dz*dz
+			g := 0.0
+			if r2 != 0 {
+				r := math.Sqrt(r2)
+				g = math.Exp(-kappa*r) / r
+			}
+			p += g * q[j]
+		}
+		phi[t] += p
+	}
+}
+
+// tile1 is Gaussian's width-1 tile.
+//
+//hot:path
+func (g Gaussian) tile1(tx, ty, tz, sx, sy, sz, q, phi []float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	s2 := g.Sigma * g.Sigma
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float64
+		for j := range q {
+			dx, dy, dz := x-sx[j], y-sy[j], z-sz[j]
+			r2 := dx*dx + dy*dy + dz*dz
+			p += math.Exp(-r2/s2) * q[j]
+		}
+		phi[t] += p
+	}
+}
+
+// tile1 is Multiquadric's width-1 tile.
+//
+//hot:path
+func (m Multiquadric) tile1(tx, ty, tz, sx, sy, sz, q, phi []float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	c2 := m.C * m.C
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float64
+		for j := range q {
+			dx, dy, dz := x-sx[j], y-sy[j], z-sz[j]
+			p += math.Sqrt(dx*dx+dy*dy+dz*dz+c2) * q[j]
+		}
+		phi[t] += p
+	}
+}
+
+// tile1 is RegularizedCoulomb's width-1 tile.
+//
+//hot:path
+func (r RegularizedCoulomb) tile1(tx, ty, tz, sx, sy, sz, q, phi []float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	e2 := r.Eps * r.Eps
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float64
+		for j := range q {
+			dx, dy, dz := x-sx[j], y-sy[j], z-sz[j]
+			p += softInvSqrt(dx*dx+dy*dy+dz*dz+e2) * q[j]
+		}
+		phi[t] += p
+	}
+}
+
+// tile1 is InversePower's width-1 tile.
+//
+//hot:path
+func (ip InversePower) tile1(tx, ty, tz, sx, sy, sz, q, phi []float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	e := -ip.P / 2
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float64
+		for j := range q {
+			dx, dy, dz := x-sx[j], y-sy[j], z-sz[j]
+			r2 := dx*dx + dy*dy + dz*dz
+			g := 0.0
+			if r2 != 0 {
+				g = math.Pow(r2, e)
+			}
+			p += g * q[j]
+		}
+		phi[t] += p
+	}
+}
+
+// --- Width-1 fp32 tiles of the built-in F32 kernels.
+
+// f32Tile1 is Coulomb's width-1 fp32 tile.
+//
+//hot:path
+func (Coulomb) f32Tile1(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float32
+		for j := range q {
+			dx, dy, dz := x-float32(sx[j]), y-float32(sy[j]), z-float32(sz[j])
+			r2 := dx*dx + dy*dy + dz*dz
+			var g float32
+			if r2 != 0 {
+				g = 1 / float32(math.Sqrt(float64(r2)))
+			}
+			p += g * float32(q[j])
+		}
+		phi[t] += p
+	}
+}
+
+// f32Tile1 is Yukawa's width-1 fp32 tile.
+//
+//hot:path
+func (k Yukawa) f32Tile1(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	kappa := float32(k.Kappa)
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float32
+		for j := range q {
+			dx, dy, dz := x-float32(sx[j]), y-float32(sy[j]), z-float32(sz[j])
+			r2 := dx*dx + dy*dy + dz*dz
+			var g float32
+			if r2 != 0 {
+				r := float32(math.Sqrt(float64(r2)))
+				g = float32(math.Exp(float64(-kappa*r))) / r
+			}
+			p += g * float32(q[j])
+		}
+		phi[t] += p
+	}
+}
+
+// f32Tile1 is Gaussian's width-1 fp32 tile.
+//
+//hot:path
+func (g Gaussian) f32Tile1(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	s := float32(g.Sigma)
+	s2 := s * s
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float32
+		for j := range q {
+			dx, dy, dz := x-float32(sx[j]), y-float32(sy[j]), z-float32(sz[j])
+			r2 := dx*dx + dy*dy + dz*dz
+			p += float32(math.Exp(float64(-r2/s2))) * float32(q[j])
+		}
+		phi[t] += p
+	}
+}
+
+// f32Tile1 is RegularizedCoulomb's width-1 fp32 tile.
+//
+//hot:path
+func (r RegularizedCoulomb) f32Tile1(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []float32) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	e := float32(r.Eps)
+	e2 := e * e
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p float32
+		for j := range q {
+			dx, dy, dz := x-float32(sx[j]), y-float32(sy[j]), z-float32(sz[j])
+			p += softInvSqrtF32(dx*dx+dy*dy+dz*dz+e2) * float32(q[j])
+		}
+		phi[t] += p
+	}
+}

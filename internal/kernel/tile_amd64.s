@@ -1,5 +1,9 @@
 #include "textflag.h"
 
+// Constant 1.0 for the VDIVPD reciprocal broadcast.
+DATA ·avxOne+0(SB)/8, $0x3ff0000000000000
+GLOBL ·avxOne(SB), RODATA|NOPTR, $8
+
 // +Inf, for the 1/sqrt(overflowed r2) = +0 lanes of the AVX-512 path.
 DATA ·avxInf+0(SB)/8, $0x7ff0000000000000
 GLOBL ·avxInf(SB), RODATA|NOPTR, $8
@@ -232,13 +236,37 @@ DATA ·avxOnesF32+28(SB)/4, $0x3f800000
 	VMULPD       Y13, Y12, Y12;           \
 	VMULPD       Y14, Y12, Y12
 
+// func cpuHasAVX() bool
+//
+// CPUID leaf 1: ECX bit 28 is AVX, bit 27 is OSXSAVE; XGETBV(0) bits 1 and
+// 2 confirm the OS saves XMM and YMM state across context switches. All
+// three are required before any VEX.256 instruction may execute.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, AX
+	ANDL $(1<<27 | 1<<28), AX
+	CMPL AX, $(1<<27 | 1<<28)
+	JNE  notsupported
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  notsupported
+	MOVB $1, ret+0(FP)
+	RET
+notsupported:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func cpuHasAVX512VL() bool
 //
 // CPUID leaf 0 must report leaf 7; leaf 7 subleaf 0: EBX bit 16 is
 // AVX512F, bit 31 is AVX512VL (EVEX-encoded 128/256-bit forms).
 // XGETBV(0) must show the OS saving XMM, YMM, opmask, ZMM_Hi256 and
 // Hi16_ZMM state (XCR0 bits 1,2,5,6,7) before any EVEX instruction or
-// k-register may be used. cpuHasAVX (block_amd64.s) is checked
+// k-register may be used. cpuHasAVX (above) is checked
 // separately by the caller for the OSXSAVE/AVX baseline.
 TEXT ·cpuHasAVX512VL(SB), NOSPLIT, $0-1
 	XORL AX, AX
@@ -266,7 +294,7 @@ novl:
 // func cpuHasAVX2FMA() bool
 //
 // CPUID leaf 1 ECX bit 12 is FMA3; leaf 7 subleaf 0 EBX bit 5 is AVX2.
-// The caller checks cpuHasAVX (block_amd64.s) first, which covers the
+// The caller checks cpuHasAVX (above) first, which covers the
 // OSXSAVE/AVX baseline and the XMM+YMM state-saving bits, so only the
 // instruction-set bits are tested here.
 TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
@@ -324,7 +352,7 @@ nofma:
 // no partial sum here can be -0.
 //
 // Per-lane accumulation order and the single phi[t] += add match
-// coulombTileAVX below; bit-identity to the scalar loop in tile.go holds
+// coulombTileAVX below; bit-identity to the scalar loop in tile1.go holds
 // for the same reasons, with VDIVPD's role taken by the proven-equal NR
 // reciprocal. The loop is deliberately one source per iteration and
 // 256-bit throughout: the iteration's ~18 FP uops on two FMA ports (~9
@@ -404,10 +432,10 @@ avx512loop:
 // the scalar ops (VSUBPD/VMULPD/VADDPD in the same expression order,
 // VSQRTPD for math.Sqrt, VDIVPD for the reciprocal — never FMA). Per-lane
 // VADDPD accumulation visits sources in j order, so each target's chain
-// is bit-identical to the scalar loop in tile.go; unlike the single-target
-// block loop in block_amd64.s there is no serial cross-lane VADDSD chain
-// left to bound the iteration, only the divider. The final phi update is
-// one per-lane add of the block total, matching the phi[t] += p contract.
+// is bit-identical to the scalar loop in tile1.go, and no serial
+// cross-lane add chain is left to bound the iteration, only the divider.
+// The final phi update is one per-lane add of the block total, matching
+// the phi[t] += p contract.
 TEXT ·coulombTileAVX(SB), NOSPLIT, $0-72
 	MOVQ         tx+0(FP), AX
 	VMOVUPD      (AX), Y0          // tx[0:4]
@@ -838,126 +866,11 @@ yf32loop:
 	VZEROUPPER
 	RET
 
-// func coulombTile8AVX512(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
-//
-// Coulomb source block against an 8-target fp64 tile: two independent
-// 4-lane YMM groups (targets 0:4 and 4:8) that SHARE each iteration's
-// three source broadcasts and q broadcast — the register-blocked form of
-// coulombTileAVX512. Doubling the tile width amortizes the per-source
-// broadcast traffic and the per-block dispatch overhead over twice the
-// targets while staying 256-bit (the ZMM form downclocks, see the
-// 4-wide prologue). EVEX register space (Y16-Y31, via AVX-512VL) holds
-// the second group's entire dataflow, so the two groups never spill.
-//
-// Bit-identity: each lane of either group runs exactly the 4-wide
-// AVX-512 sequence — same expression order, same NR reciprocal (equal
-// to VDIVPD by Markstein, see coulombTileAVX512), same masking, and
-// per-lane accumulation in source order with a single phi[t] += add.
-// Regrouping targets into tiles of a different width cannot change any
-// target's chain, so the 8-wide tile is bit-identical to both the
-// 4-wide tile and the scalar loop. n must be positive.
-TEXT ·coulombTile8AVX512(SB), NOSPLIT, $0-72
-	MOVQ         tx+0(FP), AX
-	VMOVUPD      (AX), Y0          // tx[0:4]
-	VMOVUPD      32(AX), Y16       // tx[4:8]
-	MOVQ         ty+8(FP), AX
-	VMOVUPD      (AX), Y1          // ty[0:4]
-	VMOVUPD      32(AX), Y17       // ty[4:8]
-	MOVQ         tz+16(FP), AX
-	VMOVUPD      (AX), Y2          // tz[0:4]
-	VMOVUPD      32(AX), Y18       // tz[4:8]
-	VBROADCASTSD ·avxOne(SB), Y4
-	VBROADCASTSD ·avxInf(SB), Y14
-	MOVQ         sx+24(FP), SI
-	MOVQ         sy+32(FP), DI
-	MOVQ         sz+40(FP), R8
-	MOVQ         q+48(FP), R9
-	MOVQ         n+56(FP), CX
-	XORQ         DX, DX            // j
-	VXORPD       Y3, Y3, Y3        // accumulators, lanes 0:4
-	VPXORQ       Y19, Y19, Y19     // accumulators, lanes 4:8
-	VXORPD       Y5, Y5, Y5        // zeros for the r2 != 0 compare
-
-tile8loop:
-	VBROADCASTSD (SI)(DX*8), Y6    // sx[j], shared by both groups
-	VBROADCASTSD (DI)(DX*8), Y7    // sy[j]
-	VBROADCASTSD (R8)(DX*8), Y8    // sz[j]
-
-	// r2 for both groups first, so both VSQRTPDs are in flight before
-	// the FMA-port NR sequences begin.
-	VSUBPD       Y6, Y0, Y10       // dxA
-	VSUBPD       Y7, Y1, Y11       // dyA
-	VSUBPD       Y8, Y2, Y12       // dzA
-	VMULPD       Y10, Y10, Y10
-	VMULPD       Y11, Y11, Y11
-	VMULPD       Y12, Y12, Y12
-	VADDPD       Y11, Y10, Y10
-	VADDPD       Y12, Y10, Y10     // r2A = (dx*dx + dy*dy) + dz*dz
-	VSUBPD       Y6, Y16, Y20      // dxB
-	VSUBPD       Y7, Y17, Y21      // dyB
-	VSUBPD       Y8, Y18, Y22      // dzB
-	VMULPD       Y20, Y20, Y20
-	VMULPD       Y21, Y21, Y21
-	VMULPD       Y22, Y22, Y22
-	VADDPD       Y21, Y20, Y20
-	VADDPD       Y22, Y20, Y20     // r2B
-	VCMPPD       $4, Y5, Y10, K1   // validA = (r2A != 0), NEQ_UQ
-	VCMPPD       $4, Y5, Y20, K3   // validB
-	VSQRTPD      Y10, Y9           // sA
-	VSQRTPD      Y20, Y23          // sB
-	VCMPPD       $4, Y14, Y9, K2   // finiteA = (sA != +Inf)
-	VCMPPD       $4, Y14, Y23, K4
-	KANDW        K2, K1, K1
-	KANDW        K4, K3, K3
-
-	// Newton-Raphson reciprocals, both groups (see coulombTileAVX512).
-	VRCP14PD     Y9, Y10
-	VMOVAPD      Y4, Y11
-	VFNMADD231PD Y10, Y9, Y11      // e0 = 1 - sA*y0
-	VFMADD213PD  Y10, Y10, Y11     // y1
-	VMOVAPD      Y4, Y12
-	VFNMADD231PD Y11, Y9, Y12
-	VFMADD213PD  Y11, Y11, Y12     // y2
-	VMOVAPD      Y4, Y13
-	VFNMADD231PD Y12, Y9, Y13
-	VFMADD213PD  Y12, Y12, Y13     // gA = RN(1/sA)
-	VRCP14PD     Y23, Y20
-	VMOVAPD      Y4, Y21
-	VFNMADD231PD Y20, Y23, Y21
-	VFMADD213PD  Y20, Y20, Y21
-	VMOVAPD      Y4, Y22
-	VFNMADD231PD Y21, Y23, Y22
-	VFMADD213PD  Y21, Y21, Y22
-	VMOVAPD      Y4, Y24
-	VFNMADD231PD Y22, Y23, Y24
-	VFMADD213PD  Y22, Y22, Y24     // gB = RN(1/sB)
-
-	VBROADCASTSD (R9)(DX*8), Y9    // q[j], shared
-	VMULPD.Z     Y9, Y13, K1, Y10  // gA*q[j]; +0 on masked lanes
-	VADDPD       Y10, Y3, Y3       // pA[t] += gA*q[j], in source order
-	VMULPD.Z     Y9, Y24, K3, Y20
-	VADDPD       Y20, Y19, Y19     // pB[t] += gB*q[j]
-
-	INCQ DX
-	CMPQ DX, CX
-	JNE  tile8loop
-
-	// phi[t] += p[t]: one per-lane add of each block total.
-	MOVQ    phi+64(FP), AX
-	VMOVUPD (AX), Y6
-	VADDPD  Y3, Y6, Y6
-	VMOVUPD Y6, (AX)
-	VMOVUPD 32(AX), Y6
-	VADDPD  Y19, Y6, Y6
-	VMOVUPD Y6, 32(AX)
-	VZEROUPPER
-	RET
-
 // func coulombTile8AVX(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
 //
 // The VEX-only 8-target Coulomb tile: two 4-lane groups sharing each
 // source's broadcasts, with VDIVPD for the reciprocal (coulombTileAVX's
-// arithmetic, coulombTile8AVX512's register blocking). The sixteen VEX
+// arithmetic, in two register-blocked groups). The sixteen VEX
 // registers force the two groups to run back-to-back per source with a
 // two-register working set each; out-of-order execution still overlaps
 // group B's distance math with group A's sqrt/divide latency. Bit-

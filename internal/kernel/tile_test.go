@@ -3,22 +3,93 @@ package kernel
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
-// tileTestSizes covers every residue mod TileWidth and mod F32TileWidth at
-// small and moderate block lengths, so the specialized loops, the AVX
-// tiles (which handle any n), and the adapters all see ragged sizes.
+// tileTestSizes covers every residue mod 4 and mod 8 at small and
+// moderate block lengths, so the specialized loops and the assembly tiles
+// (which handle any n) all see ragged sizes.
 var tileTestSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 31, 32, 33, 34, 63, 64, 65, 66, 127, 128, 129, 130}
 
-// tileTestTargets builds a random 4-target tile.
-func tileTestTargets(rng *rand.Rand) (tx, ty, tz [TileWidth]float64) {
-	for t := 0; t < TileWidth; t++ {
+// blockTestKernels lists every built-in kernel with non-trivial parameters.
+func blockTestKernels() []Kernel {
+	return []Kernel{
+		Coulomb{},
+		Yukawa{Kappa: 0.7},
+		Gaussian{Sigma: 1.3},
+		Multiquadric{C: 0.4},
+		RegularizedCoulomb{Eps: 0.05},
+		InversePower{P: 3},
+	}
+}
+
+// blockTestSources builds a random source block that includes a source
+// coincident with the target, exercising the r2 == 0 branch of the
+// singular kernels exactly as self-interactions do in the treecode.
+func blockTestSources(rng *rand.Rand, n int, tx, ty, tz float64) (sx, sy, sz, q []float64) {
+	sx = make([]float64, n)
+	sy = make([]float64, n)
+	sz = make([]float64, n)
+	q = make([]float64, n)
+	for j := range sx {
+		sx[j] = rng.Float64()*2 - 1
+		sy[j] = rng.Float64()*2 - 1
+		sz[j] = rng.Float64()*2 - 1
+		q[j] = rng.Float64()*2 - 1
+	}
+	sx[n/2], sy[n/2], sz[n/2] = tx, ty, tz // self term
+	return sx, sy, sz, q
+}
+
+// tileTestTargets builds n random targets in [-1, 1)^3.
+func tileTestTargets(rng *rand.Rand, n int) (tx, ty, tz []float64) {
+	tx, ty, tz = make([]float64, n), make([]float64, n), make([]float64, n)
+	for t := 0; t < n; t++ {
 		tx[t] = rng.Float64()*2 - 1
 		ty[t] = rng.Float64()*2 - 1
 		tz[t] = rng.Float64()*2 - 1
 	}
-	return
+	return tx, ty, tz
+}
+
+// randomPhi builds n nonzero starting potentials, so the tests see the
+// tile's single add into a running sum.
+func randomPhi(rng *rand.Rand, n int) []float64 {
+	phi := make([]float64, n)
+	for i := range phi {
+		phi[i] = rng.Float64()*2 - 1
+	}
+	return phi
+}
+
+// toF32 rounds coordinates to float32, as the fp32 drivers load targets.
+func toF32(x []float64) []float32 {
+	out := make([]float32, len(x))
+	for i, v := range x {
+		out[i] = float32(v)
+	}
+	return out
+}
+
+// scalarAccum is the reference the Tile contract is defined against:
+// per-source interface Eval, accumulated in index order.
+func scalarAccum(k Kernel, tx, ty, tz float64, sx, sy, sz, q []float64) float64 {
+	var phi float64
+	for j := range q {
+		phi += k.Eval(tx, ty, tz, sx[j], sy[j], sz[j]) * q[j]
+	}
+	return phi
+}
+
+// scalarAccumF32 is the single-precision reference: per-element rounding
+// of the float64 storage, float32 accumulation.
+func scalarAccumF32(k F32Kernel, tx, ty, tz float32, sx, sy, sz, q []float64) float32 {
+	var phi float32
+	for j := range q {
+		phi += k.EvalF32(tx, ty, tz, float32(sx[j]), float32(sy[j]), float32(sz[j])) * float32(q[j])
+	}
+	return phi
 }
 
 // ulpDiff64 measures the distance between a and b in units in the last
@@ -152,94 +223,373 @@ func checkTilePhiF32(t *testing.T, label string, n, maxULP int, got, want, absSu
 	}
 }
 
-// TestTileKernelBitIdentical verifies the TileKernel accuracy contract for
-// every built-in kernel at tile-ragged sizes, twice: once with whatever
-// loops init() installed (assembly on capable hardware) and once forced
-// through the pure-Go fallbacks via SetAsmKernels(false). Exact kernels
-// must match the per-target block path, the generic adapter (forced
-// through kernel.Func so AsTile cannot return the specialization), and
-// the scalar reference bit-for-bit — including the single phi[t] += add
-// into a preloaded, nonzero phi tile. Transcendental tiles (the asm
+// widthULP is the per-width accuracy contract: width-1 tiles are the
+// exact Go loops for every kernel, and wider tiles carry the kernel's
+// TileMaxULP (0 for exact kernels).
+func widthULP(width, maxULP int) int {
+	if width == 1 {
+		return 0
+	}
+	return maxULP
+}
+
+// checkTiles runs every fp64 tile Tiles(k) resolves on the first Width
+// targets, from the starting potentials phi0, and checks each target
+// against the scalar reference under the per-width contract. An exact
+// width must match phi0 + scalar sum bit for bit. A width under a ULP
+// contract is checked in two exact-or-bounded steps, because the bound
+// covers the block sum, not the rounding of its add into phi0: from zero,
+// the tile's block sum must lie within the ULP tolerance of the scalar
+// sum; from phi0, the tile must add exactly that block sum once.
+func checkTiles(t *testing.T, label string, k Kernel, tx, ty, tz, sx, sy, sz, q, phi0 []float64) {
+	t.Helper()
+	for _, s := range Tiles(k) {
+		w := s.Width
+		name := label + " " + k.Name() + " width " + strconv.Itoa(w)
+		sum, absSum := make([]float64, w), make([]float64, w)
+		for i := range sum {
+			sum[i] = scalarAccum(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
+			absSum[i] = scalarAccumAbs(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
+		}
+		got := append([]float64(nil), phi0[:w]...)
+		s.Eval(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, got)
+		if maxULP := widthULP(w, TileMaxULP(k)); maxULP > 0 {
+			tileSum := make([]float64, w)
+			s.Eval(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, tileSum)
+			checkTilePhi(t, name+" block sum", len(q), maxULP, tileSum, sum, absSum)
+			sum = tileSum
+		}
+		want := append([]float64(nil), phi0[:w]...)
+		for i := range want {
+			want[i] += sum[i]
+		}
+		checkTilePhi(t, name, len(q), 0, got, want, absSum)
+	}
+}
+
+// checkF32Tiles is checkTiles for the single-precision tiles.
+func checkF32Tiles(t *testing.T, label string, k F32Kernel, tx, ty, tz []float32, sx, sy, sz, q []float64, phi0 []float32) {
+	t.Helper()
+	for _, s := range F32Tiles(k) {
+		w := s.Width
+		name := label + " " + k.Name() + " fp32 width " + strconv.Itoa(w)
+		sum, absSum := make([]float32, w), make([]float32, w)
+		for i := range sum {
+			sum[i] = scalarAccumF32(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
+			absSum[i] = scalarAccumAbsF32(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
+		}
+		got := append([]float32(nil), phi0[:w]...)
+		s.Eval(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, got)
+		if maxULP := widthULP(w, F32TileMaxULP(k)); maxULP > 0 {
+			tileSum := make([]float32, w)
+			s.Eval(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, tileSum)
+			checkTilePhiF32(t, name+" block sum", len(q), maxULP, tileSum, sum, absSum)
+			sum = tileSum
+		}
+		want := append([]float32(nil), phi0[:w]...)
+		for i := range want {
+			want[i] += sum[i]
+		}
+		checkTilePhiF32(t, name, len(q), 0, got, want, absSum)
+	}
+}
+
+// widthsOf lists a resolver result's widths.
+func widthsOf[T any](tiles []Sized[T]) []int {
+	w := make([]int, len(tiles))
+	for i, s := range tiles {
+		w[i] = s.Width
+	}
+	return w
+}
+
+// customF32 hides a built-in fp32 kernel behind a foreign type, so the
+// resolvers cannot recognize it.
+type customF32 struct{ F32Kernel }
+
+// inAsmModes runs check with the kernels init() installed and, where
+// there is assembly to switch off, again on the pure-Go loops.
+func inAsmModes(t *testing.T, check func(label string)) {
+	t.Helper()
+	check("installed")
+	if AsmKernelsAvailable() {
+		prev := SetAsmKernels(false)
+		defer SetAsmKernels(prev)
+		check("pure-go")
+	}
+}
+
+// tileKinds names the two width-1 tiles the block tests compare: the
+// kernel's own and the generic Eval loop.
+var tileKinds = [2]string{"specialized", "generic"}
+
+// TestBlockKernelBitIdentical pins the width-1 tiles, the per-target block
+// loops every cascade ends at: for every built-in kernel, its own width-1
+// tile and the generic width-1 Eval loop kernel.Func resolves to are
+// bit-identical to the scalar Eval chain on random blocks of 1 to 200
+// sources, for several targets per call, one of them on a source, with
+// the assembly installed and switched off.
+func TestBlockKernelBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, k := range blockTestKernels() {
+		t.Run(k.Name(), func(t *testing.T) {
+			inAsmModes(t, func(label string) {
+				tiles := Tiles(k)
+				one := tiles[len(tiles)-1].Eval
+				generic := Tiles(Func{KernelName: k.Name() + "-func", F: k.Eval})[0].Eval
+				for trial := 0; trial < 20; trial++ {
+					n := 1 + rng.Intn(200)
+					tx, ty, tz := tileTestTargets(rng, 3)
+					sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
+					want := make([]float64, 3)
+					for i := range want {
+						want[i] = scalarAccum(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
+					}
+					for i, tile := range []Tile{one, generic} {
+						got := make([]float64, 3)
+						tile(tx, ty, tz, sx, sy, sz, q, got)
+						if !sameBits(got, want) {
+							t.Fatalf("%s n=%d: %s width-1 tile %v != scalar %v", label, n, tileKinds[i], got, want)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestF32BlockKernelBitIdentical is the fp32 analogue for the built-in
+// kernels that implement F32Kernel: the specialized width-1 fp32 tile and
+// the generic width-1 EvalF32 loop a foreign kernel resolves to are
+// bit-identical to the scalar EvalF32 chain.
+func TestF32BlockKernelBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, k := range blockTestKernels() {
+		f32, ok := k.(F32Kernel)
+		if !ok {
+			continue
+		}
+		t.Run(k.Name(), func(t *testing.T) {
+			inAsmModes(t, func(label string) {
+				tiles := F32Tiles(f32)
+				one := tiles[len(tiles)-1].Eval
+				generic := F32Tiles(customF32{f32})[0].Eval
+				for trial := 0; trial < 20; trial++ {
+					n := 1 + rng.Intn(200)
+					x, y, z := tileTestTargets(rng, 3)
+					tx, ty, tz := toF32(x), toF32(y), toF32(z)
+					sx, sy, sz, q := blockTestSources(rng, n, float64(tx[1]), float64(ty[1]), float64(tz[1]))
+					want := make([]float32, 3)
+					for i := range want {
+						want[i] = scalarAccumF32(f32, tx[i], ty[i], tz[i], sx, sy, sz, q)
+					}
+					for i, tile := range []F32Tile{one, generic} {
+						got := make([]float32, 3)
+						tile(tx, ty, tz, sx, sy, sz, q, got)
+						for l := range got {
+							if math.Float32bits(got[l]) != math.Float32bits(want[l]) {
+								t.Fatalf("%s n=%d: %s fp32 width-1 tile %v != scalar %v", label, n, tileKinds[i], got, want)
+							}
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestAsBlockResolution pins the width-1 end of every resolution: each
+// built-in's fp64, fp32 and gradient cascade ends at width 1; kernels the
+// resolvers do not recognize — kernel.Func, even one named like a
+// built-in, and foreign F32 kernels — resolve the width-1 Eval loop alone;
+// and that loop evaluates the kernel it was resolved for, not a built-in
+// of the same name.
+func TestAsBlockResolution(t *testing.T) {
+	inAsmModes(t, func(label string) {
+		for _, k := range blockTestKernels() {
+			if ts := Tiles(k); ts[len(ts)-1].Width != 1 {
+				t.Errorf("%s: Tiles(%s) widths %v do not end at 1", label, k.Name(), widthsOf(ts))
+			}
+			if f32, ok := k.(F32Kernel); ok {
+				if ts := F32Tiles(f32); ts[len(ts)-1].Width != 1 {
+					t.Errorf("%s: F32Tiles(%s) widths %v do not end at 1", label, k.Name(), widthsOf(ts))
+				}
+				if got := widthsOf(F32Tiles(customF32{f32})); !equalInts(got, []int{1}) {
+					t.Errorf("%s: F32Tiles(foreign %s) widths %v, want [1]", label, k.Name(), got)
+				}
+			}
+			if gk, ok := k.(GradKernel); ok {
+				if ts := GradTiles(gk); ts[len(ts)-1].Width != 1 {
+					t.Errorf("%s: GradTiles(%s) widths %v do not end at 1", label, k.Name(), widthsOf(ts))
+				}
+			}
+		}
+		twice := func(tx, ty, tz, sx, sy, sz float64) float64 {
+			return 2 * Coulomb{}.Eval(tx, ty, tz, sx, sy, sz)
+		}
+		f := Func{KernelName: Coulomb{}.Name(), F: twice}
+		tiles := Tiles(f)
+		if got := widthsOf(tiles); !equalInts(got, []int{1}) {
+			t.Fatalf("%s: Tiles(Func) widths %v, want [1]", label, got)
+		}
+		tx, ty, tz := []float64{0.5}, []float64{0}, []float64{0}
+		got := []float64{0}
+		tiles[0].Eval(tx, ty, tz, []float64{0}, []float64{0}, []float64{0}, []float64{1}, got)
+		if got[0] != 4 {
+			t.Errorf("%s: Func tile = %v, want 4 from the Func's own F", label, got[0])
+		}
+	})
+}
+
+// TestAsTileResolution pins the widths each kernel resolves, widest first,
+// with the assembly installed and switched off: Coulomb 8 → 4 → 1 with
+// the assembly and 4 → 1 without, the other built-ins 4 → 1, every
+// built-in F32 kernel 8 → 1, and kernel.Func only 1. Only Coulomb has an
+// 8-wide fp64 tile.
+func TestAsTileResolution(t *testing.T) {
+	inAsmModes(t, func(label string) {
+		for _, k := range blockTestKernels() {
+			want := []int{4, 1}
+			if _, ok := k.(Coulomb); ok && coulombTile8Asm != nil {
+				want = []int{8, 4, 1}
+			}
+			if got := widthsOf(Tiles(k)); !equalInts(got, want) {
+				t.Errorf("%s: Tiles(%s) widths %v, want %v", label, k.Name(), got, want)
+			}
+			fn := Func{KernelName: k.Name() + "-func", F: k.Eval}
+			if got := widthsOf(Tiles(fn)); !equalInts(got, []int{1}) {
+				t.Errorf("%s: Tiles(Func) widths %v, want [1]", label, got)
+			}
+			if f32, ok := k.(F32Kernel); ok {
+				if got := widthsOf(F32Tiles(f32)); !equalInts(got, []int{8, 1}) {
+					t.Errorf("%s: F32Tiles(%s) widths %v, want [8 1]", label, k.Name(), got)
+				}
+			}
+		}
+	})
+}
+
+// TestTileKernelEmpty verifies that an empty source block leaves the
+// accumulated values unchanged (phi[t] += 0 at most) at every resolved
+// fp64, fp32 and gradient width, kernel.Func's width-1 loop included.
+func TestTileKernelEmpty(t *testing.T) {
+	tx := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+	ftx := toF32(tx)
+	inAsmModes(t, func(label string) {
+		for _, k := range blockTestKernels() {
+			fn := Func{KernelName: k.Name() + "-func", F: k.Eval}
+			for _, s := range append(Tiles(k), Tiles(fn)...) {
+				w := s.Width
+				phi := []float64{1, 2, 3, 4, 5, 6, 7, 8}[:w]
+				s.Eval(tx[:w], tx[:w], tx[:w], nil, nil, nil, nil, phi)
+				if !sameBits(phi, []float64{1, 2, 3, 4, 5, 6, 7, 8}[:w]) {
+					t.Errorf("%s: %s width-%d empty block changed phi to %v", label, k.Name(), w, phi)
+				}
+			}
+			if f32, ok := k.(F32Kernel); ok {
+				for _, s := range F32Tiles(f32) {
+					w := s.Width
+					phi := []float32{1, 2, 3, 4, 5, 6, 7, 8}[:w]
+					s.Eval(ftx[:w], ftx[:w], ftx[:w], nil, nil, nil, nil, phi)
+					for i, v := range phi {
+						if v != float32(i+1) {
+							t.Errorf("%s: %s fp32 width-%d empty block changed phi to %v", label, k.Name(), w, phi)
+							break
+						}
+					}
+				}
+			}
+			if gk, ok := k.(GradKernel); ok {
+				for _, s := range GradTiles(gk) {
+					w := s.Width
+					p := []float64{1, 2, 3, 4}[:w]
+					s.Eval(tx[:w], tx[:w], tx[:w], nil, nil, nil, nil, p, p, p, p)
+					if !sameBits(p, []float64{1, 2, 3, 4}[:w]) {
+						t.Errorf("%s: %s gradient width-%d empty block changed phi to %v", label, k.Name(), w, p)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestBlockKernelEmpty verifies that the width-1 tiles, the built-ins'
+// and kernel.Func's, sum an empty block to zero: from phi = 0, every
+// target's potential stays +0.
+func TestBlockKernelEmpty(t *testing.T) {
+	tx := []float64{0.1, 0.2, 0.3}
+	for _, k := range blockTestKernels() {
+		fn := Func{KernelName: k.Name() + "-func", F: k.Eval}
+		for _, tiles := range [][]Sized[Tile]{Tiles(k), Tiles(fn)} {
+			phi := make([]float64, len(tx))
+			tiles[len(tiles)-1].Eval(tx, tx, tx, nil, nil, nil, nil, phi)
+			if !sameBits(phi, make([]float64, len(tx))) {
+				t.Errorf("%s: empty block = %v, want +0", k.Name(), phi)
+			}
+		}
+	}
+}
+
+// TestTileKernelBitIdentical verifies the Tile contract for every tile of
+// every built-in kernel at ragged sizes, twice: once with whatever loops
+// init() installed (assembly on capable hardware) and once forced through
+// the pure-Go loops via SetAsmKernels(false). Exact kernels must match the
+// scalar reference bit-for-bit at every width — including the single
+// phi[t] += add into nonzero starting potentials — as must the generic
+// width-1 loop kernel.Func resolves to. Transcendental tiles (the asm
 // Yukawa) are held to their pinned TileMaxULP bound instead; with the
 // assembly off, TileMaxULP reports 0 and the same code path re-pins the
 // Go loops as exact.
 func TestTileKernelBitIdentical(t *testing.T) {
-	t.Run("installed", func(t *testing.T) { testTileKernelContract(t, 44) })
+	t.Run("installed", func(t *testing.T) { testTileContract(t, 44) })
 	t.Run("pure-go", func(t *testing.T) {
 		if !AsmKernelsAvailable() {
 			t.Skip("no assembly kernels on this machine; installed == pure-go")
 		}
 		prev := SetAsmKernels(false)
 		defer SetAsmKernels(prev)
-		testTileKernelContract(t, 44)
+		testTileContract(t, 44)
 	})
 }
 
-func testTileKernelContract(t *testing.T, seed int64) {
+func testTileContract(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, k := range blockTestKernels() {
 		t.Run(k.Name(), func(t *testing.T) {
-			tk := AsTile(k)
-			if _, ok := k.(TileKernel); !ok {
-				t.Fatalf("built-in kernel %s does not implement TileKernel", k.Name())
-			}
-			maxULP := TileMaxULP(k)
-			adapter := AsTile(Func{KernelName: k.Name() + "-func", F: k.Eval})
-			bk := AsBlock(k)
+			fn := Func{KernelName: k.Name() + "-func", F: k.Eval}
 			for _, n := range tileTestSizes {
-				tx, ty, tz := tileTestTargets(rng)
-				// The self term sits on target 1, so one lane exercises
-				// the r2 == 0 branch while the others stay regular.
+				tx, ty, tz := tileTestTargets(rng, 8)
+				// Self terms on targets 1 and 6, so one lane of each
+				// 4-lane group exercises the r2 == 0 branch.
 				sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
-
-				var phi0 [TileWidth]float64
-				for t := range phi0 {
-					phi0[t] = rng.Float64()*2 - 1
+				if n > 1 {
+					sx[0], sy[0], sz[0] = tx[6], ty[6], tz[6]
 				}
-				want := phi0
-				var absSum [TileWidth]float64
-				for t := 0; t < TileWidth; t++ {
-					want[t] += bk.EvalBlockAccum(tx[t], ty[t], tz[t], sx, sy, sz, q)
-					absSum[t] = scalarAccumAbs(k, tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-				scalar := phi0
-				for t := 0; t < TileWidth; t++ {
-					scalar[t] += scalarAccum(k, tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-				if want != scalar {
-					t.Fatalf("n=%d: block reference %v != scalar reference %v", n, want, scalar)
-				}
-
-				got := phi0
-				tk.EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &got)
-				checkTilePhi(t, "specialized tile", n, maxULP, got[:], want[:], absSum[:])
-				got = phi0
-				adapter.EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &got)
-				checkTilePhi(t, "adapter tile", n, 0, got[:], want[:], absSum[:])
+				phi0 := randomPhi(rng, 8)
+				checkTiles(t, "specialized", k, tx, ty, tz, sx, sy, sz, q, phi0)
+				checkTiles(t, "generic", fn, tx, ty, tz, sx, sy, sz, q, phi0)
 			}
 		})
 	}
 }
 
 // TestF32TileKernelBitIdentical is the fp32 analogue for the built-in
-// kernels that implement F32Kernel, at the eight-lane F32TileWidth and
-// with the same installed/pure-go double pass. Sizes cover every residue
-// mod 4 and mod 8 (tileTestSizes), which is the fp32 ragged-tail pin: the
-// drivers' width-8 main loop plus epilogues must agree with a straight
-// per-target reference at every residue.
+// kernels that implement F32Kernel, with the same installed/pure-go
+// double pass. Sizes cover every residue mod 4 and mod 8 (tileTestSizes),
+// which is the fp32 ragged-tail pin.
 func TestF32TileKernelBitIdentical(t *testing.T) {
-	t.Run("installed", func(t *testing.T) { testF32TileKernelContract(t, 45) })
+	t.Run("installed", func(t *testing.T) { testF32TileContract(t, 45) })
 	t.Run("pure-go", func(t *testing.T) {
 		if !AsmKernelsAvailable() {
 			t.Skip("no assembly kernels on this machine; installed == pure-go")
 		}
 		prev := SetAsmKernels(false)
 		defer SetAsmKernels(prev)
-		testF32TileKernelContract(t, 45)
+		testF32TileContract(t, 45)
 	})
 }
 
-func testF32TileKernelContract(t *testing.T, seed int64) {
+func testF32TileContract(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, k := range blockTestKernels() {
 		f32, ok := k.(F32Kernel)
@@ -247,108 +597,60 @@ func testF32TileKernelContract(t *testing.T, seed int64) {
 			continue
 		}
 		t.Run(k.Name(), func(t *testing.T) {
-			tk := AsF32Tile(f32)
-			if _, ok := f32.(F32TileKernel); !ok {
-				t.Fatalf("built-in F32 kernel %s does not implement F32TileKernel", k.Name())
-			}
-			maxULP := F32TileMaxULP(f32)
-			adapter := f32TileAdapter{f32BlockAdapter{f32}}
-			bk := AsF32Block(f32)
 			for _, n := range tileTestSizes {
-				var tx, ty, tz [F32TileWidth]float32
-				for t := 0; t < F32TileWidth; t++ {
-					tx[t] = float32(rng.Float64()*2 - 1)
-					ty[t] = float32(rng.Float64()*2 - 1)
-					tz[t] = float32(rng.Float64()*2 - 1)
-				}
+				x, y, z := tileTestTargets(rng, 8)
+				tx, ty, tz := toF32(x), toF32(y), toF32(z)
 				sx, sy, sz, q := blockTestSources(rng, n, float64(tx[1]), float64(ty[1]), float64(tz[1]))
-
-				var phi0 [F32TileWidth]float32
-				for t := range phi0 {
-					phi0[t] = float32(rng.Float64()*2 - 1)
-				}
-				want := phi0
-				var absSum [F32TileWidth]float32
-				for t := 0; t < F32TileWidth; t++ {
-					want[t] += bk.EvalBlockAccumF32(tx[t], ty[t], tz[t], sx, sy, sz, q)
-					absSum[t] = scalarAccumAbsF32(f32, tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-				scalar := phi0
-				for t := 0; t < F32TileWidth; t++ {
-					scalar[t] += scalarAccumF32(f32, tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-				if want != scalar {
-					t.Fatalf("n=%d: fp32 block reference %v != scalar reference %v", n, want, scalar)
-				}
-
-				got := phi0
-				tk.EvalTileAccumF32(&tx, &ty, &tz, sx, sy, sz, q, &got)
-				checkTilePhiF32(t, "specialized fp32 tile", n, maxULP, got[:], want[:], absSum[:])
-				got = phi0
-				adapter.EvalTileAccumF32(&tx, &ty, &tz, sx, sy, sz, q, &got)
-				checkTilePhiF32(t, "fp32 adapter tile", n, 0, got[:], want[:], absSum[:])
+				phi0 := toF32(randomPhi(rng, 8))
+				checkF32Tiles(t, "specialized", f32, tx, ty, tz, sx, sy, sz, q, phi0)
+				checkF32Tiles(t, "generic", customF32{f32}, tx, ty, tz, sx, sy, sz, q, phi0)
 			}
 		})
 	}
 }
 
 // TestCoulombTile8BitIdentical pins the register-blocked 8-wide Coulomb
-// tile against the per-target block reference: bit-identity at every
-// ragged size, self terms included — regrouping targets into a wider tile
-// must not change any target's accumulation chain. Skipped where Tile8
-// resolves nil (no assembly); the dispatch rules themselves are pinned
-// for all kernels.
+// tile against the width-1 loop: bit-identity at every ragged size, self
+// terms in both 4-lane groups included — regrouping targets into a wider
+// tile must not change any target's accumulation chain. Only Coulomb
+// resolves a width-8 fp64 tile, and only with the assembly installed.
 func TestCoulombTile8BitIdentical(t *testing.T) {
 	for _, k := range blockTestKernels() {
-		if _, isCoulomb := k.(Coulomb); !isCoulomb {
-			if Tile8(k) != nil {
-				t.Fatalf("Tile8(%s) resolved an 8-wide loop; only Coulomb has one", k.Name())
-			}
+		if _, isCoulomb := k.(Coulomb); !isCoulomb && Tiles(k)[0].Width > 4 {
+			t.Fatalf("Tiles(%s) resolved an 8-wide tile; only Coulomb has one", k.Name())
 		}
 	}
-	t8 := Tile8(Coulomb{})
-	if t8 == nil {
+	tiles := Tiles(Coulomb{})
+	if tiles[0].Width != 8 {
 		t.Skip("no 8-wide Coulomb tile on this machine")
 	}
+	t8, t1 := tiles[0].Eval, tiles[len(tiles)-1].Eval
 	rng := rand.New(rand.NewSource(47))
-	bk := AsBlock(Coulomb{})
 	for _, n := range tileTestSizes {
-		var tx, ty, tz [Tile8Width]float64
-		for i := range tx {
-			tx[i] = rng.Float64()*2 - 1
-			ty[i] = rng.Float64()*2 - 1
-			tz[i] = rng.Float64()*2 - 1
-		}
-		// Self terms on two lanes, one per 4-lane group.
+		tx, ty, tz := tileTestTargets(rng, 8)
 		sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
 		if n > 1 {
 			sx[0], sy[0], sz[0] = tx[6], ty[6], tz[6]
 		}
-
-		var phi0 [Tile8Width]float64
-		for i := range phi0 {
-			phi0[i] = rng.Float64()*2 - 1
-		}
-		want := phi0
-		for i := 0; i < Tile8Width; i++ {
-			want[i] += bk.EvalBlockAccum(tx[i], ty[i], tz[i], sx, sy, sz, q)
-		}
-		got := phi0
-		t8(&tx, &ty, &tz, sx, sy, sz, q, &got)
-		if got != want {
-			t.Fatalf("n=%d: tile8 %v != per-target block %v", n, got, want)
+		phi0 := randomPhi(rng, 8)
+		want := append([]float64(nil), phi0...)
+		t1(tx, ty, tz, sx, sy, sz, q, want)
+		got := append([]float64(nil), phi0...)
+		t8(tx, ty, tz, sx, sy, sz, q, got)
+		if !sameBits(got, want) {
+			t.Fatalf("n=%d: width-8 tile %v != width-1 tile %v", n, got, want)
 		}
 	}
 }
 
 // TestAsmVsGoTiles pins asm-vs-Go equivalence for every vectorized tile
 // on the same inputs, via the SetAsmKernels dispatch override: each block
-// is evaluated once with the assembly loops installed and once through
-// the pure-Go fallbacks, and the results must agree under the kernel's
-// accuracy contract (bit-identical for Coulomb fp64/fp32; within the
-// pinned ULP bound for the Yukawa transcendental tiles). Before this
-// knob existed the fallback loops were dead code on machines where
-// init() installed the assembly.
+// is evaluated once through the tiles resolved with the assembly
+// installed and once through the pure-Go tiles, and the results must
+// agree under the kernel's accuracy contract (bit-identical for Coulomb
+// fp64/fp32 and for every width-1 tile; within the pinned ULP bound for
+// the Yukawa transcendental tiles). A width without a Go tile of its own
+// (Coulomb's 8) is compared against the Go width-1 loop.
 func TestAsmVsGoTiles(t *testing.T) {
 	if !AsmKernelsAvailable() {
 		t.Skip("no assembly kernels to compare on this machine")
@@ -356,141 +658,55 @@ func TestAsmVsGoTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	kernels := []Kernel{Coulomb{}, Yukawa{Kappa: 0.7}, Yukawa{Kappa: 0}}
 	for _, n := range tileTestSizes {
-		tx, ty, tz := tileTestTargets(rng)
+		tx, ty, tz := tileTestTargets(rng, 8)
 		sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
-		var phi0 [TileWidth]float64
-		for i := range phi0 {
-			phi0[i] = rng.Float64()*2 - 1
-		}
-		var ftx, fty, ftz [F32TileWidth]float32
-		for i := range ftx {
-			ftx[i] = float32(rng.Float64()*2 - 1)
-			fty[i] = float32(rng.Float64()*2 - 1)
-			ftz[i] = float32(rng.Float64()*2 - 1)
-		}
-		ftx[1], fty[1], ftz[1] = float32(tx[1]), float32(ty[1]), float32(tz[1])
-		var fphi0 [F32TileWidth]float32
-		for i := range fphi0 {
-			fphi0[i] = float32(rng.Float64()*2 - 1)
-		}
-
-		var tx8, ty8, tz8, phi80 [Tile8Width]float64
-		copy(tx8[:], tx[:])
-		copy(ty8[:], ty[:])
-		copy(tz8[:], tz[:])
-		copy(tx8[4:], tx[:])
-		copy(ty8[4:], ty[:])
-		copy(tz8[4:], tz[:])
-		for i := range phi80 {
-			phi80[i] = rng.Float64()*2 - 1
-		}
+		phi0 := randomPhi(rng, 8)
+		ftx, fty, ftz := toF32(tx), toF32(ty), toF32(tz)
+		fphi0 := toF32(randomPhi(rng, 8))
 
 		for _, k := range kernels {
 			maxULP := TileMaxULP(k)
-
-			asm := phi0
-			AsTile(k).EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &asm)
-			asm8 := phi80
-			t8 := Tile8(k)
-			if t8 != nil {
-				t8(&tx8, &ty8, &tz8, sx, sy, sz, q, &asm8)
-			}
-			fasm := fphi0
-			var f32k F32Kernel
-			var f32ULP int
-			if fk, ok := k.(F32Kernel); ok {
-				f32k = fk
-				f32ULP = F32TileMaxULP(fk)
-				AsF32Tile(fk).EvalTileAccumF32(&ftx, &fty, &ftz, sx, sy, sz, q, &fasm)
-			}
-			asmBlock := AsBlock(k).EvalBlockAccum(tx[0], ty[0], tz[0], sx, sy, sz, q)
-
-			// Same inputs through the pure-Go loops. The width-8 go
-			// reference is the per-target block loop: there is no Go
-			// 8-wide tile because regrouping cannot change the chains.
+			asm := Tiles(k)
+			f32k := k.(F32Kernel)
+			f32ULP := F32TileMaxULP(f32k)
+			fasm := F32Tiles(f32k)
 			prev := SetAsmKernels(false)
-			goPhi := phi0
-			AsTile(k).EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &goPhi)
-			go8 := phi80
-			bk := AsBlock(k)
-			for i := 0; i < Tile8Width; i++ {
-				go8[i] += bk.EvalBlockAccum(tx8[i], ty8[i], tz8[i], sx, sy, sz, q)
-			}
-			fgo := fphi0
-			if f32k != nil {
-				AsF32Tile(f32k).EvalTileAccumF32(&ftx, &fty, &ftz, sx, sy, sz, q, &fgo)
-			}
-			goBlock := bk.EvalBlockAccum(tx[0], ty[0], tz[0], sx, sy, sz, q)
-			if Tile8(k) != nil {
-				t.Errorf("%s: Tile8 still resolves with asm kernels disabled", k.Name())
-			}
+			goTiles := Tiles(k)
+			fgo := F32Tiles(f32k)
 			SetAsmKernels(prev)
 
-			var absSum [TileWidth]float64
-			for i := 0; i < TileWidth; i++ {
+			goWidth := func(w int) Tile {
+				for _, s := range goTiles {
+					if s.Width == w {
+						return s.Eval
+					}
+				}
+				return goTiles[len(goTiles)-1].Eval
+			}
+			absSum := make([]float64, 8)
+			for i := range absSum {
 				absSum[i] = scalarAccumAbs(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
 			}
-			checkTilePhi(t, k.Name()+" asm-vs-go tile", n, maxULP, asm[:], goPhi[:], absSum[:])
-			if t8 != nil {
-				var absSum8 [Tile8Width]float64
-				copy(absSum8[:], absSum[:])
-				copy(absSum8[4:], absSum[:])
-				checkTilePhi(t, k.Name()+" asm-vs-go tile8", n, maxULP, asm8[:], go8[:], absSum8[:])
+			for _, s := range asm {
+				w := s.Width
+				got := append([]float64(nil), phi0[:w]...)
+				s.Eval(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, got)
+				want := append([]float64(nil), phi0[:w]...)
+				goWidth(w)(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, want)
+				checkTilePhi(t, k.Name()+" asm-vs-go width "+strconv.Itoa(w), n, widthULP(w, maxULP), got, want, absSum[:w])
 			}
-			if f32k != nil {
-				var fabsSum [F32TileWidth]float32
-				for i := range fabsSum {
-					fabsSum[i] = scalarAccumAbsF32(f32k, ftx[i], fty[i], ftz[i], sx, sy, sz, q)
-				}
-				checkTilePhiF32(t, k.Name()+" asm-vs-go fp32 tile", n, f32ULP, fasm[:], fgo[:], fabsSum[:])
+			fabsSum := make([]float32, 8)
+			for i := range fabsSum {
+				fabsSum[i] = scalarAccumAbsF32(f32k, ftx[i], fty[i], ftz[i], sx, sy, sz, q)
 			}
-			if asmBlock != goBlock {
-				t.Fatalf("%s n=%d: asm block head %v != go block loop %v", k.Name(), n, asmBlock, goBlock)
+			for i, s := range fasm {
+				w := s.Width
+				got := append([]float32(nil), fphi0[:w]...)
+				s.Eval(ftx[:w], fty[:w], ftz[:w], sx, sy, sz, q, got)
+				want := append([]float32(nil), fphi0[:w]...)
+				fgo[i].Eval(ftx[:w], fty[:w], ftz[:w], sx, sy, sz, q, want)
+				checkTilePhiF32(t, k.Name()+" asm-vs-go fp32 width "+strconv.Itoa(w), n, widthULP(w, f32ULP), got, want, fabsSum[:w])
 			}
-		}
-	}
-}
-
-// TestAsTileResolution pins the dispatch rules: built-ins resolve to
-// themselves, foreign kernels to the generic adapter over their block
-// path, and resolving an adapter's result again is a no-op.
-func TestAsTileResolution(t *testing.T) {
-	for _, k := range blockTestKernels() {
-		if tk := AsTile(k); tk != k {
-			t.Errorf("AsTile(%s) wrapped a kernel that already implements TileKernel", k.Name())
-		}
-	}
-	f := Func{KernelName: "custom", F: Coulomb{}.Eval}
-	tk := AsTile(f)
-	ad, ok := tk.(tileAdapter)
-	if !ok {
-		t.Fatalf("AsTile(Func) = %T, want tileAdapter", tk)
-	}
-	if _, ok := ad.BlockKernel.(blockAdapter); !ok {
-		t.Errorf("AsTile(Func) wraps %T, want the blockAdapter fallback", ad.BlockKernel)
-	}
-	if again, ok := AsTile(tk).(tileAdapter); !ok {
-		t.Errorf("AsTile(AsTile(k)) lost the adapter")
-	} else if _, double := again.BlockKernel.(tileAdapter); double {
-		t.Errorf("AsTile(AsTile(k)) double-wrapped the adapter")
-	}
-	if tk.Name() != "custom" {
-		t.Errorf("adapter name = %q, want custom", tk.Name())
-	}
-	if Tile8(f) != nil {
-		t.Errorf("Tile8(Func) resolved an 8-wide loop for a foreign kernel")
-	}
-}
-
-// TestTileKernelEmpty verifies the degenerate empty block leaves the
-// accumulated values unchanged (phi[t] += 0 at most).
-func TestTileKernelEmpty(t *testing.T) {
-	tx := [TileWidth]float64{0.1, 0.2, 0.3, 0.4}
-	for _, k := range blockTestKernels() {
-		phi := [TileWidth]float64{1, 2, 3, 4}
-		AsTile(k).EvalTileAccum(&tx, &tx, &tx, nil, nil, nil, nil, &phi)
-		if phi != [TileWidth]float64{1, 2, 3, 4} {
-			t.Errorf("%s: empty block changed phi to %v", k.Name(), phi)
 		}
 	}
 }
@@ -498,14 +714,15 @@ func TestTileKernelEmpty(t *testing.T) {
 // TestCoulombTileExtremeMagnitudes sweeps coordinate scales across the
 // full binary exponent range, so s = sqrt(r2) runs from the bottom of its
 // domain (r2 subnormal) to +Inf overflow. This is the empirical pin for
-// the AVX-512 tile's Newton–Raphson reciprocal being correctly rounded —
-// hence bit-identical to the scalar 1/math.Sqrt — at every magnitude, and
-// for the masked s == +Inf lanes matching the scalar 1/Inf = +0.
+// the AVX-512 tiles' Newton–Raphson reciprocal and Goldschmidt square
+// root being correctly rounded — hence bit-identical to the scalar
+// 1/math.Sqrt — at every magnitude, and for the masked s == +Inf lanes
+// matching the scalar 1/Inf = +0. Every resolved width is compared with
+// the width-1 loop.
 func TestCoulombTileExtremeMagnitudes(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	tk := AsTile(Coulomb{})
-	bk := AsBlock(Coulomb{})
-	t8 := Tile8(Coulomb{})
+	tiles := Tiles(Coulomb{})
+	t1 := tiles[len(tiles)-1].Eval
 	trials := 40
 	if testing.Short() {
 		trials = 4
@@ -514,11 +731,9 @@ func TestCoulombTileExtremeMagnitudes(t *testing.T) {
 		mag := math.Ldexp(1, int(scale))
 		for trial := 0; trial < trials; trial++ {
 			n := 1 + rng.Intn(9)
-			var tx, ty, tz [Tile8Width]float64
+			tx, ty, tz := tileTestTargets(rng, 8)
 			for i := range tx {
-				tx[i] = (rng.Float64()*2 - 1) * mag
-				ty[i] = (rng.Float64()*2 - 1) * mag
-				tz[i] = (rng.Float64()*2 - 1) * mag
+				tx[i], ty[i], tz[i] = tx[i]*mag, ty[i]*mag, tz[i]*mag
 			}
 			sx := make([]float64, n)
 			sy := make([]float64, n)
@@ -532,23 +747,14 @@ func TestCoulombTileExtremeMagnitudes(t *testing.T) {
 			}
 			sx[n/2], sy[n/2], sz[n/2] = tx[0], ty[0], tz[0] // self term
 
-			var want [Tile8Width]float64
-			for i := 0; i < Tile8Width; i++ {
-				want[i] = bk.EvalBlockAccum(tx[i], ty[i], tz[i], sx, sy, sz, q)
-			}
-			var got4 [TileWidth]float64
-			tx4 := [TileWidth]float64(tx[:4])
-			ty4 := [TileWidth]float64(ty[:4])
-			tz4 := [TileWidth]float64(tz[:4])
-			tk.EvalTileAccum(&tx4, &ty4, &tz4, sx, sy, sz, q, &got4)
-			if got4 != [TileWidth]float64(want[:4]) {
-				t.Fatalf("scale 2^%g n=%d: tile %v != block %v", scale, n, got4, want[:4])
-			}
-			if t8 != nil {
-				var got8 [Tile8Width]float64
-				t8(&tx, &ty, &tz, sx, sy, sz, q, &got8)
-				if got8 != want {
-					t.Fatalf("scale 2^%g n=%d: tile8 %v != block %v", scale, n, got8, want)
+			want := make([]float64, 8)
+			t1(tx, ty, tz, sx, sy, sz, q, want)
+			for _, s := range tiles[:len(tiles)-1] {
+				w := s.Width
+				got := make([]float64, w)
+				s.Eval(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, got)
+				if !sameBits(got, want[:w]) {
+					t.Fatalf("scale 2^%g n=%d: width-%d tile %v != width-1 tile %v", scale, n, w, got, want[:w])
 				}
 			}
 		}
@@ -571,7 +777,7 @@ func TestF32TileExtremeMagnitudes(t *testing.T) {
 		mag := math.Ldexp(1, int(scale))
 		for trial := 0; trial < trials; trial++ {
 			n := 1 + rng.Intn(9)
-			var tx, ty, tz [F32TileWidth]float32
+			tx, ty, tz := make([]float32, 8), make([]float32, 8), make([]float32, 8)
 			for i := range tx {
 				tx[i] = float32((rng.Float64()*2 - 1) * mag)
 				ty[i] = float32((rng.Float64()*2 - 1) * mag)
@@ -590,15 +796,7 @@ func TestF32TileExtremeMagnitudes(t *testing.T) {
 			sx[n/2], sy[n/2], sz[n/2] = float64(tx[0]), float64(ty[0]), float64(tz[0])
 
 			for _, k := range kernels {
-				maxULP := F32TileMaxULP(k)
-				var want, absSum [F32TileWidth]float32
-				for i := 0; i < F32TileWidth; i++ {
-					want[i] = scalarAccumF32(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
-					absSum[i] = scalarAccumAbsF32(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
-				}
-				var got [F32TileWidth]float32
-				AsF32Tile(k).EvalTileAccumF32(&tx, &ty, &tz, sx, sy, sz, q, &got)
-				checkTilePhiF32(t, k.Name()+" fp32 tile @2^"+itoa(int(scale)), n, maxULP, got[:], want[:], absSum[:])
+				checkF32Tiles(t, "@2^"+itoa(int(scale)), k, tx, ty, tz, sx, sy, sz, q, make([]float32, 8))
 			}
 		}
 	}
@@ -637,7 +835,7 @@ func itoa(v int) string {
 // on a flipped bit. Skipped when no vector Yukawa is installed (the Go
 // loops ARE the scalar reference).
 func TestYukawaTileULPContract(t *testing.T) {
-	if yukawaTileLoop == nil && yukawaTileF32Loop == nil {
+	if yukawaTile4Asm == nil && yukawaF32Tile8Asm == nil {
 		t.Skip("no vectorized Yukawa tile on this machine")
 	}
 	rng := rand.New(rand.NewSource(50))
@@ -652,6 +850,7 @@ func TestYukawaTileULPContract(t *testing.T) {
 	var maxSeen32 uint32
 	for _, kappa := range kappas {
 		k := Yukawa{Kappa: kappa}
+		t4, f8 := Tiles(k)[0], F32Tiles(k)[0]
 		// Distances such that x = -kappa*r sweeps [-760, -1e-8]: past the
 		// underflow cutoff at the bottom (where the clamp and scale
 		// rounding must agree with math.Exp's flush to zero / minimum
@@ -659,43 +858,41 @@ func TestYukawaTileULPContract(t *testing.T) {
 		lo, hi := 1e-8/kappa, 760/kappa
 		step := math.Pow(hi/lo, 1/float64(points-1))
 		d := lo
-		for i := 0; i < points; i += TileWidth {
-			var tx, ty, tz [TileWidth]float64
-			for l := 0; l < TileWidth; l++ {
+		for i := 0; i < points; i += 4 {
+			tx, ty, tz := make([]float64, 4), make([]float64, 4), make([]float64, 4)
+			for l := range tx {
 				// Jitter the mantissa so the sweep isn't phase-locked.
 				tx[l] = d * (1 + rng.Float64()*1e-3)
 				d *= step
 			}
-			var want, got, absSum [TileWidth]float64
-			for l := 0; l < TileWidth; l++ {
-				want[l] = scalarAccum(k, tx[l], ty[l], tz[l], sx, sy, sz, q)
-				absSum[l] = math.Abs(want[l])
-			}
-			if yukawaTileLoop != nil {
-				k.EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &got)
-				for l := 0; l < TileWidth; l++ {
-					if ud := ulpDiff64(got[l], want[l]); ud > maxSeen {
+			if yukawaTile4Asm != nil {
+				got := make([]float64, 4)
+				t4.Eval(tx, ty, tz, sx, sy, sz, q, got)
+				for l := range got {
+					want := scalarAccum(k, tx[l], ty[l], tz[l], sx, sy, sz, q)
+					if ud := ulpDiff64(got[l], want); ud > maxSeen {
 						maxSeen = ud
 						if ud > YukawaTileMaxULP {
 							t.Errorf("kappa=%g r=%g: fp64 tile %v vs scalar %v = %d ulps > %d",
-								kappa, tx[l], got[l], want[l], ud, YukawaTileMaxULP)
+								kappa, tx[l], got[l], want, ud, YukawaTileMaxULP)
 						}
 					}
 				}
 			}
-			if yukawaTileF32Loop != nil && kappa*float64(float32(d)) < 100 {
-				var ftx, fty, ftz, fwant, fgot [F32TileWidth]float32
-				for l := 0; l < F32TileWidth; l++ {
-					ftx[l] = float32(tx[l%TileWidth]) * (1 + float32(l/TileWidth)*0.25)
-					fwant[l] = scalarAccumF32(k, ftx[l], fty[l], ftz[l], sx, sy, sz, q)
+			if yukawaF32Tile8Asm != nil && kappa*float64(float32(d)) < 100 {
+				ftx, fty, ftz := make([]float32, 8), make([]float32, 8), make([]float32, 8)
+				for l := range ftx {
+					ftx[l] = float32(tx[l%4]) * (1 + float32(l/4)*0.25)
 				}
-				k.EvalTileAccumF32(&ftx, &fty, &ftz, sx, sy, sz, q, &fgot)
-				for l := 0; l < F32TileWidth; l++ {
-					if ud := ulpDiff32(fgot[l], fwant[l]); ud > maxSeen32 {
+				fgot := make([]float32, 8)
+				f8.Eval(ftx, fty, ftz, sx, sy, sz, q, fgot)
+				for l := range fgot {
+					fwant := scalarAccumF32(k, ftx[l], fty[l], ftz[l], sx, sy, sz, q)
+					if ud := ulpDiff32(fgot[l], fwant); ud > maxSeen32 {
 						maxSeen32 = ud
 						if ud > YukawaTileF32MaxULP {
 							t.Errorf("kappa=%g r=%g: fp32 tile %v vs scalar %v = %d ulps > %d",
-								kappa, ftx[l], fgot[l], fwant[l], ud, YukawaTileF32MaxULP)
+								kappa, ftx[l], fgot[l], fwant, ud, YukawaTileF32MaxULP)
 						}
 					}
 				}
@@ -706,210 +903,174 @@ func TestYukawaTileULPContract(t *testing.T) {
 		maxSeen, YukawaTileMaxULP, maxSeen32, YukawaTileF32MaxULP)
 }
 
-// FuzzTileAccum cross-checks the specialized tile loops (including the
-// assembly tiles on capable hardware) against the per-target scalar
-// reference on randomized blocks for every built-in kernel, fp64 and
-// fp32, under each kernel's accuracy contract — exact bits for exact
-// kernels, the pinned ULP tolerance for transcendental tiles.
+// fuzzBlock is one randomized fuzz input: eight targets and a source
+// block at unit scale (u*) and scaled by 2^exp (the rest), with
+// coincident targets, a source on target 1, sources on random targets and
+// duplicated sources, nonzero starting potentials, and the softening eps
+// that epsSel picks for the regularized Coulomb kernel, zero included.
+type fuzzBlock struct {
+	ux, uy, uz, usx, usy, usz []float64
+	tx, ty, tz, sx, sy, sz, q []float64
+	phi0                      []float64
+	eps                       float64
+}
+
+func newFuzzBlock(seed int64, size uint, exp int16, epsSel uint8) fuzzBlock {
+	n := int(size%256) + 1
+	mag := math.Ldexp(1, int(exp%541))
+	rng := rand.New(rand.NewSource(seed))
+	var b fuzzBlock
+	switch epsSel % 4 {
+	case 1:
+		b.eps = mag / 20
+	case 2:
+		b.eps = mag * 1e-9
+	case 3:
+		b.eps = 1
+	}
+	b.ux, b.uy, b.uz = tileTestTargets(rng, 8)
+	b.ux[3], b.uy[3], b.uz[3] = b.ux[rng.Intn(3)], b.uy[rng.Intn(3)], b.uz[rng.Intn(3)] // coincident targets
+	b.usx, b.usy, b.usz, b.q = blockTestSources(rng, n, b.ux[1], b.uy[1], b.uz[1])
+	for j := range b.usx {
+		switch {
+		case j == n/2: // the self term blockTestSources placed
+		case j > 0 && rng.Intn(8) == 0: // a duplicated source
+			b.usx[j], b.usy[j], b.usz[j] = b.usx[j-1], b.usy[j-1], b.usz[j-1]
+		case rng.Intn(16) == 0: // on a random target
+			i := rng.Intn(8)
+			b.usx[j], b.usy[j], b.usz[j] = b.ux[i], b.uy[i], b.uz[i]
+		}
+	}
+	scaled := func(v []float64) []float64 {
+		out := make([]float64, len(v))
+		for i, x := range v {
+			out[i] = x * mag
+		}
+		return out
+	}
+	b.tx, b.ty, b.tz = scaled(b.ux), scaled(b.uy), scaled(b.uz)
+	b.sx, b.sy, b.sz = scaled(b.usx), scaled(b.usy), scaled(b.usz)
+	b.phi0 = randomPhi(rng, 8)
+	return b
+}
+
+// FuzzTileAccum walks every value tile the resolvers return — fp64
+// widths 8, 4 and 1 and fp32 widths 8 and 1 — and checks each against the
+// scalar Eval or EvalF32 chains on randomized blocks (newFuzzBlock) for
+// every built-in kernel, under each kernel's per-width contract: exact
+// bits for exact kernels and every width-1 tile, the pinned ULP tolerance
+// for transcendental tiles. The fp64 inputs are scaled by 2^exp (exp in
+// [-540, 540], about 1e±162, where squared distances underflow or
+// overflow); the fp32 inputs stay unscaled, inside float32's range.
 func FuzzTileAccum(f *testing.F) {
-	f.Add(int64(1), uint(4))
-	f.Add(int64(2), uint(7))
-	f.Add(int64(3), uint(129))
-	f.Fuzz(func(t *testing.T, seed int64, size uint) {
-		n := int(size%256) + 1
-		rng := rand.New(rand.NewSource(seed))
-		tx, ty, tz := tileTestTargets(rng)
-		sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
-		var phi0 [TileWidth]float64
-		for i := range phi0 {
-			phi0[i] = rng.Float64()*2 - 1
-		}
-		var ftx, fty, ftz [F32TileWidth]float32
-		for i := range ftx {
-			ftx[i] = float32(rng.Float64()*2 - 1)
-			fty[i] = float32(rng.Float64()*2 - 1)
-			ftz[i] = float32(rng.Float64()*2 - 1)
-		}
-		ftx[1], fty[1], ftz[1] = float32(tx[1]), float32(ty[1]), float32(tz[1])
-		for _, k := range blockTestKernels() {
-			maxULP := TileMaxULP(k)
-			want := phi0
-			var absSum [TileWidth]float64
-			for i := 0; i < TileWidth; i++ {
-				want[i] += scalarAccum(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
-				absSum[i] = scalarAccumAbs(k, tx[i], ty[i], tz[i], sx, sy, sz, q)
-			}
-			got := phi0
-			AsTile(k).EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &got)
-			checkTilePhi(t, k.Name()+" tile", n, maxULP, got[:], want[:], absSum[:])
-			if t8 := Tile8(k); t8 != nil {
-				var tx8, ty8, tz8, phi8, want8, abs8 [Tile8Width]float64
-				for i := range tx8 {
-					tx8[i] = rng.Float64()*2 - 1
-					ty8[i] = rng.Float64()*2 - 1
-					tz8[i] = rng.Float64()*2 - 1
-					phi8[i] = rng.Float64()*2 - 1
-				}
-				tx8[5], ty8[5], tz8[5] = tx[1], ty[1], tz[1] // self term, high group
-				want8 = phi8
-				for i := 0; i < Tile8Width; i++ {
-					want8[i] += scalarAccum(k, tx8[i], ty8[i], tz8[i], sx, sy, sz, q)
-					abs8[i] = scalarAccumAbs(k, tx8[i], ty8[i], tz8[i], sx, sy, sz, q)
-				}
-				got8 := phi8
-				t8(&tx8, &ty8, &tz8, sx, sy, sz, q, &got8)
-				checkTilePhi(t, k.Name()+" tile8", n, maxULP, got8[:], want8[:], abs8[:])
-			}
+	f.Add(int64(1), uint(4), int16(0), uint8(1))
+	f.Add(int64(2), uint(7), int16(0), uint8(1))
+	f.Add(int64(3), uint(129), int16(0), uint8(1))
+	f.Add(int64(1), uint(4), int16(0), uint8(0))
+	f.Add(int64(2), uint(7), int16(498), uint8(1))    // about 1e150
+	f.Add(int64(3), uint(129), int16(-498), uint8(2)) // about 1e-150
+	f.Add(int64(4), uint(1), int16(-540), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, size uint, exp int16, epsSel uint8) {
+		b := newFuzzBlock(seed, size, exp, epsSel)
+		ftx, fty, ftz := toF32(b.ux), toF32(b.uy), toF32(b.uz)
+		fphi0 := toF32(b.phi0)
+		kernels := blockTestKernels()
+		kernels[4] = RegularizedCoulomb{Eps: b.eps}
+		for _, k := range kernels {
+			checkTiles(t, "fuzz", k, b.tx, b.ty, b.tz, b.sx, b.sy, b.sz, b.q, b.phi0)
 			if f32, ok := k.(F32Kernel); ok {
-				f32ULP := F32TileMaxULP(f32)
-				var fwant, fgot, fabsSum [F32TileWidth]float32
-				for i := range fwant {
-					fwant[i] = float32(phi0[i%TileWidth])
-				}
-				fgot = fwant
-				for i := 0; i < F32TileWidth; i++ {
-					fwant[i] += scalarAccumF32(f32, ftx[i], fty[i], ftz[i], sx, sy, sz, q)
-					fabsSum[i] = scalarAccumAbsF32(f32, ftx[i], fty[i], ftz[i], sx, sy, sz, q)
-				}
-				AsF32Tile(f32).EvalTileAccumF32(&ftx, &fty, &ftz, sx, sy, sz, q, &fgot)
-				checkTilePhiF32(t, k.Name()+" fp32 tile", n, f32ULP, fgot[:], fwant[:], fabsSum[:])
+				checkF32Tiles(t, "fuzz", f32, ftx, fty, ftz, b.usx, b.usy, b.usz, b.q, fphi0)
 			}
 		}
 	})
 }
 
-// FuzzGradTile checks the gradient tile against four per-target EvalGrad
-// chains bit for bit on random tiles and source blocks: coincident
-// targets, sources on targets and duplicated sources, zero and nonzero
-// softening, and coordinates scaled by 2^exp for exp in [-540, 540]
-// (about 1e±162), where squared distances underflow or overflow.
+// FuzzGradTile checks every gradient tile GradTiles resolves, for every
+// built-in gradient kernel, against the per-target EvalGrad chains bit
+// for bit on randomized blocks (newFuzzBlock): coincident targets,
+// sources on targets and duplicated sources, zero and nonzero softening
+// of the regularized Coulomb kernel, and coordinates scaled by 2^exp for
+// exp in [-540, 540] (about 1e±162), where squared distances underflow or
+// overflow.
 func FuzzGradTile(f *testing.F) {
 	f.Add(int64(1), uint(4), int16(0), uint8(0))
 	f.Add(int64(2), uint(7), int16(498), uint8(1))    // about 1e150
 	f.Add(int64(3), uint(129), int16(-498), uint8(2)) // about 1e-150
 	f.Add(int64(4), uint(1), int16(-540), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, size uint, exp int16, epsSel uint8) {
-		if GradTile(RegularizedCoulomb{}) == nil {
-			t.Skip("no gradient tile on this machine")
-		}
-		n := int(size%256) + 1
-		mag := math.Ldexp(1, int(exp%541))
-		rng := rand.New(rand.NewSource(seed))
-		var eps float64
-		switch epsSel % 4 {
-		case 1:
-			eps = mag / 20
-		case 2:
-			eps = mag * 1e-9
-		case 3:
-			eps = 1
-		}
-		k := RegularizedCoulomb{Eps: eps}
-		var tx, ty, tz, phi0 [TileWidth]float64
-		for i := range tx {
-			tx[i] = (rng.Float64()*2 - 1) * mag
-			ty[i] = (rng.Float64()*2 - 1) * mag
-			tz[i] = (rng.Float64()*2 - 1) * mag
-			phi0[i] = rng.Float64()*2 - 1
-		}
-		tx[3], ty[3], tz[3] = tx[rng.Intn(3)], ty[rng.Intn(3)], tz[rng.Intn(3)]
-		sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
-		for j := range sx {
-			switch {
-			case j == n/2: // the self term blockTestSources placed
-			case j > 0 && rng.Intn(8) == 0: // a duplicated source
-				sx[j], sy[j], sz[j] = sx[j-1], sy[j-1], sz[j-1]
-			case rng.Intn(16) == 0: // on a random target
-				i := rng.Intn(TileWidth)
-				sx[j], sy[j], sz[j] = tx[i], ty[i], tz[i]
-			default:
-				sx[j], sy[j], sz[j] = sx[j]*mag, sy[j]*mag, sz[j]*mag
+		b := newFuzzBlock(seed, size, exp, epsSel)
+		for _, k := range append(gradKernels(), RegularizedCoulomb{Eps: b.eps}) {
+			for _, gt := range GradTiles(k) {
+				checkGradTile(t, "fuzz", k, gt, b.tx, b.ty, b.tz, b.sx, b.sy, b.sz, b.q, b.phi0)
 			}
 		}
-		checkGradTile(t, "fuzz", k, GradTile(k), &tx, &ty, &tz, sx, sy, sz, q, &phi0)
 	})
 }
 
-// BenchmarkEvalTile compares tile calls against per-target block calls
-// over the same 2000-source block — the amortization the tile path exists
-// to provide — for the Coulomb and Yukawa fp64 paths, the 8-wide
-// register-blocked Coulomb tile, the fp32 tiles, and the softened-Coulomb
-// gradient tile against four per-target EvalGrad chains.
+// BenchmarkEvalTile compares the resolved tiles against per-target
+// width-1 calls over the same 2000-source block — the amortization the
+// wide tiles exist to provide — for the Coulomb and Yukawa fp64 paths,
+// the 8-wide register-blocked Coulomb tile, the fp32 tiles, and the
+// softened-Coulomb gradient tile against four per-target EvalGrad chains.
 func BenchmarkEvalTile(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 2000
-	tx, ty, tz := tileTestTargets(rng)
+	tx, ty, tz := tileTestTargets(rng, 8)
 	sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
-	var tx8, ty8, tz8 [Tile8Width]float64
-	copy(tx8[:], tx[:])
-	copy(ty8[:], ty[:])
-	copy(tz8[:], tz[:])
-	for i := TileWidth; i < Tile8Width; i++ {
-		tx8[i] = rng.Float64()*2 - 1
-		ty8[i] = rng.Float64()*2 - 1
-		tz8[i] = rng.Float64()*2 - 1
-	}
-	var ftx, fty, ftz [F32TileWidth]float32
-	for i := range ftx {
-		ftx[i] = float32(tx8[i])
-		fty[i] = float32(ty8[i])
-		ftz[i] = float32(tz8[i])
+	ftx, fty, ftz := toF32(tx), toF32(ty), toF32(tz)
+	perTarget := func(b *testing.B, t1 Tile) {
+		phi := make([]float64, 4)
+		b.SetBytes(4 * n * 8)
+		for i := 0; i < b.N; i++ {
+			for t := 0; t < 4; t++ {
+				t1(tx[t:t+1], ty[t:t+1], tz[t:t+1], sx, sy, sz, q, phi[t:t+1])
+			}
+		}
 	}
 	for _, k := range []Kernel{Coulomb{}, Yukawa{Kappa: 0.7}} {
-		k := k
-		b.Run(k.Name()+"/block-x4", func(b *testing.B) {
-			bk := AsBlock(k)
-			var phi [TileWidth]float64
-			b.SetBytes(4 * n * 8)
-			for i := 0; i < b.N; i++ {
-				for t := 0; t < TileWidth; t++ {
-					phi[t] += bk.EvalBlockAccum(tx[t], ty[t], tz[t], sx, sy, sz, q)
-				}
-			}
-		})
-		b.Run(k.Name()+"/tile", func(b *testing.B) {
-			tk := AsTile(k)
-			var phi [TileWidth]float64
-			b.SetBytes(4 * n * 8)
-			for i := 0; i < b.N; i++ {
-				tk.EvalTileAccum(&tx, &ty, &tz, sx, sy, sz, q, &phi)
-			}
-		})
-		if t8 := Tile8(k); t8 != nil {
-			b.Run(k.Name()+"/tile8", func(b *testing.B) {
-				var phi [Tile8Width]float64
-				b.SetBytes(8 * n * 8)
+		tiles := Tiles(k)
+		b.Run(k.Name()+"/block-x4", func(b *testing.B) { perTarget(b, tiles[len(tiles)-1].Eval) })
+		for _, s := range tiles[:len(tiles)-1] {
+			s := s
+			name := map[int]string{4: "/tile", 8: "/tile8"}[s.Width]
+			b.Run(k.Name()+name, func(b *testing.B) {
+				phi := make([]float64, s.Width)
+				b.SetBytes(int64(s.Width) * n * 8)
 				for i := 0; i < b.N; i++ {
-					t8(&tx8, &ty8, &tz8, sx, sy, sz, q, &phi)
+					s.Eval(tx[:s.Width], ty[:s.Width], tz[:s.Width], sx, sy, sz, q, phi)
 				}
 			})
 		}
 		if f32, ok := k.(F32Kernel); ok {
+			t8 := F32Tiles(f32)[0].Eval
 			b.Run(k.Name()+"/tile-f32", func(b *testing.B) {
-				tk := AsF32Tile(f32)
-				var phi [F32TileWidth]float32
+				phi := make([]float32, 8)
 				b.SetBytes(8 * n * 8)
 				for i := 0; i < b.N; i++ {
-					tk.EvalTileAccumF32(&ftx, &fty, &ftz, sx, sy, sz, q, &phi)
+					t8(ftx, fty, ftz, sx, sy, sz, q, phi)
 				}
 			})
 		}
 	}
 	rc := RegularizedCoulomb{Eps: 0.05}
+	gts := GradTiles(rc)
 	b.Run(rc.Name()+"/grad-x4", func(b *testing.B) {
-		var gk GradKernel = rc // the drivers' interface call per interaction
-		var phi, gx, gy, gz [TileWidth]float64
+		t1 := gts[len(gts)-1].Eval
+		p, x, y, z := make([]float64, 4), make([]float64, 4), make([]float64, 4), make([]float64, 4)
 		b.SetBytes(4 * n * 8)
 		for i := 0; i < b.N; i++ {
-			gradChains(gk, &tx, &ty, &tz, sx, sy, sz, q, &phi, &gx, &gy, &gz)
+			for t := 0; t < 4; t++ {
+				t1(tx[t:t+1], ty[t:t+1], tz[t:t+1], sx, sy, sz, q, p[t:t+1], x[t:t+1], y[t:t+1], z[t:t+1])
+			}
 		}
 	})
-	if gt := GradTile(rc); gt != nil {
+	if gts[0].Width == 4 {
 		b.Run(rc.Name()+"/grad-tile", func(b *testing.B) {
-			var phi, gx, gy, gz [TileWidth]float64
+			t4 := gts[0].Eval
+			p, x, y, z := make([]float64, 4), make([]float64, 4), make([]float64, 4), make([]float64, 4)
 			b.SetBytes(4 * n * 8)
 			for i := 0; i < b.N; i++ {
-				gt(&tx, &ty, &tz, sx, sy, sz, q, &phi, &gx, &gy, &gz)
+				t4(tx[:4], ty[:4], tz[:4], sx, sy, sz, q, p, x, y, z)
 			}
 		})
 	}

@@ -87,12 +87,12 @@ func RunCP(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 	phi := make([]float64, targets.Len()) // tree order
 	res := &Result{}
 
-	// Scatter every source leaf into the target tree through the tiled fast
-	// path (resolved once for the whole run).
-	tk := kernel.AsTile(k)
+	// Scatter every source leaf into the target tree through the kernel's
+	// tiles (resolved once for the whole run).
+	tiles := kernel.Tiles(k)
 	for _, si := range st.Leaves() {
 		s := &st.Nodes[si]
-		scatterCP(tk, tt, tcd, st.Particles, s, phiHat, phi, &res.Stats, p)
+		scatterCP(tiles, tt, tcd, st.Particles, s, phiHat, phi, &res.Stats, p)
 	}
 
 	// Downward pass: L2L to leaves, then L2P to particles.
@@ -104,7 +104,7 @@ func RunCP(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 }
 
 // scatterCP walks the target tree for one source leaf s.
-func scatterCP(tk kernel.TileKernel, tt *tree.Tree, tcd *core.ClusterData, src *particle.Set,
+func scatterCP(tiles []kernel.Sized[kernel.Tile], tt *tree.Tree, tcd *core.ClusterData, src *particle.Set,
 	s *tree.Node, phiHat *clusterPotentials, phi []float64, st *Stats, p core.Params) {
 
 	np := tcd.Grids[0].NumPoints()
@@ -118,8 +118,8 @@ func scatterCP(tk kernel.TileKernel, tt *tree.Tree, tcd *core.ClusterData, src *
 		wellSeparated := (t.Radius + s.Radius) < p.Theta*dist
 		if wellSeparated && np < t.Count() {
 			// CP: accumulate onto the target cluster's proxies.
-			scatterProxies(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
-				src.X[s.Lo:s.Hi], src.Y[s.Lo:s.Hi], src.Z[s.Lo:s.Hi], src.Q[s.Lo:s.Hi])
+			kernel.Accumulate(tiles, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti],
+				src.X[s.Lo:s.Hi], src.Y[s.Lo:s.Hi], src.Z[s.Lo:s.Hi], src.Q[s.Lo:s.Hi], phiHat.data[ti])
 			st.CPPairs++
 			st.CPInteractions += int64(np) * int64(s.Count())
 			continue
@@ -128,69 +128,10 @@ func scatterCP(tk kernel.TileKernel, tt *tree.Tree, tcd *core.ClusterData, src *
 			// Direct: every target in t against every source in s. (When
 			// well-separated but the cluster is smaller than its grid,
 			// direct is cheaper and exact, mirroring the PC size check.)
-			directRange(tk, tt.Particles, t.Lo, t.Hi, src, s.Lo, s.Hi, phi)
-			st.PPPairs++
-			st.PPInteractions += int64(t.Count()) * int64(s.Count())
+			directPP(tiles, tt.Particles, t, src, s, phi, st)
 			continue
 		}
 		stack = append(stack, t.Children...)
-	}
-}
-
-// scatterProxies accumulates one source block into a target cluster's
-// proxy potentials dst: the proxy points are the tile targets, seeded from
-// and stored back to dst, so each proxy's add chain is exactly the
-// per-proxy block path's. The ragged tail takes the single-target path.
-//
-//hot:path
-func scatterProxies(tk kernel.TileKernel, px, py, pz, dst, sx, sy, sz, sq []float64) {
-	var t core.TargetTile
-	m := 0
-	for ; m+kernel.TileWidth <= len(dst); m += kernel.TileWidth {
-		t.LoadProxies(px, py, pz, m)
-		t.LoadPotentials(dst, m)
-		core.EvalApproxTileBlock(tk, &t, sx, sy, sz, sq)
-		t.Store(dst, m)
-	}
-	for ; m < len(dst); m++ {
-		dst[m] += tk.EvalBlockAccum(px[m], py[m], pz[m], sx, sy, sz, sq)
-	}
-}
-
-// directRange accumulates source particles [sLo, sHi) into targets
-// [lo, hi) through the tiled fast path, single-target tail included.
-//
-//hot:path
-func directRange(tk kernel.TileKernel, tg *particle.Set, lo, hi int, src *particle.Set, sLo, sHi int, phi []float64) {
-	var t core.TargetTile
-	i := lo
-	for ; i+kernel.TileWidth <= hi; i += kernel.TileWidth {
-		t.LoadParticles(tg, i)
-		t.LoadPotentials(phi, i)
-		core.EvalDirectTileBlock(tk, &t, src, sLo, sHi)
-		t.Store(phi, i)
-	}
-	for ; i < hi; i++ {
-		phi[i] += core.EvalDirectTargetBlock(tk, tg, i, src, sLo, sHi)
-	}
-}
-
-// approxRange accumulates a proxy block (source cluster's Chebyshev points
-// with modified charges) into targets [lo, hi) through the tiled fast
-// path, single-target tail included.
-//
-//hot:path
-func approxRange(tk kernel.TileKernel, tg *particle.Set, lo, hi int, px, py, pz, qhat, phi []float64) {
-	var t core.TargetTile
-	i := lo
-	for ; i+kernel.TileWidth <= hi; i += kernel.TileWidth {
-		t.LoadParticles(tg, i)
-		t.LoadPotentials(phi, i)
-		core.EvalApproxTileBlock(tk, &t, px, py, pz, qhat)
-		t.Store(phi, i)
-	}
-	for ; i < hi; i++ {
-		phi[i] += core.EvalApproxTargetBlock(tk, tg, i, px, py, pz, qhat)
 	}
 }
 
@@ -245,8 +186,8 @@ func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 	phi := make([]float64, targets.Len())
 	res := &Result{}
 
-	// Resolve the tiled fast path once for the whole dual traversal.
-	tk := kernel.AsTile(k)
+	// Resolve the tiles once for the whole dual traversal.
+	tiles := kernel.Tiles(k)
 	var dual func(ti, si int32)
 	dual = func(ti, si int32) {
 		t := &tt.Nodes[ti]
@@ -259,32 +200,32 @@ func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 			switch {
 			case bigT && bigS:
 				// CC: proxies-to-proxies.
-				scatterProxies(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
-					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si])
+				kernel.Accumulate(tiles, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti],
+					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si], phiHat.data[ti])
 				res.Stats.CCPairs++
 				res.Stats.CCInteractions += int64(np) * int64(len(scd.Qhat[si]))
 			case bigS:
 				// PC: targets of t against source proxies (the BLTC form).
-				approxRange(tk, tt.Particles, t.Lo, t.Hi,
-					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si], phi)
+				kernel.Accumulate(tiles, tt.Particles.X[t.Lo:t.Hi], tt.Particles.Y[t.Lo:t.Hi], tt.Particles.Z[t.Lo:t.Hi],
+					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si], phi[t.Lo:t.Hi])
 				res.Stats.PCPairs++
 				res.Stats.PCInteractions += int64(t.Count()) * int64(np)
 			case bigT:
 				// CP: target proxies against source particles.
-				scatterProxies(tk, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti], phiHat.data[ti],
+				kernel.Accumulate(tiles, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti],
 					st.Particles.X[s.Lo:s.Hi], st.Particles.Y[s.Lo:s.Hi], st.Particles.Z[s.Lo:s.Hi],
-					st.Particles.Q[s.Lo:s.Hi])
+					st.Particles.Q[s.Lo:s.Hi], phiHat.data[ti])
 				res.Stats.CPPairs++
 				res.Stats.CPInteractions += int64(np) * int64(s.Count())
 			default:
-				directPP(tk, tt, t, st, s, phi, &res.Stats)
+				directPP(tiles, tt.Particles, t, st.Particles, s, phi, &res.Stats)
 			}
 			return
 		}
 		// Not well separated: split the larger cluster.
 		switch {
 		case t.IsLeaf() && s.IsLeaf():
-			directPP(tk, tt, t, st, s, phi, &res.Stats)
+			directPP(tiles, tt.Particles, t, st.Particles, s, phi, &res.Stats)
 		case s.IsLeaf() || (!t.IsLeaf() && t.Radius >= s.Radius):
 			for _, ci := range t.Children {
 				dual(ci, si)
@@ -304,8 +245,12 @@ func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 	return res, nil
 }
 
-func directPP(tk kernel.TileKernel, tt *tree.Tree, t *tree.Node, st *tree.Tree, s *tree.Node, phi []float64, stats *Stats) {
-	directRange(tk, tt.Particles, t.Lo, t.Hi, st.Particles, s.Lo, s.Hi, phi)
+// directPP accumulates the source particles of s directly into the
+// targets of t through the kernel's tiles, widest first, and counts the
+// pair.
+func directPP(tiles []kernel.Sized[kernel.Tile], tg *particle.Set, t *tree.Node, src *particle.Set, s *tree.Node, phi []float64, stats *Stats) {
+	kernel.Accumulate(tiles, tg.X[t.Lo:t.Hi], tg.Y[t.Lo:t.Hi], tg.Z[t.Lo:t.Hi],
+		src.X[s.Lo:s.Hi], src.Y[s.Lo:s.Hi], src.Z[s.Lo:s.Hi], src.Q[s.Lo:s.Hi], phi[t.Lo:t.Hi])
 	stats.PPPairs++
 	stats.PPInteractions += int64(t.Count()) * int64(s.Count())
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # verify.sh — the repo's tier-1 gate (see ROADMAP.md). Every PR must pass:
-#   gofmt -s (no unformatted or unsimplified files), go vet, the project's
+#   gofmt -s (no unformatted or unsimplified files), go vet (native and
+#   for the pure-Go arm64 build, which has no assembly), the project's
 #   own static analysis suite (cmd/bltcvet, see docs/static-analysis.md),
 #   full build, full tests with the race detector, vet and tests of the
 #   bench/ module, and a one-iteration smoke run of the tracked benchmarks
@@ -19,6 +20,13 @@ echo "gofmt -s: ok"
 
 go vet ./...
 echo "go vet: ok"
+
+# Type-check the pure-Go build too: internal/kernel's assembly tiles and
+# CPU-feature probes are amd64-only, and nothing else compiles the files
+# a non-amd64 build uses instead. Offline: arm64 is a cross-compile of
+# the local toolchain (the first run builds its standard library).
+GOARCH=arm64 go vet ./...
+echo "go vet (GOARCH=arm64): ok"
 
 # Machine-readable findings land in bltcvet-findings.json (uploaded as a
 # CI artifact next to bench-smoke.txt); the file holds [] on a clean run.
