@@ -93,10 +93,11 @@ func KernelFunc(name string, f func(tx, ty, tz, sx, sy, sz float64) float64, cpu
 // Params are the treecode parameters: the MAC opening parameter theta in
 // (0,1), the interpolation degree n >= 1, the source-tree leaf size NL and
 // the target batch size NB (Section 2.4 of the paper). The optional
-// Workers field bounds the host goroutines of the setup phase; setup
-// output is bit-identical for every worker count. Morton selects the
-// canonical Z-order build that enables Plan.Update for dynamic
-// simulations, with DriftTol tuning its refit/repair/rebuild policy.
+// Workers field bounds the host goroutines of the setup phase and of plan
+// solves' charge and compute passes; output is bit-identical for every
+// worker count. Morton selects the canonical Z-order build that enables
+// Plan.Update for dynamic simulations, with DriftTol tuning its
+// refit/repair/rebuild policy.
 type Params = core.Params
 
 // DefaultParams returns the paper's scaling-run parameters (theta = 0.8,

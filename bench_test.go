@@ -375,8 +375,9 @@ func BenchmarkTreecodeCPU50k(b *testing.B) {
 }
 
 // BenchmarkComputePhase50k measures the compute phase alone:
-// core.RunComputeOnly on a prebuilt plan with the modified charges already
-// computed, the repeated-solve path of the Solver facade. Unlike
+// core.RunComputeState on a prebuilt plan and a charge state whose
+// modified charges are already computed, the pass Plan.Solve and the
+// Solver facade run after the charge pass. Unlike
 // BenchmarkTreecodeCPU50k — which re-runs the full Solve (tree build,
 // lists, charge pass) every iteration and dilutes inner-loop wins — this
 // isolates the interaction-list evaluation that dominates every problem
@@ -388,22 +389,22 @@ func BenchmarkComputePhase50k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl.Clusters.ComputeCharges(pl.Sources, 0)
+	st := core.NewChargeState(pl)
+	st.Compute(pl, 0)
 	phi := make([]float64, pts.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(phi)
-		core.RunComputeOnly(pl, kernel.Coulomb{}, phi)
+		core.RunComputeState(pl, kernel.Coulomb{}, st, phi, 0)
 	}
 }
 
 // BenchmarkComputePhase50kParallel is the multi-core scaling curve of the
-// compute phase: the same prebuilt plan as BenchmarkComputePhase50k,
-// evaluated at every power-of-two worker count up to the machine's core
-// count. workers=1 should match the serial benchmark (it is the same
-// code path through one pool worker); the ratio between successive
-// entries is the parallel efficiency of the batch/leaf partition.
+// compute phase: the same prebuilt plan and charge state as
+// BenchmarkComputePhase50k, evaluated at every power-of-two worker count
+// up to the machine's core count. The ratio between successive entries is
+// the parallel efficiency of the batch/leaf partition.
 func BenchmarkComputePhase50kParallel(b *testing.B) {
 	pts := barytree.UniformCube(50_000, 3)
 	p := core.Params{Theta: 0.8, Degree: 6, LeafSize: 1000, BatchSize: 1000}
@@ -411,14 +412,15 @@ func BenchmarkComputePhase50kParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl.Clusters.ComputeCharges(pl.Sources, 0)
+	st := core.NewChargeState(pl)
+	st.Compute(pl, 0)
 	phi := make([]float64, pts.Len())
 	for workers := 1; workers <= runtime.NumCPU(); workers *= 2 {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				clear(phi)
-				core.RunComputeOnlyWorkers(pl, kernel.Coulomb{}, phi, workers)
+				core.RunComputeState(pl, kernel.Coulomb{}, st, phi, workers)
 			}
 		})
 	}
@@ -560,8 +562,9 @@ func BenchmarkPlanSolve50k(b *testing.B) {
 // BenchmarkServeSolve20k measures one solve through the full daemon path
 // — HTTP round-trip, JSON decode/encode of charges and potentials,
 // admission, coalescing queue, cached plan — at a size where the serving
-// overhead is visible next to the compute (see BENCH_PR6.json's "serving"
-// record for the concurrent-load picture).
+// overhead is visible next to the compute. bltcbench's serve-open-2k
+// workload (bench/README.md) measures the daemon under concurrent
+// open-loop load.
 func BenchmarkServeSolve20k(b *testing.B) {
 	const n = 20_000
 	pts := barytree.UniformCube(n, 7)

@@ -11,14 +11,11 @@
 //	curl -s localhost:7070/v1/solve  -d '{"plan":"<key>","kernel":{"name":"coulomb"},"charges":[...]}'
 //	curl -s localhost:7070/metrics
 //
-// Modes:
-//
-//	bltcd -smoke      start, run one end-to-end solve against itself
-//	                  (checked bit-for-bit vs the library), shut down —
-//	                  the CI smoke gate.
-//	bltcd -loadtest   replay thousands of simulated clients against an
-//	                  in-process daemon and record p50/p99 latency and
-//	                  throughput into a BENCH json (see -out).
+// With -smoke, bltcd starts an in-process daemon on a loopback port, runs
+// one end-to-end solve against it (checked bit-for-bit against the
+// library) and shuts down: the CI smoke gate. Latency and throughput
+// under load are measured by bltcbench's serve-open-2k workload
+// (bench/README.md).
 package main
 
 import (
@@ -46,15 +43,7 @@ func main() {
 		maxBodyMB  = flag.Int64("max-body-mb", 0, "request body cap in MiB (0 = default 256)")
 		traceSpans = flag.Int("trace-spans", 0, "span cap of the /trace buffer (0 = default 4096)")
 		smoke      = flag.Bool("smoke", false, "start, solve once against itself, verify, shut down")
-		loadtest   = flag.Bool("loadtest", false, "run the load harness against an in-process daemon")
 	)
-	// Load-harness flags (only read with -loadtest).
-	lt := loadFlags{}
-	flag.IntVar(&lt.N, "n", 2000, "loadtest: particles per geometry")
-	flag.IntVar(&lt.Clients, "clients", 200, "loadtest: concurrent simulated clients")
-	flag.IntVar(&lt.Requests, "requests", 10, "loadtest: solve requests per client")
-	flag.Int64Var(&lt.Seed, "seed", 7, "loadtest: geometry/charge seed")
-	flag.StringVar(&lt.Out, "out", "", "loadtest: BENCH json to create or merge the \"serving\" record into")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -65,20 +54,15 @@ func main() {
 		TraceSpans:      *traceSpans,
 	}
 
-	switch {
-	case *smoke:
+	if *smoke {
 		if err := runSmoke(cfg); err != nil {
 			log.Fatalf("bltcd smoke: %v", err)
 		}
 		fmt.Println("bltcd smoke: ok")
-	case *loadtest:
-		if err := runLoadtest(cfg, lt); err != nil {
-			log.Fatalf("bltcd loadtest: %v", err)
-		}
-	default:
-		if err := runDaemon(cfg, *addr); err != nil {
-			log.Fatal(err)
-		}
+		return
+	}
+	if err := runDaemon(cfg, *addr); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -110,15 +94,14 @@ func runDaemon(cfg serve.Config, addr string) error {
 }
 
 // startLocal starts an in-process daemon on an ephemeral loopback port and
-// returns its base URL and a clean-shutdown func (smoke and loadtest
-// share it).
-func startLocal(cfg serve.Config) (base string, srv *serve.Server, shutdown func() error, err error) {
-	srv = serve.New(cfg)
+// returns its base URL and a clean-shutdown func, so -smoke goes through a
+// real socket.
+func startLocal(cfg serve.Config) (base string, shutdown func() error, err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", nil, nil, err
+		return "", nil, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: serve.New(cfg).Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	shutdown = func() error {
@@ -132,5 +115,5 @@ func startLocal(cfg serve.Config) (base string, srv *serve.Server, shutdown func
 		}
 		return nil
 	}
-	return "http://" + ln.Addr().String(), srv, shutdown, nil
+	return "http://" + ln.Addr().String(), shutdown, nil
 }

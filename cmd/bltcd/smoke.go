@@ -13,8 +13,8 @@ import (
 	"barytree/internal/serve"
 )
 
-// smokeGeometry builds a small deterministic point cloud for the
-// self-check modes.
+// smokeGeometry builds a small deterministic point cloud for the smoke
+// check.
 func smokeGeometry(n int, seed int64) (*serve.PointsSpec, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	ps := &serve.PointsSpec{
@@ -57,7 +57,7 @@ func postJSON(base, path string, body, out any) error {
 // against the library, then shuts down cleanly. This is the CI gate run by
 // verify.sh.
 func runSmoke(cfg serve.Config) error {
-	base, _, shutdown, err := startLocal(cfg)
+	base, shutdown, err := startLocal(cfg)
 	if err != nil {
 		return err
 	}

@@ -2,55 +2,29 @@
 // distributed BLTC for fixed problem sizes (the paper uses 16M and 64M
 // particles) on 1 to 32 GPUs — run time and parallel efficiency (panels
 // a,b) and the setup/precompute/compute phase distribution (panels c,d).
+// It ends with the setup-share crossover of each (kernel, N) series, the
+// smallest GPU count at which setup plus precompute reaches compute; run
+// it with and without -overlap to see how far pipelining moves it.
 //
 //	fig6 -scale 1            # the paper's 16M and 64M particles
 //	fig6                     # laptop default: paper sizes / 64
 //	fig6 -overlap            # the pipelined LET-exchange schedule
-//	fig6 -json fig6.json     # run both schedules, write a {"fig6": ...}
-//	                         # sections file (scripts/benchjson merges it
-//	                         # into the BENCH record) and report how far
-//	                         # overlap moves the setup-share crossover
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
-	"barytree/internal/perfmodel"
 	"barytree/internal/sweep"
 )
 
-// jsonPoint is one measurement in the -json sections file, for both
-// schedules side by side.
-type jsonPoint struct {
-	Kernel            string  `json:"kernel"`
-	N                 int     `json:"n"`
-	GPUs              int     `json:"gpus"`
-	Total             float64 `json:"total_s"`
-	SetupShare        float64 `json:"setup_share"`
-	OverlapTotal      float64 `json:"overlap_total_s"`
-	OverlapSetupShare float64 `json:"overlap_setup_share"`
-	OverlapSaved      float64 `json:"overlap_saved_s"`
-}
-
-// jsonSeries summarizes one (kernel, N) strong-scaling series: where the
-// phase distribution flips to setup-dominated under each schedule.
-type jsonSeries struct {
-	Kernel           string `json:"kernel"`
-	N                int    `json:"n"`
-	Crossover        int    `json:"setup_crossover_gpus"`         // 0 = compute-dominated throughout
-	OverlapCrossover int    `json:"overlap_setup_crossover_gpus"` // ditto, pipelined schedule
-}
-
 func main() {
 	var (
-		scale    = flag.Int("scale", 64, "divide the paper's sizes by this factor (1 = paper scale)")
-		maxGPUs  = flag.Int("maxgpus", 32, "largest GPU count")
-		quiet    = flag.Bool("quiet", false, "suppress progress")
-		overlap  = flag.Bool("overlap", false, "pipelined LET-exchange schedule (OverlapComm)")
-		jsonPath = flag.String("json", "", "run both schedules and write a {\"fig6\": ...} sections file here")
+		scale   = flag.Int("scale", 64, "divide the paper's sizes by this factor (1 = paper scale)")
+		maxGPUs = flag.Int("maxgpus", 32, "largest GPU count")
+		quiet   = flag.Bool("quiet", false, "suppress progress")
+		overlap = flag.Bool("overlap", false, "pipelined LET-exchange schedule (OverlapComm)")
 	)
 	flag.Parse()
 
@@ -76,29 +50,18 @@ func main() {
 	res.Render(os.Stdout)
 	res.RenderPhases(os.Stdout)
 
-	if *jsonPath != "" {
-		other := cfg
-		other.Overlap = !cfg.Overlap
-		res2, err := sweep.RunFig6(other, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fig6:", err)
-			os.Exit(1)
-		}
-		plain, piped := res, res2
-		if cfg.Overlap {
-			plain, piped = res2, res
-		}
-		if err := writeSections(*jsonPath, plain, piped); err != nil {
-			fmt.Fprintln(os.Stderr, "fig6:", err)
-			os.Exit(1)
-		}
-		for _, k := range cfg.Kernels {
-			for _, n := range cfg.Sizes {
-				fmt.Printf("\n%-8s N=%d: setup-share crossover at %s GPUs serial, %s pipelined\n",
-					k.Name(), n,
-					fmtCrossover(plain.SetupCrossover(k.Name(), n)),
-					fmtCrossover(piped.SetupCrossover(k.Name(), n)))
+	schedule := "serial"
+	if cfg.Overlap {
+		schedule = "pipelined"
+	}
+	fmt.Println()
+	for _, k := range cfg.Kernels {
+		for _, n := range cfg.Sizes {
+			crossover := fmt.Sprintf("no setup-share crossover up to %d GPUs", cfg.GPUs[len(cfg.GPUs)-1])
+			if g := res.SetupCrossover(k.Name(), n); g > 0 {
+				crossover = fmt.Sprintf("setup-share crossover at %d GPUs", g)
 			}
+			fmt.Printf("%-8s N=%d: %s (%s schedule)\n", k.Name(), n, crossover, schedule)
 		}
 	}
 
@@ -111,62 +74,4 @@ func main() {
 	}
 	fmt.Println("\nshape check passed: high efficiency at 32 GPUs, compute-dominated at low rank")
 	fmt.Println("counts, setup/precompute share growing with the rank count.")
-}
-
-func fmtCrossover(g int) string {
-	if g == 0 {
-		return "no"
-	}
-	return fmt.Sprint(g)
-}
-
-// writeSections renders the two schedules' sweeps as a sections file for
-// scripts/benchjson: {"fig6": {"config": ..., "points": [...], "series": [...]}}.
-func writeSections(path string, plain, piped *sweep.Fig6Result) error {
-	cfg := plain.Config
-	var points []jsonPoint
-	for _, p := range plain.Points {
-		jp := jsonPoint{
-			Kernel:     p.Kernel,
-			N:          p.N,
-			GPUs:       p.GPUs,
-			Total:      p.Times.Total(),
-			SetupShare: (p.Times.Total() - p.Times[perfmodel.PhaseCompute]) / p.Times.Total(),
-		}
-		for _, q := range piped.Points {
-			if q.Kernel == p.Kernel && q.N == p.N && q.GPUs == p.GPUs {
-				jp.OverlapTotal = q.Times.Total()
-				jp.OverlapSetupShare = (q.Times.Total() - q.Times[perfmodel.PhaseCompute]) / q.Times.Total()
-				jp.OverlapSaved = q.OverlapSaved
-			}
-		}
-		points = append(points, jp)
-	}
-	var series []jsonSeries
-	for _, k := range cfg.Kernels {
-		for _, n := range cfg.Sizes {
-			series = append(series, jsonSeries{
-				Kernel:           k.Name(),
-				N:                n,
-				Crossover:        plain.SetupCrossover(k.Name(), n),
-				OverlapCrossover: piped.SetupCrossover(k.Name(), n),
-			})
-		}
-	}
-	doc := map[string]any{
-		"fig6": map[string]any{
-			"config": map[string]any{
-				"sizes": cfg.Sizes, "gpus": cfg.GPUs,
-				"theta": cfg.Params.Theta, "degree": cfg.Params.Degree,
-				"leaf": cfg.Params.LeafSize, "batch": cfg.Params.BatchSize,
-			},
-			"points": points,
-			"series": series,
-		},
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

@@ -276,6 +276,38 @@ func TestSerialMatchesParallelCPU(t *testing.T) {
 	}
 }
 
+// TestCPUOptionsDefaultWorkers pins the documented default: Workers = 0
+// stays 0, so pool runs GOMAXPROCS goroutines, while the modeled CPU is
+// still the paper's 6-core Xeon X5650. Potentials and modeled times match
+// a serial run bit for bit.
+func TestCPUOptionsDefaultWorkers(t *testing.T) {
+	var o CPUOptions
+	o.defaults()
+	if o.Workers != 0 {
+		t.Errorf("default Workers = %d, want 0 (GOMAXPROCS)", o.Workers)
+	}
+	if o.Spec != perfmodel.XeonX5650() {
+		t.Errorf("default Spec = %+v, want the Xeon X5650", o.Spec)
+	}
+
+	pts := testParticles(t, 2000, 12)
+	p := Params{Theta: 0.7, Degree: 4, LeafSize: 100, BatchSize: 100}
+	pl, err := NewPlan(pts, pts, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := RunCPU(pl, kernel.Coulomb{}, CPUOptions{})
+	serial := RunCPU(pl, kernel.Coulomb{}, CPUOptions{Workers: 1})
+	if def.Times != serial.Times {
+		t.Errorf("modeled times: default %v, serial %v", def.Times, serial.Times)
+	}
+	for i := range serial.Phi {
+		if def.Phi[i] != serial.Phi[i] {
+			t.Fatalf("potential %d: default %g, serial %g", i, def.Phi[i], serial.Phi[i])
+		}
+	}
+}
+
 func TestChargeSumInvariant(t *testing.T) {
 	// Partition of unity: for every cluster, sum_k qhat_k = sum_j q_j.
 	pts := testParticles(t, 2000, 12)

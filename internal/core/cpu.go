@@ -35,12 +35,11 @@ type CPUOptions struct {
 	Spec perfmodel.CPUSpec
 }
 
+// defaults selects the modeled CPU. Workers stays as given: the modeled
+// core count only sets modeled times, and pool turns 0 into GOMAXPROCS.
 func (o *CPUOptions) defaults() {
 	if o.Spec.Cores == 0 {
 		o.Spec = perfmodel.XeonX5650()
-	}
-	if o.Workers == 0 {
-		o.Workers = o.Spec.Cores
 	}
 }
 
@@ -79,26 +78,6 @@ func RunCPU(pl *Plan, k kernel.Kernel, opt CPUOptions) *Result {
 	return res
 }
 
-// RunComputeOnly evaluates every batch's interaction list into phi (batch
-// target order, length = number of targets) using all cores, assuming the
-// plan's modified charges are already computed. It is the repeated-solve
-// path used by the Solver facade (boundary-integral iterations update
-// charges, not geometry). It returns the modeled compute-phase flop count.
-func RunComputeOnly(pl *Plan, k kernel.Kernel, phi []float64) float64 {
-	return RunComputeOnlyWorkers(pl, k, phi, 0)
-}
-
-// RunComputeOnlyWorkers is RunComputeOnly with an explicit worker count
-// (<= 0 selects GOMAXPROCS; 1 is serial). It is the multi-core scaling
-// probe the compute-phase benchmarks sweep.
-func RunComputeOnlyWorkers(pl *Plan, k kernel.Kernel, phi []float64, workers int) float64 {
-	tiles := kernel.Tiles(k)
-	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		evalBatchLists(pl, tiles, bi, phi, pl.Sources.Particles.Q, pl.Clusters.Qhat)
-	})
-	return computeFlops(pl.Lists.Stats, k, kernel.ArchCPU)
-}
-
 // evalBatchLists accumulates batch bi's full interaction list into phi
 // (batch target order) through the kernel's tiles, widest first: each
 // group of targets walks the whole list together, so every source block
@@ -108,10 +87,10 @@ func RunComputeOnlyWorkers(pl *Plan, k kernel.Kernel, phi []float64, workers int
 // whichever width its group has (up to each kernel's tile ULP contract).
 //
 // q and qhat supply the source charges (tree order) and per-node modified
-// charges: the plan's own (RunCPU, RunComputeOnly) or a per-request
-// ChargeState's (RunComputeState, RunComputeGroup). The geometry always
-// comes from the plan; q/qhat are only ever read, so concurrent calls with
-// disjoint phi are safe.
+// charges: the plan's own (RunCPU) or a per-request ChargeState's
+// (RunComputeState, RunComputeGroup). The geometry always comes from the
+// plan; q/qhat are only ever read, so concurrent calls with disjoint phi
+// are safe.
 //
 //hot:path
 func evalBatchLists(pl *Plan, tiles []kernel.Sized[kernel.Tile], bi int, phi, q []float64, qhat [][]float64) {

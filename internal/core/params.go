@@ -23,10 +23,11 @@ type Params struct {
 	BatchSize int     // NB, maximum targets per batch
 
 	// Workers bounds the host goroutines used by the setup phase (tree and
-	// batch construction, interaction lists, cluster-grid layout) and the
-	// host charge pass; <= 0 selects GOMAXPROCS. It is a host execution
-	// knob only: results, modeled times and trace output are bit-identical
-	// for every value.
+	// batch construction, interaction lists, cluster-grid layout) and by
+	// the charge and compute passes of plan solves (Plan.Solve,
+	// Plan.SolveWithField, Solver); <= 0 selects GOMAXPROCS. It is a host
+	// execution knob only: results, modeled times and trace output are
+	// bit-identical for every value.
 	Workers int
 
 	// Morton selects the Morton-ordered canonical build (tree.BuildMorton)

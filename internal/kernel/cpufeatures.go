@@ -8,6 +8,6 @@ var cpuFeatureLevel = "none"
 // assembly fast paths run at on this machine: "avx512vl", "avx2-fma",
 // "avx", or "none" (non-amd64 builds and x86 CPUs without AVX). The
 // value describes the hardware selection made at startup and does not
-// change when SetAsmKernels toggles the loops off. Benchmark tooling
-// records it so BENCH_*.json numbers are comparable across machines.
+// change when SetAsmKernels toggles the loops off. bltcbench records it
+// with every run so its numbers are comparable across machines.
 func CPUFeatures() string { return cpuFeatureLevel }

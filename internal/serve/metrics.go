@@ -11,8 +11,8 @@ import (
 // latency histogram layout: logarithmic buckets from 1µs to 100s, ten per
 // decade (ratio 10^0.1 ≈ 1.26), plus an underflow and an overflow bucket.
 // Quantiles are estimated by log-linear interpolation inside the bucket,
-// which is accurate to ~±13% — plenty for p50/p99 serving dashboards; the
-// load harness records exact per-request latencies for the BENCH record.
+// which is accurate to ~±13% — plenty for p50/p99 serving dashboards;
+// bltcbench's serve-open-2k workload times every request exactly.
 const (
 	histDecades      = 8                             // 1e-6 .. 1e2 seconds
 	histPerDecade    = 10                            //
@@ -185,8 +185,8 @@ func (m *Metrics) WriteText(w io.Writer, extra ...string) {
 }
 
 // Quantile returns the exact q-quantile (q in [0,1]) of a latency sample
-// by sorting a copy — the load harness's percentile primitive (nearest-
-// rank with linear interpolation). Returns 0 on an empty sample.
+// by sorting a copy (nearest-rank with linear interpolation). Returns 0
+// on an empty sample.
 func Quantile(sample []float64, q float64) float64 {
 	if len(sample) == 0 {
 		return 0

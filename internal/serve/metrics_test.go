@@ -142,8 +142,7 @@ func TestQuantileInterpolationBounds(t *testing.T) {
 	}
 }
 
-// TestExactQuantile covers the sorted-sample primitive the load harness
-// uses.
+// TestExactQuantile covers the sorted-sample primitive Quantile.
 func TestExactQuantile(t *testing.T) {
 	sample := []float64{4, 1, 3, 2}
 	cases := []struct{ q, want float64 }{

@@ -302,7 +302,7 @@ func (s *Server) handlePlanDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Admission control: bounded in-flight solves, immediate rejection
 	// beyond the bound. Retry-After tells well-behaved clients to back
-	// off; the load harness measures how often this fires.
+	// off; /metrics counts how often this fires.
 	select {
 	case s.admit <- struct{}{}:
 		defer func() { <-s.admit }()

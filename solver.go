@@ -67,9 +67,9 @@ func (s *Solver) UpdateCharges(q []float64) error {
 // is never rebuilt.
 func (s *Solver) Potentials() []float64 {
 	pl := s.plan.core
-	s.state.Compute(pl, 0)
+	s.state.Compute(pl, s.params.Workers)
 	phiBatch := make([]float64, pl.Batches.Targets.Len())
-	core.RunComputeState(pl, s.k, s.state, phiBatch, 0)
+	core.RunComputeState(pl, s.k, s.state, phiBatch, s.params.Workers)
 	out := make([]float64, len(phiBatch))
 	pl.Batches.Perm.ScatterInto(out, phiBatch)
 	return out
