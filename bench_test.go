@@ -350,16 +350,20 @@ func BenchmarkClusterData50k(b *testing.B) {
 }
 
 // BenchmarkModifiedCharges measures the charge pass alone on a fixed
-// layout (grid construction is BenchmarkClusterData50k); in steady state
-// the pass reuses pooled scratch and the q-hat arena, so B/op is ~0.
+// layout (grid construction is BenchmarkClusterData50k): a charge state
+// invalidated and recomputed, as Solver.UpdateCharges does. In steady
+// state the pass reuses pooled scratch and the state's q-hat arena, so
+// B/op is ~0.
 func BenchmarkModifiedCharges(b *testing.B) {
 	pts := barytree.UniformCube(50_000, 2)
 	t := tree.Build(pts, 2000)
-	cd := core.NewClusterData(t, 8)
+	pl := &core.Plan{Sources: t, Clusters: core.NewClusterData(t, 8)}
+	st := core.NewChargeState(pl)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cd.ComputeCharges(t, 0)
+		st.Invalidate()
+		st.Compute(pl, 0)
 	}
 }
 

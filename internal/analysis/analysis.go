@@ -221,7 +221,6 @@ func DefaultAnalyzers() []*Analyzer {
 		DetRand(),
 		MapOrder(),
 		NilTracer(),
-		MutexCopy(),
 		GoroutineCapture(),
 		HotAlloc(),
 		LockCheck(DefaultLockCheckBlockingPackages...),

@@ -141,11 +141,6 @@ func TestNilTracer(t *testing.T) {
 	checkFixture(t, NilTracer(), "niltracer/clean")
 }
 
-func TestMutexCopy(t *testing.T) {
-	checkFixture(t, MutexCopy(), "mutexcopy/flagged")
-	checkFixture(t, MutexCopy(), "mutexcopy/clean")
-}
-
 func TestGoroutineCapture(t *testing.T) {
 	checkFixture(t, GoroutineCapture(), "goroutinecapture/flagged")
 	checkFixture(t, GoroutineCapture(), "goroutinecapture/clean")

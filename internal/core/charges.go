@@ -11,9 +11,9 @@ import (
 )
 
 // ClusterData holds, for every node of a source tree, the tensor-product
-// Chebyshev grid over the node's (minimal) bounding box, the flattened
-// interpolation-point coordinates, and — once a charge pass has run — the
-// modified charges q-hat of equation (12).
+// Chebyshev grid over the node's (minimal) bounding box and the flattened
+// interpolation-point coordinates. It depends on positions only: a Plan's
+// solves keep their modified charges in a ChargeState.
 type ClusterData struct {
 	Degree int
 	Grids  []chebyshev.Grid3D
@@ -22,22 +22,20 @@ type ClusterData struct {
 	// per-node slice is a view into one flat arena (ptArena), so the whole
 	// layout costs a handful of allocations rather than ~4 per node.
 	PX, PY, PZ [][]float64
-	// Qhat[i] are node i's modified charges, nil before a charge pass.
-	// When filled by the host or device charge pass, Qhat[i] aliases node
-	// i's slot of a flat arena (qhatArena), so repeated passes after
-	// Solver.UpdateCharges-style invalidation allocate nothing.
+	// Qhat[i] are node i's modified charges, filled only by
+	// LaunchChargeKernels, the charge pass of a distributed rank's own
+	// cluster data. Qhat is nil before it, and every entry stays nil
+	// under a model-only launch.
 	Qhat [][]float64
 
 	cache     *chebyshev.DegreeCache // degree-dependent cos/weights tables
 	gridArena []float64              // 1D grid points, 3*(degree+1) per node
 	ptArena   []float64              // flattened coords, 3*(n+1)^3 per node
-	qhatArena []float64              // modified-charge slots, (n+1)^3 per node
 }
 
 // NewClusterData lays out degree-n interpolation grids for every node of t
 // using all available cores; it is NewClusterDataWorkers with the default
-// worker count. Modified charges are left nil; call ComputeCharges (or run
-// a driver) to fill them.
+// worker count.
 func NewClusterData(t *tree.Tree, degree int) *ClusterData {
 	return NewClusterDataWorkers(t, degree, 0)
 }
@@ -56,7 +54,6 @@ func NewClusterDataWorkers(t *tree.Tree, degree, workers int) *ClusterData {
 		PX:     make([][]float64, n),
 		PY:     make([][]float64, n),
 		PZ:     make([][]float64, n),
-		Qhat:   make([][]float64, n),
 	}
 	if n == 0 {
 		return cd
@@ -68,7 +65,6 @@ func NewClusterDataWorkers(t *tree.Tree, degree, workers int) *ClusterData {
 	np := m * m * m
 	cd.gridArena = make([]float64, n*3*m)
 	cd.ptArena = make([]float64, n*3*np)
-	cd.qhatArena = make([]float64, n*np)
 	pool.For(n, workers, func(i int) {
 		g := cd.cache.Grid3DInto(t.Nodes[i].Box, cd.gridArena[i*3*m:(i+1)*3*m])
 		cd.Grids[i] = g
@@ -83,11 +79,9 @@ func NewClusterDataWorkers(t *tree.Tree, degree, workers int) *ClusterData {
 }
 
 // RefitGridsWorkers re-lays the interpolation grid of every node over the
-// tree's current (refit) boxes, reusing the grid and point arenas, and
-// unpublishes the modified charges (Qhat[i] = nil) so the next charge pass
-// recomputes them against the new grids. This is Plan.Update's refit fast
-// path for the cluster data: the node count is unchanged by construction,
-// so no allocation or re-slicing is needed, and after the next charge pass
+// tree's current (refit) boxes, reusing the grid and point arenas. This is
+// Plan.Update's refit fast path for the cluster data: the node count is
+// unchanged by construction, so no allocation or re-slicing is needed, and
 // the cluster data is indistinguishable from a fresh NewClusterDataWorkers
 // over the refit tree — same arena layout, same bits.
 func (cd *ClusterData) RefitGridsWorkers(t *tree.Tree, workers int) {
@@ -109,16 +103,21 @@ func (cd *ClusterData) RefitGridsWorkers(t *tree.Tree, workers int) {
 		pz := cd.ptArena[base+2*np : base+3*np : base+3*np]
 		g.FlattenedPointsInto(px, py, pz)
 		cd.PX[i], cd.PY[i], cd.PZ[i] = px, py, pz
-		cd.Qhat[i] = nil
 	})
 }
 
-// qhatSlot returns node ni's slot of the modified-charge arena, the buffer
-// a charge pass fills and publishes as Qhat[ni].
-func (cd *ClusterData) qhatSlot(ni int) []float64 {
+// qhatSlots allocates one modified-charge slot of (n+1)^3 values for each
+// of nodes nodes, all views into one flat arena, so a charge store costs
+// two allocations however many nodes it covers.
+func (cd *ClusterData) qhatSlots(nodes int) [][]float64 {
 	m := cd.Degree + 1
 	np := m * m * m
-	return cd.qhatArena[ni*np : (ni+1)*np : (ni+1)*np]
+	arena := make([]float64, nodes*np)
+	qhat := make([][]float64, nodes)
+	for i := range qhat {
+		qhat[i] = arena[i*np : (i+1)*np : (i+1)*np]
+	}
+	return qhat
 }
 
 // chargeWork returns the modeled flop-equivalents of the two preprocessing
@@ -180,8 +179,7 @@ func (s *chargeScratch) Reserve(nc, m int) {
 // pass1Particle computes the intermediate quantity q-tilde (equation (14))
 // and the barycentric factors for the j-th particle of node nd, mirroring
 // one thread block of the first preprocessing kernel. q supplies the source
-// charges in tree order — the plan's own Q for a plan-owned pass, or a
-// ChargeState's Q for a per-request pass; the arithmetic is identical.
+// charges in tree order.
 //
 //hot:path
 func (cd *ClusterData) pass1Particle(src *particle.Set, q []float64, nd *tree.Node, ni, j int, s *chargeScratch) {
@@ -239,11 +237,8 @@ func (cd *ClusterData) pass2Point(s *chargeScratch, block int, qhat []float64) {
 
 // computeChargesNodeInto runs both host passes for node ni with charges q
 // (tree order) into the caller-provided qhat buffer, using the caller's
-// scratch — the pass itself allocates nothing. This is the shared body of
-// the plan-owned pass (qhat = the plan's arena slot) and the per-request
-// pass (qhat = a ChargeState's arena slot); for equal q the filled values
-// are bit-identical because the operation sequence does not depend on
-// which buffer receives them.
+// scratch — the pass itself allocates nothing. For equal q the filled
+// values are bit-identical whichever buffer receives them.
 func (cd *ClusterData) computeChargesNodeInto(src *particle.Set, q []float64, nd *tree.Node, ni int, s *chargeScratch, qhat []float64) {
 	nc := nd.Count()
 	s.Reserve(nc, cd.Degree+1)
@@ -254,33 +249,6 @@ func (cd *ClusterData) computeChargesNodeInto(src *particle.Set, q []float64, nd
 	for b := 0; b < np; b++ {
 		cd.pass2Point(s, b, qhat)
 	}
-}
-
-// computeChargesNode fills Qhat[ni] on the host (both passes, serial),
-// using the caller's scratch buffers and the node's arena slot — the pass
-// itself allocates nothing.
-func (cd *ClusterData) computeChargesNode(src *particle.Set, nd *tree.Node, ni int, s *chargeScratch) {
-	qhat := cd.qhatSlot(ni)
-	cd.computeChargesNodeInto(src, src.Q, nd, ni, s, qhat)
-	cd.Qhat[ni] = qhat
-}
-
-// ComputeCharges fills the modified charges of every cluster on the host
-// using up to `workers` goroutines (workers <= 0 selects a sensible
-// default). Each worker reuses one flat scratch buffer across its clusters
-// and writes into the modified-charge arena, so a steady-state pass
-// allocates nothing. It returns the total modeled flop-equivalents of the
-// work.
-func (cd *ClusterData) ComputeCharges(t *tree.Tree, workers int) float64 {
-	flops := cd.TotalChargeWork(t)
-	pool.Blocks(len(t.Nodes), workers, func(_, lo, hi int) {
-		s := scratchPool.Get().(*chargeScratch)
-		for i := lo; i < hi; i++ {
-			cd.computeChargesNode(t.Particles, &t.Nodes[i], i, s)
-		}
-		scratchPool.Put(s)
-	})
-	return flops
 }
 
 // TotalChargeWork returns the modeled flop-equivalents of a full charge

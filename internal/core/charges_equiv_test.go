@@ -67,22 +67,22 @@ func referenceCharges(cd *ClusterData, t *tree.Tree) [][]float64 {
 }
 
 // TestComputeChargesMatchesReference verifies the flat-scratch charge pass
-// is bit-identical to the allocating reference, for serial and parallel
-// worker counts (scratch reuse across clusters must not leak state between
-// them).
+// (ChargeState.Compute) is bit-identical to the allocating reference, for
+// serial and parallel worker counts (scratch reuse across clusters must
+// not leak state between them).
 func TestComputeChargesMatchesReference(t *testing.T) {
 	src := testParticles(t, 4000, 17)
 	tr := tree.Build(src, 60)
 	for _, workers := range []int{1, 3, 0} {
-		cd := NewClusterData(tr, 4)
-		cd.ComputeCharges(tr, workers)
-		want := referenceCharges(cd, tr)
+		pl := &Plan{Sources: tr, Clusters: NewClusterData(tr, 4)}
+		st := chargedState(pl, workers)
+		want := referenceCharges(pl.Clusters, tr)
 		for ni := range tr.Nodes {
-			if len(cd.Qhat[ni]) != len(want[ni]) {
+			if len(st.Qhat[ni]) != len(want[ni]) {
 				t.Fatalf("workers=%d node %d: qhat length %d, want %d",
-					workers, ni, len(cd.Qhat[ni]), len(want[ni]))
+					workers, ni, len(st.Qhat[ni]), len(want[ni]))
 			}
-			for b, v := range cd.Qhat[ni] {
+			for b, v := range st.Qhat[ni] {
 				if v != want[ni][b] {
 					t.Fatalf("workers=%d node %d point %d: qhat = %v, want %v (diff %g)",
 						workers, ni, b, v, want[ni][b], v-want[ni][b])

@@ -12,16 +12,16 @@ import (
 )
 
 // TestNewClusterDataWorkersDeterministic pins the arena rebuild: grids,
-// flattened points and (after a charge pass) modified charges must be
-// value-identical for every worker count.
+// flattened points and the modified charges a charge state computes over
+// them must be value-identical for every worker count.
 func TestNewClusterDataWorkersDeterministic(t *testing.T) {
 	pts := particle.UniformCube(5000, rand.New(rand.NewSource(6)))
 	tr := tree.Build(pts, 200)
 	want := NewClusterDataWorkers(tr, 4, 1)
-	want.ComputeCharges(tr, 1)
+	wantQ := chargedState(&Plan{Sources: tr, Clusters: want}, 1).Qhat
 	for _, w := range []int{2, 3, 7, runtime.GOMAXPROCS(0)} {
 		got := NewClusterDataWorkers(tr, 4, w)
-		got.ComputeCharges(tr, w)
+		gotQ := chargedState(&Plan{Sources: tr, Clusters: got}, w).Qhat
 		if !reflect.DeepEqual(want.Grids, got.Grids) {
 			t.Fatalf("workers=%d: grids differ", w)
 		}
@@ -29,7 +29,7 @@ func TestNewClusterDataWorkersDeterministic(t *testing.T) {
 			!reflect.DeepEqual(want.PZ, got.PZ) {
 			t.Fatalf("workers=%d: flattened points differ", w)
 		}
-		if !reflect.DeepEqual(want.Qhat, got.Qhat) {
+		if !reflect.DeepEqual(wantQ, gotQ) {
 			t.Fatalf("workers=%d: modified charges differ", w)
 		}
 	}
@@ -56,23 +56,22 @@ func TestNewClusterDataMatchesLegacyLayout(t *testing.T) {
 	}
 }
 
-// TestClusterDataQhatArenaReuse pins the steady-state allocation contract:
-// invalidating Qhat (as Solver.UpdateCharges does) and recomputing must
-// land every node back on its arena slot, not a fresh allocation.
+// TestClusterDataQhatArenaReuse pins the steady-state allocation contract
+// of the charge store: invalidating a state's modified charges (as
+// Solver.UpdateCharges does) and recomputing must land every node back on
+// its arena slot, not a fresh allocation.
 func TestClusterDataQhatArenaReuse(t *testing.T) {
 	pts := particle.UniformCube(2000, rand.New(rand.NewSource(12)))
 	tr := tree.Build(pts, 100)
-	cd := NewClusterData(tr, 3)
-	cd.ComputeCharges(tr, 0)
-	first := make([]*float64, len(cd.Qhat))
-	for i, q := range cd.Qhat {
+	pl := &Plan{Sources: tr, Clusters: NewClusterData(tr, 3)}
+	st := chargedState(pl, 0)
+	first := make([]*float64, len(st.Qhat))
+	for i, q := range st.Qhat {
 		first[i] = &q[0]
 	}
-	for i := range cd.Qhat {
-		cd.Qhat[i] = nil
-	}
-	cd.ComputeCharges(tr, 0)
-	for i, q := range cd.Qhat {
+	st.Invalidate()
+	st.Compute(pl, 0)
+	for i, q := range st.Qhat {
 		if &q[0] != first[i] {
 			t.Fatalf("node %d: recompute allocated a new qhat buffer", i)
 		}

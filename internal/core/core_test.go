@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"barytree/internal/device"
@@ -17,6 +18,14 @@ func testParticles(t *testing.T, n int, seed int64) *particle.Set {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	return particle.UniformCube(n, rng)
+}
+
+// chargedState returns a state holding pl's build-time charges with every
+// node's modified charges computed by up to workers goroutines.
+func chargedState(pl *Plan, workers int) *ChargeState {
+	st := NewChargeState(pl)
+	st.Compute(pl, workers)
+	return st
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -315,7 +324,7 @@ func TestChargeSumInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.Clusters.ComputeCharges(pl.Sources, 0)
+	st := chargedState(pl, 0)
 	for ni := range pl.Sources.Nodes {
 		nd := &pl.Sources.Nodes[ni]
 		var qsum float64
@@ -323,7 +332,7 @@ func TestChargeSumInvariant(t *testing.T) {
 			qsum += pl.Sources.Particles.Q[j]
 		}
 		var qhatSum float64
-		for _, v := range pl.Clusters.Qhat[ni] {
+		for _, v := range st.Qhat[ni] {
 			qhatSum += v
 		}
 		if math.Abs(qsum-qhatSum) > 1e-9*math.Max(1, math.Abs(qsum)) {
@@ -347,4 +356,68 @@ func TestModelDirectSumOrdering(t *testing.T) {
 		t.Errorf("direct-sum GPU/CPU speedup %.0fx below the paper's >=25x", ratio)
 	}
 	t.Logf("direct sum 1M: cpu=%.1fs gpu=%.2fs (%.0fx)", tCPU, tGPU, ratio)
+}
+
+// TestDriversLeavePlanUnchanged pins that the plan holds geometry only:
+// every driver charges into a ChargeState of its own, so after running
+// them all the plan — particles, nodes, batches, lists, grids, points and
+// Clusters.Qhat — still deep-equals an untouched plan built from the same
+// input.
+func TestDriversLeavePlanUnchanged(t *testing.T) {
+	targets := testParticles(t, 1200, 61)
+	sources := testParticles(t, 1500, 62)
+	p := Params{Theta: 0.7, Degree: 3, LeafSize: 80, BatchSize: 70}
+	newPlan := func() *Plan {
+		pl, err := NewPlan(targets, sources, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	pl, want := newPlan(), newPlan()
+	k := kernel.RegularizedCoulomb{Eps: 0.01}
+	q := make([]float64, sources.Len())
+	for i := range q {
+		q[i] = float64(i%7) - 3
+	}
+	drivers := []struct {
+		name string
+		run  func()
+	}{
+		{"RunCPU", func() { RunCPU(pl, k, CPUOptions{}) }},
+		{"RunCPU workers=1", func() { RunCPU(pl, k, CPUOptions{Workers: 1}) }},
+		{"RunCPU workers=2", func() { RunCPU(pl, k, CPUOptions{Workers: 2}) }},
+		{"RunCPUFields", func() { RunCPUFields(pl, k, CPUOptions{}) }},
+		{"RunDevice", func() { RunDevice(pl, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{}) }},
+		{"RunDevice fp32", func() {
+			RunDevice(pl, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{Precision: device.FP32})
+		}},
+		{"RunDevice sync", func() { RunDevice(pl, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{Sync: true}) }},
+		{"RunDevice model-only", func() {
+			RunDevice(pl, k, device.New(perfmodel.TitanV(), 0), DeviceOptions{ModelOnly: true})
+		}},
+		{"EvaluateSampled", func() {
+			if _, err := EvaluateSampled(pl, k, NewChargeState(pl), []int{0, 17, 1199}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SolvePotentials", func() {
+			st := NewChargeState(pl)
+			if err := st.SetCharges(pl, q); err != nil {
+				t.Fatal(err)
+			}
+			SolvePotentials(pl, k, st, 0)
+			SolvePotentials(pl, k, st, 0)
+		}},
+		{"SolveFields", func() { SolveFields(pl, k, NewChargeState(pl), 0) }},
+		{"RunComputeGroup", func() {
+			RunComputeGroup(pl, []GroupMember{{Kernel: k, State: chargedState(pl, 0), Phi: make([]float64, targets.Len())}}, 0)
+		}},
+	}
+	for _, d := range drivers {
+		d.run()
+		if !reflect.DeepEqual(pl, want) {
+			t.Fatalf("%s changed the plan", d.name)
+		}
+	}
 }

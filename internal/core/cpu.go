@@ -1,12 +1,9 @@
 package core
 
 import (
-	"time"
-
 	"barytree/internal/interaction"
 	"barytree/internal/kernel"
 	"barytree/internal/perfmodel"
-	"barytree/internal/pool"
 )
 
 // Result is the output of a treecode run.
@@ -16,10 +13,6 @@ type Result struct {
 	// Times are the modeled phase durations (the paper's setup /
 	// precompute / compute split) on the modeled architecture.
 	Times perfmodel.PhaseTimes
-	// Wall are the measured wall-clock phase durations of this process
-	// (host execution of the functional algorithm), for sanity checking;
-	// all reported figures use Times.
-	Wall perfmodel.PhaseTimes
 	// Interactions are the interaction-list statistics of the run.
 	Interactions interaction.Stats
 }
@@ -46,36 +39,15 @@ func (o *CPUOptions) defaults() {
 // RunCPU evaluates the treecode plan on the CPU: modified charges for every
 // source cluster, then each batch's interaction list (direct sums for
 // near-field leaves, barycentric approximations for well-separated
-// clusters), parallelized over batches.
+// clusters), parallelized over batches. The charges go into a fresh
+// ChargeState; the plan is only read. The modeled Times are
+// ModelCPURun's.
 func RunCPU(pl *Plan, k kernel.Kernel, opt CPUOptions) *Result {
-	opt.defaults()
-	res := &Result{Interactions: pl.Lists.Stats}
-	rate := opt.Spec.ParallelFlopRate()
-
-	// Setup phase (already executed during NewPlan; modeled from counters).
-	res.Times[perfmodel.PhaseSetup] = pl.SetupWork(opt.Spec)
-
-	// Precompute phase: modified charges.
-	start := time.Now()
-	chargeFlops := pl.Clusters.ComputeCharges(pl.Sources, opt.Workers)
-	res.Wall[perfmodel.PhasePrecompute] = time.Since(start).Seconds()
-	res.Times[perfmodel.PhasePrecompute] = chargeFlops / rate
-
-	// Compute phase: walk every batch's interaction list. The tiles are
-	// resolved once here; every inner loop below them is devirtualized.
-	start = time.Now()
-	tiles := kernel.Tiles(k)
-	phiBatch := make([]float64, pl.Batches.Targets.Len())
-	pool.For(len(pl.Batches.Batches), opt.Workers, func(bi int) {
-		evalBatchLists(pl, tiles, bi, phiBatch, pl.Sources.Particles.Q, pl.Clusters.Qhat)
-	})
-	res.Wall[perfmodel.PhaseCompute] = time.Since(start).Seconds()
-	res.Times[perfmodel.PhaseCompute] = computeFlops(pl.Lists.Stats, k, kernel.ArchCPU) / rate
-
-	// Map back to the caller's target order.
-	res.Phi = make([]float64, len(phiBatch))
-	pl.Batches.Perm.ScatterInto(res.Phi, phiBatch)
-	return res
+	return &Result{
+		Phi:          SolvePotentials(pl, k, NewChargeState(pl), opt.Workers),
+		Times:        ModelCPURun(pl, k, opt.Spec),
+		Interactions: pl.Lists.Stats,
+	}
 }
 
 // evalBatchLists accumulates batch bi's full interaction list into phi
@@ -86,11 +58,10 @@ func RunCPU(pl *Plan, k kernel.Kernel, opt CPUOptions) *Result {
 // target's adds land in list order exactly as on the single-target path,
 // whichever width its group has (up to each kernel's tile ULP contract).
 //
-// q and qhat supply the source charges (tree order) and per-node modified
-// charges: the plan's own (RunCPU) or a per-request ChargeState's
-// (RunComputeState, RunComputeGroup). The geometry always comes from the
-// plan; q/qhat are only ever read, so concurrent calls with disjoint phi
-// are safe.
+// q and qhat supply a ChargeState's source charges (tree order) and
+// per-node modified charges. The geometry always comes from the plan;
+// q/qhat are only ever read, so concurrent calls with disjoint phi are
+// safe.
 //
 //hot:path
 func evalBatchLists(pl *Plan, tiles []kernel.Sized[kernel.Tile], bi int, phi, q []float64, qhat [][]float64) {
@@ -131,7 +102,7 @@ func computeFlops(st interaction.Stats, k kernel.Kernel, arch kernel.Arch) float
 // ModelCPURun returns the modeled phase times of a CPU treecode run without
 // executing any kernels: setup from the plan's construction counters,
 // precompute from the modified-charge work, compute from the interaction
-// lists. It matches RunCPU's Times field exactly.
+// lists. RunCPU's Times field is exactly this.
 func ModelCPURun(pl *Plan, k kernel.Kernel, spec perfmodel.CPUSpec) perfmodel.PhaseTimes {
 	if spec.Cores == 0 {
 		spec = perfmodel.XeonX5650()

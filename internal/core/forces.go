@@ -17,47 +17,41 @@ type FieldResult struct {
 // RunCPUFields evaluates potentials and gradients for the plan on the CPU
 // backend. The modified charges are the ones already used for potentials
 // (interpolation is in the source variable, so the gradient with respect
-// to the target needs no new cluster data).
+// to the target needs no new cluster data); they go into a fresh
+// ChargeState, and the plan is only read.
 func RunCPUFields(pl *Plan, k kernel.GradKernel, opt CPUOptions) *FieldResult {
 	opt.defaults()
-	rate := opt.Spec.ParallelFlopRate()
-	res := &FieldResult{}
-	res.Times[perfmodel.PhaseSetup] = pl.SetupWork(opt.Spec)
+	res := SolveFields(pl, k, NewChargeState(pl), opt.Workers)
+	res.Times = ModelCPURun(pl, k, opt.Spec)
+	res.Times[perfmodel.PhaseCompute] =
+		float64(pl.Lists.Stats.TotalInteractions()) * (kernel.GradCost(k, kernel.ArchCPU) + 8) / opt.Spec.ParallelFlopRate()
+	return res
+}
 
-	chargeFlops := pl.Clusters.ComputeCharges(pl.Sources, opt.Workers)
-	res.Times[perfmodel.PhasePrecompute] = chargeFlops / rate
-
+// SolveFields is SolvePotentials for potentials and gradients, the
+// sequence of RunCPUFields and Plan.SolveWithField: it charges st where it
+// is not yet charged, evaluates every batch's interaction list and returns
+// the fields in the caller's original target order (Times left zero).
+func SolveFields(pl *Plan, k kernel.GradKernel, st *ChargeState, workers int) *FieldResult {
+	st.Compute(pl, workers)
 	n := pl.Batches.Targets.Len()
 	phi := make([]float64, n)
 	gx := make([]float64, n)
 	gy := make([]float64, n)
 	gz := make([]float64, n)
-	runFieldsBatches(pl, k, pl.Sources.Particles.Q, pl.Clusters.Qhat, phi, gx, gy, gz, opt.Workers)
-	res.Times[perfmodel.PhaseCompute] =
-		float64(pl.Lists.Stats.TotalInteractions()) * (kernel.GradCost(k, kernel.ArchCPU) + 8) / rate
-
-	res.Phi = make([]float64, n)
-	res.GX = make([]float64, n)
-	res.GY = make([]float64, n)
-	res.GZ = make([]float64, n)
-	pl.Batches.Perm.ScatterInto(res.Phi, phi)
-	pl.Batches.Perm.ScatterInto(res.GX, gx)
-	pl.Batches.Perm.ScatterInto(res.GY, gy)
-	pl.Batches.Perm.ScatterInto(res.GZ, gz)
+	RunFieldsState(pl, k, st, phi, gx, gy, gz, workers)
+	res := &FieldResult{
+		Phi: make([]float64, n),
+		GX:  make([]float64, n),
+		GY:  make([]float64, n),
+		GZ:  make([]float64, n),
+	}
+	perm := pl.Batches.Perm
+	perm.ScatterInto(res.Phi, phi)
+	perm.ScatterInto(res.GX, gx)
+	perm.ScatterInto(res.GY, gy)
+	perm.ScatterInto(res.GZ, gz)
 	return res
-}
-
-// runFieldsBatches walks every batch's interaction list accumulating
-// potentials and gradients into phi/gx/gy/gz (batch target order), with
-// charges q and modified charges qhat — the plan's own (RunCPUFields) or a
-// ChargeState's (RunFieldsState). The loop structure and per-target add
-// order are identical for both, so equal charges yield byte-identical
-// fields. The gradient tiles are resolved once here.
-func runFieldsBatches(pl *Plan, k kernel.GradKernel, q []float64, qhat [][]float64, phi, gx, gy, gz []float64, workers int) {
-	tiles := kernel.GradTiles(k)
-	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
-		fieldBatchLists(pl, tiles, bi, q, qhat, phi, gx, gy, gz)
-	})
 }
 
 // fieldBatchLists accumulates batch bi's full interaction list into the
@@ -89,11 +83,15 @@ func fieldBatchLists(pl *Plan, tiles []kernel.Sized[kernel.GradTile], bi int, q 
 }
 
 // RunFieldsState evaluates potentials and gradients against a ChargeState's
-// charges into the four caller buffers (batch target order). The modified
-// charges must be fresh (call st.Compute first). The plan is only read, so
-// concurrent calls with distinct (st, buffers) are safe. Byte-identical to
-// RunCPUFields' compute pass for equal charges.
+// charges into the four caller buffers (batch target order), walking every
+// batch's list through the kernel's gradient tiles (resolved once). Every
+// node of st must be charged for the current plan generation (call
+// st.Compute first); otherwise RunFieldsState panics. The plan is only
+// read, so concurrent calls with distinct (st, buffers) are safe.
 func RunFieldsState(pl *Plan, k kernel.GradKernel, st *ChargeState, phi, gx, gy, gz []float64, workers int) {
-	st.checkGen(pl)
-	runFieldsBatches(pl, k, st.Q, st.Qhat, phi, gx, gy, gz, workers)
+	st.checkCharged(pl)
+	tiles := kernel.GradTiles(k)
+	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
+		fieldBatchLists(pl, tiles, bi, st.Q, st.Qhat, phi, gx, gy, gz)
+	})
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"barytree/internal/device"
 	"barytree/internal/kernel"
 	"barytree/internal/perfmodel"
@@ -80,21 +78,28 @@ func RunDevice(pl *Plan, k kernel.Kernel, dev *device.Device, opt DeviceOptions)
 		tr.Span("setup", trace.CatPhase, dev.Rank, trace.TrackHost, 0, hc.Now())
 	}
 
-	// --- Precompute phase: modified charges on the device. ---
-	start := time.Now()
+	// --- Precompute phase: modified charges on the device, into a fresh
+	// ChargeState; model-only launches charge nothing, so qhat's entries
+	// stay nil there. ---
 	dev.BeginPhase(hc.Now())
 	nSrc := int64(pl.Sources.Particles.Len())
 	copyDone := dev.CopyIn(hc.Now(), 4*8*nSrc) // x, y, z, q
-	LaunchChargeKernels(pl.Clusters, pl.Sources, dev, &hc, copyDone, streams, opt.ModelOnly)
+	var q []float64
+	var qhat [][]float64
+	if opt.ModelOnly {
+		qhat = make([][]float64, len(pl.Sources.Nodes))
+	} else {
+		st := NewChargeState(pl)
+		q, qhat = st.Q, st.Qhat
+	}
+	launchCharges(pl.Clusters, pl.Sources, q, qhat, dev, &hc, copyDone, streams, opt.ModelOnly)
 	hc.AdvanceTo(dev.Drain())
 	hc.AdvanceTo(dev.CopyOut(hc.Now(), pl.Clusters.ChargesBytes()))
 	res.Times[perfmodel.PhasePrecompute] = hc.Now() - res.Times[perfmodel.PhaseSetup]
-	res.Wall[perfmodel.PhasePrecompute] = time.Since(start).Seconds()
 	tr.Span("precompute", trace.CatPhase, dev.Rank, trace.TrackHost,
 		res.Times[perfmodel.PhaseSetup], hc.Now())
 
 	// --- Compute phase: potential evaluation on the device. ---
-	start = time.Now()
 	preEnd := hc.Now()
 	dev.BeginPhase(hc.Now())
 	nTg := int64(pl.Batches.Targets.Len())
@@ -117,13 +122,12 @@ func RunDevice(pl *Plan, k kernel.Kernel, dev *device.Device, opt DeviceOptions)
 			l.LaunchDirect(tg, b.Lo, b.Count(), src, nd.Lo, nd.Hi, phi)
 		}
 		for _, ci := range pl.Lists.Approx[bi] {
-			l.LaunchApprox(tg, b.Lo, b.Count(), cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci], phi)
+			l.LaunchApprox(tg, b.Lo, b.Count(), cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci], phi)
 		}
 	}
 	hc.AdvanceTo(dev.Drain())
 	hc.AdvanceTo(dev.CopyOut(hc.Now(), 8*nTg))
 	res.Times[perfmodel.PhaseCompute] = hc.Now() - preEnd
-	res.Wall[perfmodel.PhaseCompute] = time.Since(start).Seconds()
 	tr.Span("compute", trace.CatPhase, dev.Rank, trace.TrackHost, preEnd, hc.Now())
 
 	if !opt.ModelOnly {

@@ -207,13 +207,31 @@ func (l *Launcher) hostBlockF32(tg *particle.Set, ti, tj int, sx, sy, sz, q []fl
 	}
 }
 
-// LaunchChargeKernels queues the two preprocessing kernels for every node
-// of the source tree (Section 3.2): kernel 1 computes the intermediate
-// quantities with one block per particle and threads over the degree;
-// kernel 2 computes each modified charge with one block per Chebyshev
-// point and threads over the particles. In model-only mode the launches
-// are recorded for timing but Qhat stays nil.
+// LaunchChargeKernels is a distributed rank's charge pass over its own
+// cluster data: it queues the two preprocessing kernels for every node of
+// t with the tree's own charges (see launchCharges) and leaves the
+// modified charges in cd.Qhat, which it (re)allocates with one slot per
+// node. In model-only mode the launches are recorded for timing only and
+// every cd.Qhat[i] stays nil.
 func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
+	hc *perfmodel.Clock, dataReady float64, streams int, modelOnly bool) {
+
+	if modelOnly {
+		cd.Qhat = make([][]float64, len(t.Nodes))
+	} else {
+		cd.Qhat = cd.qhatSlots(len(t.Nodes))
+	}
+	launchCharges(cd, t, t.Particles.Q, cd.Qhat, dev, hc, dataReady, streams, modelOnly)
+}
+
+// launchCharges queues the two preprocessing kernels for every node of the
+// source tree (Section 3.2), charging q (tree order) into qhat[i] for node
+// i: kernel 1 computes the intermediate quantities with one block per
+// particle and threads over the degree; kernel 2 computes each modified
+// charge with one block per Chebyshev point and threads over the
+// particles. In model-only mode the launches are recorded for timing but
+// nothing is computed and qhat is not touched.
+func launchCharges(cd *ClusterData, t *tree.Tree, q []float64, qhat [][]float64, dev *device.Device,
 	hc *perfmodel.Clock, dataReady float64, streams int, modelOnly bool) {
 
 	if streams <= 0 {
@@ -234,17 +252,16 @@ func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 		p1, p2 := chargeWork(n, nc)
 
 		var fn1, fn2 func(int)
-		var qhat []float64
 		if !modelOnly {
 			scratch.Reserve(nc, m)
-			qhat = cd.qhatSlot(ni)
 			ni := ni
 			nd := nd
+			out := qhat[ni]
 			fn1 = func(block int) {
-				cd.pass1Particle(t.Particles, t.Particles.Q, nd, ni, block, scratch)
+				cd.pass1Particle(t.Particles, q, nd, ni, block, scratch)
 			}
 			fn2 = func(block int) {
-				cd.pass2Point(scratch, block, qhat)
+				cd.pass2Point(scratch, block, out)
 			}
 		}
 
@@ -268,8 +285,5 @@ func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 			Label:  "charges.pass2",
 		}, math.Max(hc.Now(), dataReady), fn2)
 		launch++
-		if !modelOnly {
-			cd.Qhat[ni] = qhat
-		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // EvaluateSampled functionally evaluates the treecode potential only at the
-// given target indices (in the caller's original target ordering) and
-// returns the potentials in sample order.
+// given target indices (in the caller's original target ordering) with the
+// charges of st, and returns the potentials in sample order.
 //
 // This is the mechanism that lets the benchmark harness reproduce the
 // paper's experiments at full problem size on a laptop: the tree, batches
@@ -18,14 +18,19 @@ import (
 // counter feeding the performance model is exact), while kernel evaluations
 // — the O(N log N) bulk — run only for a sampled subset of targets, exactly
 // mirroring how the paper samples its error measurement for systems of 8M
-// particles and more. Modified charges are computed lazily, only for
-// clusters that appear on a sampled batch's interaction list.
-func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error) {
+// particles and more. Modified charges are computed lazily into st, only
+// for clusters that appear on a sampled batch's interaction list and are
+// not yet charged, so a state reused across calls (and across plans that
+// share the plan's Sources and Clusters) charges each cluster once. The
+// plan is only read: concurrent calls with distinct states are safe.
+func EvaluateSampled(pl *Plan, k kernel.Kernel, st *ChargeState, sample []int) ([]float64, error) {
+	st.checkGen(pl)
 	nTargets := pl.Batches.Targets.Len()
 	inv := pl.Batches.Perm.Inverse() // original index -> batch order index
-	// Locate the batch of every sampled target.
+	// Locate the batch of every sampled target, and charge the clusters on
+	// those batches' approx lists.
 	batchOf := make([]int, len(sample))
-	needBatch := map[int]struct{}{}
+	need := make([]bool, len(pl.Sources.Nodes))
 	for i, orig := range sample {
 		if orig < 0 || orig >= nTargets {
 			return nil, fmt.Errorf("core: sample index %d out of range [0,%d)", orig, nTargets)
@@ -35,30 +40,11 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 			return nil, fmt.Errorf("core: no batch contains target %d", orig)
 		}
 		batchOf[i] = bi
-		needBatch[bi] = struct{}{}
-	}
-	// Compute charges for clusters on the needed batches' approx lists.
-	needCluster := map[int32]struct{}{}
-	for bi := range needBatch {
 		for _, ci := range pl.Lists.Approx[bi] {
-			needCluster[ci] = struct{}{}
+			need[ci] = true
 		}
 	}
-	clusters := make([]int32, 0, len(needCluster))
-	for ci := range needCluster {
-		if pl.Clusters.Qhat[ci] == nil {
-			clusters = append(clusters, ci)
-		}
-	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i] < clusters[j] })
-	pool.Blocks(len(clusters), 0, func(_, lo, hi int) {
-		s := scratchPool.Get().(*chargeScratch)
-		for i := lo; i < hi; i++ {
-			ci := clusters[i]
-			pl.Clusters.computeChargesNode(pl.Sources.Particles, &pl.Sources.Nodes[ci], int(ci), s)
-		}
-		scratchPool.Put(s)
-	})
+	st.chargeNodes(pl, func(i int) bool { return need[i] }, 0)
 
 	// Evaluate the sampled targets through the kernel's tiles (resolved
 	// once). Samples are sorted by batch, and each run of samples sharing
@@ -72,6 +58,7 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
 	cd := pl.Clusters
+	q, qhat := st.Q, st.Qhat
 	order := make([]int, len(sample))
 	for i := range order {
 		order[i] = i
@@ -94,10 +81,10 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, sample []int) ([]float64, error)
 			kernel.Cascade(tiles, r, g, func(tile kernel.Tile, i, j int) {
 				for _, ci := range direct {
 					nd := &pl.Sources.Nodes[ci]
-					tile(tx[i:j], ty[i:j], tz[i:j], src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], src.Q[nd.Lo:nd.Hi], acc[i:j])
+					tile(tx[i:j], ty[i:j], tz[i:j], src.X[nd.Lo:nd.Hi], src.Y[nd.Lo:nd.Hi], src.Z[nd.Lo:nd.Hi], q[nd.Lo:nd.Hi], acc[i:j])
 				}
 				for _, ci := range approx {
-					tile(tx[i:j], ty[i:j], tz[i:j], cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci], acc[i:j])
+					tile(tx[i:j], ty[i:j], tz[i:j], cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci], acc[i:j])
 				}
 			})
 			r = g

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"barytree/internal/kernel"
@@ -19,7 +21,7 @@ func TestEvaluateSampledMatchesFullRun(t *testing.T) {
 
 	pl2, _ := NewPlan(pts, pts, p)
 	sample := []int{0, 1, 999, 2500, 4999, 3123}
-	phi, err := EvaluateSampled(pl2, k, sample)
+	phi, err := EvaluateSampled(pl2, k, NewChargeState(pl2), sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,29 +33,37 @@ func TestEvaluateSampledMatchesFullRun(t *testing.T) {
 }
 
 func TestEvaluateSampledLazyCharges(t *testing.T) {
-	// Only clusters on sampled batches' lists get charges.
+	// Only clusters on sampled batches' lists get charges, and they go
+	// into the caller's state, never the plan.
 	pts := testParticles(t, 8000, 32)
 	p := Params{Theta: 0.5, Degree: 4, LeafSize: 100, BatchSize: 100}
 	pl, err := NewPlan(pts, pts, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, []int{42}); err != nil {
+	st := NewChargeState(pl)
+	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, st, []int{42}); err != nil {
 		t.Fatal(err)
 	}
 	computed := 0
-	for _, q := range pl.Clusters.Qhat {
-		if q != nil {
+	for _, c := range st.charged {
+		if c {
 			computed++
 		}
+	}
+	if computed != st.nCharged {
+		t.Fatalf("state counts %d charged nodes, flags say %d", st.nCharged, computed)
 	}
 	if computed == 0 {
 		t.Fatal("no charges computed at all")
 	}
-	if computed == len(pl.Clusters.Qhat) {
+	if computed == len(st.Qhat) {
 		t.Error("sampled evaluation computed charges for every cluster; laziness broken")
 	}
-	t.Logf("charges computed for %d/%d clusters", computed, len(pl.Clusters.Qhat))
+	if pl.Clusters.Qhat != nil {
+		t.Error("sampled evaluation wrote modified charges into the plan")
+	}
+	t.Logf("charges computed for %d/%d clusters", computed, len(st.Qhat))
 }
 
 func TestEvaluateSampledRejectsBadIndices(t *testing.T) {
@@ -62,10 +72,10 @@ func TestEvaluateSampledRejectsBadIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, []int{500}); err == nil {
+	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, NewChargeState(pl), []int{500}); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, []int{-1}); err == nil {
+	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, NewChargeState(pl), []int{-1}); err == nil {
 		t.Error("negative index accepted")
 	}
 }
@@ -77,16 +87,21 @@ func TestEvaluateSampledRepeatedCallsShareCharges(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := kernel.Coulomb{}
-	a, err := EvaluateSampled(pl, k, []int{7, 2999})
+	st := NewChargeState(pl)
+	a, err := EvaluateSampled(pl, k, st, []int{7, 2999})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateSampled(pl, k, []int{7, 2999})
+	charged := st.nCharged
+	b, err := EvaluateSampled(pl, k, st, []int{7, 2999})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a[0] != b[0] || a[1] != b[1] {
 		t.Error("repeated sampled evaluation changed results")
+	}
+	if st.nCharged != charged {
+		t.Errorf("repeated sampled evaluation charged %d more nodes; the state's charges were not shared", st.nCharged-charged)
 	}
 }
 
@@ -177,6 +192,54 @@ func TestLatticeParticlesExerciseSingularities(t *testing.T) {
 		rel := (res.Phi[i] - want) / want
 		if rel > 1e-4 || rel < -1e-4 {
 			t.Errorf("lattice point %d: phi %.6g vs direct %.6g", i, res.Phi[i], want)
+		}
+	}
+}
+
+// TestEvaluateSampledConcurrent runs two sampled evaluations, each with its
+// own state, a plan solve and RunCPU concurrently on one plan (run it
+// under -race): the plan is only read, so every result equals its serial
+// twin bit for bit.
+func TestEvaluateSampledConcurrent(t *testing.T) {
+	pts := testParticles(t, 3000, 37)
+	pl, err := NewPlan(pts, pts, Params{Theta: 0.6, Degree: 3, LeafSize: 100, BatchSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.Coulomb{}
+	samples := [][]int{{1, 500, 2999, 1234}, {7, 8, 9, 2500}}
+	sampled := func(i int) ([]float64, error) {
+		return EvaluateSampled(pl, k, NewChargeState(pl), samples[i])
+	}
+	solve := func() []float64 { return SolvePotentials(pl, k, NewChargeState(pl), 2) }
+	run := func() []float64 { return RunCPU(pl, k, CPUOptions{Workers: 2}).Phi }
+
+	var want [4][]float64
+	for i := range samples {
+		if want[i], err = sampled(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want[2], want[3] = solve(), run()
+
+	var got [4][]float64
+	var wg sync.WaitGroup
+	wg.Add(4)
+	for i := range samples {
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if got[i], err = sampled(i); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	go func() { defer wg.Done(); got[2] = solve() }()
+	go func() { defer wg.Done(); got[3] = run() }()
+	wg.Wait()
+	for i, name := range []string{"EvaluateSampled a", "EvaluateSampled b", "SolvePotentials", "RunCPU"} {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: concurrent result differs from serial", name)
 		}
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"barytree/internal/pool"
 )
 
-// ChargeState is the per-request mutable half of a solve: the source
-// charges (in tree order) and the modified charges they induce. Everything
-// else a solve reads — tree, batches, interaction lists, Chebyshev grids —
-// lives in the Plan and is never written after NewPlan, so any number of
+// ChargeState is the mutable half of a solve: the source charges (in tree
+// order) and the modified charges they induce. It is the only store of
+// modified charges for everything that holds a Plan. Everything else a
+// solve reads — tree, batches, interaction lists, Chebyshev grids — lives
+// in the Plan and is never written after NewPlan, so any number of
 // ChargeStates can evaluate against one shared Plan concurrently. This is
 // the split the serving layer is built on: one cached Plan per geometry,
 // one ChargeState per in-flight request.
@@ -22,13 +23,12 @@ import (
 type ChargeState struct {
 	// Q are the source charges in tree (leaf-contiguous) order.
 	Q []float64
-	// Qhat[i] are node i's modified charges, views into one flat arena
-	// laid out exactly like the plan's own modified-charge arena.
+	// Qhat[i] are node i's modified charges, views into one flat arena.
 	Qhat [][]float64
 
-	arena []float64
-	fresh bool   // Qhat valid for current Q
-	gen   uint64 // plan generation the state was created against
+	charged  []bool // charged[i]: Qhat[i] holds node i's modified charges for Q
+	nCharged int    // number of charged nodes
+	gen      uint64 // plan generation the state was created against
 }
 
 // checkGen panics if the plan has been Updated since the state was
@@ -43,24 +43,29 @@ func (st *ChargeState) checkGen(pl *Plan) {
 	}
 }
 
+// checkCharged is checkGen for the evaluation passes, which also need
+// every node's modified charges: a state left partly charged by
+// EvaluateSampled, or never charged at all, would evaluate garbage.
+func (st *ChargeState) checkCharged(pl *Plan) {
+	st.checkGen(pl)
+	if st.nCharged != len(st.Qhat) {
+		panic(fmt.Sprintf("core: charge state has %d of %d nodes charged; call Compute first",
+			st.nCharged, len(st.Qhat)))
+	}
+}
+
 // NewChargeState returns charge state sized for pl, initialized with the
-// charges the sources carried when the plan was built. The first Compute
-// (or a driver) fills Qhat.
+// charges the sources carried when the plan was built. Compute (or
+// EvaluateSampled, node by node) fills Qhat.
 func NewChargeState(pl *Plan) *ChargeState {
-	cd := pl.Clusters
 	n := len(pl.Sources.Nodes)
-	m := cd.Degree + 1
-	np := m * m * m
 	st := &ChargeState{
-		Q:     make([]float64, pl.Sources.Particles.Len()),
-		Qhat:  make([][]float64, n),
-		arena: make([]float64, n*np),
-		gen:   pl.gen,
+		Q:       make([]float64, pl.Sources.Particles.Len()),
+		Qhat:    pl.Clusters.qhatSlots(n),
+		charged: make([]bool, n),
+		gen:     pl.gen,
 	}
 	copy(st.Q, pl.Sources.Particles.Q)
-	for i := 0; i < n; i++ {
-		st.Qhat[i] = st.arena[i*np : (i+1)*np : (i+1)*np]
-	}
 	return st
 }
 
@@ -78,38 +83,55 @@ func (st *ChargeState) SetCharges(pl *Plan, q []float64) error {
 	for treeIdx, origIdx := range src.Perm {
 		st.Q[treeIdx] = q[origIdx]
 	}
-	st.fresh = false
+	st.Invalidate()
 	return nil
 }
 
-// Compute fills the modified charges for the current Q using up to
-// `workers` goroutines (<= 0 selects a sensible default), exactly as
-// ClusterData.ComputeCharges does for the plan's own charges: same passes,
-// same per-node operation order, so equal charges yield bit-identical
-// modified charges. It returns the modeled flop-equivalents of the work,
-// and is a no-op returning 0 if Qhat is already valid for Q.
+// Compute fills the modified charges of every node not yet charged for
+// the current Q, using up to `workers` goroutines (<= 0 selects a sensible
+// default). Each worker reuses one pooled scratch across its nodes and
+// writes into the state's arena, so a steady-state pass allocates nothing;
+// every node's operation order is fixed, so equal charges yield
+// bit-identical modified charges for every worker count. It returns the
+// modeled flop-equivalents of a full charge pass, and is a no-op returning
+// 0 if every node is already charged.
 func (st *ChargeState) Compute(pl *Plan, workers int) float64 {
 	st.checkGen(pl)
-	if st.fresh {
+	if st.nCharged == len(st.Qhat) {
 		return 0
 	}
-	cd := pl.Clusters
-	t := pl.Sources
-	flops := cd.TotalChargeWork(t)
+	st.chargeNodes(pl, func(int) bool { return true }, workers)
+	return pl.Clusters.TotalChargeWork(pl.Sources)
+}
+
+// chargeNodes computes, with up to workers goroutines, the modified
+// charges of every node i that need(i) selects and that is not yet
+// charged, and marks them charged.
+func (st *ChargeState) chargeNodes(pl *Plan, need func(i int) bool, workers int) {
+	cd, t := pl.Clusters, pl.Sources
 	pool.Blocks(len(t.Nodes), workers, func(_, lo, hi int) {
 		s := scratchPool.Get().(*chargeScratch)
 		for i := lo; i < hi; i++ {
-			cd.computeChargesNodeInto(t.Particles, st.Q, &t.Nodes[i], i, s, st.Qhat[i])
+			if need(i) && !st.charged[i] {
+				cd.computeChargesNodeInto(t.Particles, st.Q, &t.Nodes[i], i, s, st.Qhat[i])
+			}
 		}
 		scratchPool.Put(s)
 	})
-	st.fresh = true
-	return flops
+	for i, done := range st.charged {
+		if need(i) && !done {
+			st.charged[i] = true
+			st.nCharged++
+		}
+	}
 }
 
 // Invalidate marks the modified charges stale, forcing the next Compute to
 // re-run (used after direct writes to Q).
-func (st *ChargeState) Invalidate() { st.fresh = false }
+func (st *ChargeState) Invalidate() {
+	clear(st.charged)
+	st.nCharged = 0
+}
 
 // ResetToPlan restores the charges the sources carried when the plan was
 // built and marks the state stale. It makes a recycled state (e.g. from a
@@ -119,17 +141,33 @@ func (st *ChargeState) Invalidate() { st.fresh = false }
 func (st *ChargeState) ResetToPlan(pl *Plan) {
 	st.checkGen(pl)
 	copy(st.Q, pl.Sources.Particles.Q)
-	st.fresh = false
+	st.Invalidate()
+}
+
+// SolvePotentials is the charge, compute and scatter sequence of every
+// potential solve on a plan (RunCPU, Plan.Solve, Solver): it charges st
+// where it is not yet charged, evaluates every batch's interaction list
+// against it and returns the potentials in the caller's original target
+// order. The plan is only read.
+func SolvePotentials(pl *Plan, k kernel.Kernel, st *ChargeState, workers int) []float64 {
+	st.Compute(pl, workers)
+	phi := make([]float64, pl.Batches.Targets.Len())
+	RunComputeState(pl, k, st, phi, workers)
+	out := make([]float64, len(phi))
+	pl.Batches.Perm.ScatterInto(out, phi)
+	return out
 }
 
 // RunComputeState evaluates every batch's interaction list against the
 // state's charges into phi (batch target order, length = number of
 // targets), parallelized over batches with up to `workers` goroutines. The
 // plan is only read; all mutable inputs come from st and all output goes to
-// phi, so concurrent calls with distinct (st, phi) pairs are safe. The
-// modified charges must be fresh (call st.Compute first). Returns the
-// modeled compute-phase flop count.
+// phi, so concurrent calls with distinct (st, phi) pairs are safe. Every
+// node of st must be charged for the current plan generation (call
+// st.Compute first); otherwise RunComputeState panics. Returns the modeled
+// compute-phase flop count.
 func RunComputeState(pl *Plan, k kernel.Kernel, st *ChargeState, phi []float64, workers int) float64 {
+	st.checkCharged(pl)
 	tiles := kernel.Tiles(k)
 	pool.For(len(pl.Batches.Batches), workers, func(bi int) {
 		evalBatchLists(pl, tiles, bi, phi, st.Q, st.Qhat)
@@ -154,11 +192,13 @@ type GroupMember struct {
 // member's output is bit-identical to a solo RunComputeState with the same
 // state, regardless of how many requests share the pass or how items are
 // scheduled. This is the batching path of the serving layer's request
-// coalescing.
+// coalescing. Like RunComputeState it panics on a member state that is not
+// fully charged for the current plan generation.
 func RunComputeGroup(pl *Plan, members []GroupMember, workers int) {
 	nb := len(pl.Batches.Batches)
 	tiles := make([][]kernel.Sized[kernel.Tile], len(members))
 	for i := range members {
+		members[i].State.checkCharged(pl)
 		tiles[i] = kernel.Tiles(members[i].Kernel)
 	}
 	pool.For(len(members)*nb, workers, func(idx int) {

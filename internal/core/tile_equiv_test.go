@@ -39,13 +39,13 @@ func evalApproxTarget(k kernel.Kernel, tg *particle.Set, ti int, px, py, pz, qha
 
 // referenceListPhi evaluates every batch's interaction list through the
 // per-source scalar reference path (evalDirectTarget/evalApproxTarget) in
-// exactly the per-target add order the drivers guarantee, and returns the
-// potentials in original target order. The plan's modified charges must
-// already be computed.
+// exactly the per-target add order the drivers guarantee, with the plan's
+// build-time charges, and returns the potentials in original target order.
 func referenceListPhi(pl *Plan, k kernel.Kernel) []float64 {
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
 	cd := pl.Clusters
+	qhat := chargedState(pl, 0).Qhat
 	phi := make([]float64, tg.Len())
 	for bi := range pl.Batches.Batches {
 		b := &pl.Batches.Batches[bi]
@@ -57,7 +57,7 @@ func referenceListPhi(pl *Plan, k kernel.Kernel) []float64 {
 		}
 		for _, ci := range pl.Lists.Approx[bi] {
 			for ti := b.Lo; ti < b.Hi; ti++ {
-				phi[ti] += evalApproxTarget(k, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci])
+				phi[ti] += evalApproxTarget(k, tg, ti, cd.PX[ci], cd.PY[ci], cd.PZ[ci], qhat[ci])
 			}
 		}
 	}
@@ -75,6 +75,7 @@ func referenceListAbsStats(pl *Plan, k kernel.Kernel) (absSum []float64, count [
 	tg := pl.Batches.Targets
 	src := pl.Sources.Particles
 	cd := pl.Clusters
+	charges := chargedState(pl, 0).Qhat
 	sum := make([]float64, tg.Len())
 	n := make([]int, tg.Len())
 	for bi := range pl.Batches.Batches {
@@ -89,7 +90,7 @@ func referenceListAbsStats(pl *Plan, k kernel.Kernel) (absSum []float64, count [
 			}
 		}
 		for _, ci := range pl.Lists.Approx[bi] {
-			px, py, pz, qhat := cd.PX[ci], cd.PY[ci], cd.PZ[ci], cd.Qhat[ci]
+			px, py, pz, qhat := cd.PX[ci], cd.PY[ci], cd.PZ[ci], charges[ci]
 			for ti := b.Lo; ti < b.Hi; ti++ {
 				for j := range qhat {
 					sum[ti] += math.Abs(k.Eval(tg.X[ti], tg.Y[ti], tg.Z[ti], px[j], py[j], pz[j]) * qhat[j])

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"barytree/internal/interaction"
 	"barytree/internal/kernel"
 	"barytree/internal/particle"
 	"barytree/internal/trace"
@@ -23,13 +26,7 @@ func updParams() Params {
 // original particle order — the same path as the public Plan.Solve.
 func updSolve(t *testing.T, pl *Plan, k kernel.Kernel) []float64 {
 	t.Helper()
-	st := NewChargeState(pl)
-	st.Compute(pl, 0)
-	phi := make([]float64, pl.Batches.Targets.Len())
-	RunComputeState(pl, k, st, phi, 0)
-	out := make([]float64, len(phi))
-	pl.Batches.Perm.ScatterInto(out, phi)
-	return out
+	return SolvePotentials(pl, k, NewChargeState(pl), 0)
 }
 
 // wantExact asserts byte-identical potentials (exact ==, no tolerance).
@@ -461,22 +458,76 @@ func TestUpdateErrors(t *testing.T) {
 	})
 }
 
+// TestUpdateStaleChargeStatePanics pins that every reader of a charge
+// state refuses stale charges instead of evaluating them: a state created
+// before a Plan.Update (a refit keeps the node count, so nothing else
+// would notice), and a state whose modified charges are not all computed
+// (never charged, or charged only where EvaluateSampled needed them).
 func TestUpdateStaleChargeStatePanics(t *testing.T) {
 	pts := testParticles(t, 400, 22)
-	pl, err := NewPlan(pts, pts, updParams())
-	if err != nil {
-		t.Fatal(err)
+	p := updParams()
+	p.Degree = 2 // 27-point grids, so the sampled cases have approximations to charge
+	k := kernel.RegularizedCoulomb{Eps: 0.01}
+	n := pts.Len()
+	buf := func() []float64 { return make([]float64, n) }
+	group := func(pl *Plan, st *ChargeState) {
+		RunComputeGroup(pl, []GroupMember{{Kernel: k, State: st, Phi: buf()}}, 0)
 	}
-	st := NewChargeState(pl)
-	if _, err := pl.update(pts.X, pts.Y, pts.Z); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		update bool                      // Update the plan after creating (and charging) the state
+		charge func(*Plan, *ChargeState) // how the state is charged before the update
+		use    func(*Plan, *ChargeState) // the call that must panic
+	}{
+		{"Compute", true, nil, func(pl *Plan, st *ChargeState) { st.Compute(pl, 0) }},
+		{"RunComputeState", true, computeAll, func(pl *Plan, st *ChargeState) { RunComputeState(pl, k, st, buf(), 0) }},
+		{"RunComputeGroup", true, computeAll, group},
+		{"RunFieldsState", true, computeAll, func(pl *Plan, st *ChargeState) { RunFieldsState(pl, k, st, buf(), buf(), buf(), buf(), 0) }},
+		{"RunComputeState uncharged", false, nil, func(pl *Plan, st *ChargeState) { RunComputeState(pl, k, st, buf(), 0) }},
+		{"RunComputeState sampled", false, sampleOne, func(pl *Plan, st *ChargeState) { RunComputeState(pl, k, st, buf(), 0) }},
+		{"RunComputeGroup sampled", false, sampleOne, group},
+		{"RunFieldsState sampled", false, sampleOne, func(pl *Plan, st *ChargeState) { RunFieldsState(pl, k, st, buf(), buf(), buf(), buf(), 0) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pl, err := NewPlan(pts, pts, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := NewChargeState(pl)
+			if c.charge != nil {
+				c.charge(pl, st)
+			}
+			if c.update {
+				if _, err := pl.update(pts.X, pts.Y, pts.Z); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "core: charge state") {
+					t.Fatalf("%s on a stale charge state: recovered %v, want the charge-state panic", c.name, r)
+				}
+			}()
+			c.use(pl, st)
+		})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stale ChargeState.Compute did not panic after Update")
-		}
-	}()
-	st.Compute(pl, 0)
+}
+
+func computeAll(pl *Plan, st *ChargeState) { st.Compute(pl, 0) }
+
+// sampleOne charges st only where a one-target EvaluateSampled reads it,
+// sampling the first target of the first batch with approximations.
+func sampleOne(pl *Plan, st *ChargeState) {
+	bi := 0
+	for bi < len(pl.Lists.Approx)-1 && len(pl.Lists.Approx[bi]) == 0 {
+		bi++
+	}
+	target := pl.Batches.Perm[pl.Batches.Batches[bi].Lo]
+	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, st, []int{target}); err != nil {
+		panic(err)
+	}
+	if st.nCharged == 0 || st.nCharged == len(st.Qhat) {
+		panic("sampleOne: want a partly charged state")
+	}
 }
 
 func TestUpdateTraceSpans(t *testing.T) {
@@ -533,4 +584,78 @@ func TestUpdateTraceSpans(t *testing.T) {
 	if counters[CounterUpdateOutOfTolerance] != float64(st.OutOfTolerance) {
 		t.Fatalf("tolerance counter = %g, want %d", counters[CounterUpdateOutOfTolerance], st.OutOfTolerance)
 	}
+}
+
+// FuzzPlanUpdate drives a small Morton plan through a drift sequence, one
+// step per byte of steps: the low two bits pick the drift (0 jiggles every
+// particle, 1 teleports a few inside the domain, 2 teleports half of them,
+// 3 stretches the domain) and the high six bits its size. After a repair or
+// rebuild the plan must equal a fresh NewPlan at the same positions and
+// solve bit-identically to it; after a refit every cached approximation
+// must pass the MAC recheck. The seeds reach all three paths.
+func FuzzPlanUpdate(f *testing.F) {
+	f.Add(int64(1), []byte{0x00, 0x40, 0xfc}) // jiggles: refit
+	f.Add(int64(2), []byte{0x01, 0x05})       // a few teleports: repair
+	f.Add(int64(3), []byte{0x02, 0x00, 0x03}) // half teleported, then a stretch: rebuild
+	f.Fuzz(func(t *testing.T, seed int64, steps []byte) {
+		const n = 600
+		if len(steps) > 4 {
+			steps = steps[:4]
+		}
+		pts := testParticles(t, n, seed)
+		p := Params{Theta: 0.7, Degree: 3, LeafSize: 40, BatchSize: 40, Morton: true}
+		pl, err := NewPlan(pts, pts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := append([]float64(nil), pts.X...)
+		y := append([]float64(nil), pts.Y...)
+		z := append([]float64(nil), pts.Z...)
+		rng := rand.New(rand.NewSource(seed))
+		teleport := func(i int) {
+			x[i] = 0.05 + 0.9*rng.Float64()
+			y[i] = 0.05 + 0.9*rng.Float64()
+			z[i] = 0.05 + 0.9*rng.Float64()
+		}
+		k := kernel.Coulomb{}
+		for s, b := range steps {
+			size := float64(b>>2+1) / 64 // (0, 1]
+			switch b & 3 {
+			case 0:
+				for i := range x {
+					x[i] += 1e-3 * size * (2*rng.Float64() - 1)
+					y[i] += 1e-3 * size * (2*rng.Float64() - 1)
+					z[i] += 1e-3 * size * (2*rng.Float64() - 1)
+				}
+			case 1:
+				for m := 0; m < 1+int(10*size); m++ {
+					teleport(rng.Intn(n))
+				}
+			case 2:
+				for i := 0; i < n; i += 2 {
+					teleport(i)
+				}
+			case 3:
+				for i := range x {
+					x[i] *= 1 + size
+					y[i] *= 1 + size
+					z[i] *= 1 + size
+				}
+			}
+			st, err := pl.update(x, y, z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("step %d (%#02x, %v)", s, b, st.Action)
+			t.Log(what)
+			if st.Action == UpdateRefit {
+				if v := interaction.RecheckApproxWorkers(pl.Lists, pl.Batches, pl.Sources, p.MAC(), 1); v != 0 {
+					t.Fatalf("%s: %d approximation pairs fail the MAC", what, v)
+				}
+				continue
+			}
+			fresh := wantFreshEqual(t, pl, x, y, z, pts.Q, p)
+			wantExact(t, updSolve(t, pl, k), updSolve(t, fresh, k), what)
+		}
+	})
 }

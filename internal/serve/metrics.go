@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -182,29 +181,4 @@ func (m *Metrics) WriteText(w io.Writer, extra ...string) {
 	for _, l := range extra {
 		fmt.Fprintln(w, l)
 	}
-}
-
-// Quantile returns the exact q-quantile (q in [0,1]) of a latency sample
-// by sorting a copy (nearest-rank with linear interpolation). Returns 0
-// on an empty sample.
-func Quantile(sample []float64, q float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(math.Floor(pos))
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[i]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
 }

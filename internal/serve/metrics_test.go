@@ -142,26 +142,6 @@ func TestQuantileInterpolationBounds(t *testing.T) {
 	}
 }
 
-// TestExactQuantile covers the sorted-sample primitive Quantile.
-func TestExactQuantile(t *testing.T) {
-	sample := []float64{4, 1, 3, 2}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {1.0 / 3.0, 2},
-	}
-	for _, c := range cases {
-		if got := Quantile(sample, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(q=%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("Quantile(empty) = %g, want 0", got)
-	}
-	// The input must not be reordered.
-	if sample[0] != 4 || sample[3] != 2 {
-		t.Errorf("Quantile mutated its input: %v", sample)
-	}
-}
-
 // TestWriteTextLatencyLines: the exposition includes the count/sum/max
 // and quantile lines derived from the histogram.
 func TestWriteTextLatencyLines(t *testing.T) {

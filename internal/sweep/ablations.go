@@ -142,7 +142,7 @@ func RunSizeCheck(cfg AblationConfig) (*SizeCheckResult, error) {
 			Lists:    lists,
 			Clusters: core.NewClusterData(t, cfg.Params.Degree),
 		}
-		phi, err := core.EvaluateSampled(pl, cfg.Kernel, sample)
+		phi, err := core.EvaluateSampled(pl, cfg.Kernel, core.NewChargeState(pl), sample)
 		if err != nil {
 			return nil, err
 		}

@@ -145,6 +145,7 @@ func RunFig4(cfg Fig4Config, progress io.Writer) (*Fig4Result, error) {
 		// Cluster grids and (lazily computed) modified charges depend only
 		// on the degree — they are shared across thetas and kernels.
 		cd := core.NewClusterData(t, n)
+		charges := core.NewChargeState(&core.Plan{Sources: t, Clusters: cd})
 		for _, theta := range cfg.Thetas {
 			mac := interaction.MAC{Theta: theta, Degree: n}
 			lists := interaction.BuildLists(batches, t, mac)
@@ -165,7 +166,7 @@ func RunFig4(cfg Fig4Config, progress io.Writer) (*Fig4Result, error) {
 					HostSpec:  cfg.CPU,
 					ModelOnly: true,
 				})
-				phi, err := core.EvaluateSampled(pl, k, sample)
+				phi, err := core.EvaluateSampled(pl, k, charges, sample)
 				if err != nil {
 					return nil, err
 				}

@@ -179,7 +179,12 @@ func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 	}
 	tcd := core.NewClusterData(tt, p.Degree)
 	scd := core.NewClusterData(st, p.Degree)
-	scd.ComputeCharges(st, 0) // upward pass: source modified charges
+	// Upward pass: the source tree's modified charges, in a charge state
+	// over a plan that holds just the source tree and its grids.
+	spl := &core.Plan{Sources: st, Clusters: scd}
+	charges := core.NewChargeState(spl)
+	charges.Compute(spl, 0)
+	qhat := charges.Qhat
 
 	np := tcd.Grids[0].NumPoints()
 	phiHat := newClusterPotentials(tt, np)
@@ -201,13 +206,13 @@ func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Res
 			case bigT && bigS:
 				// CC: proxies-to-proxies.
 				kernel.Accumulate(tiles, tcd.PX[ti], tcd.PY[ti], tcd.PZ[ti],
-					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si], phiHat.data[ti])
+					scd.PX[si], scd.PY[si], scd.PZ[si], qhat[si], phiHat.data[ti])
 				res.Stats.CCPairs++
-				res.Stats.CCInteractions += int64(np) * int64(len(scd.Qhat[si]))
+				res.Stats.CCInteractions += int64(np) * int64(len(qhat[si]))
 			case bigS:
 				// PC: targets of t against source proxies (the BLTC form).
 				kernel.Accumulate(tiles, tt.Particles.X[t.Lo:t.Hi], tt.Particles.Y[t.Lo:t.Hi], tt.Particles.Z[t.Lo:t.Hi],
-					scd.PX[si], scd.PY[si], scd.PZ[si], scd.Qhat[si], phi[t.Lo:t.Hi])
+					scd.PX[si], scd.PY[si], scd.PZ[si], qhat[si], phi[t.Lo:t.Hi])
 				res.Stats.PCPairs++
 				res.Stats.PCInteractions += int64(t.Count()) * int64(np)
 			case bigT:

@@ -12,14 +12,16 @@ package barytree_test
 // maintenance might introduce.
 //
 // BenchmarkLeapfrogStep100k / BenchmarkLeapfrogStep100kRebuild track the
-// per-step plan maintenance cost at 100k particles (steps/sec). The real
-// wall time covers the position advance plus the geometry work (Update vs
-// a from-scratch NewPlan) — the per-step host cost of the paper's
-// GPU-resident treecode, where the force evaluation itself runs on the
-// device (the CPU reference evaluation takes minutes per step at this
-// scale and is pinned separately by the energy test). The modeled hybrid
-// step time (host maintenance + device compute at TitanV rates) rides
-// along as a custom metric.
+// per-step plan maintenance cost at 100k particles (steps/sec). Every
+// benchmark op is the same fixed sequence of leapfrogBenchSteps drift
+// steps from the same start, so the work of an op does not depend on b.N.
+// The real wall time covers the position advance plus the geometry work
+// (Update vs a from-scratch NewPlan) — the per-step host cost of the
+// paper's GPU-resident treecode, where the force evaluation itself runs
+// on the device (the CPU reference evaluation takes seconds per step at
+// this scale and is pinned separately by the energy test). The modeled
+// hybrid step time (host maintenance + device compute at TitanV rates)
+// rides along as a custom metric.
 
 import (
 	"math"
@@ -141,8 +143,39 @@ func leapfrogBenchSetup(n int) (x, y, z, q, vx, vy, vz []float64) {
 
 const leapfrogBenchDT = 0.002
 
+// leapfrogBenchSteps is the step sequence of one benchmark op.
+const leapfrogBenchSteps = 10
+
 func leapfrogParams() core.Params {
 	return core.Params{Theta: 0.6, Degree: 6, LeafSize: 300, BatchSize: 300, Morton: true}
+}
+
+// benchLeapfrogSteps times b.N ops of the fixed step sequence: before each
+// op, outside the timer, the positions are restored to the start and
+// restart runs; each timed step advances the positions one leapfrog drift
+// and calls step with them.
+func benchLeapfrogSteps(b *testing.B, restart func(pts *particle.Set), step func(pts *particle.Set)) {
+	const n = 100_000
+	x0, y0, z0, q, vx, vy, vz := leapfrogBenchSetup(n)
+	pts := &particle.Set{X: make([]float64, n), Y: make([]float64, n), Z: make([]float64, n), Q: q}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(pts.X, x0)
+		copy(pts.Y, y0)
+		copy(pts.Z, z0)
+		restart(pts)
+		b.StartTimer()
+		for s := 0; s < leapfrogBenchSteps; s++ {
+			for j := 0; j < n; j++ {
+				pts.X[j] += leapfrogBenchDT * vx[j]
+				pts.Y[j] += leapfrogBenchDT * vy[j]
+				pts.Z[j] += leapfrogBenchDT * vz[j]
+			}
+			step(pts)
+		}
+	}
+	b.StopTimer()
 }
 
 // reportLeapfrogMetrics emits the stepping metrics: real steps/sec of the
@@ -150,7 +183,7 @@ func leapfrogParams() core.Params {
 // phase at TitanV rates (the same GradCost accounting as RunCPUFields).
 func reportLeapfrogMetrics(b *testing.B, pl *core.Plan, maintModeled float64) {
 	b.Helper()
-	steps := float64(b.N)
+	steps := float64(b.N * leapfrogBenchSteps)
 	b.ReportMetric(steps/b.Elapsed().Seconds(), "steps/s")
 	k := kernel.RegularizedCoulomb{Eps: 0.05}
 	compute := float64(pl.Lists.Stats.TotalInteractions()) *
@@ -159,68 +192,52 @@ func reportLeapfrogMetrics(b *testing.B, pl *core.Plan, maintModeled float64) {
 }
 
 // BenchmarkLeapfrogStep100k steps a 100k-particle plan with Plan.Update:
-// advance positions one leapfrog drift, follow with the cheapest exact
-// structural path (refit / repair / rebuild). Compare against
+// each step advances positions one leapfrog drift and follows with the
+// cheapest exact structural path (refit / repair / rebuild). Each op
+// starts from a plan freshly built at the start positions. Compare against
 // BenchmarkLeapfrogStep100kRebuild, which pays the full setup phase every
-// step; docs/performance.md records the ratio.
+// step of the same sequence; docs/performance.md records the ratio.
 func BenchmarkLeapfrogStep100k(b *testing.B) {
-	const n = 100_000
-	x, y, z, q, vx, vy, vz := leapfrogBenchSetup(n)
-	pts := &particle.Set{X: x, Y: y, Z: z, Q: q}
-	pl, err := core.NewPlan(pts, pts, leapfrogParams())
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := leapfrogParams()
+	var pl *core.Plan
 	tr := trace.New()
 	actions := map[core.UpdateAction]int{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < n; j++ {
-			x[j] += leapfrogBenchDT * vx[j]
-			y[j] += leapfrogBenchDT * vy[j]
-			z[j] += leapfrogBenchDT * vz[j]
+	benchLeapfrogSteps(b, func(pts *particle.Set) {
+		var err error
+		if pl, err = core.NewPlan(pts, pts, p); err != nil {
+			b.Fatal(err)
 		}
-		st, err := pl.Update(x, y, z, tr)
+	}, func(pts *particle.Set) {
+		st, err := pl.Update(pts.X, pts.Y, pts.Z, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
 		actions[st.Action]++
-	}
-	b.StopTimer()
+	})
 	var maintModeled float64
 	for _, s := range tr.Spans() {
 		maintModeled += s.Dur()
 	}
 	reportLeapfrogMetrics(b, pl, maintModeled)
-	b.ReportMetric(float64(actions[core.UpdateRefit])/float64(b.N), "refit/step")
-	b.ReportMetric(float64(actions[core.UpdateRepair])/float64(b.N), "repair/step")
-	b.ReportMetric(float64(actions[core.UpdateRebuild])/float64(b.N), "rebuild/step")
+	steps := float64(b.N * leapfrogBenchSteps)
+	b.ReportMetric(float64(actions[core.UpdateRefit])/steps, "refit/step")
+	b.ReportMetric(float64(actions[core.UpdateRepair])/steps, "repair/step")
+	b.ReportMetric(float64(actions[core.UpdateRebuild])/steps, "rebuild/step")
 }
 
 // BenchmarkLeapfrogStep100kRebuild is the baseline the update path is
-// measured against: identical dynamics, but every step rebuilds the plan
-// from scratch (the only option before Plan.Update existed).
+// measured against: the same step sequence, but every step rebuilds the
+// plan from scratch (the only option before Plan.Update existed).
 func BenchmarkLeapfrogStep100kRebuild(b *testing.B) {
-	const n = 100_000
-	x, y, z, q, vx, vy, vz := leapfrogBenchSetup(n)
 	p := leapfrogParams()
 	var pl *core.Plan
 	var maintModeled float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < n; j++ {
-			x[j] += leapfrogBenchDT * vx[j]
-			y[j] += leapfrogBenchDT * vy[j]
-			z[j] += leapfrogBenchDT * vz[j]
-		}
-		pts := &particle.Set{X: x, Y: y, Z: z, Q: q}
+	benchLeapfrogSteps(b, func(*particle.Set) {}, func(pts *particle.Set) {
 		var err error
-		pl, err = core.NewPlan(pts, pts, p)
-		if err != nil {
+		if pl, err = core.NewPlan(pts, pts, p); err != nil {
 			b.Fatal(err)
 		}
 		maintModeled += pl.SetupWork(perfmodel.XeonX5650())
-	}
-	b.StopTimer()
+	})
 	reportLeapfrogMetrics(b, pl, maintModeled)
 }

@@ -76,18 +76,23 @@ func (pl *Plan) NumSources() int { return pl.core.Sources.Particles.Len() }
 // the same geometry, charges and kernel, the result is byte-identical to
 // the one-shot Solve function.
 func (pl *Plan) Solve(k Kernel, q []float64) ([]float64, error) {
+	st, err := pl.chargeState(q)
+	if err != nil {
+		return nil, err
+	}
+	return core.SolvePotentials(pl.core, k, st, pl.params.Workers), nil
+}
+
+// chargeState returns a fresh charge state for one solve: the build-time
+// charges for q == nil, else q (original source order).
+func (pl *Plan) chargeState(q []float64) (*core.ChargeState, error) {
 	st := core.NewChargeState(pl.core)
 	if q != nil {
 		if err := st.SetCharges(pl.core, q); err != nil {
 			return nil, err
 		}
 	}
-	st.Compute(pl.core, pl.params.Workers)
-	phiBatch := make([]float64, pl.core.Batches.Targets.Len())
-	core.RunComputeState(pl.core, k, st, phiBatch, pl.params.Workers)
-	out := make([]float64, len(phiBatch))
-	pl.core.Batches.Perm.ScatterInto(out, phiBatch)
-	return out, nil
+	return st, nil
 }
 
 // SolveWithField evaluates potentials *and* their gradients against the
@@ -104,31 +109,12 @@ func (pl *Plan) SolveWithField(k Kernel, q []float64) (*FieldResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("barytree: kernel %q provides no analytic gradient", k.Name())
 	}
-	st := core.NewChargeState(pl.core)
-	if q != nil {
-		if err := st.SetCharges(pl.core, q); err != nil {
-			return nil, err
-		}
+	st, err := pl.chargeState(q)
+	if err != nil {
+		return nil, err
 	}
-	st.Compute(pl.core, pl.params.Workers)
-	n := pl.core.Batches.Targets.Len()
-	phi := make([]float64, n)
-	gx := make([]float64, n)
-	gy := make([]float64, n)
-	gz := make([]float64, n)
-	core.RunFieldsState(pl.core, gk, st, phi, gx, gy, gz, pl.params.Workers)
-	res := &FieldResult{
-		Phi: make([]float64, n),
-		GX:  make([]float64, n),
-		GY:  make([]float64, n),
-		GZ:  make([]float64, n),
-	}
-	perm := pl.core.Batches.Perm
-	perm.ScatterInto(res.Phi, phi)
-	perm.ScatterInto(res.GX, gx)
-	perm.ScatterInto(res.GY, gy)
-	perm.ScatterInto(res.GZ, gz)
-	return res, nil
+	r := core.SolveFields(pl.core, gk, st, pl.params.Workers)
+	return &FieldResult{Phi: r.Phi, GX: r.GX, GY: r.GY, GZ: r.GZ}, nil
 }
 
 // UpdateAction is the structural path a Plan.Update took: refit, repair or

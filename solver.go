@@ -66,13 +66,7 @@ func (s *Solver) UpdateCharges(q []float64) error {
 // call after each UpdateCharges) recomputes the modified charges; geometry
 // is never rebuilt.
 func (s *Solver) Potentials() []float64 {
-	pl := s.plan.core
-	s.state.Compute(pl, s.params.Workers)
-	phiBatch := make([]float64, pl.Batches.Targets.Len())
-	core.RunComputeState(pl, s.k, s.state, phiBatch, s.params.Workers)
-	out := make([]float64, len(phiBatch))
-	pl.Batches.Perm.ScatterInto(out, phiBatch)
-	return out
+	return core.SolvePotentials(s.plan.core, s.k, s.state, s.params.Workers)
 }
 
 // MatVec treats the treecode as the matrix-vector product phi = G*q of the
