@@ -515,7 +515,6 @@ func BenchmarkEvalDirectBlock(b *testing.B) {
 		kernel.Gaussian{Sigma: 1.1},
 		kernel.Multiquadric{C: 0.3},
 		kernel.RegularizedCoulomb{Eps: 0.02},
-		kernel.InversePower{P: 3},
 	} {
 		width1 := func(k kernel.Kernel) kernel.Tile {
 			tiles := kernel.Tiles(k)
@@ -565,7 +564,7 @@ func BenchmarkPlanSolve50k(b *testing.B) {
 
 // BenchmarkServeSolve20k measures one solve through the full daemon path
 // — HTTP round-trip, JSON decode/encode of charges and potentials,
-// admission, coalescing queue, cached plan — at a size where the serving
+// admission, cached plan, pooled charge state — at a size where the serving
 // overhead is visible next to the compute. bltcbench's serve-open-2k
 // workload (bench/README.md) measures the daemon under concurrent
 // open-loop load.

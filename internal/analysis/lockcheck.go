@@ -21,8 +21,8 @@ import (
 //  2. In the configured packages (the serving stack): no blocking
 //     operation runs while a mutex is held — channel sends/receives
 //     (outside a select with a default), WaitGroup.Wait, net/http calls,
-//     time.Sleep, and the solver entry points (Solve, RunCompute*). A
-//     request blocked under the cache or queue mutex stalls every other
+//     time.Sleep, and the solver entry points (Solve*, RunCompute*). A
+//     request blocked under the plan-cache mutex stalls every other
 //     request behind a bounded-latency lock.
 //
 // The analysis runs on the per-function CFG (one graph per declaration
@@ -360,7 +360,7 @@ func collectUnlocks(info *types.Info, call *ast.CallExpr, out map[string]bool) {
 
 // blockingOpOf recognizes an operation that can block indefinitely: a
 // channel send or receive, ranging over a channel, WaitGroup.Wait,
-// time.Sleep, any net/http call, and the solver entry points (Solve,
+// time.Sleep, any net/http call, and the solver entry points (Solve*,
 // RunCompute*). sync.Cond.Wait is deliberately excluded — waiting on a
 // condition requires holding its lock.
 func blockingOpOf(info *types.Info, n ast.Node) (string, bool) {
@@ -393,7 +393,7 @@ func blockingOpOf(info *types.Info, n ast.Node) (string, bool) {
 		if fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Sleep" {
 			return "time.Sleep", true
 		}
-		if fn.Name() == "Solve" || strings.HasPrefix(fn.Name(), "RunCompute") {
+		if strings.HasPrefix(fn.Name(), "Solve") || strings.HasPrefix(fn.Name(), "RunCompute") {
 			return "solver call " + fn.Name(), true
 		}
 	}

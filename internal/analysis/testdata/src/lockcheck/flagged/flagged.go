@@ -10,8 +10,10 @@ import (
 	"time"
 )
 
-// Solve stands in for the solver entry point.
+// Solve and SolvePotentials stand in for the solver entry points.
 func Solve() {}
+
+func SolvePotentials() {}
 
 type cache struct {
 	mu   sync.Mutex
@@ -91,4 +93,11 @@ func (c *cache) blockSolve() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	Solve() // want "solver call Solve while c.mu is held"
+}
+
+// blockSolvePotentials runs the library's potential solve under the lock.
+func (c *cache) blockSolvePotentials() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	SolvePotentials() // want "solver call SolvePotentials while c.mu is held"
 }

@@ -112,7 +112,6 @@ func TestBlockPathBitIdenticalToScalar(t *testing.T) {
 		kernel.Gaussian{Sigma: 1.1},
 		kernel.Multiquadric{C: 0.3},
 		kernel.RegularizedCoulomb{Eps: 0.02},
-		kernel.InversePower{P: 3},
 	} {
 		t.Run(k.Name(), func(t *testing.T) {
 			run := func() (*Plan, *Result, *Result) {

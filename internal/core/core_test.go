@@ -410,9 +410,6 @@ func TestDriversLeavePlanUnchanged(t *testing.T) {
 			SolvePotentials(pl, k, st, 0)
 		}},
 		{"SolveFields", func() { SolveFields(pl, k, NewChargeState(pl), 0) }},
-		{"RunComputeGroup", func() {
-			RunComputeGroup(pl, []GroupMember{{Kernel: k, State: chargedState(pl, 0), Phi: make([]float64, targets.Len())}}, 0)
-		}},
 	}
 	for _, d := range drivers {
 		d.run()

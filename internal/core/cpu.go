@@ -83,13 +83,6 @@ func evalBatchLists(pl *Plan, tiles []kernel.Sized[kernel.Tile], bi int, phi, q 
 	})
 }
 
-// ComputeWork returns the modeled flop-equivalents of one compute phase of
-// pl under kernel k on the CPU architecture class — the per-request work
-// the serving layer attributes to each solve it coalesces.
-func ComputeWork(pl *Plan, k kernel.Kernel) float64 {
-	return computeFlops(pl.Lists.Stats, k, kernel.ArchCPU)
-}
-
 // computeFlops converts interaction counts into modeled flop-equivalents
 // for the given kernel and architecture.
 func computeFlops(st interaction.Stats, k kernel.Kernel, arch kernel.Arch) float64 {

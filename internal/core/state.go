@@ -133,22 +133,11 @@ func (st *ChargeState) Invalidate() {
 	st.nCharged = 0
 }
 
-// ResetToPlan restores the charges the sources carried when the plan was
-// built and marks the state stale. It makes a recycled state (e.g. from a
-// serving-layer pool) indistinguishable from a fresh NewChargeState: both
-// SetCharges and ResetToPlan overwrite every charge, so no prior request's
-// values can leak into the next solve.
-func (st *ChargeState) ResetToPlan(pl *Plan) {
-	st.checkGen(pl)
-	copy(st.Q, pl.Sources.Particles.Q)
-	st.Invalidate()
-}
-
 // SolvePotentials is the charge, compute and scatter sequence of every
-// potential solve on a plan (RunCPU, Plan.Solve, Solver): it charges st
-// where it is not yet charged, evaluates every batch's interaction list
-// against it and returns the potentials in the caller's original target
-// order. The plan is only read.
+// potential solve on a plan (RunCPU, Plan.Solve, Solver, bltcd's POST
+// /v1/solve): it charges st where it is not yet charged, evaluates every
+// batch's interaction list against it and returns the potentials in the
+// caller's original target order. The plan is only read.
 func SolvePotentials(pl *Plan, k kernel.Kernel, st *ChargeState, workers int) []float64 {
 	st.Compute(pl, workers)
 	phi := make([]float64, pl.Batches.Targets.Len())
@@ -173,37 +162,4 @@ func RunComputeState(pl *Plan, k kernel.Kernel, st *ChargeState, phi []float64, 
 		evalBatchLists(pl, tiles, bi, phi, st.Q, st.Qhat)
 	})
 	return computeFlops(pl.Lists.Stats, k, kernel.ArchCPU)
-}
-
-// GroupMember is one request of a coalesced compute pass: a kernel, its
-// charge state (already Computed) and its output buffer (batch target
-// order).
-type GroupMember struct {
-	Kernel kernel.Kernel
-	State  *ChargeState
-	Phi    []float64
-}
-
-// RunComputeGroup evaluates several requests against one shared plan in a
-// single tiled parallel pass: the work items are all (member, batch) pairs,
-// so one worker pool spans the whole group instead of one pool per request.
-// Each item writes only its own member's Phi range and walks its batch's
-// interaction list in list order, exactly as RunComputeState does — so each
-// member's output is bit-identical to a solo RunComputeState with the same
-// state, regardless of how many requests share the pass or how items are
-// scheduled. This is the batching path of the serving layer's request
-// coalescing. Like RunComputeState it panics on a member state that is not
-// fully charged for the current plan generation.
-func RunComputeGroup(pl *Plan, members []GroupMember, workers int) {
-	nb := len(pl.Batches.Batches)
-	tiles := make([][]kernel.Sized[kernel.Tile], len(members))
-	for i := range members {
-		members[i].State.checkCharged(pl)
-		tiles[i] = kernel.Tiles(members[i].Kernel)
-	}
-	pool.For(len(members)*nb, workers, func(idx int) {
-		mi, bi := idx/nb, idx%nb
-		m := &members[mi]
-		evalBatchLists(pl, tiles[mi], bi, m.Phi, m.State.Q, m.State.Qhat)
-	})
 }

@@ -470,9 +470,6 @@ func TestUpdateStaleChargeStatePanics(t *testing.T) {
 	k := kernel.RegularizedCoulomb{Eps: 0.01}
 	n := pts.Len()
 	buf := func() []float64 { return make([]float64, n) }
-	group := func(pl *Plan, st *ChargeState) {
-		RunComputeGroup(pl, []GroupMember{{Kernel: k, State: st, Phi: buf()}}, 0)
-	}
 	for _, c := range []struct {
 		name   string
 		update bool                      // Update the plan after creating (and charging) the state
@@ -481,11 +478,9 @@ func TestUpdateStaleChargeStatePanics(t *testing.T) {
 	}{
 		{"Compute", true, nil, func(pl *Plan, st *ChargeState) { st.Compute(pl, 0) }},
 		{"RunComputeState", true, computeAll, func(pl *Plan, st *ChargeState) { RunComputeState(pl, k, st, buf(), 0) }},
-		{"RunComputeGroup", true, computeAll, group},
 		{"RunFieldsState", true, computeAll, func(pl *Plan, st *ChargeState) { RunFieldsState(pl, k, st, buf(), buf(), buf(), buf(), 0) }},
 		{"RunComputeState uncharged", false, nil, func(pl *Plan, st *ChargeState) { RunComputeState(pl, k, st, buf(), 0) }},
 		{"RunComputeState sampled", false, sampleOne, func(pl *Plan, st *ChargeState) { RunComputeState(pl, k, st, buf(), 0) }},
-		{"RunComputeGroup sampled", false, sampleOne, group},
 		{"RunFieldsState sampled", false, sampleOne, func(pl *Plan, st *ChargeState) { RunFieldsState(pl, k, st, buf(), buf(), buf(), buf(), 0) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -212,31 +212,6 @@ func (r RegularizedCoulomb) Cost(arch Arch) float64 {
 	return 9 + c.sqrt + c.div
 }
 
-// InversePower is G(x,y) = 1/|x-y|^p for p > 0, a family generalizing the
-// Coulomb kernel (p = 1).
-type InversePower struct {
-	P float64
-}
-
-// Name implements Kernel.
-func (ip InversePower) Name() string { return fmt.Sprintf("inverse-power-%g", ip.P) }
-
-// Eval implements Kernel. G(x,x) = 0 by convention.
-func (ip InversePower) Eval(tx, ty, tz, sx, sy, sz float64) float64 {
-	dx, dy, dz := tx-sx, ty-sy, tz-sz
-	r2 := dx*dx + dy*dy + dz*dz
-	if r2 == 0 {
-		return 0
-	}
-	return math.Pow(r2, -ip.P/2)
-}
-
-// Cost implements Kernel (pow modeled as exp+log ~ 2x exp weight).
-func (ip InversePower) Cost(arch Arch) float64 {
-	c := costs(arch)
-	return 8 + 2*c.exp
-}
-
 // Func adapts a plain function (plus a name and cost) into a Kernel. It is
 // the hook for user-defined kernels; see examples/custom-kernel.
 type Func struct {

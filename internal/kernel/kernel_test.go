@@ -57,7 +57,7 @@ func TestKernelSymmetry(t *testing.T) {
 	// All provided kernels are radial: G(x,y) = G(y,x).
 	kernels := []Kernel{
 		Coulomb{}, Yukawa{Kappa: 0.7}, Gaussian{Sigma: 1.2},
-		Multiquadric{C: 0.5}, RegularizedCoulomb{Eps: 0.1}, InversePower{P: 2},
+		Multiquadric{C: 0.5}, RegularizedCoulomb{Eps: 0.1},
 	}
 	pts := [][6]float64{
 		{0, 0, 0, 1, 2, 3},
@@ -77,7 +77,7 @@ func TestKernelSymmetry(t *testing.T) {
 
 func TestKernelDecay(t *testing.T) {
 	// Decaying kernels must be monotone in distance.
-	decaying := []Kernel{Coulomb{}, Yukawa{Kappa: 0.5}, Gaussian{Sigma: 1}, RegularizedCoulomb{Eps: 0.2}, InversePower{P: 3}}
+	decaying := []Kernel{Coulomb{}, Yukawa{Kappa: 0.5}, Gaussian{Sigma: 1}, RegularizedCoulomb{Eps: 0.2}}
 	for _, k := range decaying {
 		prev := math.Inf(1)
 		for r := 0.5; r < 16; r *= 2 {
@@ -115,7 +115,7 @@ func TestYukawaCostRatios(t *testing.T) {
 func TestAllCostsPositive(t *testing.T) {
 	kernels := []Kernel{
 		Coulomb{}, Yukawa{Kappa: 0.5}, Gaussian{Sigma: 1},
-		Multiquadric{C: 1}, RegularizedCoulomb{Eps: 0.1}, InversePower{P: 2},
+		Multiquadric{C: 1}, RegularizedCoulomb{Eps: 0.1},
 		Func{KernelName: "custom", F: func(a, b, c, d, e, f float64) float64 { return 0 }},
 	}
 	for _, k := range kernels {
@@ -134,17 +134,6 @@ func TestMultiquadricGrowsWithDistance(t *testing.T) {
 	}
 	if k.Eval(0, 0, 0, 3, 0, 0) <= k.Eval(0, 0, 0, 1, 0, 0) {
 		t.Error("multiquadric should grow with distance")
-	}
-}
-
-func TestInversePowerGeneralizesCoulomb(t *testing.T) {
-	ip := InversePower{P: 1}
-	c := Coulomb{}
-	for _, r := range []float64{0.5, 1, 2, 7} {
-		a, b := ip.Eval(0, 0, 0, r, 0, 0), c.Eval(0, 0, 0, r, 0, 0)
-		if math.Abs(a-b) > 1e-14*b {
-			t.Errorf("p=1 inverse power %g != coulomb %g at r=%g", a, b, r)
-		}
 	}
 }
 

@@ -127,8 +127,6 @@ func Tiles(k Kernel) []Sized[Tile] {
 		return []Sized[Tile]{{4, k.tile4}, {1, k.tile1}}
 	case RegularizedCoulomb:
 		return []Sized[Tile]{{4, k.tile4}, {1, k.tile1}}
-	case InversePower:
-		return []Sized[Tile]{{4, k.tile4}, {1, k.tile1}}
 	}
 	return []Sized[Tile]{{1, evalLoop{k}.tile}}
 }
@@ -505,54 +503,6 @@ func (r RegularizedCoulomb) tile4(tx, ty, tz, sx, sy, sz, q, phi []float64) {
 		p2 += softInvSqrt(dx*dx+dy*dy+dz*dz+e2) * qj
 		dx, dy, dz = tx3-sxj, ty3-syj, tz3-szj
 		p3 += softInvSqrt(dx*dx+dy*dy+dz*dz+e2) * qj
-	}
-	phi[0] += p0
-	phi[1] += p1
-	phi[2] += p2
-	phi[3] += p3
-}
-
-// tile4 is InversePower's width-4 tile.
-//
-//hot:path
-func (ip InversePower) tile4(tx, ty, tz, sx, sy, sz, q, phi []float64) {
-	// Hoist the slice bounds: one check here instead of three per source.
-	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
-	e := -ip.P / 2
-	tx0, tx1, tx2, tx3 := tx[0], tx[1], tx[2], tx[3]
-	ty0, ty1, ty2, ty3 := ty[0], ty[1], ty[2], ty[3]
-	tz0, tz1, tz2, tz3 := tz[0], tz[1], tz[2], tz[3]
-	var p0, p1, p2, p3 float64
-	for j := range q {
-		sxj, syj, szj, qj := sx[j], sy[j], sz[j], q[j]
-		dx, dy, dz := tx0-sxj, ty0-syj, tz0-szj
-		r2 := dx*dx + dy*dy + dz*dz
-		g := 0.0
-		if r2 != 0 {
-			g = math.Pow(r2, e)
-		}
-		p0 += g * qj
-		dx, dy, dz = tx1-sxj, ty1-syj, tz1-szj
-		r2 = dx*dx + dy*dy + dz*dz
-		g = 0.0
-		if r2 != 0 {
-			g = math.Pow(r2, e)
-		}
-		p1 += g * qj
-		dx, dy, dz = tx2-sxj, ty2-syj, tz2-szj
-		r2 = dx*dx + dy*dy + dz*dz
-		g = 0.0
-		if r2 != 0 {
-			g = math.Pow(r2, e)
-		}
-		p2 += g * qj
-		dx, dy, dz = tx3-sxj, ty3-syj, tz3-szj
-		r2 = dx*dx + dy*dy + dz*dz
-		g = 0.0
-		if r2 != 0 {
-			g = math.Pow(r2, e)
-		}
-		p3 += g * qj
 	}
 	phi[0] += p0
 	phi[1] += p1

@@ -110,29 +110,6 @@ func (r RegularizedCoulomb) tile1(tx, ty, tz, sx, sy, sz, q, phi []float64) {
 	}
 }
 
-// tile1 is InversePower's width-1 tile.
-//
-//hot:path
-func (ip InversePower) tile1(tx, ty, tz, sx, sy, sz, q, phi []float64) {
-	// Hoist the slice bounds: one check here instead of three per source.
-	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
-	e := -ip.P / 2
-	for t := range phi {
-		x, y, z := tx[t], ty[t], tz[t]
-		var p float64
-		for j := range q {
-			dx, dy, dz := x-sx[j], y-sy[j], z-sz[j]
-			r2 := dx*dx + dy*dy + dz*dz
-			g := 0.0
-			if r2 != 0 {
-				g = math.Pow(r2, e)
-			}
-			p += g * q[j]
-		}
-		phi[t] += p
-	}
-}
-
 // --- Width-1 fp32 tiles of the built-in F32 kernels.
 
 // f32Tile1 is Coulomb's width-1 fp32 tile.

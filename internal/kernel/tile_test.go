@@ -20,7 +20,6 @@ func blockTestKernels() []Kernel {
 		Gaussian{Sigma: 1.3},
 		Multiquadric{C: 0.4},
 		RegularizedCoulomb{Eps: 0.05},
-		InversePower{P: 3},
 	}
 }
 

@@ -33,9 +33,6 @@ type Comm struct {
 	winMu      sync.Mutex
 	windows    map[int]any // creation-order id -> *winShared[T]
 	winAborted bool        // set by abortAll; blocks further window creation
-
-	collMu sync.Mutex
-	colls  map[int]*collective
 }
 
 // Size returns the number of ranks.
@@ -60,8 +57,7 @@ type Rank struct {
 	// the start of the rank function, before any communication.
 	Tracer *trace.Tracer
 
-	winSeq  int
-	collSeq int
+	winSeq int
 
 	// nic is this rank's origin-side network-occupancy timeline: every
 	// one-sided operation the rank issues reserves the link in issue
@@ -122,7 +118,6 @@ func Run(size int, net perfmodel.NetworkSpec, fn func(r *Rank) error) error {
 		net:     net,
 		barrier: newBarrier(size),
 		windows: map[int]any{},
-		colls:   map[int]*collective{},
 	}
 	errs := make([]error, size)
 	panics := make([]any, size)
@@ -248,65 +243,4 @@ func (b *barrier) abort() {
 	b.aborted = true
 	b.cond.Broadcast()
 	b.mu.Unlock()
-}
-
-// collective is the shared state of one AllGather-style operation.
-type collective struct {
-	once  sync.Once
-	slots []any
-}
-
-func (c *Comm) getCollective(seq int) *collective {
-	c.collMu.Lock()
-	defer c.collMu.Unlock()
-	col, ok := c.colls[seq]
-	if !ok {
-		col = &collective{slots: make([]any, c.size)}
-		c.colls[seq] = col
-	}
-	return col
-}
-
-// AllGather gathers one value from every rank, returning the slice indexed
-// by rank. It is collective: every rank must call it in the same order
-// relative to other collectives. The modeled cost is a tree exchange:
-// ceil(log2 P) latencies plus the payload bytes (payloadBytes per value).
-func AllGather[T any](r *Rank, v T, payloadBytes int) []T {
-	seq := r.collSeq
-	r.collSeq++
-	col := r.comm.getCollective(seq)
-	col.slots[r.id] = v
-	r.Barrier()
-	out := make([]T, r.comm.size)
-	for i, s := range col.slots {
-		out[i] = s.(T)
-	}
-	steps := math.Ceil(math.Log2(float64(r.comm.size)))
-	if r.comm.size > 1 {
-		r.Clock.Advance(steps * (r.comm.net.Latency + float64(payloadBytes*r.comm.size)/r.comm.net.Bandwidth))
-	}
-	r.Barrier()
-	return out
-}
-
-// AllReduceMax returns the maximum of v over all ranks.
-func AllReduceMax(r *Rank, v float64) float64 {
-	vals := AllGather(r, v, 8)
-	m := math.Inf(-1)
-	for _, x := range vals {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// AllReduceSum returns the sum of v over all ranks.
-func AllReduceSum(r *Rank, v float64) float64 {
-	vals := AllGather(r, v, 8)
-	var s float64
-	for _, x := range vals {
-		s += x
-	}
-	return s
 }

@@ -190,38 +190,6 @@ func TestMultipleWindowsMatchByOrder(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	err := Run(5, testNet(), func(r *Rank) error {
-		vals := AllGather(r, r.ID()*r.ID(), 8)
-		for q, v := range vals {
-			if v != q*q {
-				return fmt.Errorf("rank %d: slot %d = %d, want %d", r.ID(), q, v, q*q)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllReduce(t *testing.T) {
-	err := Run(6, testNet(), func(r *Rank) error {
-		sum := AllReduceSum(r, float64(r.ID()))
-		if sum != 15 {
-			return fmt.Errorf("sum=%g want 15", sum)
-		}
-		max := AllReduceMax(r, float64(r.ID()%4))
-		if max != 3 {
-			return fmt.Errorf("max=%g want 3", max)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSingleRankCommIsFree(t *testing.T) {
 	err := Run(1, testNet(), func(r *Rank) error {
 		w := NewWindow(r, []float64{7})

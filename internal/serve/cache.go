@@ -34,9 +34,9 @@ type CacheStats struct {
 	Invalidations uint64
 }
 
-// planEntry is one resident plan: the immutable core.Plan, the coalescing
-// queue of in-flight solves against it, and cache bookkeeping. Fields
-// below the comment are guarded by the owning cache's mutex.
+// planEntry is one resident plan: the immutable core.Plan, the charge
+// states its solves reuse, and cache bookkeeping. Fields below the comment
+// are guarded by the owning cache's mutex.
 type planEntry struct {
 	// Key is the entry's geometry hash (see GeometryKey).
 	Key string
@@ -47,8 +47,9 @@ type planEntry struct {
 	plan  *core.Plan
 	err   error
 
-	// queue coalesces concurrent solves against this plan.
-	queue planQueue
+	// states recycles ChargeStates across solves on this plan; SetCharges
+	// overwrites every charge, so nothing of one request reaches the next.
+	states sync.Pool
 
 	// hits counts cache lookups that returned this entry (atomic: read by
 	// response snapshots without the cache lock).

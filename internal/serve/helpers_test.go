@@ -2,8 +2,11 @@ package serve
 
 import (
 	"math/rand"
+	"testing"
 
+	"barytree"
 	"barytree/internal/core"
+	"barytree/internal/kernel"
 	"barytree/internal/particle"
 )
 
@@ -48,4 +51,17 @@ func pointsSpec(s *particle.Set) *PointsSpec {
 // paramsSpec converts params to their wire form.
 func paramsSpec(p core.Params) *ParamsSpec {
 	return &ParamsSpec{Theta: p.Theta, Degree: p.Degree, LeafSize: p.LeafSize, BatchSize: p.BatchSize}
+}
+
+// refSolve computes the reference potentials through the one-shot library
+// path (fresh setup per call — the baseline every served result must match
+// byte-for-byte).
+func refSolve(t *testing.T, k kernel.Kernel, s *barytree.Particles, q []float64, p core.Params) []float64 {
+	t.Helper()
+	set := withCharges(s, q)
+	phi, err := barytree.Solve(k, set, set, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phi
 }

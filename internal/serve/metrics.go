@@ -49,14 +49,9 @@ type Metrics struct {
 	solves      uint64 // completed solve requests (any status)
 	solveOK     uint64
 	clientErr   uint64 // 4xx other than rejection
-	serverErr   uint64
 	rejected    uint64 // 429 backpressure rejections
 	cacheHits   uint64 // solve-path plan reuse
 	cacheMisses uint64 // solve-path plan builds
-
-	groups       uint64 // coalesced compute passes
-	groupJobs    uint64 // requests served by those passes
-	maxGroupSize int
 
 	latCount uint64
 	latSum   float64
@@ -64,8 +59,8 @@ type Metrics struct {
 	latHist  [histBucketsTotal]uint64
 }
 
-// ObserveSolve records one completed solve: wall latency, the size of the
-// group pass that served it, and whether its plan came from cache.
+// ObserveSolve records one completed solve: wall latency and whether its
+// plan came from cache.
 func (m *Metrics) ObserveSolve(sec float64, cacheHit bool) {
 	m.mu.Lock()
 	m.solves++
@@ -84,26 +79,12 @@ func (m *Metrics) ObserveSolve(sec float64, cacheHit bool) {
 	m.mu.Unlock()
 }
 
-// ObserveGroup records one coalesced compute pass of the given size.
-func (m *Metrics) ObserveGroup(size int) {
-	m.mu.Lock()
-	m.groups++
-	m.groupJobs += uint64(size)
-	if size > m.maxGroupSize {
-		m.maxGroupSize = size
-	}
-	m.mu.Unlock()
-}
-
-// ObserveError records one failed solve request (client = 4xx).
-func (m *Metrics) ObserveError(client bool) {
+// ObserveError records one solve request answered with a 4xx other than
+// a rejection.
+func (m *Metrics) ObserveError() {
 	m.mu.Lock()
 	m.solves++
-	if client {
-		m.clientErr++
-	} else {
-		m.serverErr++
-	}
+	m.clientErr++
 	m.mu.Unlock()
 }
 
@@ -160,13 +141,13 @@ func (m *Metrics) WriteText(w io.Writer, extra ...string) {
 		fmt.Sprintf("bltcd_solve_requests_total %d", m.solves),
 		fmt.Sprintf("bltcd_solve_ok_total %d", m.solveOK),
 		fmt.Sprintf("bltcd_solve_client_errors_total %d", m.clientErr),
-		fmt.Sprintf("bltcd_solve_server_errors_total %d", m.serverErr),
 		fmt.Sprintf("bltcd_rejected_total %d", m.rejected),
 		fmt.Sprintf("bltcd_solve_plan_hits_total %d", m.cacheHits),
 		fmt.Sprintf("bltcd_solve_plan_misses_total %d", m.cacheMisses),
-		fmt.Sprintf("bltcd_coalesce_groups_total %d", m.groups),
-		fmt.Sprintf("bltcd_coalesce_jobs_total %d", m.groupJobs),
-		fmt.Sprintf("bltcd_coalesce_max_group_size %d", m.maxGroupSize),
+		// Both count solves served; they stay because bltcbench's
+		// serve-open-2k divides them (its coalesce_mean_group).
+		fmt.Sprintf("bltcd_coalesce_groups_total %d", m.solveOK),
+		fmt.Sprintf("bltcd_coalesce_jobs_total %d", m.solveOK),
 		fmt.Sprintf("bltcd_solve_latency_seconds_count %d", m.latCount),
 		fmt.Sprintf("bltcd_solve_latency_seconds_sum %g", m.latSum),
 		fmt.Sprintf("bltcd_solve_latency_seconds_max %g", m.latMax),

@@ -8,23 +8,25 @@
 // after construction, and is therefore shareable by any number of
 // concurrent requests; everything a request mutates (charges, modified
 // charges, potentials) lives in a per-request core.ChargeState. The
-// daemon turns that split into three serving mechanisms:
+// daemon turns that split into two serving mechanisms:
 //
 //   - plan cache: requests carrying the same geometry (bit-for-bit) map
 //     to one cached Plan (single-flight build, LRU-bounded); the setup
 //     phase — the dominant cost of a one-shot solve — is paid once per
 //     geometry instead of once per request.
-//   - request coalescing: concurrent requests against one plan batch into
-//     a single tiled compute pass (core.RunComputeGroup) with per-request
-//     outputs bit-identical to solo execution.
 //   - admission control: a bounded number of in-flight solves; excess
 //     load is rejected immediately with 429 + Retry-After instead of
 //     queueing without bound.
 //
+// Every served solve is core.SolvePotentials on the request goroutine,
+// with a ChargeState pooled by the plan's cache entry: the sequence
+// Plan.Solve runs, so served potentials equal the library's by
+// construction.
+//
 // Observability: /metrics exposes serving counters and latency quantiles
 // plus the plan-cache and tracer counters; /trace exports the daemon's
-// modeled-time span record (plan builds, coalesced precompute/compute
-// passes) as Chrome trace-event JSON via internal/trace. See
+// modeled-time span record (plan builds, each solve's precompute and
+// compute) as Chrome trace-event JSON via internal/trace. See
 // docs/serving.md for the endpoint reference and worked examples.
 package serve
 
@@ -32,11 +34,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
 
 	"barytree/internal/core"
+	"barytree/internal/kernel"
 	"barytree/internal/particle"
 	"barytree/internal/perfmodel"
 	"barytree/internal/trace"
@@ -50,9 +54,9 @@ type Config struct {
 	// selects DefaultMaxPlans.
 	MaxPlans int
 	// MaxInFlight bounds concurrently admitted solve requests; further
-	// requests receive 429 + Retry-After. <= 0 selects 64. Admitted
-	// requests waiting in a coalescing queue count against the bound, so
-	// it also bounds the daemon's transient per-request memory.
+	// requests receive 429 + Retry-After. <= 0 selects 64. A request
+	// holds its slot until its response is written, so the bound also
+	// bounds the daemon's transient per-request memory.
 	MaxInFlight int
 	// Workers bounds the host goroutines of each setup/charge/compute
 	// pass (<= 0 selects all cores). Results are bit-identical for every
@@ -68,8 +72,8 @@ type Config struct {
 	TraceSpans int
 }
 
-// Server is the serving layer: plan cache, coalescing queues, admission
-// control, metrics and trace. Create with New; serve via Handler.
+// Server is the serving layer: plan cache, admission control, metrics and
+// trace. Create with New; serve via Handler.
 type Server struct {
 	cfg     Config
 	cache   *PlanCache
@@ -78,8 +82,8 @@ type Server struct {
 	admit   chan struct{}
 	cpu     perfmodel.CPUSpec
 
-	// clockMu guards clockNow, the daemon's modeled timeline: group
-	// passes and plan builds append their modeled durations here, giving
+	// clockMu guards clockNow, the daemon's modeled timeline: solves and
+	// plan builds append their modeled durations here, giving
 	// /trace a deterministic time axis (internal/trace records modeled
 	// seconds, never wall-clock).
 	clockMu  sync.Mutex
@@ -200,28 +204,21 @@ func (s *Server) emitSpan(sp trace.Span) {
 	s.tracer.Emit(sp)
 }
 
-// onGroup accounts one coalesced compute pass: metrics, counters, and the
-// pass's modeled precompute/compute spans on the daemon timeline.
-func (s *Server) onGroup(key string) func(groupReport) {
-	return func(rep groupReport) {
-		s.metrics.ObserveGroup(rep.Size)
-		rate := s.cpu.ParallelFlopRate()
-		pre, comp := rep.ChargeFlops/rate, rep.ComputeFlops/rate
-		t0 := s.advance(pre + comp)
-		args := []trace.Arg{trace.A("plan", shortKey(key)), trace.A("requests", rep.Size)}
-		s.emitSpan(trace.Span{
-			Name: "serve.precompute", Cat: trace.CatPhase, Track: trace.TrackHost,
-			Start: t0, End: t0 + pre, Args: args,
-		})
-		s.emitSpan(trace.Span{
-			Name: "serve.compute", Cat: trace.CatPhase, Track: trace.TrackHost,
-			Start: t0 + pre, End: t0 + pre + comp, Args: args,
-		})
-		s.tracer.Add("serve.groups", 1)
-		s.tracer.Add("serve.group.requests", float64(rep.Size))
-		s.tracer.Add("serve.flops.precompute", rep.ChargeFlops)
-		s.tracer.Add("serve.flops.compute", rep.ComputeFlops)
-	}
+// traceSolve records one solve's modeled precompute and compute spans on
+// the daemon timeline.
+func (s *Server) traceSolve(key string, pl *core.Plan, k kernel.Kernel) {
+	mt := core.ModelCPURun(pl, k, s.cpu)
+	pre, comp := mt[perfmodel.PhasePrecompute], mt[perfmodel.PhaseCompute]
+	t0 := s.advance(pre + comp)
+	args := []trace.Arg{trace.A("plan", shortKey(key))}
+	s.emitSpan(trace.Span{
+		Name: "serve.precompute", Cat: trace.CatPhase, Track: trace.TrackHost,
+		Start: t0, End: t0 + pre, Args: args,
+	})
+	s.emitSpan(trace.Span{
+		Name: "serve.compute", Cat: trace.CatPhase, Track: trace.TrackHost,
+		Start: t0 + pre, End: t0 + pre + comp, Args: args,
+	})
 }
 
 // shortKey abbreviates a plan key for span args.
@@ -316,18 +313,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	var req SolveRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.metrics.ObserveError(true)
+		s.metrics.ObserveError()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	k, err := req.Kernel.Build()
 	if err != nil {
-		s.metrics.ObserveError(true)
+		s.metrics.ObserveError()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.Charges) == 0 {
-		s.metrics.ObserveError(true)
+		s.metrics.ObserveError()
 		writeError(w, http.StatusBadRequest, "charges required")
 		return
 	}
@@ -340,7 +337,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	case req.Plan != "":
 		e = s.cache.Get(req.Plan)
 		if e == nil {
-			s.metrics.ObserveError(true)
+			s.metrics.ObserveError()
 			writeError(w, http.StatusNotFound,
 				"unknown plan %q (expired or never created): POST /v1/plans or send inline geometry", req.Plan)
 			return
@@ -348,7 +345,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	case req.Targets != nil:
 		targets, sources, p, rerr := req.resolve(s.cfg.Workers)
 		if rerr != nil {
-			s.metrics.ObserveError(true)
+			s.metrics.ObserveError()
 			writeError(w, http.StatusBadRequest, "%v", rerr)
 			return
 		}
@@ -358,22 +355,39 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return s.buildPlan(key, targets, sources, p)
 		})
 		if berr != nil {
-			s.metrics.ObserveError(true)
+			s.metrics.ObserveError()
 			writeError(w, http.StatusBadRequest, "plan build failed: %v", berr)
 			return
 		}
 	default:
-		s.metrics.ObserveError(true)
+		s.metrics.ObserveError()
 		writeError(w, http.StatusBadRequest, "either plan key or inline geometry (targets) required")
 		return
 	}
 
-	job := &solveJob{kernel: k, charges: req.Charges}
-	e.queue.submit(e.Plan(), s.cfg.Workers, job, s.onGroup(e.Key))
-	if job.err != nil {
-		s.metrics.ObserveError(true)
-		writeError(w, http.StatusBadRequest, "%v", job.err)
+	pl := e.Plan()
+	st, _ := e.states.Get().(*core.ChargeState)
+	if st == nil {
+		st = core.NewChargeState(pl)
+	}
+	if err := st.SetCharges(pl, req.Charges); err != nil {
+		e.states.Put(st)
+		s.metrics.ObserveError()
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	phi := core.SolvePotentials(pl, k, st, s.cfg.Workers)
+	e.states.Put(st)
+	s.traceSolve(e.Key, pl, k)
+	// JSON has no Inf or NaN, and writeJSON commits the status before it
+	// encodes: check here, while a 4xx can still be sent.
+	for i, v := range phi {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			s.metrics.ObserveError()
+			writeError(w, http.StatusBadRequest,
+				"potentials overflow float64 (phi[%d] = %v), which JSON cannot carry: rescale the charges or coordinates", i, v)
+			return
+		}
 	}
 	s.tracer.Add("serve.solves", 1)
 	cacheState := "hit"
@@ -382,7 +396,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.ObserveSolve(time.Since(start).Seconds(), hit)
 	writeJSON(w, http.StatusOK, SolveResponse{
-		Plan: e.Key, Cache: cacheState, Coalesced: job.groupSize, Phi: job.phi,
+		Plan: e.Key, Cache: cacheState, Phi: phi,
 	})
 }
 

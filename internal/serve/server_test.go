@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"barytree/internal/core"
 	"barytree/internal/kernel"
 )
 
@@ -132,7 +136,7 @@ func TestServerSolveMatchesLibrary(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s: %d %s", tc.name, code, raw)
 		}
-		if sol.Cache != "hit" || sol.Coalesced < 1 {
+		if sol.Cache != "hit" {
 			t.Fatalf("%s: response %+v, want a cache hit", tc.name, sol)
 		}
 		want := refSolve(t, tc.k, s, q, p)
@@ -172,6 +176,10 @@ func TestServerSolveErrors(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/plans", PlanRequest{
 		GeometrySpec: GeometrySpec{Targets: pointsSpec(s), Params: paramsSpec(p)},
 	}, &plan)
+	huge := make([]float64, len(q))
+	for i := range huge {
+		huge[i] = 1e308
+	}
 
 	cases := []struct {
 		name string
@@ -184,6 +192,7 @@ func TestServerSolveErrors(t *testing.T) {
 		{"no plan or geometry", SolveRequest{Charges: q}, http.StatusBadRequest, "either plan key or inline geometry"},
 		{"bad kernel", SolveRequest{Plan: plan.Plan, Kernel: &KernelSpec{Name: "nope"}, Charges: q}, http.StatusBadRequest, "unknown kernel"},
 		{"short charges", SolveRequest{Plan: plan.Plan, Charges: q[:7]}, http.StatusBadRequest, "120"},
+		{"overflowing potentials", SolveRequest{Plan: plan.Plan, Charges: huge}, http.StatusBadRequest, "overflow"},
 	}
 	for _, tc := range cases {
 		code, raw := doJSON(t, "POST", ts.URL+"/v1/solve", tc.req, nil)
@@ -278,6 +287,7 @@ func TestServerMetricsAndTrace(t *testing.T) {
 		"bltcd_solve_plan_misses_total 1",
 		"bltcd_plan_cache_size 1",
 		"bltcd_coalesce_groups_total 1",
+		"bltcd_coalesce_jobs_total 1",
 		"bltcd_solve_latency_seconds_count 1",
 		`bltcd_trace{counter="serve.plan.builds"} 1`,
 		`bltcd_trace{counter="serve.solves"} 1`,
@@ -316,63 +326,206 @@ func TestServerMetricsAndTrace(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentSolves is the -race plan-cache stress: goroutines
-// hammer one daemon across two shared plans with distinct charge vectors;
-// every response must be byte-identical to the library path.
+// TestServerConcurrentSolves is the -race stress of the solve path:
+// goroutines hammer one daemon with Coulomb, Yukawa and Gaussian requests,
+// each kernel with its own charge vector. Every valid response must be
+// byte-identical to the library path and every short one a 400, whatever
+// runs beside it on the same plan.
 func TestServerConcurrentSolves(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInFlight: 64})
 	p := testParams()
+	kernels := []struct {
+		spec *KernelSpec
+		k    kernel.Kernel
+	}{
+		{&KernelSpec{Name: "coulomb"}, kernel.Coulomb{}},
+		{&KernelSpec{Name: "yukawa", Kappa: 0.5}, kernel.Yukawa{Kappa: 0.5}},
+		{&KernelSpec{Name: "gaussian", Sigma: 1.2}, kernel.Gaussian{Sigma: 1.2}},
+	}
 
 	type geom struct {
-		s    *PointsSpec
 		key  string
-		want [][]float64 // per charge vector
-		q    [][]float64
+		q    [][]float64 // per kernel
+		want [][]float64
 	}
 	geoms := make([]*geom, 2)
 	for gi := range geoms {
 		s, _ := testSet(160, 59+int64(gi))
-		g := &geom{s: pointsSpec(s)}
+		g := &geom{}
 		var plan PlanResponse
 		doJSON(t, "POST", ts.URL+"/v1/plans", PlanRequest{
-			GeometrySpec: GeometrySpec{Targets: g.s, Params: paramsSpec(p)},
+			GeometrySpec: GeometrySpec{Targets: pointsSpec(s), Params: paramsSpec(p)},
 		}, &plan)
 		g.key = plan.Plan
-		for v := 0; v < 3; v++ {
+		for v, kc := range kernels {
 			_, q := testSet(160, 300+int64(10*gi+v))
 			g.q = append(g.q, q)
-			g.want = append(g.want, refSolve(t, kernel.Coulomb{}, s, q, p))
+			g.want = append(g.want, refSolve(t, kc.k, s, q, p))
 		}
 		geoms[gi] = g
 	}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < 4; r++ {
-				g := geoms[(w+r)%len(geoms)]
-				v := (w * r) % len(g.q)
-				var sol SolveResponse
-				code, raw := doJSON(t, "POST", ts.URL+"/v1/solve", SolveRequest{Plan: g.key, Charges: g.q[v]}, &sol)
-				if code != http.StatusOK {
-					errs <- fmt.Errorf("worker %d: %d %s", w, code, raw)
-					return
-				}
-				for i := range g.want[v] {
-					if sol.Phi[i] != g.want[v][i] {
-						errs <- fmt.Errorf("worker %d phi[%d]: %v != %v", w, i, sol.Phi[i], g.want[v][i])
+	// hammer runs 8 goroutines of 4 requests each over gs; request r of
+	// worker w sends only 7 charges when short(w, r) holds.
+	hammer := func(t *testing.T, gs []*geom, short func(w, r int) bool) {
+		var wg sync.WaitGroup
+		errs := make(chan error, 64)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for r := 0; r < 4; r++ {
+					g := gs[(w+r)%len(gs)]
+					v := (w + 2*r) % len(kernels)
+					req := SolveRequest{Plan: g.key, Kernel: kernels[v].spec, Charges: g.q[v]}
+					if short(w, r) {
+						req.Charges = req.Charges[:7]
+						if code, raw := doJSON(t, "POST", ts.URL+"/v1/solve", req, nil); code != http.StatusBadRequest {
+							errs <- fmt.Errorf("worker %d, 7 charges: %d %s, want 400", w, code, raw)
+							return
+						}
+						continue
+					}
+					var sol SolveResponse
+					code, raw := doJSON(t, "POST", ts.URL+"/v1/solve", req, &sol)
+					if code != http.StatusOK {
+						errs <- fmt.Errorf("worker %d: %d %s", w, code, raw)
 						return
 					}
+					for i := range g.want[v] {
+						if sol.Phi[i] != g.want[v][i] {
+							errs <- fmt.Errorf("worker %d kernel %d phi[%d]: %v != %v", w, v, i, sol.Phi[i], g.want[v][i])
+							return
+						}
+					}
 				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	}
+	never := func(w, r int) bool { return false }
+
+	// Every kernel at once on one plan: a request's potentials do not
+	// depend on which other kernels or charges share the plan.
+	t.Run("mixed-kernels", func(t *testing.T) { hammer(t, geoms[:1], never) })
+	// Concurrent submissions spread over two cached plans.
+	t.Run("shared-cache", func(t *testing.T) { hammer(t, geoms, never) })
+	// Every fourth request is short: it gets its 400 without disturbing
+	// the valid requests running beside it on the same plan.
+	t.Run("short-charges", func(t *testing.T) {
+		hammer(t, geoms[:1], func(w, r int) bool { return (w+r)%4 == 3 })
+	})
+}
+
+// FuzzSolveHandler sends arbitrary POST /v1/solve bodies to a daemon
+// holding one cached plan. Every body must get a 200 or a 4xx, never a 5xx
+// or a panic, and leave no goroutine behind; every 200 must carry, bit for
+// bit, the potentials core.SolvePotentials computes on that plan for the
+// body's kernel and charges. Bodies with inline geometry are skipped: the
+// daemon does not bound their params, so a small body can ask the setup
+// phase for gigabytes.
+func FuzzSolveHandler(f *testing.F) {
+	srv := New(Config{Workers: 2})
+	h := srv.Handler()
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return w
+	}
+	encode := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+
+	s, q := testSet(100, 61)
+	var plan PlanResponse
+	w := post("/v1/plans", encode(PlanRequest{GeometrySpec: GeometrySpec{Targets: pointsSpec(s), Params: paramsSpec(testParams())}}))
+	if err := json.Unmarshal(w.Body.Bytes(), &plan); w.Code != http.StatusOK || err != nil {
+		f.Fatalf("POST /v1/plans: %d %s", w.Code, w.Body)
+	}
+	pl := srv.cache.Get(plan.Plan).Plan()
+
+	huge := make([]float64, len(q))
+	for i := range huge {
+		huge[i] = 1e308
+	}
+	for _, sd := range []struct {
+		code int
+		body []byte
+	}{
+		{http.StatusOK, encode(SolveRequest{Plan: plan.Plan, Charges: q})},
+		{http.StatusOK, encode(SolveRequest{Plan: plan.Plan, Kernel: &KernelSpec{Name: "yukawa", Kappa: 0.5}, Charges: q})},
+		{http.StatusOK, encode(SolveRequest{Plan: plan.Plan, Kernel: &KernelSpec{Name: "multiquadric", C: 0.3}, Charges: q})},
+		{http.StatusBadRequest, encode(SolveRequest{Plan: plan.Plan, Charges: huge})},
+		{http.StatusBadRequest, encode(SolveRequest{Plan: plan.Plan, Charges: q[:9]})},
+		{http.StatusBadRequest, encode(SolveRequest{Plan: plan.Plan, Kernel: &KernelSpec{Name: "gaussian"}, Charges: q})},
+		{http.StatusBadRequest, []byte(`{"plan":`)},
+		{http.StatusBadRequest, []byte(`{"charges":[1]}`)},
+		{http.StatusNotFound, encode(SolveRequest{Plan: "deadbeef", Charges: q})},
+	} {
+		if w := post("/v1/solve", sd.body); w.Code != sd.code {
+			f.Fatalf("seed %.80s: status %d, want %d (%s)", sd.body, w.Code, sd.code, w.Body)
+		}
+		f.Add(sd.body)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SolveRequest
+		decodeErr := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		if decodeErr == nil && req.Plan == "" && req.Targets != nil {
+			t.Skip("inline geometry: plan params are unbounded")
+		}
+		before := runtime.NumGoroutine()
+		w := post("/v1/solve", body)
+		if w.Code != http.StatusOK && (w.Code < 400 || w.Code > 499) {
+			t.Fatalf("status %d (%s), want 200 or a 4xx", w.Code, w.Body)
+		}
+		if n := goroutinesAfter(before); n > before {
+			t.Fatalf("%d goroutines after the call, %d before", n, before)
+		}
+		if w.Code != http.StatusOK {
+			return
+		}
+		var got SolveResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+			t.Fatalf("200 with undecodable body %q: %v", w.Body, err)
+		}
+		k, err := req.Kernel.Build()
+		if err != nil {
+			t.Fatalf("200 for a body whose kernel fails to build: %v", err)
+		}
+		st := core.NewChargeState(pl)
+		if err := st.SetCharges(pl, req.Charges); err != nil {
+			t.Fatalf("200 for a body whose charges do not fit the plan: %v", err)
+		}
+		want := core.SolvePotentials(pl, k, st, 0)
+		if len(got.Phi) != len(want) {
+			t.Fatalf("%d potentials, want %d", len(got.Phi), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got.Phi[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("phi[%d] served %v != SolvePotentials %v", i, got.Phi[i], want[i])
 			}
-		}(w)
+		}
+	})
+}
+
+// goroutinesAfter waits up to a second for the goroutine count to fall to
+// want and returns the last count: a pool worker that has signalled its
+// WaitGroup can still be on its way out when the handler returns.
+func goroutinesAfter(want int) int {
+	deadline := time.Now().Add(time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	return n
 }

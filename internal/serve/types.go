@@ -172,11 +172,8 @@ type SolveResponse struct {
 	Plan string `json:"plan"`
 	// Cache is "hit" when the plan was reused, "miss" when this request
 	// built it.
-	Cache string `json:"cache"`
-	// Coalesced is the number of requests served by the compute pass this
-	// solve rode in (1 = it ran alone).
-	Coalesced int       `json:"coalesced"`
-	Phi       []float64 `json:"phi"`
+	Cache string    `json:"cache"`
+	Phi   []float64 `json:"phi"`
 }
 
 // ErrorResponse is the JSON body of every non-2xx response.
