@@ -351,9 +351,11 @@ func BenchmarkClusterData50k(b *testing.B) {
 
 // BenchmarkModifiedCharges measures the charge pass alone on a fixed
 // layout (grid construction is BenchmarkClusterData50k): a charge state
-// invalidated and recomputed, as Solver.UpdateCharges does. In steady
-// state the pass reuses pooled scratch and the state's q-hat arena, so
-// B/op is ~0.
+// invalidated and recomputed, as Solver.UpdateCharges does. The plan has
+// no interaction lists, so the pass charges every node, the paper's full
+// precompute. It writes into the state's q-hat arena, and its only
+// allocations are the node flags and each worker's closure and three
+// barycentric rows: well under 1 KB per op, whatever the cluster sizes.
 func BenchmarkModifiedCharges(b *testing.B) {
 	pts := barytree.UniformCube(50_000, 2)
 	t := tree.Build(pts, 2000)

@@ -17,9 +17,9 @@ const hotPathDirective = "//hot:path"
 // inside function literals it defines: either is a per-call heap or
 // growth allocation that the benchmarks would report as B/op regressions
 // long after the fact. Code that legitimately needs scratch space should
-// take it from a caller-owned, reused buffer (see internal/core's
-// chargeScratch) and drop the directive from whatever function owns the
-// growth.
+// take it from a caller-owned, reused buffer (internal/core's chargeNode
+// takes its barycentric rows from the charge pass's worker) and drop the
+// directive from whatever function owns the allocation.
 func HotAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotalloc",

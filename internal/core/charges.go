@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"barytree/internal/chebyshev"
 	"barytree/internal/particle"
@@ -131,66 +130,38 @@ func chargeWork(n, nc int) (pass1, pass2 float64) {
 	return pass1, pass2
 }
 
-// chargeScratch holds the per-particle intermediates of the first
-// preprocessing kernel for one cluster: the barycentric factors
-// t*[j*m+k] = w_k/(y_j - s_k) per dimension (with removable singularities
-// resolved to Kronecker deltas) and the intermediate charges q-tilde of
-// equation (14).
-//
-// The buffers are flat (row j of tx is tx[j*m:(j+1)*m]) and grown
-// monotonically by Reserve, so one scratch value per worker serves every
-// cluster that worker processes without allocating in the hot loop. Rows
-// are fully overwritten by pass 1 before pass 2 reads them, so no clearing
-// between clusters is needed. Distinct particles touch disjoint rows, which
-// keeps concurrent pass-1 block functions of one device launch race-free.
-type chargeScratch struct {
-	tx, ty, tz []float64
-	qt         []float64
-}
-
-// scratchPool recycles charge scratch across charge passes. The root
-// cluster's scratch alone is nc*m floats per dimension — ~11 MB for 50k
-// particles at degree 8 — so letting each pass allocate fresh buffers
-// dominates the pass's B/op; pooling amortizes it to zero in steady state.
-// Safe for determinism: Reserve sizes every row and pass 1 fully
-// overwrites it before pass 2 reads, so results never depend on what a
-// recycled buffer held.
-var scratchPool = sync.Pool{New: func() any { return new(chargeScratch) }}
-
-// Reserve sizes the scratch for a cluster of nc particles at m = degree+1
-// points per dimension, reusing prior capacity.
-func (s *chargeScratch) Reserve(nc, m int) {
-	if n := nc * m; cap(s.tx) < n {
-		s.tx = make([]float64, n)
-		s.ty = make([]float64, n)
-		s.tz = make([]float64, n)
-	} else {
-		s.tx = s.tx[:n]
-		s.ty = s.ty[:n]
-		s.tz = s.tz[:n]
-	}
-	if cap(s.qt) < nc {
-		s.qt = make([]float64, nc)
-	} else {
-		s.qt = s.qt[:nc]
-	}
-}
-
-// pass1Particle computes the intermediate quantity q-tilde (equation (14))
-// and the barycentric factors for the j-th particle of node nd, mirroring
-// one thread block of the first preprocessing kernel. q supplies the source
-// charges in tree order.
+// chargeNode computes node ni's modified charges for charges q (tree
+// order) into qhat, one particle at a time: the particle's three rows of
+// barycentric factors and its intermediate charge q-tilde (equation (14)),
+// then its term t_x[k1]*t_y[k2]*t_z[k3]*q-tilde added into every point's
+// running sum (equation (15)). Each point sums from +0 in particle order
+// with the equation's association, so the values are bit-identical to the
+// paper's two kernels run one after the other. rows is the caller's
+// scratch of 3*(degree+1) values.
 //
 //hot:path
-func (cd *ClusterData) pass1Particle(src *particle.Set, q []float64, nd *tree.Node, ni, j int, s *chargeScratch) {
+func (cd *ClusterData) chargeNode(src *particle.Set, q []float64, nd *tree.Node, ni int, rows, qhat []float64) {
 	g := cd.Grids[ni]
 	m := cd.Degree + 1
-	p := nd.Lo + j
-	row := j * m
-	dx := barycentricFactorsInto(g.Dims[0], src.X[p], s.tx[row:row+m])
-	dy := barycentricFactorsInto(g.Dims[1], src.Y[p], s.ty[row:row+m])
-	dz := barycentricFactorsInto(g.Dims[2], src.Z[p], s.tz[row:row+m])
-	s.qt[j] = q[p] / (dx * dy * dz)
+	tx, ty, tz := rows[:m], rows[m:2*m], rows[2*m:3*m]
+	clear(qhat)
+	for p := nd.Lo; p < nd.Hi; p++ {
+		dx := barycentricFactorsInto(g.Dims[0], src.X[p], tx)
+		dy := barycentricFactorsInto(g.Dims[1], src.Y[p], ty)
+		dz := barycentricFactorsInto(g.Dims[2], src.Z[p], tz)
+		qt := q[p] / (dx * dy * dz)
+		b := 0
+		for _, x := range tx {
+			for _, y := range ty {
+				xy := x * y
+				out := qhat[b : b+len(tz)]
+				for k, z := range tz {
+					out[k] += xy * z * qt
+				}
+				b += len(tz)
+			}
+		}
+	}
 }
 
 // barycentricFactorsInto fills t[k] = w_k/(x - s_k) for a 1D grid and
@@ -214,41 +185,6 @@ func barycentricFactorsInto(g chebyshev.Grid1D, x float64, t []float64) (d float
 		d += t[k]
 	}
 	return d
-}
-
-// pass2Point computes the modified charge q-hat at the flat-index-`block`
-// Chebyshev point of node ni from the intermediate quantities
-// (equation (15)), mirroring one thread block of the second preprocessing
-// kernel (threads over particles, reduction at the end).
-//
-//hot:path
-func (cd *ClusterData) pass2Point(s *chargeScratch, block int, qhat []float64) {
-	m := cd.Degree + 1
-	k3 := block % m
-	k2 := (block / m) % m
-	k1 := block / (m * m)
-	var sum float64
-	for j := range s.qt {
-		row := j * m
-		sum += s.tx[row+k1] * s.ty[row+k2] * s.tz[row+k3] * s.qt[j]
-	}
-	qhat[block] = sum
-}
-
-// computeChargesNodeInto runs both host passes for node ni with charges q
-// (tree order) into the caller-provided qhat buffer, using the caller's
-// scratch — the pass itself allocates nothing. For equal q the filled
-// values are bit-identical whichever buffer receives them.
-func (cd *ClusterData) computeChargesNodeInto(src *particle.Set, q []float64, nd *tree.Node, ni int, s *chargeScratch, qhat []float64) {
-	nc := nd.Count()
-	s.Reserve(nc, cd.Degree+1)
-	for j := 0; j < nc; j++ {
-		cd.pass1Particle(src, q, nd, ni, j, s)
-	}
-	np := cd.Grids[ni].NumPoints()
-	for b := 0; b < np; b++ {
-		cd.pass2Point(s, b, qhat)
-	}
 }
 
 // TotalChargeWork returns the modeled flop-equivalents of a full charge

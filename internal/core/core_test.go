@@ -21,11 +21,24 @@ func testParticles(t *testing.T, n int, seed int64) *particle.Set {
 }
 
 // chargedState returns a state holding pl's build-time charges with every
-// node's modified charges computed by up to workers goroutines.
+// node's modified charges computed by up to workers goroutines, whether an
+// approximation reads them or not: Compute charges every node of a plan
+// without lists, here a list-less view of pl.
 func chargedState(pl *Plan, workers int) *ChargeState {
 	st := NewChargeState(pl)
-	st.Compute(pl, workers)
+	st.Compute(&Plan{Sources: pl.Sources, Clusters: pl.Clusters, gen: pl.gen}, workers)
 	return st
+}
+
+// countCharged returns the number of nodes st holds modified charges for.
+func countCharged(st *ChargeState) int {
+	n := 0
+	for _, c := range st.charged {
+		if c {
+			n++
+		}
+	}
+	return n
 }
 
 func TestParamsValidate(t *testing.T) {

@@ -37,11 +37,11 @@ func (o *CPUOptions) defaults() {
 }
 
 // RunCPU evaluates the treecode plan on the CPU: modified charges for every
-// source cluster, then each batch's interaction list (direct sums for
-// near-field leaves, barycentric approximations for well-separated
-// clusters), parallelized over batches. The charges go into a fresh
-// ChargeState; the plan is only read. The modeled Times are
-// ModelCPURun's.
+// source cluster an approximation reads, then each batch's interaction
+// list (direct sums for near-field leaves, barycentric approximations for
+// well-separated clusters), parallelized over batches. The charges go into
+// a fresh ChargeState; the plan is only read. The modeled Times are
+// ModelCPURun's, whose precompute is the paper's pass over every cluster.
 func RunCPU(pl *Plan, k kernel.Kernel, opt CPUOptions) *Result {
 	return &Result{
 		Phi:          SolvePotentials(pl, k, NewChargeState(pl), opt.Workers),

@@ -29,8 +29,8 @@ func RunCPUFields(pl *Plan, k kernel.GradKernel, opt CPUOptions) *FieldResult {
 }
 
 // SolveFields is SolvePotentials for potentials and gradients, the
-// sequence of RunCPUFields and Plan.SolveWithField: it charges st where it
-// is not yet charged, evaluates every batch's interaction list and returns
+// sequence of RunCPUFields and Plan.SolveWithField: it charges st (see
+// ChargeState.Compute), evaluates every batch's interaction list and returns
 // the fields in the caller's original target order (Times left zero).
 func SolveFields(pl *Plan, k kernel.GradKernel, st *ChargeState, workers int) *FieldResult {
 	st.Compute(pl, workers)
@@ -85,8 +85,8 @@ func fieldBatchLists(pl *Plan, tiles []kernel.Sized[kernel.GradTile], bi int, q 
 // RunFieldsState evaluates potentials and gradients against a ChargeState's
 // charges into the four caller buffers (batch target order), walking every
 // batch's list through the kernel's gradient tiles (resolved once). Every
-// node of st must be charged for the current plan generation (call
-// st.Compute first); otherwise RunFieldsState panics. The plan is only
+// node an approximation list reads must be charged for the current plan
+// generation (call st.Compute first); otherwise RunFieldsState panics. The plan is only
 // read, so concurrent calls with distinct (st, buffers) are safe.
 func RunFieldsState(pl *Plan, k kernel.GradKernel, st *ChargeState, phi, gx, gy, gz []float64, workers int) {
 	st.checkCharged(pl)

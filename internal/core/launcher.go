@@ -226,11 +226,16 @@ func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 
 // launchCharges queues the two preprocessing kernels for every node of the
 // source tree (Section 3.2), charging q (tree order) into qhat[i] for node
-// i: kernel 1 computes the intermediate quantities with one block per
-// particle and threads over the degree; kernel 2 computes each modified
-// charge with one block per Chebyshev point and threads over the
-// particles. In model-only mode the launches are recorded for timing but
-// nothing is computed and qhat is not touched.
+// i. The modeled launches are the paper's: kernel 1 computes the
+// intermediate quantities with one block per particle and threads over the
+// degree, kernel 2 each modified charge with one block per Chebyshev point
+// and threads over the particles. The host executes the node's whole pass
+// as the one functional block of its kernel-2 launch, through the same
+// particle-outer loop as ChargeState.Compute, so the values are the CPU
+// driver's bit for bit. Every node is charged: remote ranks read a rank's
+// charges through its LET, and the paper's GPU charges every cluster. In
+// model-only mode the launches are recorded for timing but nothing is
+// computed and qhat is not touched.
 func launchCharges(cd *ClusterData, t *tree.Tree, q []float64, qhat [][]float64, dev *device.Device,
 	hc *perfmodel.Clock, dataReady float64, streams int, modelOnly bool) {
 
@@ -240,30 +245,16 @@ func launchCharges(cd *ClusterData, t *tree.Tree, q []float64, qhat [][]float64,
 	n := cd.Degree
 	m := n + 1
 	launch := 0
-	// One flat scratch serves every node: functional execution of a launch
-	// is synchronous, so pass 1 and pass 2 of a node complete before the
-	// next node's launches reuse the buffers. Concurrent blocks of one
-	// pass-1 launch write disjoint scratch rows.
-	scratch := scratchPool.Get().(*chargeScratch)
-	defer scratchPool.Put(scratch)
+	// One set of barycentric rows serves every node: functional execution
+	// of a launch is synchronous and each runs a single host block.
+	var rows []float64
+	if !modelOnly {
+		rows = make([]float64, 3*m)
+	}
 	for ni := range t.Nodes {
 		nd := &t.Nodes[ni]
 		nc := nd.Count()
 		p1, p2 := chargeWork(n, nc)
-
-		var fn1, fn2 func(int)
-		if !modelOnly {
-			scratch.Reserve(nc, m)
-			ni := ni
-			nd := nd
-			out := qhat[ni]
-			fn1 = func(block int) {
-				cd.pass1Particle(t.Particles, q, nd, ni, block, scratch)
-			}
-			fn2 = func(block int) {
-				cd.pass2Point(scratch, block, out)
-			}
-		}
 
 		hc.Advance(dev.Spec.LaunchOverheadHost)
 		dev.Launch(device.LaunchSpec{
@@ -272,18 +263,22 @@ func launchCharges(cd *ClusterData, t *tree.Tree, q []float64, qhat [][]float64,
 			Block:  m,
 			FlopEq: p1,
 			Label:  "charges.pass1",
-		}, math.Max(hc.Now(), dataReady), fn1)
+		}, math.Max(hc.Now(), dataReady), nil)
 		launch++
 
+		var fn func(int)
+		if !modelOnly {
+			fn = func(int) { cd.chargeNode(t.Particles, q, nd, ni, rows, qhat[ni]) }
+		}
 		np := cd.Grids[ni].NumPoints()
 		hc.Advance(dev.Spec.LaunchOverheadHost)
-		dev.Launch(device.LaunchSpec{
+		dev.LaunchBlocks(device.LaunchSpec{
 			Stream: launch % streams,
 			Grid:   np,
 			Block:  min(nc, 1024),
 			FlopEq: p2,
 			Label:  "charges.pass2",
-		}, math.Max(hc.Now(), dataReady), fn2)
+		}, math.Max(hc.Now(), dataReady), 1, fn)
 		launch++
 	}
 }

@@ -44,7 +44,7 @@ func EvaluateSampled(pl *Plan, k kernel.Kernel, st *ChargeState, sample []int) (
 			need[ci] = true
 		}
 	}
-	st.chargeNodes(pl, func(i int) bool { return need[i] }, 0)
+	st.chargeNodes(pl, need, 0)
 
 	// Evaluate the sampled targets through the kernel's tiles (resolved
 	// once). Samples are sorted by batch, and each run of samples sharing

@@ -45,15 +45,7 @@ func TestEvaluateSampledLazyCharges(t *testing.T) {
 	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, st, []int{42}); err != nil {
 		t.Fatal(err)
 	}
-	computed := 0
-	for _, c := range st.charged {
-		if c {
-			computed++
-		}
-	}
-	if computed != st.nCharged {
-		t.Fatalf("state counts %d charged nodes, flags say %d", st.nCharged, computed)
-	}
+	computed := countCharged(st)
 	if computed == 0 {
 		t.Fatal("no charges computed at all")
 	}
@@ -92,7 +84,7 @@ func TestEvaluateSampledRepeatedCallsShareCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	charged := st.nCharged
+	charged := countCharged(st)
 	b, err := EvaluateSampled(pl, k, st, []int{7, 2999})
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +92,8 @@ func TestEvaluateSampledRepeatedCallsShareCharges(t *testing.T) {
 	if a[0] != b[0] || a[1] != b[1] {
 		t.Error("repeated sampled evaluation changed results")
 	}
-	if st.nCharged != charged {
-		t.Errorf("repeated sampled evaluation charged %d more nodes; the state's charges were not shared", st.nCharged-charged)
+	if n := countCharged(st); n != charged {
+		t.Errorf("repeated sampled evaluation charged %d more nodes; the state's charges were not shared", n-charged)
 	}
 }
 

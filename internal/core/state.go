@@ -19,16 +19,16 @@ import (
 // A ChargeState must not be shared between concurrent solves; it is the
 // mutable state. Sequential reuse (an iterative solver calling
 // SetCharges/Compute per iteration) is the intended pattern and allocates
-// nothing after construction.
+// a small, size-independent number of objects per pass.
 type ChargeState struct {
 	// Q are the source charges in tree (leaf-contiguous) order.
 	Q []float64
 	// Qhat[i] are node i's modified charges, views into one flat arena.
+	// Only charged nodes hold values; the others are never read.
 	Qhat [][]float64
 
-	charged  []bool // charged[i]: Qhat[i] holds node i's modified charges for Q
-	nCharged int    // number of charged nodes
-	gen      uint64 // plan generation the state was created against
+	charged []bool // charged[i]: Qhat[i] holds node i's modified charges for Q
+	gen     uint64 // plan generation the state was created against
 }
 
 // checkGen panics if the plan has been Updated since the state was
@@ -43,14 +43,18 @@ func (st *ChargeState) checkGen(pl *Plan) {
 	}
 }
 
-// checkCharged is checkGen for the evaluation passes, which also need
-// every node's modified charges: a state left partly charged by
-// EvaluateSampled, or never charged at all, would evaluate garbage.
+// checkCharged is checkGen for the evaluation passes, which also need the
+// modified charges of every node an approximation list reads: a state
+// left partly charged by EvaluateSampled, or never charged at all, would
+// evaluate garbage.
 func (st *ChargeState) checkCharged(pl *Plan) {
 	st.checkGen(pl)
-	if st.nCharged != len(st.Qhat) {
-		panic(fmt.Sprintf("core: charge state has %d of %d nodes charged; call Compute first",
-			st.nCharged, len(st.Qhat)))
+	for _, approx := range pl.Lists.Approx {
+		for _, ci := range approx {
+			if !st.charged[ci] {
+				panic(fmt.Sprintf("core: charge state lacks the modified charges of node %d, which an approximation reads; call Compute first", ci))
+			}
+		}
 	}
 }
 
@@ -71,13 +75,19 @@ func NewChargeState(pl *Plan) *ChargeState {
 
 // SetCharges replaces the source charges. q is given in the order the
 // sources were passed to NewPlan (original order); the state stores them
-// permuted into tree order. The next Compute recomputes the modified
-// charges; the plan itself is not touched.
+// permuted into tree order. A wrong count or a NaN or infinite charge is
+// an error and leaves the state as it was. The next Compute recomputes
+// the modified charges; the plan itself is not touched.
 func (st *ChargeState) SetCharges(pl *Plan, q []float64) error {
 	st.checkGen(pl)
 	src := pl.Sources
 	if len(q) != src.Particles.Len() {
 		return fmt.Errorf("core: SetCharges got %d charges for %d sources", len(q), src.Particles.Len())
+	}
+	for i, v := range q {
+		if !isFinite(v) {
+			return fmt.Errorf("core: SetCharges got a non-finite charge at index %d", i)
+		}
 	}
 	// Perm maps tree order -> original order.
 	for treeIdx, origIdx := range src.Perm {
@@ -87,55 +97,84 @@ func (st *ChargeState) SetCharges(pl *Plan, q []float64) error {
 	return nil
 }
 
-// Compute fills the modified charges of every node not yet charged for
-// the current Q, using up to `workers` goroutines (<= 0 selects a sensible
-// default). Each worker reuses one pooled scratch across its nodes and
-// writes into the state's arena, so a steady-state pass allocates nothing;
-// every node's operation order is fixed, so equal charges yield
-// bit-identical modified charges for every worker count. It returns the
-// modeled flop-equivalents of a full charge pass, and is a no-op returning
-// 0 if every node is already charged.
+// Compute fills the modified charges of every node that some batch's
+// approximation list of pl reads and that is not yet charged for the
+// current Q, using up to `workers` goroutines (<= 0 selects a sensible
+// default). No evaluation of pl reads another node; a plan without lists
+// (a bare source tree and its cluster data) reads, and so charges, every
+// node. The flags come from pl's lists on every call, so nothing needs
+// refreshing when Plan.Update changes the lists. Every node's operation
+// order is fixed, so equal charges yield bit-identical modified charges
+// for every worker count. It returns the modeled flop-equivalents of the
+// paper's full charge pass over every node, or 0 if every node pl reads
+// was already charged.
 func (st *ChargeState) Compute(pl *Plan, workers int) float64 {
 	st.checkGen(pl)
-	if st.nCharged == len(st.Qhat) {
+	if !st.chargeNodes(pl, approxReads(pl), workers) {
 		return 0
 	}
-	st.chargeNodes(pl, func(int) bool { return true }, workers)
 	return pl.Clusters.TotalChargeWork(pl.Sources)
 }
 
-// chargeNodes computes, with up to workers goroutines, the modified
-// charges of every node i that need(i) selects and that is not yet
-// charged, and marks them charged.
-func (st *ChargeState) chargeNodes(pl *Plan, need func(i int) bool, workers int) {
-	cd, t := pl.Clusters, pl.Sources
-	pool.Blocks(len(t.Nodes), workers, func(_, lo, hi int) {
-		s := scratchPool.Get().(*chargeScratch)
-		for i := lo; i < hi; i++ {
-			if need(i) && !st.charged[i] {
-				cd.computeChargesNodeInto(t.Particles, st.Q, &t.Nodes[i], i, s, st.Qhat[i])
-			}
+// approxReads flags the nodes whose modified charges an evaluation of pl
+// reads: those on some batch's approximation list, or every node for a
+// plan without lists.
+func approxReads(pl *Plan) []bool {
+	reads := make([]bool, len(pl.Sources.Nodes))
+	if pl.Lists == nil {
+		for i := range reads {
+			reads[i] = true
 		}
-		scratchPool.Put(s)
-	})
-	for i, done := range st.charged {
-		if need(i) && !done {
-			st.charged[i] = true
-			st.nCharged++
+		return reads
+	}
+	for _, approx := range pl.Lists.Approx {
+		for _, ci := range approx {
+			reads[ci] = true
 		}
 	}
+	return reads
+}
+
+// chargeNodes computes, with up to workers goroutines, the modified
+// charges of every node i that need[i] selects and that is not yet
+// charged, and marks them charged. need is overwritten with the nodes it
+// charges; it reports whether there were any. Each worker owns one set of
+// barycentric rows, so the allocations of a pass do not depend on the
+// clusters' sizes.
+func (st *ChargeState) chargeNodes(pl *Plan, need []bool, workers int) bool {
+	todo := false
+	for i, done := range st.charged {
+		need[i] = need[i] && !done
+		todo = todo || need[i]
+	}
+	if !todo {
+		return false
+	}
+	cd, t := pl.Clusters, pl.Sources
+	m := cd.Degree + 1
+	pool.Blocks(len(t.Nodes), workers, func(_, lo, hi int) {
+		rows := make([]float64, 3*m)
+		for i := lo; i < hi; i++ {
+			if need[i] {
+				cd.chargeNode(t.Particles, st.Q, &t.Nodes[i], i, rows, st.Qhat[i])
+			}
+		}
+	})
+	for i, n := range need {
+		st.charged[i] = st.charged[i] || n
+	}
+	return true
 }
 
 // Invalidate marks the modified charges stale, forcing the next Compute to
 // re-run (used after direct writes to Q).
 func (st *ChargeState) Invalidate() {
 	clear(st.charged)
-	st.nCharged = 0
 }
 
 // SolvePotentials is the charge, compute and scatter sequence of every
 // potential solve on a plan (RunCPU, Plan.Solve, Solver, bltcd's POST
-// /v1/solve): it charges st where it is not yet charged, evaluates every
+// /v1/solve): it charges st (see ChargeState.Compute), evaluates every
 // batch's interaction list against it and returns the potentials in the
 // caller's original target order. The plan is only read.
 func SolvePotentials(pl *Plan, k kernel.Kernel, st *ChargeState, workers int) []float64 {
@@ -152,9 +191,9 @@ func SolvePotentials(pl *Plan, k kernel.Kernel, st *ChargeState, workers int) []
 // targets), parallelized over batches with up to `workers` goroutines. The
 // plan is only read; all mutable inputs come from st and all output goes to
 // phi, so concurrent calls with distinct (st, phi) pairs are safe. Every
-// node of st must be charged for the current plan generation (call
-// st.Compute first); otherwise RunComputeState panics. Returns the modeled
-// compute-phase flop count.
+// node an approximation list reads must be charged for the current plan
+// generation (call st.Compute first); otherwise RunComputeState panics.
+// Returns the modeled compute-phase flop count.
 func RunComputeState(pl *Plan, k kernel.Kernel, st *ChargeState, phi []float64, workers int) float64 {
 	st.checkCharged(pl)
 	tiles := kernel.Tiles(k)

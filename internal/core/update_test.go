@@ -461,8 +461,8 @@ func TestUpdateErrors(t *testing.T) {
 // TestUpdateStaleChargeStatePanics pins that every reader of a charge
 // state refuses stale charges instead of evaluating them: a state created
 // before a Plan.Update (a refit keeps the node count, so nothing else
-// would notice), and a state whose modified charges are not all computed
-// (never charged, or charged only where EvaluateSampled needed them).
+// would notice), and a state lacking modified charges an approximation
+// reads (never charged, or charged only where EvaluateSampled needed them).
 func TestUpdateStaleChargeStatePanics(t *testing.T) {
 	pts := testParticles(t, 400, 22)
 	p := updParams()
@@ -520,7 +520,7 @@ func sampleOne(pl *Plan, st *ChargeState) {
 	if _, err := EvaluateSampled(pl, kernel.Coulomb{}, st, []int{target}); err != nil {
 		panic(err)
 	}
-	if st.nCharged == 0 || st.nCharged == len(st.Qhat) {
+	if n := countCharged(st); n == 0 || n == len(st.Qhat) {
 		panic("sampleOne: want a partly charged state")
 	}
 }
@@ -581,13 +581,49 @@ func TestUpdateTraceSpans(t *testing.T) {
 	}
 }
 
+// TestUpdateRefitDemotionCharges pins the charge pass after a refit that
+// demotes approximation pairs to direct summation: the lists change while
+// the node count does not, and a state charged only where the new lists
+// read must still evaluate exactly like one charged everywhere.
+// FuzzPlanUpdate cannot reach this path: its 600-particle plans hold fewer
+// than 100 approximation pairs, so RefitMaxMACDemotions (1%) admits none.
+func TestUpdateRefitDemotionCharges(t *testing.T) {
+	const n = 2000
+	pts := testParticles(t, n, 2)
+	pl, err := NewPlan(pts, pts, Params{Theta: 0.7, Degree: 3, LeafSize: 40, BatchSize: 40, Morton: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := append([]float64(nil), pts.X...)
+	y := append([]float64(nil), pts.Y...)
+	z := append([]float64(nil), pts.Z...)
+	rng := rand.New(rand.NewSource(2))
+	for i := range x {
+		x[i] += 1e-3 * (2*rng.Float64() - 1)
+		y[i] += 1e-3 * (2*rng.Float64() - 1)
+		z[i] += 1e-3 * (2*rng.Float64() - 1)
+	}
+	st, err := pl.update(x, y, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Action != UpdateRefit || st.MACViolations == 0 {
+		t.Fatalf("jiggle gave %v with %d MAC violations; want a refit that demotes", st.Action, st.MACViolations)
+	}
+	k := kernel.Coulomb{}
+	wantExact(t, SolvePotentials(pl, k, nanState(pl), 0),
+		SolvePotentials(pl, k, chargedState(pl, 0), 0), "refit with demotions, unread slots NaN")
+}
+
 // FuzzPlanUpdate drives a small Morton plan through a drift sequence, one
 // step per byte of steps: the low two bits pick the drift (0 jiggles every
 // particle, 1 teleports a few inside the domain, 2 teleports half of them,
 // 3 stretches the domain) and the high six bits its size. After a repair or
 // rebuild the plan must equal a fresh NewPlan at the same positions and
 // solve bit-identically to it; after a refit every cached approximation
-// must pass the MAC recheck. The seeds reach all three paths.
+// must pass the MAC recheck. After every step, a solve on a state charged
+// only where the lists read must equal one charged everywhere. The seeds
+// reach all three paths.
 func FuzzPlanUpdate(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0x40, 0xfc}) // jiggles: refit
 	f.Add(int64(2), []byte{0x01, 0x05})       // a few teleports: repair
@@ -641,8 +677,14 @@ func FuzzPlanUpdate(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			what := fmt.Sprintf("step %d (%#02x, %v)", s, b, st.Action)
+			what := fmt.Sprintf("step %d (%#02x, %v, %d MAC violations)", s, b, st.Action, st.MACViolations)
 			t.Log(what)
+			// The charge pass follows the updated lists: a state charged
+			// only where they read must evaluate exactly like one charged
+			// everywhere, so a slot a demoted pair no longer reads may
+			// stay NaN, and none another pair still reads may.
+			wantExact(t, SolvePotentials(pl, k, nanState(pl), 0),
+				SolvePotentials(pl, k, chargedState(pl, 0), 0), what+", unread slots NaN")
 			if st.Action == UpdateRefit {
 				if v := interaction.RecheckApproxWorkers(pl.Lists, pl.Batches, pl.Sources, p.MAC(), 1); v != 0 {
 					t.Fatalf("%s: %d approximation pairs fail the MAC", what, v)

@@ -1,7 +1,9 @@
 package barytree_test
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -71,6 +73,16 @@ func TestPlanSolveWithCharges(t *testing.T) {
 	}
 	if _, err := pl.Solve(k, q[:10]); err == nil {
 		t.Fatal("wrong charge count accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		bad := append([]float64(nil), q...)
+		bad[7] = v
+		if _, err := pl.Solve(k, bad); err == nil || !strings.Contains(err.Error(), "index 7") {
+			t.Fatalf("Solve with charge %g: err = %v, want one naming index 7", v, err)
+		}
+		if _, err := pl.SolveWithField(k, bad); err == nil || !strings.Contains(err.Error(), "index 7") {
+			t.Fatalf("SolveWithField with charge %g: err = %v, want one naming index 7", v, err)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package barytree_test
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"barytree"
@@ -153,6 +155,16 @@ func TestSolverRejectsWrongChargeCount(t *testing.T) {
 	}
 	if err := s.UpdateCharges(make([]float64, 99)); err == nil {
 		t.Error("wrong charge count accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		bad := make([]float64, 100)
+		bad[7] = v
+		if err := s.UpdateCharges(bad); err == nil || !strings.Contains(err.Error(), "index 7") {
+			t.Errorf("UpdateCharges with charge %g: err = %v, want one naming index 7", v, err)
+		}
+		if _, err := s.MatVec(bad); err == nil || !strings.Contains(err.Error(), "index 7") {
+			t.Errorf("MatVec with charge %g: err = %v, want one naming index 7", v, err)
+		}
 	}
 }
 

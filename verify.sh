@@ -1,14 +1,29 @@
 #!/bin/sh
-# verify.sh — the repo's tier-1 gate (see ROADMAP.md). Every PR must pass:
-#   gofmt -s (no unformatted or unsimplified files), go vet (native and
-#   for the pure-Go arm64 build, which has no assembly), the project's
-#   own static analysis suite (cmd/bltcvet, see docs/static-analysis.md),
-#   full build, full tests with the race detector, vet and tests of the
-#   bench/ module, and a one-iteration smoke run of every root benchmark
-#   so none can bit-rot.
+# verify.sh — the repo's gate (see ROADMAP.md), in two tiers.
+#
+#   ./verify.sh        the full gate; every PR must pass it, and CI runs it:
+#                      gofmt -s (no unformatted or unsimplified files), go vet
+#                      (native and for the pure-Go arm64 build, which has no
+#                      assembly), the project's own static analysis suite
+#                      (cmd/bltcvet, see docs/static-analysis.md), full build,
+#                      full tests with the race detector, vet and tests of the
+#                      bench/ module, the bltcd smoke and a one-iteration
+#                      smoke run of every root benchmark so none can bit-rot.
+#   ./verify.sh fast   the quick tier for use while editing: the same gofmt,
+#                      vets, bltcvet and build, then go test -short ./...
+#                      without the race detector and go vet of bench/.
 set -e
 
 cd "$(dirname "$0")"
+
+case "$#:${1-}" in
+0:) tier=full ;;
+1:fast) tier=fast ;;
+*)
+    echo "usage: ./verify.sh [fast]" >&2
+    exit 2
+    ;;
+esac
 
 unformatted=$(gofmt -s -l .)
 if [ -n "$unformatted" ]; then
@@ -39,6 +54,15 @@ echo "bltcvet: ok"
 
 go build ./...
 echo "go build: ok"
+
+if [ "$tier" = fast ]; then
+    go test -short ./...
+    echo "go test -short: ok"
+    go -C bench vet ./...
+    echo "bench module vet: ok"
+    echo "verify fast: all checks passed"
+    exit 0
+fi
 
 go test -race ./...
 echo "go test -race: ok"
