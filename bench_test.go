@@ -13,6 +13,7 @@ package barytree_test
 import (
 	"bytes"
 	"encoding/json"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -317,22 +318,43 @@ func BenchmarkExtensionVariants(b *testing.B) {
 
 // --- Micro-benchmarks of the core primitives (real wall-clock). ---
 
+// benchWorkers runs build(workers) as two sub-benchmarks: serial (workers
+// 1) and parallel (workers 0, GOMAXPROCS). Both produce the same bytes;
+// the pair measures what the fan-out buys on the host.
+func benchWorkers(b *testing.B, build func(workers int)) {
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				build(c.workers)
+			}
+		})
+	}
+}
+
 func BenchmarkTreeBuild100k(b *testing.B) {
 	pts := barytree.UniformCube(100_000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Build(pts, 2000)
-	}
+	benchWorkers(b, func(w int) { tree.BuildWorkers(pts, 2000, w) })
 }
 
 func BenchmarkBatchBuild100k(b *testing.B) {
 	pts := barytree.UniformCube(100_000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.BuildBatches(pts, 2000)
-	}
+	benchWorkers(b, func(w int) { tree.BuildBatchesWorkers(pts, 2000, w) })
+}
+
+// BenchmarkTreeBuildProbe200k builds the source tree of bltcbench's
+// probe-sparse-200k workload: its 200k Plummer sources (bench/solve.go's
+// probeGeometry, drawn from the stream its rngFor names at seed 0) at leaf
+// size 1000. The top nodes hold up to all 200k particles, and the subtree
+// tasks below them are where a parallel build gains.
+func BenchmarkTreeBuildProbe200k(b *testing.B) {
+	h := fnv.New64a()
+	h.Write([]byte("probe-sparse-200k/sources"))
+	pts := barytree.PlummerSphere(200_000, 1, int64(h.Sum64()))
+	benchWorkers(b, func(w int) { tree.BuildWorkers(pts, 1000, w) })
 }
 
 // BenchmarkClusterData50k isolates the interpolation-grid layout
@@ -618,16 +640,5 @@ func BenchmarkBuildLists100k(b *testing.B) {
 	t := tree.Build(pts, 2000)
 	batches := tree.BuildBatches(pts, 2000)
 	mac := interaction.MAC{Theta: 0.8, Degree: 6}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			interaction.BuildListsWorkers(batches, t, mac, 1)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			interaction.BuildListsWorkers(batches, t, mac, 0)
-		}
-	})
+	benchWorkers(b, func(w int) { interaction.BuildListsWorkers(batches, t, mac, w) })
 }

@@ -12,7 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
@@ -21,26 +21,39 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "bltc:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the testable driver: args are the command-line arguments after
+// the program name, and every report goes to stdout. Flag errors exit the
+// process as the flag package's ExitOnError does.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("bltc", flag.ExitOnError)
 	var (
-		n        = flag.Int("n", 100_000, "number of particles")
-		kname    = flag.String("kernel", "coulomb", "kernel: coulomb|yukawa|gaussian|multiquadric|softened")
-		kappa    = flag.Float64("kappa", 0.5, "Yukawa inverse Debye length")
-		theta    = flag.Float64("theta", 0.8, "MAC opening parameter")
-		degree   = flag.Int("degree", 8, "interpolation degree n")
-		leaf     = flag.Int("leaf", 2000, "source-tree leaf size NL")
-		batch    = flag.Int("batch", 0, "target batch size NB (default: NL)")
-		backend  = flag.String("backend", "gpu", "backend: cpu|gpu|dist")
-		gpuModel = flag.String("gpu", "titanv", "gpu model: titanv|p100")
-		ranks    = flag.Int("ranks", 4, "ranks/GPUs for -backend dist")
-		distrib  = flag.String("distribution", "cube", "particles: cube|plummer|blob")
-		seed     = flag.Int64("seed", 42, "random seed")
-		check    = flag.Bool("check", false, "measure error against (sampled) direct summation")
-		samples  = flag.Int("samples", 1000, "error sample size for -check")
-		fp32     = flag.Bool("fp32", false, "single-precision device kernels")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
-		profile  = flag.Bool("profile", false, "print a modeled-time profile (by phase, kernel, rank)")
+		n        = fs.Int("n", 100_000, "number of particles")
+		kname    = fs.String("kernel", "coulomb", "kernel: coulomb|yukawa|gaussian|multiquadric|softened")
+		kappa    = fs.Float64("kappa", 0.5, "Yukawa inverse Debye length")
+		theta    = fs.Float64("theta", 0.8, "MAC opening parameter")
+		degree   = fs.Int("degree", 8, "interpolation degree n")
+		leaf     = fs.Int("leaf", 2000, "source-tree leaf size NL")
+		batch    = fs.Int("batch", 0, "target batch size NB (default: NL)")
+		backend  = fs.String("backend", "gpu", "backend: cpu|gpu|dist")
+		gpuModel = fs.String("gpu", "titanv", "gpu model: titanv|p100")
+		ranks    = fs.Int("ranks", 4, "ranks/GPUs for -backend dist")
+		distrib  = fs.String("distribution", "cube", "particles: cube|plummer|blob")
+		seed     = fs.Int64("seed", 42, "random seed")
+		check    = fs.Bool("check", false, "measure error against (sampled) direct summation")
+		samples  = fs.Int("samples", 1000, "error sample size for -check")
+		fp32     = fs.Bool("fp32", false, "single-precision device kernels")
+		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
+		profile  = fs.Bool("profile", false, "print a modeled-time profile (by phase, kernel, rank)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var tr *barytree.Tracer
 	if *traceOut != "" || *profile {
@@ -65,7 +78,7 @@ func main() {
 	case "softened":
 		k = barytree.RegularizedCoulomb(0.01)
 	default:
-		log.Fatalf("unknown kernel %q", *kname)
+		return fmt.Errorf("unknown kernel %q", *kname)
 	}
 
 	var pts *barytree.Particles
@@ -77,7 +90,7 @@ func main() {
 	case "blob":
 		pts = barytree.GaussianBlob(*n, 0.5, *seed)
 	default:
-		log.Fatalf("unknown distribution %q", *distrib)
+		return fmt.Errorf("unknown distribution %q", *distrib)
 	}
 
 	gm := barytree.TitanV
@@ -85,7 +98,7 @@ func main() {
 		gm = barytree.P100
 	}
 
-	fmt.Printf("BLTC: N=%d kernel=%s theta=%g degree=%d NL=%d NB=%d backend=%s\n",
+	fmt.Fprintf(stdout, "BLTC: N=%d kernel=%s theta=%g degree=%d NL=%d NB=%d backend=%s\n",
 		*n, k.Name(), *theta, *degree, *leaf, *batch, *backend)
 
 	var phi []float64
@@ -93,48 +106,60 @@ func main() {
 	switch strings.ToLower(*backend) {
 	case "cpu":
 		res, err := barytree.SolveCPU(k, pts, pts, p, 0)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		phi, times = res.Phi, res.Times
 		// The CPU path has no device or comm events to trace; synthesize the
 		// three phase spans from the phase accounting so -trace/-profile
-		// still produce a timeline.
+		// still produce a timeline. TracePhaseNames lists these phases
+		// first, then the Plan.Update spans, which a one-shot solve lacks.
 		if tr != nil {
+			names := barytree.TracePhaseNames()
 			t := 0.0
-			for i, name := range barytree.TracePhaseNames() {
-				tr.Span(name, trace.CatPhase, 0, trace.TrackHost, t, t+times[i])
-				t += times[i]
+			for i, d := range times {
+				tr.Span(names[i], trace.CatPhase, 0, trace.TrackHost, t, t+d)
+				t += d
 			}
 		}
-		fmt.Printf("modeled times (6-core Xeon X5650): %v\n", times)
+		fmt.Fprintf(stdout, "modeled times (6-core Xeon X5650): %v\n", times)
 	case "gpu":
 		res, err := barytree.SolveDevice(k, pts, pts, p, barytree.DeviceConfig{
 			GPU: gm, SinglePrecision: *fp32, Trace: tr,
 		})
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		phi, times = res.Phi, res.Times
-		fmt.Printf("modeled times (%s): %v\n", *gpuModel, times)
+		fmt.Fprintf(stdout, "modeled times (%s): %v\n", *gpuModel, times)
 	case "dist":
 		res, err := barytree.SolveDistributed(k, pts, p, barytree.DistributedConfig{
 			Ranks: *ranks, GPU: gm, Trace: tr,
 		})
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		phi, times = res.Phi, res.Times
-		fmt.Printf("modeled times (%d x %s, per-phase max over ranks): %v\n", *ranks, *gpuModel, times)
+		fmt.Fprintf(stdout, "modeled times (%d x %s, per-phase max over ranks): %v\n", *ranks, *gpuModel, times)
 		for r, rt := range res.RankTimes {
-			fmt.Printf("  rank %2d: %v\n", r, rt)
+			fmt.Fprintf(stdout, "  rank %2d: %v\n", r, rt)
 		}
 	default:
-		log.Fatalf("unknown backend %q", *backend)
+		return fmt.Errorf("unknown backend %q", *backend)
 	}
 
 	if *traceOut != "" {
-		exitOn(tr.WriteChromeFile(*traceOut))
-		fmt.Printf("trace: %d spans written to %s (open at https://ui.perfetto.dev)\n",
+		if err := tr.WriteChromeFile(*traceOut); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "trace: %d spans written to %s (open at https://ui.perfetto.dev)\n",
 			tr.Len(), *traceOut)
 	}
 	if *profile {
-		fmt.Println()
-		exitOn(tr.WriteProfile(os.Stdout, barytree.TracePhaseNames()...))
+		fmt.Fprintln(stdout)
+		if err := tr.WriteProfile(stdout, barytree.TracePhaseNames()...); err != nil {
+			return err
+		}
 	}
 
 	if *check {
@@ -145,13 +170,7 @@ func main() {
 			got[i] = phi[idx]
 		}
 		e := barytree.RelErr2(ref, got)
-		fmt.Printf("relative 2-norm error (at %d sampled targets): %.3e\n", len(sample), e)
+		fmt.Fprintf(stdout, "relative 2-norm error (at %d sampled targets): %.3e\n", len(sample), e)
 	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bltc:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -61,19 +61,9 @@ func NewClusterDataWorkers(t *tree.Tree, degree, workers int) *ClusterData {
 	// NewGrid1D used to (only reachable with nodes present, as before).
 	cd.cache = chebyshev.NewDegreeCache(degree)
 	m := degree + 1
-	np := m * m * m
 	cd.gridArena = make([]float64, n*3*m)
-	cd.ptArena = make([]float64, n*3*np)
-	pool.For(n, workers, func(i int) {
-		g := cd.cache.Grid3DInto(t.Nodes[i].Box, cd.gridArena[i*3*m:(i+1)*3*m])
-		cd.Grids[i] = g
-		base := i * 3 * np
-		px := cd.ptArena[base : base+np : base+np]
-		py := cd.ptArena[base+np : base+2*np : base+2*np]
-		pz := cd.ptArena[base+2*np : base+3*np : base+3*np]
-		g.FlattenedPointsInto(px, py, pz)
-		cd.PX[i], cd.PY[i], cd.PZ[i] = px, py, pz
-	})
+	cd.ptArena = make([]float64, n*3*m*m*m)
+	cd.fillGrids(t, workers)
 	return cd
 }
 
@@ -84,16 +74,18 @@ func NewClusterDataWorkers(t *tree.Tree, degree, workers int) *ClusterData {
 // the cluster data is indistinguishable from a fresh NewClusterDataWorkers
 // over the refit tree — same arena layout, same bits.
 func (cd *ClusterData) RefitGridsWorkers(t *tree.Tree, workers int) {
-	n := len(t.Nodes)
-	if n != len(cd.Grids) {
+	if len(t.Nodes) != len(cd.Grids) {
 		panic("core: RefitGridsWorkers on a tree with a different node count")
 	}
-	if n == 0 {
-		return
-	}
+	cd.fillGrids(t, workers)
+}
+
+// fillGrids lays node i's grid over t.Nodes[i].Box into its slots of the
+// grid and point arenas, for every node, with up to workers goroutines.
+func (cd *ClusterData) fillGrids(t *tree.Tree, workers int) {
 	m := cd.Degree + 1
 	np := m * m * m
-	pool.For(n, workers, func(i int) {
+	pool.For(len(t.Nodes), workers, func(i int) {
 		g := cd.cache.Grid3DInto(t.Nodes[i].Box, cd.gridArena[i*3*m:(i+1)*3*m])
 		cd.Grids[i] = g
 		base := i * 3 * np
@@ -136,8 +128,10 @@ func chargeWork(n, nc int) (pass1, pass2 float64) {
 // then its term t_x[k1]*t_y[k2]*t_z[k3]*q-tilde added into every point's
 // running sum (equation (15)). Each point sums from +0 in particle order
 // with the equation's association, so the values are bit-identical to the
-// paper's two kernels run one after the other. rows is the caller's
-// scratch of 3*(degree+1) values.
+// paper's two kernels run one after the other whenever the product of the
+// three denominators lies within 2^-900 and 2^900 in magnitude, as it does
+// for every box whose sides lie between about 1e-90 and 1e90. rows is the
+// caller's scratch of 3*(degree+1) values.
 //
 //hot:path
 func (cd *ClusterData) chargeNode(src *particle.Set, q []float64, nd *tree.Node, ni int, rows, qhat []float64) {
@@ -149,7 +143,20 @@ func (cd *ClusterData) chargeNode(src *particle.Set, q []float64, nd *tree.Node,
 		dx := barycentricFactorsInto(g.Dims[0], src.X[p], tx)
 		dy := barycentricFactorsInto(g.Dims[1], src.Y[p], ty)
 		dz := barycentricFactorsInto(g.Dims[2], src.Z[p], tz)
-		qt := q[p] / (dx * dy * dz)
+		den := dx * dy * dz
+		qt := q[p] / den
+		if a := math.Abs(den); !(a >= 0x1p-900 && a <= 0x1p900) {
+			// Box sides beyond about 1e90 or below about 1e-90: the
+			// product of the three denominators, the charge over it, or
+			// a term's three factors (each up to the Lebesgue constant
+			// times its row's denominator) can leave the float64 range.
+			// Divide each row by its own denominator instead, the same
+			// terms in exact arithmetic.
+			divideRow(tx, dx)
+			divideRow(ty, dy)
+			divideRow(tz, dz)
+			qt = q[p]
+		}
 		b := 0
 		for _, x := range tx {
 			for _, y := range ty {
@@ -161,6 +168,15 @@ func (cd *ClusterData) chargeNode(src *particle.Set, q []float64, nd *tree.Node,
 				b += len(tz)
 			}
 		}
+	}
+}
+
+// divideRow divides every entry of t by d.
+//
+//hot:path
+func divideRow(t []float64, d float64) {
+	for k := range t {
+		t[k] /= d
 	}
 }
 

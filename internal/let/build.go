@@ -345,21 +345,6 @@ func BuildAsync(r *mpisim.Rank, wins *Windows, batches *tree.BatchSet, mac inter
 	return l, f, nil
 }
 
-// Build constructs this rank's LET with the serial (fully waited)
-// schedule: BuildAsync followed immediately by Fetch.WaitAll. The modeled
-// clock ends exactly where the pre-pipelining synchronous exchange left
-// it — the NIC timeline serializes the grouped Igets at link bandwidth, so
-// waiting on all of them right away costs the same seconds as getting each
-// inline. All communication is one-sided; no remote rank participates.
-func Build(r *mpisim.Rank, wins *Windows, batches *tree.BatchSet, mac interaction.MAC, workers int) (*LET, error) {
-	l, f, err := BuildAsync(r, wins, batches, mac, workers)
-	if err != nil {
-		return nil, err
-	}
-	f.WaitAll()
-	return l, nil
-}
-
 // Bytes returns the approximate size of the LET's fetched payload (cluster
 // charges plus particles), i.e. the HtD volume the compute phase must copy
 // in addition to local data.

@@ -103,7 +103,7 @@ func TestFlattenCharges(t *testing.T) {
 	}
 }
 
-// buildWorkers is the worker count buildLETFixture passes to Build; the
+// buildWorkers is the worker count buildLETFixture passes to BuildAsync; the
 // determinism test overrides it to pin worker-count independence, every
 // other test runs with the default.
 var buildWorkers = 0
@@ -136,10 +136,11 @@ func buildLETFixture(t *testing.T, n, ranks int, mac interaction.MAC,
 		wins := Expose(r, tr, flat, mac.Degree)
 		r.Barrier()
 		batches := tree.BuildBatches(locals[r.ID()], 60)
-		l, err := Build(r, wins, batches, mac, buildWorkers)
+		l, f, err := BuildAsync(r, wins, batches, mac, buildWorkers)
 		if err != nil {
 			return err
 		}
+		f.WaitAll()
 		check(r, l, locals, trees)
 		return nil
 	})

@@ -12,14 +12,16 @@ import (
 	"barytree/internal/particle"
 )
 
-// lowerThresholds shrinks the parallel-path thresholds so that small test
-// inputs exercise the chunk-parallel scans, the parallel Hoare swaps and
-// multi-task subtree construction; it restores them on cleanup.
+// lowerThresholds sets the subtree-task granularity to two tasks per worker
+// for the test and restores it on cleanup. The parallel build's only
+// threshold is its task cutoff max(n/(tasksPerWorker*workers), leafSize),
+// which small inputs cross at every worker count, so the determinism tests
+// run the task split and the splice with a cutoff other than the default.
 func lowerThresholds(t testing.TB) {
 	t.Helper()
-	oldScan, oldSwap, oldTasks := parScanMin, parSwapMin, tasksPerWorker
-	parScanMin, parSwapMin, tasksPerWorker = 8, 4, 2
-	t.Cleanup(func() { parScanMin, parSwapMin, tasksPerWorker = oldScan, oldSwap, oldTasks })
+	oldTasks := tasksPerWorker
+	tasksPerWorker = 2
+	t.Cleanup(func() { tasksPerWorker = oldTasks })
 }
 
 // workerCounts are the worker bounds every determinism test compares

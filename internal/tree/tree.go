@@ -18,13 +18,13 @@
 // source-tree leaves, as in all of the paper's experiments.
 //
 // Construction is parallel (BuildWorkers / BuildBatchesWorkers) and
-// bit-identical to the serial build for every worker count: the top of the
-// tree is partitioned with chunk-parallel box scans and a parallel Hoare
-// partition that reproduces the serial swap set exactly, independent
-// subtrees over disjoint particle ranges are built concurrently, and the
-// finished subtrees are spliced back into the exact serial construction
-// order. See docs/performance.md ("The setup phase") for the design and
-// the bit-identity argument.
+// bit-identical to the serial build for every worker count. One recursion
+// serves both: a parallel build runs it over the top of the tree, recording
+// child ranges below a size cutoff as subtree tasks instead of recursing,
+// builds the tasks concurrently over their disjoint particle ranges, and
+// splices the finished subtrees back into the serial construction order.
+// See docs/performance.md ("The setup phase") for the design and the
+// bit-identity argument.
 package tree
 
 import (
@@ -44,22 +44,12 @@ import (
 // bound relative to the longest side.
 var MaxAspectRatio = math.Sqrt2
 
-// Parallel-construction thresholds. Variables (not constants) so the
-// package tests can lower them and exercise every parallel code path on
-// small inputs; real builds only fan out where the ranges are large enough
-// to amortize goroutine handoff.
-var (
-	// parScanMin is the smallest particle range whose box-shrink scans and
-	// Hoare partitions run chunk-parallel (top-of-tree nodes only).
-	parScanMin = 1 << 15
-	// parSwapMin is the smallest number of out-of-place pairs worth
-	// swapping on the worker pool rather than inline.
-	parSwapMin = 1 << 12
-	// tasksPerWorker controls subtree-task granularity: child ranges at or
-	// below n/(tasksPerWorker*workers) particles become independent
-	// subtree tasks, so each worker gets several tasks to balance load.
-	tasksPerWorker = 4
-)
+// tasksPerWorker controls subtree-task granularity of a parallel build:
+// child ranges at or below n/(tasksPerWorker*workers) particles become
+// independent subtree tasks, so each worker gets several tasks to balance
+// load. A variable so the package tests can lower it and exercise
+// multi-task construction on small inputs.
+var tasksPerWorker = 4
 
 // Node is one cluster in the source tree (or one internal node of the batch
 // partition). Particle indices refer to the tree-ordered particle set and
@@ -186,19 +176,16 @@ func BuildWorkers(src *particle.Set, leafSize, workers int) *Tree {
 	if n == 0 {
 		return t
 	}
-	b := &builder{
-		p:        t.Particles,
-		perm:     t.Perm,
-		leafSize: leafSize,
-		workers:  pool.Workers(n, workers),
-	}
-	// Serial fast path: one worker, or a tree that is a single leaf.
-	if b.workers == 1 || n <= leafSize {
-		b.workers = 1
+	b := &builder{p: t.Particles, perm: t.Perm, leafSize: leafSize}
+	workers = pool.Workers(n, workers)
+	if workers == 1 || n <= leafSize {
+		// Serial: one worker, or a tree that is a single leaf.
 		b.nodes = make([]Node, 0, nodeCapHint(n, leafSize))
 		b.build(-1, 0, n, 0)
 	} else {
-		b.buildParallel(n)
+		b.cutoff = max(n/(tasksPerWorker*workers), leafSize)
+		b.build(-1, 0, n, 0)
+		b.runTasks(workers)
 	}
 	t.Nodes = b.nodes
 	t.Stats = b.stats
@@ -214,33 +201,38 @@ func nodeCapHint(n, leafSize int) int {
 
 // builder holds the mutable state of one construction. The particle set and
 // permutation are shared by every subtree task (tasks own disjoint index
-// ranges); nodes and stats are private to the builder.
+// ranges); nodes, stats and tasks are private to the builder.
 type builder struct {
 	p        *particle.Set
 	perm     particle.Permutation
 	leafSize int
-	workers  int // host goroutine bound; 1 disables every parallel path
+	// cutoff is the task threshold of a parallel build: child ranges of at
+	// most cutoff particles are recorded as subtree tasks instead of being
+	// recursed into. Zero (the serial build and every task) records none.
+	cutoff int
 
 	nodes []Node
 	stats BuildStats
-
-	// Top-of-tree parallel construction state.
-	skel  []skelNode
 	tasks []subtreeTask
+}
 
-	// Scratch for the chunk-parallel scans, reused across nodes.
-	chunkBoxes []geom.Box
-	chunkCnt   []int
-	posL, posR []int
+// subtreeTask is a child range the top of a parallel build handed off: one
+// worker builds it serially into its own node slice, indexed from 0, which
+// splice then moves into place.
+type subtreeTask struct {
+	lo, hi, level int
+	nodes         []Node
+	stats         BuildStats
 }
 
 // build creates the node covering particle range [lo, hi) and recursively
-// partitions it, serially. It returns the index of the created node. This
-// is the reference construction order: the parallel path reproduces its
-// output exactly.
+// partitions it. It returns the index of the created node. The recursion
+// order is the construction order; a child recorded as subtree task k is
+// stored as the child index ^k (negative) until splice replaces it.
 func (b *builder) build(parent int32, lo, hi, level int) int32 {
 	idx := int32(len(b.nodes))
-	box := b.shrinkBox(lo, hi)
+	box := boundsRange(b.p, lo, hi)
+	b.stats.ParticleScans += hi - lo
 	b.nodes = append(b.nodes, Node{
 		Box:    box,
 		Center: box.Center(),
@@ -269,28 +261,92 @@ func (b *builder) build(parent int32, lo, hi, level int) int32 {
 	}
 	children := make([]int32, 0, nr)
 	for _, r := range ranges[:nr] {
+		if r[1]-r[0] <= b.cutoff {
+			b.tasks = append(b.tasks, subtreeTask{lo: r[0], hi: r[1], level: level + 1})
+			children = append(children, ^int32(len(b.tasks)-1))
+			continue
+		}
 		children = append(children, b.build(idx, r[0], r[1], level+1))
 	}
 	b.nodes[idx].Children = children
 	return idx
 }
 
-// shrinkBox computes the minimal bounding box of particles [lo, hi). Large
-// ranges scan chunk-parallel; the chunk results are combined left to right
-// with the same first-wins comparisons as the serial scan, so the box bits
-// do not depend on the worker count or chunking.
-func (b *builder) shrinkBox(lo, hi int) geom.Box {
-	b.stats.ParticleScans += hi - lo
-	if b.workers > 1 && hi-lo >= parScanMin {
-		return b.shrinkBoxPar(lo, hi)
+// runTasks builds the recorded subtree tasks on up to workers goroutines
+// and splices them into the serial construction order. Tasks vary in
+// size, so workers pull from a shared counter rather than owning fixed
+// ranges; the schedule does not affect the output, since every task
+// writes only its own node slice and its disjoint particle range.
+func (b *builder) runTasks(workers int) {
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < min(workers, len(b.tasks)); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ti := int(cursor.Add(1)) - 1
+				if ti >= len(b.tasks) {
+					return
+				}
+				t := &b.tasks[ti]
+				tb := builder{
+					p:        b.p,
+					perm:     b.perm,
+					leafSize: b.leafSize,
+					nodes:    make([]Node, 0, nodeCapHint(t.hi-t.lo, b.leafSize)),
+				}
+				tb.build(-1, t.lo, t.hi, t.level)
+				t.nodes, t.stats = tb.nodes, tb.stats
+			}
+		}()
 	}
-	return boundsRange(b.p, lo, hi)
+	wg.Wait()
+
+	for i := range b.tasks {
+		b.stats.add(b.tasks[i].stats)
+	}
+	out := make([]Node, 0, b.stats.Nodes)
+	b.nodes = b.splice(out, 0, -1)
+	if len(b.nodes) != b.stats.Nodes {
+		panic("tree: internal error: node numbering mismatch")
+	}
 }
 
-// boundsRange is the serial minimal-bounding-box scan over [lo, hi), which
-// must be non-empty. Plain comparisons keep the first-encountered value on
-// ties (only observable for inputs mixing -0 and +0), a rule preserved by
-// the left-to-right chunk combination in shrinkBoxPar.
+// splice appends top node ti of a parallel build to out, with parent as
+// its final parent index, followed by its subtrees in preorder: top
+// children recursively, each task's node slice with its task-local
+// indices shifted by the position it lands at.
+func (b *builder) splice(out []Node, ti, parent int32) []Node {
+	idx := int32(len(out))
+	nd := b.nodes[ti]
+	nd.Parent = parent
+	out = append(out, nd)
+	for ci, c := range nd.Children {
+		nd.Children[ci] = int32(len(out))
+		if c >= 0 {
+			out = b.splice(out, c, idx)
+			continue
+		}
+		base := int32(len(out))
+		for j, tn := range b.tasks[^c].nodes {
+			if j == 0 {
+				tn.Parent = idx
+			} else {
+				tn.Parent += base
+			}
+			for k := range tn.Children {
+				tn.Children[k] += base
+			}
+			out = append(out, tn)
+		}
+	}
+	return out
+}
+
+// boundsRange is the minimal-bounding-box scan over [lo, hi), which must be
+// non-empty. Plain comparisons keep the first-encountered value on ties
+// (only observable for inputs mixing -0 and +0), a rule combineBox shares.
 func boundsRange(p *particle.Set, lo, hi int) geom.Box {
 	xs, ys, zs := p.X[lo:hi], p.Y[lo:hi], p.Z[lo:hi]
 	box := geom.Box{
@@ -321,29 +377,12 @@ func boundsRange(p *particle.Set, lo, hi int) geom.Box {
 	return box
 }
 
-func (b *builder) shrinkBoxPar(lo, hi int) geom.Box {
-	n := hi - lo
-	w := pool.Workers(n, b.workers)
-	if cap(b.chunkBoxes) < w {
-		b.chunkBoxes = make([]geom.Box, w)
-	}
-	boxes := b.chunkBoxes[:w]
-	pool.Blocks(n, b.workers, func(wi, clo, chi int) {
-		boxes[wi] = boundsRange(b.p, lo+clo, lo+chi)
-	})
-	box := boxes[0]
-	for _, c := range boxes[1:] {
-		combineBox(&box, c)
-	}
-	return box
-}
-
 // combineBox extends dst to cover c with the same first-wins strict
 // comparisons as boundsRange (the difference from geom.Box.Union is only
-// observable for inputs mixing -0 and +0). Both the chunk-parallel shrink
-// and the bottom-up refit (RefitBoxesWorkers) combine left to right through
-// this helper, which is what keeps their boxes bit-identical to a serial
-// scan of the underlying particles.
+// observable for inputs mixing -0 and +0). The bottom-up refit
+// (RefitBoxesWorkers) combines child boxes left to right through this
+// helper, which is what keeps its boxes bit-identical to a scan of the
+// underlying particles.
 func combineBox(dst *geom.Box, c geom.Box) {
 	if c.Lo.X < dst.Lo.X {
 		dst.Lo.X = c.Lo.X
@@ -433,12 +472,8 @@ func (b *builder) swap(i, j int) {
 
 // hoare partitions particles [lo, hi) so that those with coordinate d < mid
 // come first; it returns the index of the first particle with coordinate
-// >= mid. Large ranges take the parallel path, which performs the exact
-// same swaps.
+// >= mid.
 func (b *builder) hoare(lo, hi, d int, mid float64) int {
-	if b.workers > 1 && hi-lo >= parScanMin {
-		return b.hoarePar(lo, hi, d, mid)
-	}
 	coord := b.coord(d)
 	i, j := lo, hi
 	for i < j {
@@ -457,287 +492,6 @@ func (b *builder) hoare(lo, hi, d int, mid float64) int {
 	}
 	b.stats.ParticleScans += hi - lo
 	return i
-}
-
-// hoarePar is the chunk-parallel Hoare partition. The serial loop always
-// exchanges the k-th out-of-place element from the left (coordinate >= mid
-// below the split point) with the k-th out-of-place element from the right
-// (coordinate < mid above it), so the swap set — and therefore the final
-// particle order, the permutation and the move count — is a pure function
-// of the data, computable without the sequential two-pointer walk: count
-// the elements below mid to locate the split point, collect the two
-// out-of-place position lists, and swap pairs in parallel.
-func (b *builder) hoarePar(lo, hi, d int, mid float64) int {
-	n := hi - lo
-	coord := b.coord(d)
-	w := pool.Workers(n, b.workers)
-	if cap(b.chunkCnt) < w {
-		b.chunkCnt = make([]int, w)
-	}
-	cnt := b.chunkCnt[:w]
-	pool.Blocks(n, b.workers, func(wi, clo, chi int) {
-		c := 0
-		for _, v := range coord[lo+clo : lo+chi] {
-			if v < mid {
-				c++
-			}
-		}
-		cnt[wi] = c
-	})
-	less := 0
-	for _, c := range cnt {
-		less += c
-	}
-	m := lo + less
-	b.stats.ParticleScans += n // same counter as the serial walk
-	if m == lo || m == hi {
-		return m
-	}
-
-	k := b.collect(coord, lo, m, mid, true, &b.posL)
-	kr := b.collect(coord, m, hi, mid, false, &b.posR)
-	if k != kr {
-		panic("tree: internal error: unbalanced hoare partition")
-	}
-	posL, posR := b.posL[:k], b.posR[:k]
-	if b.workers > 1 && k >= parSwapMin {
-		pool.Blocks(k, b.workers, func(_, tlo, thi int) {
-			for t := tlo; t < thi; t++ {
-				b.swap(posL[t], posR[k-1-t])
-			}
-		})
-	} else {
-		for t := 0; t < k; t++ {
-			b.swap(posL[t], posR[k-1-t])
-		}
-	}
-	b.stats.ParticleMoves += k
-	return m
-}
-
-// collect gathers into *dst the positions in [lo, hi) whose coordinate is
-// >= mid (ge) or < mid (!ge), in ascending order, and returns their count.
-// The chunk scans run on the worker pool; each chunk writes its positions
-// at its prefix-sum offset, so the output order matches a serial scan.
-func (b *builder) collect(coord []float64, lo, hi int, mid float64, ge bool, dst *[]int) int {
-	n := hi - lo
-	w := pool.Workers(n, b.workers)
-	cnt := make([]int, w)
-	pool.Blocks(n, b.workers, func(wi, clo, chi int) {
-		c := 0
-		for _, v := range coord[lo+clo : lo+chi] {
-			if (v >= mid) == ge {
-				c++
-			}
-		}
-		cnt[wi] = c
-	})
-	total := 0
-	for wi := range cnt {
-		cnt[wi], total = total, total+cnt[wi]
-	}
-	if cap(*dst) < total {
-		*dst = make([]int, total)
-	}
-	out := (*dst)[:total]
-	pool.Blocks(n, b.workers, func(wi, clo, chi int) {
-		at := cnt[wi]
-		for p := lo + clo; p < lo+chi; p++ {
-			if (coord[p] >= mid) == ge {
-				out[at] = p
-				at++
-			}
-		}
-	})
-	return total
-}
-
-// --- Parallel top-of-tree construction -----------------------------------
-
-// skelNode is a node of the serially-built top of the tree; its children
-// are either further skeleton nodes or subtree tasks.
-type skelNode struct {
-	node     Node
-	children []skelChild
-}
-
-// skelChild points at a skeleton node (skel >= 0) or a subtree task
-// (task >= 0); exactly one is set.
-type skelChild struct {
-	skel, task int
-}
-
-// subtreeTask is one independently-built subtree: a particle range finalized
-// by the top-of-tree partitioning, built serially by one worker into a
-// locally-indexed node buffer and spliced into the final node slice at base.
-type subtreeTask struct {
-	lo, hi, level int
-	parent        int32 // final index of the parent node (set during numbering)
-	base          int   // final index of the task's root (set during numbering)
-	nodes         []Node
-	stats         BuildStats
-}
-
-// buildParallel constructs the tree over [0, n) with the builder's worker
-// budget: serial top-of-tree recursion with parallel scans, concurrent
-// subtree tasks over disjoint ranges, then a deterministic renumbering
-// that reproduces the serial construction order exactly.
-func (b *builder) buildParallel(n int) {
-	cutoff := n / (tasksPerWorker * b.workers)
-	if cutoff < b.leafSize {
-		cutoff = b.leafSize
-	}
-	b.buildTop(0, n, 0, cutoff)
-
-	// Run the subtree tasks on the worker pool. Tasks vary in size, so
-	// workers pull from a shared counter rather than owning fixed ranges;
-	// the schedule does not affect the output, since every task writes
-	// only its own node buffer and its disjoint particle range.
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < min(b.workers, len(b.tasks)); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ti := int(cursor.Add(1)) - 1
-				if ti >= len(b.tasks) {
-					return
-				}
-				b.runTask(&b.tasks[ti])
-			}
-		}()
-	}
-	wg.Wait()
-
-	for i := range b.tasks {
-		b.stats.add(b.tasks[i].stats)
-	}
-	out := make([]Node, b.stats.Nodes)
-	next := 0
-	b.number(out, 0, -1, &next)
-	if next != b.stats.Nodes {
-		panic("tree: internal error: node numbering mismatch")
-	}
-	pool.For(len(b.tasks), b.workers, func(ti int) {
-		spliceTask(out, &b.tasks[ti])
-	})
-	b.nodes = out
-	b.skel, b.tasks = nil, nil
-}
-
-// buildTop creates the node covering [lo, hi) in the skeleton and
-// recursively partitions it, handing child ranges of at most cutoff
-// particles off as subtree tasks. The recursion itself is serial — node
-// discovery order defines the construction order — but the scans and
-// partitions of these large top ranges run on the worker pool.
-func (b *builder) buildTop(lo, hi, level, cutoff int) int {
-	si := len(b.skel)
-	b.skel = append(b.skel, skelNode{})
-	box := b.shrinkBox(lo, hi)
-	nd := Node{
-		Box:    box,
-		Center: box.Center(),
-		Radius: box.Radius(),
-		Lo:     lo,
-		Hi:     hi,
-		Level:  level,
-	}
-	b.stats.Nodes++
-	if level > b.stats.MaxDepth {
-		b.stats.MaxDepth = level
-	}
-	// Top nodes always exceed cutoff >= leafSize particles, except the
-	// root of a small build, which the caller routes serially; keep the
-	// leaf check anyway so the invariant is local.
-	if hi-lo <= b.leafSize {
-		b.stats.Leaves++
-		b.skel[si] = skelNode{node: nd}
-		return si
-	}
-	dims := splitDims(box)
-	var ranges [8][2]int
-	nr := b.partition(lo, hi, box, dims, &ranges)
-	if nr <= 1 {
-		b.stats.Leaves++
-		b.skel[si] = skelNode{node: nd}
-		return si
-	}
-	children := make([]skelChild, 0, nr)
-	for _, r := range ranges[:nr] {
-		if r[1]-r[0] <= cutoff {
-			b.tasks = append(b.tasks, subtreeTask{lo: r[0], hi: r[1], level: level + 1})
-			children = append(children, skelChild{skel: -1, task: len(b.tasks) - 1})
-		} else {
-			ci := b.buildTop(r[0], r[1], level+1, cutoff)
-			children = append(children, skelChild{skel: ci, task: -1})
-		}
-	}
-	b.skel[si] = skelNode{node: nd, children: children}
-	return si
-}
-
-// runTask builds one subtree serially into the task's private node buffer.
-// The sub-builder shares the particle set and permutation — the task owns
-// [lo, hi) exclusively — and runs with one worker, so it is exactly the
-// serial recursion.
-func (b *builder) runTask(t *subtreeTask) {
-	tb := builder{
-		p:        b.p,
-		perm:     b.perm,
-		leafSize: b.leafSize,
-		workers:  1,
-		nodes:    make([]Node, 0, nodeCapHint(t.hi-t.lo, b.leafSize)),
-	}
-	tb.build(-1, t.lo, t.hi, t.level)
-	t.nodes = tb.nodes
-	t.stats = tb.stats
-}
-
-// number walks the skeleton depth-first — the serial construction order —
-// assigning final node indices: skeleton nodes are written to out directly,
-// subtree tasks reserve a contiguous index block for spliceTask. It returns
-// the final index of skeleton node si.
-func (b *builder) number(out []Node, si int, parent int32, next *int) int32 {
-	idx := int32(*next)
-	*next++
-	sn := &b.skel[si]
-	nd := sn.node
-	nd.Parent = parent
-	if len(sn.children) > 0 {
-		nd.Children = make([]int32, len(sn.children))
-	}
-	for ci, ch := range sn.children {
-		if ch.task >= 0 {
-			t := &b.tasks[ch.task]
-			t.parent = idx
-			t.base = *next
-			nd.Children[ci] = int32(t.base)
-			*next += len(t.nodes)
-		} else {
-			nd.Children[ci] = b.number(out, ch.skel, idx, next)
-		}
-	}
-	out[idx] = nd
-	return idx
-}
-
-// spliceTask copies a finished subtree into its reserved index block,
-// shifting the task-local node references by the block base.
-func spliceTask(out []Node, t *subtreeTask) {
-	base := int32(t.base)
-	for j := range t.nodes {
-		nd := t.nodes[j]
-		if j == 0 {
-			nd.Parent = t.parent
-		} else {
-			nd.Parent += base
-		}
-		for ci := range nd.Children {
-			nd.Children[ci] += base
-		}
-		out[t.base+j] = nd
-	}
 }
 
 // Validate checks the structural invariants of the tree and returns an error
