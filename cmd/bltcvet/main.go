@@ -10,7 +10,6 @@
 //	go run ./cmd/bltcvet ./...
 //	go run ./cmd/bltcvet ./internal/trace ./internal/dist/...
 //	go run ./cmd/bltcvet -json ./... > findings.json
-//	go run ./cmd/bltcvet -baseline findings.json ./...
 //	go run ./cmd/bltcvet -list
 //
 // Arguments are directories relative to the module root, with an optional
@@ -20,9 +19,7 @@
 // "//lint:ignore <analyzer> <reason>" (see docs/static-analysis.md).
 //
 // -json emits the findings as a JSON array (machine-readable, stable
-// order). -baseline reads a previous -json output and reports only
-// findings not in it: accepted debt stays quiet, new findings still fail.
-// Under GITHUB_ACTIONS=true, text mode prefixes each finding with a
+// order). Under GITHUB_ACTIONS=true, text mode prefixes each finding with a
 // ::error workflow annotation. verify.sh runs this between `go vet` and
 // the build.
 package main
@@ -40,22 +37,13 @@ import (
 )
 
 // Finding is the machine-readable form of one diagnostic. File paths are
-// module-root-relative so a baseline written on one checkout applies to
-// another.
+// module-root-relative, so findings from different checkouts compare.
 type Finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-}
-
-// baselineKey identifies a finding for ratchet purposes. Line and column
-// are deliberately excluded: unrelated edits move accepted findings
-// around, and a baseline that rots on every reflow is a baseline nobody
-// regenerates honestly.
-func (f Finding) baselineKey() string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
 }
 
 func main() {
@@ -75,9 +63,8 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	baselinePath := fs.String("baseline", "", "accept findings recorded in this -json output; report only new ones")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: bltcvet [-list] [-json] [-baseline findings.json] [packages]\n")
+		fmt.Fprintf(stderr, "usage: bltcvet [-list] [-json] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -152,15 +139,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
-	if *baselinePath != "" {
-		accepted, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "bltcvet:", err)
-			return 2
-		}
-		findings = filterBaseline(findings, accepted)
-	}
-
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -198,37 +176,4 @@ func docSummary(doc string) string {
 		}
 	}
 	return doc
-}
-
-// loadBaseline reads a previous -json output.
-func loadBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var fs []Finding
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	accepted := map[string]int{}
-	for _, f := range fs {
-		accepted[f.baselineKey()]++
-	}
-	return accepted, nil
-}
-
-// filterBaseline drops findings covered by the baseline multiset: each
-// accepted entry absorbs one occurrence, so adding a second identical
-// finding in the same file still fails the run.
-func filterBaseline(findings []Finding, accepted map[string]int) []Finding {
-	kept := findings[:0]
-	for _, f := range findings {
-		k := f.baselineKey()
-		if accepted[k] > 0 {
-			accepted[k]--
-			continue
-		}
-		kept = append(kept, f)
-	}
-	return kept
 }

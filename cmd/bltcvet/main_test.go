@@ -58,11 +58,10 @@ func TestBadFlagExitsTwo(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip drives -json output back through -baseline on a
-// tiny synthetic module: the recorded finding goes quiet, a new finding
-// still fails, and GitHub annotations appear in text mode under
-// GITHUB_ACTIONS.
-func TestBaselineRoundTrip(t *testing.T) {
+// TestJSONFindingsAndAnnotations runs a tiny synthetic module with one
+// finding: -json reports it with a module-relative path, and text mode
+// under GITHUB_ACTIONS prefixes it with a workflow annotation.
+func TestJSONFindingsAndAnnotations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stdlib source type-check in -short mode")
 	}
@@ -88,59 +87,14 @@ func Roll() int { return rand.Intn(6) }
 		t.Fatalf("unexpected findings: %+v", found)
 	}
 
-	baseline := filepath.Join(dir, "findings.json")
-	if err := os.WriteFile(baseline, out.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The baselined finding is accepted: clean exit.
-	out.Reset()
-	errb.Reset()
-	if code := run(dir, []string{"-baseline", baseline, "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d with baselined finding, want 0\nstdout %s stderr %s", code, out.String(), errb.String())
-	}
-
-	// A new finding is not absorbed by the baseline.
-	writeFile(t, dir, "p/q.go", `package p
-
-import "math/rand"
-
-// Spin adds a second, unbaselined finding.
-func Spin() float64 { return rand.Float64() }
-`)
-	out.Reset()
-	if code := run(dir, []string{"-json", "-baseline", baseline, "./..."}, &out, &errb); code != 1 {
-		t.Fatalf("exit = %d with a new finding over baseline, want 1", code)
-	}
-	found = nil
-	if err := json.Unmarshal(out.Bytes(), &found); err != nil {
-		t.Fatal(err)
-	}
-	if len(found) != 1 || found[0].File != "p/q.go" {
-		t.Fatalf("baseline should leave only the new finding, got %+v", found)
-	}
-
 	// Text mode under GITHUB_ACTIONS emits workflow annotations.
 	t.Setenv("GITHUB_ACTIONS", "true")
 	out.Reset()
-	if code := run(dir, []string{"-baseline", baseline, "./..."}, &out, &errb); code != 1 {
+	if code := run(dir, []string{"./..."}, &out, &errb); code != 1 {
 		t.Fatalf("exit = %d in annotation mode, want 1", code)
 	}
-	if !strings.Contains(out.String(), "::error file=p/q.go,line=") {
+	if !strings.Contains(out.String(), "::error file=p/p.go,line=") {
 		t.Errorf("missing GitHub annotation in output:\n%s", out.String())
-	}
-}
-
-func TestMissingBaselineExitsTwo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stdlib source type-check in -short mode")
-	}
-	dir := t.TempDir()
-	writeFile(t, dir, "go.mod", "module tiny\n\ngo 1.22\n")
-	writeFile(t, dir, "p/p.go", "package p\n")
-	var out, errb bytes.Buffer
-	if code := run(dir, []string{"-baseline", filepath.Join(dir, "nope.json"), "./..."}, &out, &errb); code != 2 {
-		t.Fatalf("exit = %d with missing baseline file, want 2", code)
 	}
 }
 

@@ -248,14 +248,8 @@ func (g Grid3D) Point(idx int) geom.Vec3 {
 	}
 }
 
-// FlatIndex returns the flat index of the node (k1, k2, k3).
-func (g Grid3D) FlatIndex(k1, k2, k3 int) int {
-	m := g.N + 1
-	return (k1*m+k2)*m + k3
-}
-
 // FlattenedPoints returns the coordinates of all (n+1)^3 tensor-product
-// nodes as three parallel slices in FlatIndex order; this is the layout the
+// nodes as three parallel slices in flat-index order (see Point); this is the layout the
 // potential-evaluation kernels stream over.
 func (g Grid3D) FlattenedPoints() (px, py, pz []float64) {
 	np := g.NumPoints()
@@ -267,7 +261,7 @@ func (g Grid3D) FlattenedPoints() (px, py, pz []float64) {
 }
 
 // FlattenedPointsInto fills px, py, pz (each of length NumPoints) with the
-// tensor-product node coordinates in FlatIndex order.
+// tensor-product node coordinates in flat-index order (see Point).
 func (g Grid3D) FlattenedPointsInto(px, py, pz []float64) {
 	m := g.N + 1
 	idx := 0
@@ -295,7 +289,7 @@ func (g Grid3D) BasisAt(p geom.Vec3, bx, by, bz []float64) {
 }
 
 // Interpolate evaluates the 3D tensor-product interpolant with nodal values
-// f (length (n+1)^3, in FlatIndex order) at the point p.
+// f (length (n+1)^3, in flat-index order) at the point p.
 func (g Grid3D) Interpolate(f []float64, p geom.Vec3) float64 {
 	if len(f) != g.NumPoints() {
 		panic(fmt.Sprintf("chebyshev: Interpolate values length %d, want %d", len(f), g.NumPoints()))

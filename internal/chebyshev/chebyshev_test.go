@@ -212,7 +212,7 @@ func TestGrid3DPointsAndIndexing(t *testing.T) {
 	for k1 := 0; k1 < 4; k1++ {
 		for k2 := 0; k2 < 4; k2++ {
 			for k3 := 0; k3 < 4; k3++ {
-				idx := g.FlatIndex(k1, k2, k3)
+				idx := (k1*4+k2)*4 + k3
 				p := g.Point(idx)
 				want := geom.Vec3{
 					X: g.Dims[0].Points[k1],

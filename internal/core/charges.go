@@ -122,6 +122,33 @@ func chargeWork(n, nc int) (pass1, pass2 float64) {
 	return pass1, pass2
 }
 
+// chargeNodes is the host charge pass, the one loop behind every modified
+// charge: with up to workers goroutines it computes the modified charges
+// of charges q (tree order) into qhat[i] for every node i of t that
+// need[i] selects. Each worker owns one set of barycentric rows, so the
+// allocations of a pass do not depend on the clusters' sizes.
+func (cd *ClusterData) chargeNodes(t *tree.Tree, q []float64, qhat [][]float64, need []bool, workers int) {
+	m := cd.Degree + 1
+	pool.Blocks(len(t.Nodes), workers, func(_, lo, hi int) {
+		rows := make([]float64, 3*m)
+		for i := lo; i < hi; i++ {
+			if need[i] {
+				cd.chargeNode(t.Particles, q, &t.Nodes[i], i, rows, qhat[i])
+			}
+		}
+	})
+}
+
+// everyNode returns need flags that select all n nodes: the device charges
+// every cluster.
+func everyNode(n int) []bool {
+	need := make([]bool, n)
+	for i := range need {
+		need[i] = true
+	}
+	return need
+}
+
 // chargeNode computes node ni's modified charges for charges q (tree
 // order) into qhat, one particle at a time: the particle's three rows of
 // barycentric factors and its intermediate charge q-tilde (equation (14)),

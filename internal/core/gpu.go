@@ -78,21 +78,22 @@ func RunDevice(pl *Plan, k kernel.Kernel, dev *device.Device, opt DeviceOptions)
 		tr.Span("setup", trace.CatPhase, dev.Rank, trace.TrackHost, 0, hc.Now())
 	}
 
-	// --- Precompute phase: modified charges on the device, into a fresh
-	// ChargeState; model-only launches charge nothing, so qhat's entries
+	// --- Precompute phase: the modified-charge kernels on the device,
+	// whose values the host charge pass computes for every node into a
+	// fresh ChargeState; model-only runs charge nothing, so qhat's entries
 	// stay nil there. ---
 	dev.BeginPhase(hc.Now())
 	nSrc := int64(pl.Sources.Particles.Len())
 	copyDone := dev.CopyIn(hc.Now(), 4*8*nSrc) // x, y, z, q
-	var q []float64
+	launchCharges(pl.Clusters, pl.Sources, dev, &hc, copyDone, streams)
 	var qhat [][]float64
 	if opt.ModelOnly {
 		qhat = make([][]float64, len(pl.Sources.Nodes))
 	} else {
 		st := NewChargeState(pl)
-		q, qhat = st.Q, st.Qhat
+		st.chargeNodes(pl, everyNode(len(pl.Sources.Nodes)), dev.Workers())
+		qhat = st.Qhat
 	}
-	launchCharges(pl.Clusters, pl.Sources, q, qhat, dev, &hc, copyDone, streams, opt.ModelOnly)
 	hc.AdvanceTo(dev.Drain())
 	hc.AdvanceTo(dev.CopyOut(hc.Now(), pl.Clusters.ChargesBytes()))
 	res.Times[perfmodel.PhasePrecompute] = hc.Now() - res.Times[perfmodel.PhaseSetup]

@@ -209,35 +209,34 @@ func (l *Launcher) hostBlockF32(tg *particle.Set, ti, tj int, sx, sy, sz, q []fl
 
 // LaunchChargeKernels is a distributed rank's charge pass over its own
 // cluster data: it queues the two preprocessing kernels for every node of
-// t with the tree's own charges (see launchCharges) and leaves the
-// modified charges in cd.Qhat, which it (re)allocates with one slot per
-// node. In model-only mode the launches are recorded for timing only and
-// every cd.Qhat[i] stays nil.
+// t (see launchCharges) and leaves the modified charges of the tree's own
+// charges in cd.Qhat, which it (re)allocates with one slot per node. The
+// values come from the host charge pass, run over every node under the
+// device's worker bound. In model-only mode the launches are recorded for
+// timing only and every cd.Qhat[i] stays nil.
 func LaunchChargeKernels(cd *ClusterData, t *tree.Tree, dev *device.Device,
 	hc *perfmodel.Clock, dataReady float64, streams int, modelOnly bool) {
 
+	launchCharges(cd, t, dev, hc, dataReady, streams)
 	if modelOnly {
 		cd.Qhat = make([][]float64, len(t.Nodes))
-	} else {
-		cd.Qhat = cd.qhatSlots(len(t.Nodes))
+		return
 	}
-	launchCharges(cd, t, t.Particles.Q, cd.Qhat, dev, hc, dataReady, streams, modelOnly)
+	cd.Qhat = cd.qhatSlots(len(t.Nodes))
+	cd.chargeNodes(t, t.Particles.Q, cd.Qhat, everyNode(len(t.Nodes)), dev.Workers())
 }
 
 // launchCharges queues the two preprocessing kernels for every node of the
-// source tree (Section 3.2), charging q (tree order) into qhat[i] for node
-// i. The modeled launches are the paper's: kernel 1 computes the
-// intermediate quantities with one block per particle and threads over the
-// degree, kernel 2 each modified charge with one block per Chebyshev point
-// and threads over the particles. The host executes the node's whole pass
-// as the one functional block of its kernel-2 launch, through the same
-// particle-outer loop as ChargeState.Compute, so the values are the CPU
-// driver's bit for bit. Every node is charged: remote ranks read a rank's
-// charges through its LET, and the paper's GPU charges every cluster. In
-// model-only mode the launches are recorded for timing but nothing is
-// computed and qhat is not touched.
-func launchCharges(cd *ClusterData, t *tree.Tree, q []float64, qhat [][]float64, dev *device.Device,
-	hc *perfmodel.Clock, dataReady float64, streams int, modelOnly bool) {
+// source tree (Section 3.2), for timing only. The modeled launches are the
+// paper's: kernel 1 computes the intermediate quantities with one block
+// per particle and threads over the degree, kernel 2 each modified charge
+// with one block per Chebyshev point and threads over the particles. The
+// values they stand for come from the host charge pass
+// (ClusterData.chargeNodes), which the caller runs over every node:
+// remote ranks read a rank's charges through its LET, and the paper's GPU
+// charges every cluster.
+func launchCharges(cd *ClusterData, t *tree.Tree, dev *device.Device,
+	hc *perfmodel.Clock, dataReady float64, streams int) {
 
 	if streams <= 0 {
 		streams = dev.Spec.Streams
@@ -245,15 +244,8 @@ func launchCharges(cd *ClusterData, t *tree.Tree, q []float64, qhat [][]float64,
 	n := cd.Degree
 	m := n + 1
 	launch := 0
-	// One set of barycentric rows serves every node: functional execution
-	// of a launch is synchronous and each runs a single host block.
-	var rows []float64
-	if !modelOnly {
-		rows = make([]float64, 3*m)
-	}
 	for ni := range t.Nodes {
-		nd := &t.Nodes[ni]
-		nc := nd.Count()
+		nc := t.Nodes[ni].Count()
 		p1, p2 := chargeWork(n, nc)
 
 		hc.Advance(dev.Spec.LaunchOverheadHost)
@@ -266,19 +258,14 @@ func launchCharges(cd *ClusterData, t *tree.Tree, q []float64, qhat [][]float64,
 		}, math.Max(hc.Now(), dataReady), nil)
 		launch++
 
-		var fn func(int)
-		if !modelOnly {
-			fn = func(int) { cd.chargeNode(t.Particles, q, nd, ni, rows, qhat[ni]) }
-		}
-		np := cd.Grids[ni].NumPoints()
 		hc.Advance(dev.Spec.LaunchOverheadHost)
-		dev.LaunchBlocks(device.LaunchSpec{
+		dev.Launch(device.LaunchSpec{
 			Stream: launch % streams,
-			Grid:   np,
+			Grid:   cd.Grids[ni].NumPoints(),
 			Block:  min(nc, 1024),
 			FlopEq: p2,
 			Label:  "charges.pass2",
-		}, math.Max(hc.Now(), dataReady), 1, fn)
+		}, math.Max(hc.Now(), dataReady), nil)
 		launch++
 	}
 }

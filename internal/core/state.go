@@ -120,13 +120,10 @@ func (st *ChargeState) Compute(pl *Plan, workers int) float64 {
 // reads: those on some batch's approximation list, or every node for a
 // plan without lists.
 func approxReads(pl *Plan) []bool {
-	reads := make([]bool, len(pl.Sources.Nodes))
 	if pl.Lists == nil {
-		for i := range reads {
-			reads[i] = true
-		}
-		return reads
+		return everyNode(len(pl.Sources.Nodes))
 	}
+	reads := make([]bool, len(pl.Sources.Nodes))
 	for _, approx := range pl.Lists.Approx {
 		for _, ci := range approx {
 			reads[ci] = true
@@ -137,10 +134,9 @@ func approxReads(pl *Plan) []bool {
 
 // chargeNodes computes, with up to workers goroutines, the modified
 // charges of every node i that need[i] selects and that is not yet
-// charged, and marks them charged. need is overwritten with the nodes it
-// charges; it reports whether there were any. Each worker owns one set of
-// barycentric rows, so the allocations of a pass do not depend on the
-// clusters' sizes.
+// charged (see ClusterData.chargeNodes), and marks them charged. need is
+// overwritten with the nodes it charges; it reports whether there were
+// any.
 func (st *ChargeState) chargeNodes(pl *Plan, need []bool, workers int) bool {
 	todo := false
 	for i, done := range st.charged {
@@ -150,16 +146,7 @@ func (st *ChargeState) chargeNodes(pl *Plan, need []bool, workers int) bool {
 	if !todo {
 		return false
 	}
-	cd, t := pl.Clusters, pl.Sources
-	m := cd.Degree + 1
-	pool.Blocks(len(t.Nodes), workers, func(_, lo, hi int) {
-		rows := make([]float64, 3*m)
-		for i := lo; i < hi; i++ {
-			if need[i] {
-				cd.chargeNode(t.Particles, st.Q, &t.Nodes[i], i, rows, st.Qhat[i])
-			}
-		}
-	})
+	pl.Clusters.chargeNodes(pl.Sources, st.Q, st.Qhat, need, workers)
 	for i, n := range need {
 		st.charged[i] = st.charged[i] || n
 	}

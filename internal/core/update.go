@@ -123,11 +123,6 @@ type updState struct {
 	srcDrifts, tgtDrifts []int32
 }
 
-// Generation returns the number of Updates applied to the plan so far.
-// ChargeStates remember the generation they were created against and
-// refuse to run after it moves on.
-func (pl *Plan) Generation() uint64 { return pl.gen }
-
 // Update moves the plan to new particle positions, given in the order the
 // particles were originally passed to NewPlan. It requires a Morton-mode
 // plan (Params.Morton) whose targets and sources coincide, and picks the

@@ -93,8 +93,8 @@ func TestUpdateZeroDriftByteIdentical(t *testing.T) {
 	after := updSolve(t, pl, k)
 	wantExact(t, after, before, "zero-drift update")
 
-	if pl.Generation() != 1 {
-		t.Fatalf("generation = %d after one update, want 1", pl.Generation())
+	if pl.gen != 1 {
+		t.Fatalf("generation = %d after one update, want 1", pl.gen)
 	}
 }
 
@@ -451,8 +451,8 @@ func TestUpdateErrors(t *testing.T) {
 		if _, err := pl.update(bad, pts.Y, pts.Z); err == nil {
 			t.Fatal("Inf coordinate did not fail")
 		}
-		if pl.Generation() != 0 {
-			t.Fatalf("failed updates bumped generation to %d", pl.Generation())
+		if pl.gen != 0 {
+			t.Fatalf("failed updates bumped generation to %d", pl.gen)
 		}
 		wantExact(t, updSolve(t, pl, k), before, "solve after rejected updates")
 	})

@@ -51,10 +51,3 @@ func (a *AccumBuffer) Values() []float64 {
 	}
 	return out
 }
-
-// AddValues copies the buffer into dst, adding elementwise.
-func (a *AccumBuffer) AddValues(dst []float64) {
-	for i := range a.bits {
-		dst[i] += math.Float64frombits(a.bits[i].Load())
-	}
-}

@@ -109,6 +109,9 @@ func New(spec perfmodel.GPUSpec, workers int) *Device {
 	return &Device{Spec: spec, workers: workers}
 }
 
+// Workers returns the bound on host goroutines for functional execution.
+func (d *Device) Workers() int { return d.workers }
+
 // StatsSnapshot returns a copy of the lifetime counters.
 func (d *Device) StatsSnapshot() Stats {
 	d.mu.Lock()

@@ -247,11 +247,6 @@ func TestAccumBuffer(t *testing.T) {
 	if vals[0] != -1 || vals[3] != 4 || vals[1] != 0 {
 		t.Fatalf("values = %v", vals)
 	}
-	dst := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	a.AddValues(dst)
-	if dst[3] != 5 || dst[0] != 0 || dst[2] != 1 {
-		t.Fatalf("addvalues = %v", dst)
-	}
 }
 
 func TestAccumBufferConcurrent(t *testing.T) {

@@ -54,25 +54,40 @@ func TestDistributedYukawa(t *testing.T) {
 }
 
 func TestSingleRankMatchesSingleDevice(t *testing.T) {
-	// With one rank there is no LET; the result must match the
-	// single-device driver bit-for-bit (same tree, same kernels, same
-	// per-target accumulation order within a launch).
+	// With one rank there is no LET; the potentials must match the
+	// single-device driver bit for bit (same tree, same charge pass, same
+	// kernels, same per-target accumulation order within a launch). The
+	// modeled times are summed in a different order, so only Phi is
+	// compared.
 	rng := rand.New(rand.NewSource(3))
 	pts := particle.UniformCube(3000, rng)
-	k := kernel.Coulomb{}
-	cfg := testConfig(1)
-
-	res, err := Run(cfg, k, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := core.NewPlan(pts, pts, cfg.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devRes := core.RunDevice(pl, k, device.New(perfmodel.P100(), 0), core.DeviceOptions{})
-	if e := metrics.RelErr2(devRes.Phi, res.Phi); e > 1e-14 {
-		t.Errorf("single-rank distributed deviates from single device: %.3g", e)
+	for _, k := range []kernel.Kernel{kernel.Coulomb{}, kernel.Yukawa{Kappa: 0.5}} {
+		for _, prec := range []device.Precision{device.FP64, device.FP32} {
+			cfg := testConfig(1)
+			cfg.Precision = prec
+			res, err := Run(cfg, k, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := core.NewPlan(pts, pts, cfg.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devRes := core.RunDevice(pl, k, device.New(perfmodel.P100(), 0), core.DeviceOptions{Precision: prec})
+			if len(devRes.Phi) != len(res.Phi) {
+				t.Fatalf("%d single-device potentials, %d single-rank", len(devRes.Phi), len(res.Phi))
+			}
+			diff := 0
+			for i := range devRes.Phi {
+				if devRes.Phi[i] != res.Phi[i] {
+					diff++
+				}
+			}
+			if diff > 0 {
+				t.Errorf("%s %v: %d of %d single-rank potentials differ from the single device",
+					k.Name(), prec, diff, len(devRes.Phi))
+			}
+		}
 	}
 }
 

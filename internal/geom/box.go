@@ -6,25 +6,16 @@ import (
 )
 
 // Box is an axis-aligned bounding box, represented by its lower and upper
-// corners. The zero Box is empty (Lo > Hi in every dimension) and behaves as
-// the identity for Union.
+// corners.
 type Box struct {
 	Lo, Hi Vec3
 }
 
 // EmptyBox returns a box that contains no points and acts as the identity
-// element for Union and Extend.
+// element for Extend.
 func EmptyBox() Box {
 	inf := math.Inf(1)
 	return Box{Lo: Vec3{inf, inf, inf}, Hi: Vec3{-inf, -inf, -inf}}
-}
-
-// NewBox returns the box with the given corners, swapping coordinates as
-// needed so that Lo <= Hi holds componentwise.
-func NewBox(a, b Vec3) Box {
-	lo := Vec3{math.Min(a.X, b.X), math.Min(a.Y, b.Y), math.Min(a.Z, b.Z)}
-	hi := Vec3{math.Max(a.X, b.X), math.Max(a.Y, b.Y), math.Max(a.Z, b.Z)}
-	return Box{Lo: lo, Hi: hi}
 }
 
 // IsEmpty reports whether the box contains no points.
@@ -37,20 +28,6 @@ func (b Box) Extend(p Vec3) Box {
 	return Box{
 		Lo: Vec3{math.Min(b.Lo.X, p.X), math.Min(b.Lo.Y, p.Y), math.Min(b.Lo.Z, p.Z)},
 		Hi: Vec3{math.Max(b.Hi.X, p.X), math.Max(b.Hi.Y, p.Y), math.Max(b.Hi.Z, p.Z)},
-	}
-}
-
-// Union returns the smallest box containing both b and c.
-func (b Box) Union(c Box) Box {
-	if b.IsEmpty() {
-		return c
-	}
-	if c.IsEmpty() {
-		return b
-	}
-	return Box{
-		Lo: Vec3{math.Min(b.Lo.X, c.Lo.X), math.Min(b.Lo.Y, c.Lo.Y), math.Min(b.Lo.Z, c.Lo.Z)},
-		Hi: Vec3{math.Max(b.Hi.X, c.Hi.X), math.Max(b.Hi.Y, c.Hi.Y), math.Max(b.Hi.Z, c.Hi.Z)},
 	}
 }
 

@@ -117,10 +117,10 @@ func (s Stats) TotalInteractions() int64 {
 	return s.ApproxInteractions + s.DirectInteractions
 }
 
-// add accumulates o into s. All fields are sums of non-negative per-pair
+// Add accumulates o into s. All fields are sums of non-negative per-pair
 // counts, so accumulation in any grouping reproduces the serial totals
 // exactly (integer addition is associative and commutative).
-func (s *Stats) add(o Stats) {
+func (s *Stats) Add(o Stats) {
 	s.MACTests += o.MACTests
 	s.ApproxPairs += o.ApproxPairs
 	s.DirectPairs += o.DirectPairs
@@ -163,7 +163,7 @@ func BuildListsWorkers(batches *tree.BatchSet, src *tree.Tree, mac MAC, workers 
 		}
 	})
 	for i := range perWorker {
-		ls.Stats.add(perWorker[i])
+		ls.Stats.Add(perWorker[i])
 	}
 	return ls
 }

@@ -85,7 +85,7 @@ func DemoteFailingApprox(ls *Lists, batches *tree.BatchSet, src *tree.Tree, mac 
 	})
 	moved := 0
 	for _, d := range delta {
-		ls.Stats.add(d)
+		ls.Stats.Add(d)
 		moved += d.DirectPairs
 	}
 	return moved

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"barytree/internal/chebyshev"
-	"barytree/internal/geom"
 	"barytree/internal/interaction"
 	"barytree/internal/mpisim"
 	"barytree/internal/particle"
-	"barytree/internal/pool"
 	"barytree/internal/trace"
 	"barytree/internal/tree"
 )
@@ -98,43 +96,6 @@ type LET struct {
 	Stats interaction.Stats
 }
 
-// remoteTraversal is one batch's MAC traversal of one remote tree: the
-// remote nodes it approximates and interacts directly with, in traversal
-// encounter order, plus the traversal's share of the Stats counters.
-type remoteTraversal struct {
-	approx, direct []int32
-	stats          interaction.Stats
-}
-
-// traverseRemote runs the MAC traversal of batch b against a remote tree
-// view. It reuses (and returns, possibly grown) the caller's stack.
-func traverseRemote(b *tree.Batch, view *TreeView, mac interaction.MAC, np int, stack []int32, res *remoteTraversal) []int32 {
-	nb := int64(b.Count())
-	stack = append(stack[:0], 0)
-	for len(stack) > 0 {
-		ci := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		res.stats.MACTests++
-		dx := b.Center.X - view.CX[ci]
-		dy := b.Center.Y - view.CY[ci]
-		dz := b.Center.Z - view.CZ[ci]
-		dist := geom.Vec3{X: dx, Y: dy, Z: dz}.Norm()
-		switch mac.Test(dist, b.Radius, view.R[ci], int(view.Count[ci]), view.IsLeaf(ci)) {
-		case interaction.Approximate:
-			res.approx = append(res.approx, ci)
-			res.stats.ApproxPairs++
-			res.stats.ApproxInteractions += nb * int64(np)
-		case interaction.Direct:
-			res.direct = append(res.direct, ci)
-			res.stats.DirectPairs++
-			res.stats.DirectInteractions += nb * int64(view.Count[ci])
-		case interaction.Recurse:
-			stack = append(stack, view.ChildrenOf(ci)...)
-		}
-	}
-	return stack
-}
-
 // Fetch tracks the in-flight bulk-fetch stage of an asynchronously built
 // LET: one nonblocking request per fetched cluster charge array and per
 // fetched leaf particle block, indexed exactly like the LET's cluster and
@@ -185,18 +146,19 @@ func (f *Fetch) IssuedSeconds() float64 { return f.issued }
 func (f *Fetch) StalledSeconds() float64 { return f.stalled }
 
 // remotePlan is the traversal stage's output for one remote rank: its
-// deserialized tree view and the remote nodes the bulk-fetch stage must
-// pull, in first-encounter order.
+// deserialized tree and the remote nodes the bulk-fetch stage must pull,
+// in first-encounter order.
 type remotePlan struct {
 	remote                   int
-	view                     *TreeView
+	tree                     *tree.Tree
 	approxNodes, directNodes []int32
 }
 
 // BuildAsync constructs this rank's LET in two stages. The traversal
 // stage fetches every remote rank's tree geometry/topology arrays eagerly
-// (synchronous gets — they gate the MAC decisions) and traverses them
-// against the local target batches, fixing the interaction lists and the
+// (synchronous gets — they gate the MAC decisions) and runs the same
+// batch/cluster MAC traversal on each remote tree as on the local one
+// (interaction.BuildListsWorkers), fixing the interaction lists and the
 // first-encounter order of remote clusters and leaves. The bulk-fetch
 // stage then issues the direct-leaf particles and cluster charge arrays as
 // grouped nonblocking Igets: the functional copies happen immediately, so
@@ -206,9 +168,9 @@ type remotePlan struct {
 // serial exchange, per-batch WaitBatch calls interleaved with compute
 // pipeline it.
 //
-// The per-batch traversals run on up to `workers` goroutines (<= 0 selects
-// GOMAXPROCS); batches are independent, and the traversal results are
-// merged serially in batch order afterwards, so the LET — including the
+// The traversals run on up to `workers` goroutines (<= 0 selects
+// GOMAXPROCS) and their lists are byte-identical for every worker count;
+// they are merged in batch order, so the LET — including the
 // first-encounter ordering of fetched clusters/leaves, the RMA sequence,
 // the Stats counters and therefore all modeled times and traces — is
 // identical for every worker count.
@@ -221,7 +183,6 @@ func BuildAsync(r *mpisim.Rank, wins *Windows, batches *tree.BatchSet, mac inter
 	f := &Fetch{r: r}
 	np := mac.InterpPoints()
 	buildStart := r.Clock.Now()
-	results := make([]remoteTraversal, len(batches.Batches))
 	var plans []remotePlan
 	nClusters, nLeaves := 0, 0
 
@@ -233,54 +194,18 @@ func BuildAsync(r *mpisim.Rank, wins *Windows, batches *tree.BatchSet, mac inter
 		geomArr := wins.Geom.GetAll(r, remote)
 		topoArr := wins.Topo.GetAll(r, remote)
 		childArr := wins.Child.GetAll(r, remote)
-		view, err := Deserialize(geomArr, topoArr, childArr)
+		t, err := Deserialize(geomArr, topoArr, childArr)
 		if err != nil {
 			return nil, nil, fmt.Errorf("let: rank %d decoding rank %d tree: %w", r.ID(), remote, err)
 		}
-		if view.N == 0 {
-			continue
+		lists := interaction.BuildListsWorkers(batches, t, mac, workers)
+		plan := remotePlan{
+			remote:      remote,
+			tree:        t,
+			approxNodes: mergeFirstEncounter(l.Approx, lists.Approx, len(t.Nodes), nClusters),
+			directNodes: mergeFirstEncounter(l.Direct, lists.Direct, len(t.Nodes), nLeaves),
 		}
-
-		pool.Blocks(len(batches.Batches), workers, func(_, lo, hi int) {
-			var stack []int32
-			for bi := lo; bi < hi; bi++ {
-				res := &results[bi]
-				res.approx = res.approx[:0]
-				res.direct = res.direct[:0]
-				res.stats = interaction.Stats{}
-				stack = traverseRemote(&batches.Batches[bi], view, mac, np, stack, res)
-			}
-		})
-
-		approxIdx := map[int32]int32{} // remote node -> LET cluster index
-		directIdx := map[int32]int32{} // remote node -> LET leaf index
-		plan := remotePlan{remote: remote, view: view}
-		for bi := range results {
-			res := &results[bi]
-			for _, ci := range res.approx {
-				li, ok := approxIdx[ci]
-				if !ok {
-					li = int32(nClusters + len(plan.approxNodes))
-					approxIdx[ci] = li
-					plan.approxNodes = append(plan.approxNodes, ci)
-				}
-				l.Approx[bi] = append(l.Approx[bi], li)
-			}
-			for _, ci := range res.direct {
-				li, ok := directIdx[ci]
-				if !ok {
-					li = int32(nLeaves + len(plan.directNodes))
-					directIdx[ci] = li
-					plan.directNodes = append(plan.directNodes, ci)
-				}
-				l.Direct[bi] = append(l.Direct[bi], li)
-			}
-			l.Stats.MACTests += res.stats.MACTests
-			l.Stats.ApproxPairs += res.stats.ApproxPairs
-			l.Stats.DirectPairs += res.stats.DirectPairs
-			l.Stats.ApproxInteractions += res.stats.ApproxInteractions
-			l.Stats.DirectInteractions += res.stats.DirectInteractions
-		}
+		l.Stats.Add(lists.Stats)
 		nClusters += len(plan.approxNodes)
 		nLeaves += len(plan.directNodes)
 		plans = append(plans, plan)
@@ -290,7 +215,7 @@ func BuildAsync(r *mpisim.Rank, wins *Windows, batches *tree.BatchSet, mac inter
 	f.cluster = make([]*mpisim.Request, 0, nClusters)
 	f.leaf = make([]*mpisim.Request, 0, nLeaves)
 	for _, plan := range plans {
-		remote, view := plan.remote, plan.view
+		remote, nodes := plan.remote, plan.tree.Nodes
 		if len(plan.approxNodes) > 0 {
 			epochStart := r.Clock.Now()
 			wins.Charges.Lock(remote)
@@ -299,7 +224,7 @@ func BuildAsync(r *mpisim.Rank, wins *Windows, batches *tree.BatchSet, mac inter
 				rq := wins.Charges.Iget(r, remote, int(ci)*np, qhat)
 				f.cluster = append(f.cluster, rq)
 				f.issued += rq.Duration()
-				g := chebyshev.NewGrid3D(wins.Degree, view.Boxes[ci])
+				g := chebyshev.NewGrid3D(wins.Degree, nodes[ci].Box)
 				px, py, pz := g.FlattenedPoints()
 				l.ClusterPX = append(l.ClusterPX, px)
 				l.ClusterPY = append(l.ClusterPY, py)
@@ -316,9 +241,9 @@ func BuildAsync(r *mpisim.Rank, wins *Windows, batches *tree.BatchSet, mac inter
 			epochStart := r.Clock.Now()
 			wins.Particles.Lock(remote)
 			for _, ci := range plan.directNodes {
-				count := int(view.Count[ci])
+				count := nodes[ci].Count()
 				buf := make([]float64, 4*count)
-				rq := wins.Particles.Iget(r, remote, int(view.Lo[ci])*4, buf)
+				rq := wins.Particles.Iget(r, remote, nodes[ci].Lo*4, buf)
 				f.leaf = append(f.leaf, rq)
 				f.issued += rq.Duration()
 				set := particle.NewSet(count)
@@ -343,6 +268,26 @@ func BuildAsync(r *mpisim.Rank, wins *Windows, batches *tree.BatchSet, mac inter
 	r.Tracer.Add("let.leaves", float64(len(l.Leaves)))
 	r.Tracer.Add("let.bytes", float64(l.Bytes()))
 	return l, f, nil
+}
+
+// mergeFirstEncounter appends to dst[bi] the LET index of every remote node
+// on lists[bi], numbering the remote tree's nodes from base in order of
+// first encounter over the batches, and returns the remote nodes in that
+// order: the ones the bulk fetch must pull, each once however many
+// batches read it.
+func mergeFirstEncounter(dst, lists [][]int32, remoteNodes, base int) []int32 {
+	index := make([]int32, remoteNodes) // remote node -> LET index + 1; 0 until first seen
+	var nodes []int32
+	for bi, list := range lists {
+		for _, ci := range list {
+			if index[ci] == 0 {
+				nodes = append(nodes, ci)
+				index[ci] = int32(base + len(nodes))
+			}
+			dst[bi] = append(dst[bi], index[ci]-1)
+		}
+	}
+	return nodes
 }
 
 // Bytes returns the approximate size of the LET's fetched payload (cluster

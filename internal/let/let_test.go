@@ -1,6 +1,7 @@
 package let
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -24,32 +25,34 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.N != len(tr.Nodes) {
-		t.Fatalf("decoded %d nodes, want %d", v.N, len(tr.Nodes))
+	if len(v.Nodes) != len(tr.Nodes) {
+		t.Fatalf("decoded %d nodes, want %d", len(v.Nodes), len(tr.Nodes))
+	}
+	if v.Particles != nil || v.Perm != nil {
+		t.Fatal("decoded tree carries particles")
 	}
 	for i := range tr.Nodes {
-		nd := &tr.Nodes[i]
-		if v.CX[i] != nd.Center.X || v.CY[i] != nd.Center.Y || v.CZ[i] != nd.Center.Z {
+		nd, got := &tr.Nodes[i], &v.Nodes[i]
+		if got.Center != nd.Center {
 			t.Fatalf("node %d center mismatch", i)
 		}
-		if v.R[i] != nd.Radius {
+		if got.Radius != nd.Radius {
 			t.Fatalf("node %d radius mismatch", i)
 		}
-		if v.Boxes[i] != nd.Box {
+		if got.Box != nd.Box {
 			t.Fatalf("node %d box mismatch", i)
 		}
-		if int(v.Lo[i]) != nd.Lo || int(v.Count[i]) != nd.Count() {
+		if got.Lo != nd.Lo || got.Hi != nd.Hi {
 			t.Fatalf("node %d range mismatch", i)
 		}
-		if v.IsLeaf(int32(i)) != nd.IsLeaf() {
+		if got.IsLeaf() != nd.IsLeaf() {
 			t.Fatalf("node %d leaf flag mismatch", i)
 		}
-		kids := v.ChildrenOf(int32(i))
-		if len(kids) != len(nd.Children) {
-			t.Fatalf("node %d has %d decoded children, want %d", i, len(kids), len(nd.Children))
+		if len(got.Children) != len(nd.Children) {
+			t.Fatalf("node %d has %d decoded children, want %d", i, len(got.Children), len(nd.Children))
 		}
-		for j := range kids {
-			if kids[j] != nd.Children[j] {
+		for j := range got.Children {
+			if got.Children[j] != nd.Children[j] {
 				t.Fatalf("node %d child %d mismatch", i, j)
 			}
 		}
@@ -72,6 +75,24 @@ func TestDeserializeRejectsCorruptArrays(t *testing.T) {
 		bad[0] = 9999
 		if _, err := Deserialize(geomArr, topoArr, bad); err == nil {
 			t.Error("out-of-range child accepted")
+		}
+	}
+}
+
+// TestDeserializeRejectsNegativeRanges pins the checks that keep corrupt
+// topology from reaching a slice expression or a fetch size: a negative
+// or overflowing child range and a negative particle range are errors.
+func TestDeserializeRejectsNegativeRanges(t *testing.T) {
+	pts := particle.UniformCube(200, rand.New(rand.NewSource(2)))
+	geomArr, topoArr, childArr := SerializeTree(tree.Build(pts, 50))
+	for _, c := range []struct {
+		field int
+		value int64
+	}{{0, -1}, {1, -1}, {0, math.MaxInt64}, {2, -1}, {3, -1}} {
+		bad := append([]int64{}, topoArr...)
+		bad[c.field] = c.value
+		if _, err := Deserialize(geomArr, bad, childArr); err == nil {
+			t.Errorf("topology word %d = %d accepted", c.field, c.value)
 		}
 	}
 }
@@ -308,8 +329,8 @@ func TestGeomBoxRoundTripThroughWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := geom.BoundingBox(s.X, s.Y, s.Z)
-	if v.Boxes[0] != want {
-		t.Fatalf("box %v, want %v", v.Boxes[0], want)
+	if v.Nodes[0].Box != want {
+		t.Fatalf("box %v, want %v", v.Nodes[0].Box, want)
 	}
 }
 

@@ -50,22 +50,14 @@ func SerializeTree(t *tree.Tree) (geomArr []float64, topoArr, childArr []int64) 
 	return geomArr, topoArr, childArr
 }
 
-// TreeView is a remote tree decoded from its serialized arrays: enough
-// structure to run the MAC traversal without owning the remote particles.
-type TreeView struct {
-	N          int
-	CX, CY, CZ []float64 // cluster centers
-	R          []float64 // cluster radii
-	Lo, Count  []int32   // particle ranges (remote tree order)
-	ChildStart []int32   // offset into Children
-	ChildCount []int32
-	Children   []int32
-	Boxes      []geom.Box
-}
-
-// Deserialize decodes the serialized tree arrays. It returns an error if
-// the arrays are structurally inconsistent.
-func Deserialize(geomArr []float64, topoArr, childArr []int64) (*TreeView, error) {
+// Deserialize decodes the serialized tree arrays into a tree of the
+// remote rank's nodes: each node's Box, Center, Radius, particle range
+// [Lo, Hi) in the remote tree order and Children, which is what the MAC
+// traversal (interaction.BuildListsWorkers) and the bulk fetch read. The
+// particles stay on their home rank, so Particles and Perm are nil, and
+// Parent and Level are not carried. It returns an error if the arrays are
+// structurally inconsistent.
+func Deserialize(geomArr []float64, topoArr, childArr []int64) (*tree.Tree, error) {
 	if len(geomArr)%GeomStride != 0 {
 		return nil, fmt.Errorf("let: geometry array length %d not a multiple of %d", len(geomArr), GeomStride)
 	}
@@ -73,50 +65,36 @@ func Deserialize(geomArr []float64, topoArr, childArr []int64) (*TreeView, error
 	if len(topoArr) != n*TopoStride {
 		return nil, fmt.Errorf("let: topology array length %d, want %d", len(topoArr), n*TopoStride)
 	}
-	v := &TreeView{
-		N:          n,
-		CX:         make([]float64, n),
-		CY:         make([]float64, n),
-		CZ:         make([]float64, n),
-		R:          make([]float64, n),
-		Lo:         make([]int32, n),
-		Count:      make([]int32, n),
-		ChildStart: make([]int32, n),
-		ChildCount: make([]int32, n),
-		Children:   make([]int32, len(childArr)),
-		Boxes:      make([]geom.Box, n),
-	}
-	for i := 0; i < n; i++ {
-		g := geomArr[i*GeomStride:]
-		v.CX[i], v.CY[i], v.CZ[i], v.R[i] = g[0], g[1], g[2], g[3]
-		v.Boxes[i] = geom.Box{
-			Lo: geom.Vec3{X: g[4], Y: g[5], Z: g[6]},
-			Hi: geom.Vec3{X: g[7], Y: g[8], Z: g[9]},
-		}
-		tp := topoArr[i*TopoStride:]
-		v.ChildStart[i] = int32(tp[0])
-		v.ChildCount[i] = int32(tp[1])
-		v.Lo[i] = int32(tp[2])
-		v.Count[i] = int32(tp[3])
-		if int(tp[0])+int(tp[1]) > len(childArr) {
-			return nil, fmt.Errorf("let: node %d children [%d,%d) out of bounds %d",
-				i, tp[0], tp[0]+tp[1], len(childArr))
-		}
-	}
+	children := make([]int32, len(childArr))
 	for i, c := range childArr {
 		if c < 0 || int(c) >= n {
 			return nil, fmt.Errorf("let: child entry %d references invalid node %d", i, c)
 		}
-		v.Children[i] = int32(c)
+		children[i] = int32(c)
 	}
-	return v, nil
-}
-
-// IsLeaf reports whether node i of the view has no children.
-func (v *TreeView) IsLeaf(i int32) bool { return v.ChildCount[i] == 0 }
-
-// ChildrenOf returns the child node indices of node i.
-func (v *TreeView) ChildrenOf(i int32) []int32 {
-	s := v.ChildStart[i]
-	return v.Children[s : s+v.ChildCount[i]]
+	t := &tree.Tree{Nodes: make([]tree.Node, n)}
+	for i := range t.Nodes {
+		g := geomArr[i*GeomStride:]
+		tp := topoArr[i*TopoStride:]
+		start, count := tp[0], tp[1]
+		if start < 0 || count < 0 || count > int64(len(childArr))-start {
+			return nil, fmt.Errorf("let: node %d children [%d,%d) out of bounds %d",
+				i, start, start+count, len(childArr))
+		}
+		if tp[2] < 0 || tp[3] < 0 {
+			return nil, fmt.Errorf("let: node %d has particle range start %d count %d", i, tp[2], tp[3])
+		}
+		t.Nodes[i] = tree.Node{
+			Box: geom.Box{
+				Lo: geom.Vec3{X: g[4], Y: g[5], Z: g[6]},
+				Hi: geom.Vec3{X: g[7], Y: g[8], Z: g[9]},
+			},
+			Center:   geom.Vec3{X: g[0], Y: g[1], Z: g[2]},
+			Radius:   g[3],
+			Lo:       int(tp[2]),
+			Hi:       int(tp[2] + tp[3]),
+			Children: children[start : start+count : start+count],
+		}
+	}
+	return t, nil
 }

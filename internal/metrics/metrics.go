@@ -100,12 +100,3 @@ func Gather(v []float64, idx []int) []float64 {
 	}
 	return out
 }
-
-// Digits converts a relative error into "digits of accuracy",
-// -log10(err); an error of 0 reports +Inf digits.
-func Digits(err float64) float64 {
-	if err <= 0 {
-		return math.Inf(1)
-	}
-	return -math.Log10(err)
-}

@@ -34,9 +34,6 @@ type Request struct {
 	done                      bool
 }
 
-// Target returns the target rank of the operation.
-func (rq *Request) Target() int { return rq.target }
-
 // Bytes returns the payload size of the operation.
 func (rq *Request) Bytes() int { return rq.bytes }
 

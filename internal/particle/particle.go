@@ -174,22 +174,6 @@ func UniformCube(n int, rng *rand.Rand) *Set {
 	return s
 }
 
-// UniformBox returns n particles uniformly random in the box b with charges
-// uniform on [-1,1].
-func UniformBox(n int, b geom.Box, rng *rand.Rand) *Set {
-	s := NewSet(n)
-	sz := b.Size()
-	for i := 0; i < n; i++ {
-		s.Append(
-			b.Lo.X+sz.X*rng.Float64(),
-			b.Lo.Y+sz.Y*rng.Float64(),
-			b.Lo.Z+sz.Z*rng.Float64(),
-			2*rng.Float64()-1,
-		)
-	}
-	return s
-}
-
 // Plummer returns n equal-mass particles drawn from the Plummer sphere with
 // scale radius a, the classic gravitational N-body test distribution. Each
 // particle carries mass 1/n.

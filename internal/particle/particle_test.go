@@ -97,20 +97,6 @@ func TestUniformCubeBounds(t *testing.T) {
 	}
 }
 
-func TestUniformBox(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	b := NewSet(0).Bounds() // empty box; build target box manually below
-	_ = b
-	s := UniformCube(10, rng)
-	box := s.Bounds()
-	u := UniformBox(500, box, rng)
-	for i := 0; i < u.Len(); i++ {
-		if !box.Contains(u.At(i)) {
-			t.Fatalf("particle %d at %v outside box %v", i, u.At(i), box)
-		}
-	}
-}
-
 func TestPlummer(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := Plummer(20000, 1, rng)

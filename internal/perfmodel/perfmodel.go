@@ -342,7 +342,3 @@ func (n *NICTimeline) Enqueue(now, duration float64) (start, completion float64)
 	n.free = completion
 	return start, completion
 }
-
-// FreeAt returns the modeled time at which the link next becomes idle
-// (<= now means it is idle now).
-func (n *NICTimeline) FreeAt() float64 { return n.free }

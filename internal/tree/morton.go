@@ -160,11 +160,6 @@ func cellOf(a, b uint64) (prefix uint64, shift uint8) {
 	return a >> s << s, s
 }
 
-// BuildMorton is BuildMortonWorkers with the default worker count.
-func BuildMorton(src *particle.Set, leafSize int) (*Tree, *MortonIndex) {
-	return BuildMortonWorkers(src, leafSize, 0)
-}
-
 // BuildMortonWorkers constructs the canonical Morton-ordered cluster tree
 // over src: particles sorted by (Morton code, input index), topology derived
 // from the sorted codes by octant splitting with shared-digit skipping, and

@@ -22,7 +22,7 @@ func TestMortonBuildValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for name, src := range mortonTestSets(5000, rng) {
 		for _, leafSize := range []int{1, 7, 64, 500, 10000} {
-			tr, mi := BuildMorton(src, leafSize)
+			tr, mi := BuildMortonWorkers(src, leafSize, 0)
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("%s leaf=%d: %v", name, leafSize, err)
 			}
@@ -81,7 +81,7 @@ func TestMortonBuildWorkerInvariance(t *testing.T) {
 func TestMortonRefitIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	src := particle.UniformCube(3000, rng)
-	tr, _ := BuildMorton(src, 32)
+	tr, _ := BuildMortonWorkers(src, 32, 0)
 	before := make([]Node, len(tr.Nodes))
 	copy(before, tr.Nodes)
 	tr.RefitBoxesWorkers(0)
@@ -98,7 +98,7 @@ func TestMortonRefitIdempotent(t *testing.T) {
 func TestMortonRepairMatchesFreshBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for name, src := range mortonTestSets(4000, rng) {
-		tr, mi := BuildMorton(src, 50)
+		tr, mi := BuildMortonWorkers(src, 50, 0)
 
 		// Drift ~2% of the particles far enough to change octants; jitter
 		// the rest slightly (stayers whose sub-cell bits change). Clamping
@@ -131,7 +131,7 @@ func TestMortonRepairMatchesFreshBuild(t *testing.T) {
 		}
 		tr.MortonRepair(mi, codes, drifters, 0)
 
-		fresh, freshIdx := BuildMorton(moved, 50)
+		fresh, freshIdx := BuildMortonWorkers(moved, 50, 0)
 		if !reflect.DeepEqual(fresh, tr) {
 			t.Fatalf("%s: repaired tree differs from fresh build", name)
 		}
@@ -146,7 +146,7 @@ func TestMortonRepairMatchesFreshBuild(t *testing.T) {
 func TestMortonRepairZeroDrifters(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	src := particle.UniformCube(2000, rng)
-	tr, mi := BuildMorton(src, 100)
+	tr, mi := BuildMortonWorkers(src, 100, 0)
 	moved := src.Clone()
 	for i := 0; i < moved.Len(); i++ {
 		moved.X[i] += 1e-7 * rng.Float64()
@@ -159,7 +159,7 @@ func TestMortonRepairZeroDrifters(t *testing.T) {
 	codes := mi.EncodeInto(nil, tr.Particles, 0)
 	drifters := mi.Drifters(tr, codes, nil)
 	tr.MortonRepair(mi, codes, drifters, 0)
-	fresh, freshIdx := BuildMorton(moved, 100)
+	fresh, freshIdx := BuildMortonWorkers(moved, 100, 0)
 	if !reflect.DeepEqual(fresh, tr) || !reflect.DeepEqual(freshIdx, mi) {
 		t.Fatal("zero-drifter repair differs from fresh build")
 	}
@@ -167,7 +167,7 @@ func TestMortonRepairZeroDrifters(t *testing.T) {
 
 func TestMortonDegenerate(t *testing.T) {
 	// Empty set.
-	tr, mi := BuildMorton(particle.NewSet(0), 10)
+	tr, mi := BuildMortonWorkers(particle.NewSet(0), 10, 0)
 	if len(tr.Nodes) != 0 || len(mi.Codes) != 0 {
 		t.Fatal("empty build produced nodes")
 	}
@@ -176,7 +176,7 @@ func TestMortonDegenerate(t *testing.T) {
 	// Single particle.
 	one := particle.NewSet(1)
 	one.Append(0.3, -0.2, 0.9, 1.5)
-	tr, mi = BuildMorton(one, 10)
+	tr, mi = BuildMortonWorkers(one, 10, 0)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestMortonDegenerate(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		co.Append(0.125, 0.25, -0.5, 1)
 	}
-	tr, mi = BuildMorton(co, 10)
+	tr, mi = BuildMortonWorkers(co, 10, 0)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestMortonDegenerate(t *testing.T) {
 	two := particle.NewSet(2)
 	two.Append(-1, -1, -1, 1)
 	two.Append(1, 1, 1, -1)
-	tr, _ = BuildMorton(two, 1)
+	tr, _ = BuildMortonWorkers(two, 1, 0)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -378,8 +378,8 @@ func boundsRange(p *particle.Set, lo, hi int) geom.Box {
 }
 
 // combineBox extends dst to cover c with the same first-wins strict
-// comparisons as boundsRange (the difference from geom.Box.Union is only
-// observable for inputs mixing -0 and +0). The bottom-up refit
+// comparisons as boundsRange (math.Min and math.Max would differ only for
+// inputs mixing -0 and +0). The bottom-up refit
 // (RefitBoxesWorkers) combines child boxes left to right through this
 // helper, which is what keeps its boxes bit-identical to a scan of the
 // underlying particles.

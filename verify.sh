@@ -11,7 +11,9 @@
 #                      smoke run of every root benchmark so none can bit-rot.
 #   ./verify.sh fast   the quick tier for use while editing: the same gofmt,
 #                      vets, bltcvet and build, then go test -short ./...
-#                      without the race detector and go vet of bench/.
+#                      without the race detector, and vet and tests of
+#                      bench/ (its split runs restate library drivers call
+#                      for call, and only its tests catch them drifting).
 set -e
 
 cd "$(dirname "$0")"
@@ -59,7 +61,8 @@ if [ "$tier" = fast ]; then
     go test -short ./...
     echo "go test -short: ok"
     go -C bench vet ./...
-    echo "bench module vet: ok"
+    go -C bench test ./...
+    echo "bench module vet + test: ok"
     echo "verify fast: all checks passed"
     exit 0
 fi
