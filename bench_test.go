@@ -374,10 +374,12 @@ func BenchmarkClusterData50k(b *testing.B) {
 // BenchmarkModifiedCharges measures the charge pass alone on a fixed
 // layout (grid construction is BenchmarkClusterData50k): a charge state
 // invalidated and recomputed, as Solver.UpdateCharges does. The plan has
-// no interaction lists, so the pass charges every node, the paper's full
-// precompute. It writes into the state's q-hat arena, and its only
-// allocations are the node flags and each worker's closure and three
-// barycentric rows: well under 1 KB per op, whatever the cluster sizes.
+// no interaction lists, so the pass charges every node: the leaves from
+// their particles and every internal node from its children. It writes
+// into the state's q-hat arena, and its only allocations are the node
+// flags, the worker closure and the one arena of every worker's
+// barycentric rows and the transfer operator: a few KB per op, whatever
+// the cluster sizes.
 func BenchmarkModifiedCharges(b *testing.B) {
 	pts := barytree.UniformCube(50_000, 2)
 	t := tree.Build(pts, 2000)
@@ -389,6 +391,54 @@ func BenchmarkModifiedCharges(b *testing.B) {
 		st.Invalidate()
 		st.Compute(pl, 0)
 	}
+}
+
+// BenchmarkChargePass measures the charge pass as Plan.Solve runs it: each
+// op invalidates a charge state and charges, on a plan with interaction
+// lists, the nodes the approximation lists read and those they are
+// charged from. probe200k is bltcbench's probe-sparse-200k plan
+// (BenchmarkTreeBuildProbe200k's sources, 2000 probes on the faces of
+// their bounding cube, the workload's params), where the charge pass is
+// most of an op. leaf10 is 50k Plummer sources at leaf size 10 and degree
+// 10, where a node of fewer than 66 to 264 particles is cheaper to charge
+// from its particles than from its children, so the pass must not charge
+// read nodes' subtrees down to the leaves.
+func BenchmarkChargePass(b *testing.B) {
+	b.Run("probe200k", func(b *testing.B) {
+		h := fnv.New64a()
+		h.Write([]byte("probe-sparse-200k/sources"))
+		sources := barytree.PlummerSphere(200_000, 1, int64(h.Sum64()))
+		rng := rand.New(rand.NewSource(1))
+		bx := sources.Bounds()
+		c, sz := bx.Center(), bx.Size()
+		hw := max(sz.X, sz.Y, sz.Z) / 2
+		probes := particle.NewSet(2000)
+		for i := 0; i < 2000; i++ {
+			p := [3]float64{2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1}
+			face := rng.Intn(6)
+			p[face/2] = float64(2*(face%2) - 1)
+			probes.Append(c.X+hw*p[0], c.Y+hw*p[1], c.Z+hw*p[2], 0)
+		}
+		benchChargePass(b, probes, sources, core.Params{Theta: 0.8, Degree: 6, LeafSize: 1000, BatchSize: 100})
+	})
+	b.Run("leaf10", func(b *testing.B) {
+		pts := barytree.PlummerSphere(50_000, 1, 4)
+		benchChargePass(b, pts, pts, core.Params{Theta: 0.8, Degree: 10, LeafSize: 10, BatchSize: 10})
+	})
+}
+
+// benchChargePass runs BenchmarkChargePass's op on one plan through
+// benchWorkers.
+func benchChargePass(b *testing.B, targets, sources *particle.Set, p core.Params) {
+	pl, err := core.NewPlan(targets, sources, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := core.NewChargeState(pl)
+	benchWorkers(b, func(w int) {
+		st.Invalidate()
+		st.Compute(pl, w)
+	})
 }
 
 func BenchmarkTreecodeCPU50k(b *testing.B) {

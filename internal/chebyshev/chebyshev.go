@@ -279,6 +279,138 @@ func (g Grid3D) FlattenedPointsInto(px, py, pz []float64) {
 	}
 }
 
+// TransferLen returns the length of the buffer a degree-n Transfer is
+// carved from: its three (n+1)x(n+1) matrices and two (n+1)^2 partial
+// contractions.
+func TransferLen(n int) int {
+	m := n + 1
+	return 5 * m * m
+}
+
+// Transfer carries nodal data between a parent grid and a child grid of
+// the same degree whose box lies inside the parent's. Degree-n
+// interpolation on the child's n+1 distinct points reproduces every
+// degree-n polynomial, the parent's 1D basis L_k among them, so along axis
+// d the transfer is one (n+1)x(n+1) matrix A_d[j][k] = L_k(s_j), the
+// parent's basis at the child's points (the Lagrange form of Wang, Krasny
+// and Tlupova). Up pushes a child's modified charges to the parent's
+// points through the transpose, so a parent's charges are its children's
+// summed; Down interpolates a parent's nodal values to the child's points.
+// Each is three separable contractions in flat-index order (see Point),
+// 3(n+1)^4 multiply-adds. Where a child axis collapses to one point, its
+// modified charges sit at j = 0 alone (BasisAt's Kronecker delta), and
+// row 0 of A_d carries them exactly.
+type Transfer struct {
+	m   int
+	a   [3][]float64 // A_x, A_y, A_z: row j is the child point, column k the parent basis
+	tmp [2][]float64 // two (n+1)^2 partial contractions
+}
+
+// NewTransfer carves a degree-n transfer from buf, which must have length
+// TransferLen(n); the transfer allocates nothing.
+func NewTransfer(n int, buf []float64) Transfer {
+	if len(buf) != TransferLen(n) {
+		panic(fmt.Sprintf("chebyshev: NewTransfer buffer length %d, want %d", len(buf), TransferLen(n)))
+	}
+	m := n + 1
+	mm := m * m
+	part := func(i int) []float64 { return buf[i*mm : (i+1)*mm : (i+1)*mm] }
+	return Transfer{m: m, a: [3][]float64{part(0), part(1), part(2)}, tmp: [2][]float64{part(3), part(4)}}
+}
+
+// Set fills the matrices for parent grid p and child grid c, both of the
+// transfer's degree, with p's 1D bases at c's 1D points (Grid1D.BasisAt).
+func (tr Transfer) Set(p, c Grid3D) {
+	m := tr.m
+	for d, a := range tr.a {
+		for j, s := range c.Dims[d].Points {
+			p.Dims[d].BasisAt(s, a[j*m:(j+1)*m])
+		}
+	}
+}
+
+// Up adds the child's nodal weights w pushed through the transpose to the
+// parent's: parent[k1,k2,k3] += sum over j of A_x[j1][k1] A_y[j2][k2]
+// A_z[j3][k3] w[j1,j2,j3]. For each j1 it contracts the child's j1 slab
+// along z and then y, and adds the result times A_x[j1][k1] to parent
+// slab k1, so every parent value sums its terms in j1 order.
+//
+//hot:path
+func (tr Transfer) Up(w, parent []float64) {
+	m := tr.m
+	mm := m * m
+	ax, ay, az := tr.a[0], tr.a[1], tr.a[2]
+	t1, t2 := tr.tmp[0], tr.tmp[1]
+	for j1 := 0; j1 < m; j1++ {
+		slab := w[j1*mm : (j1+1)*mm]
+		clear(t1) // t1[j2][k3] = sum_j3 slab[j2][j3] A_z[j3][k3]
+		for j2 := 0; j2 < m; j2++ {
+			row := t1[j2*m : (j2+1)*m]
+			for j3, v := range slab[j2*m : (j2+1)*m] {
+				axpy(row, v, az[j3*m:(j3+1)*m])
+			}
+		}
+		clear(t2) // t2[k2][k3] = sum_j2 A_y[j2][k2] t1[j2][k3]
+		for j2 := 0; j2 < m; j2++ {
+			row := t1[j2*m : (j2+1)*m]
+			for k2, a := range ay[j2*m : (j2+1)*m] {
+				axpy(t2[k2*m:(k2+1)*m], a, row)
+			}
+		}
+		for k1, a := range ax[j1*m : (j1+1)*m] {
+			axpy(parent[k1*mm:(k1+1)*mm], a, t2)
+		}
+	}
+}
+
+// Down adds the parent's nodal values f interpolated at the child's points
+// to the child's: child[j1,j2,j3] += sum over k of A_x[j1][k1] A_y[j2][k2]
+// A_z[j3][k3] f[k1,k2,k3], the L2L step of a downward pass. For each j1 it
+// contracts f along x, then y, then z into child slab j1.
+//
+//hot:path
+func (tr Transfer) Down(f, child []float64) {
+	m := tr.m
+	mm := m * m
+	ax, ay, az := tr.a[0], tr.a[1], tr.a[2]
+	t1, t2 := tr.tmp[0], tr.tmp[1]
+	for j1 := 0; j1 < m; j1++ {
+		clear(t1) // t1[k2][k3] = sum_k1 A_x[j1][k1] f[k1][k2][k3]
+		for k1, a := range ax[j1*m : (j1+1)*m] {
+			axpy(t1, a, f[k1*mm:(k1+1)*mm])
+		}
+		clear(t2) // t2[j2][k3] = sum_k2 A_y[j2][k2] t1[k2][k3]
+		for j2 := 0; j2 < m; j2++ {
+			row := t2[j2*m : (j2+1)*m]
+			for k2, a := range ay[j2*m : (j2+1)*m] {
+				axpy(row, a, t1[k2*m:(k2+1)*m])
+			}
+		}
+		slab := child[j1*mm : (j1+1)*mm]
+		for j2 := 0; j2 < m; j2++ {
+			row := t2[j2*m : (j2+1)*m]
+			out := slab[j2*m : (j2+1)*m]
+			for j3 := range out {
+				var s float64
+				for k3, a := range az[j3*m : (j3+1)*m] {
+					s += a * row[k3]
+				}
+				out[j3] += s
+			}
+		}
+	}
+}
+
+// axpy adds a*x to dst element by element; x is at least as long as dst.
+//
+//hot:path
+func axpy(dst []float64, a float64, x []float64) {
+	x = x[:len(dst)]
+	for i := range dst {
+		dst[i] += a * x[i]
+	}
+}
+
 // BasisAt evaluates the three 1D basis vectors at the coordinates of p. The
 // value of the 3D tensor basis at node (k1,k2,k3) is the product
 // bx[k1]*by[k2]*bz[k3]. dst slices must each have length n+1.

@@ -309,3 +309,40 @@ func TestSingularityTolIsSmallestNormal(t *testing.T) {
 		t.Error("SingularityTol/2 should be subnormal")
 	}
 }
+
+// TestTransferDownUp pins a Transfer's two contractions on a child box
+// inside its parent's that shares the parent's low x face and collapses
+// z to one point: Down matches Grid3D.Interpolate at every child point,
+// and Up is Down's transpose, sum_k Up(w)[k] f[k] = sum_j w[j] Down(f)[j],
+// both to rounding.
+func TestTransferDownUp(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	parent := geom.Box{Lo: geom.Vec3{X: -1, Y: 0, Z: 2}, Hi: geom.Vec3{X: 1, Y: 3, Z: 2.5}}
+	child := geom.Box{Lo: geom.Vec3{X: -1, Y: 0.4, Z: 2.1}, Hi: geom.Vec3{X: 0.2, Y: 1.9, Z: 2.1}}
+	for _, n := range []int{1, 4, 10} {
+		p, c := NewGrid3D(n, parent), NewGrid3D(n, child)
+		tr := NewTransfer(n, make([]float64, TransferLen(n)))
+		tr.Set(p, c)
+		np := p.NumPoints()
+		f, w := make([]float64, np), make([]float64, np)
+		for i := range f {
+			f[i], w[i] = 2*rng.Float64()-1, 2*rng.Float64()-1
+		}
+		down, up := make([]float64, np), make([]float64, np)
+		tr.Down(f, down)
+		tr.Up(w, up)
+		var lhs, rhs, scale float64
+		for j := range down {
+			want := p.Interpolate(f, c.Point(j))
+			if math.Abs(down[j]-want) > 1e-13 {
+				t.Fatalf("n=%d child point %d: Down = %v, Interpolate = %v", n, j, down[j], want)
+			}
+			lhs += up[j] * f[j]
+			rhs += w[j] * down[j]
+			scale += math.Abs(w[j])
+		}
+		if math.Abs(lhs-rhs) > 1e-13*scale {
+			t.Fatalf("n=%d: <Up(w), f> = %v, <w, Down(f)> = %v", n, lhs, rhs)
+		}
+	}
+}

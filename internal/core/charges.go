@@ -125,18 +125,62 @@ func chargeWork(n, nc int) (pass1, pass2 float64) {
 // chargeNodes is the host charge pass, the one loop behind every modified
 // charge: with up to workers goroutines it computes the modified charges
 // of charges q (tree order) into qhat[i] for every node i of t that
-// need[i] selects. Each worker owns one set of barycentric rows, so the
-// allocations of a pass do not depend on the clusters' sizes.
+// need[i] selects. Each child of a selected node charged from its
+// children (see fromChildren) must be selected too or already charged in
+// qhat; closeNeed makes need so. The nodes charged from their particles
+// go first, split over the workers; one reverse-preorder sweep then
+// charges the rest from their children, each child before its parent.
+// One arena holds every worker's barycentric rows and the sweep's
+// transfer, so the allocations of a pass do not depend on the clusters'
+// sizes.
 func (cd *ClusterData) chargeNodes(t *tree.Tree, q []float64, qhat [][]float64, need []bool, workers int) {
 	m := cd.Degree + 1
-	pool.Blocks(len(t.Nodes), workers, func(_, lo, hi int) {
-		rows := make([]float64, 3*m)
+	// A cache line of padding after each worker's rows keeps the workers
+	// from writing to one line.
+	stride := 3*m + 8
+	w := pool.Workers(len(t.Nodes), workers)
+	arena := make([]float64, w*stride+chebyshev.TransferLen(cd.Degree))
+	pool.Blocks(len(t.Nodes), w, func(wi, lo, hi int) {
+		rows := arena[wi*stride : wi*stride+3*m]
 		for i := lo; i < hi; i++ {
-			if need[i] {
+			if need[i] && !cd.fromChildren(&t.Nodes[i]) {
 				cd.chargeNode(t.Particles, q, &t.Nodes[i], i, rows, qhat[i])
 			}
 		}
 	})
+	tr := chebyshev.NewTransfer(cd.Degree, arena[w*stride:])
+	for i := len(t.Nodes) - 1; i >= 0; i-- {
+		if nd := &t.Nodes[i]; need[i] && cd.fromChildren(nd) {
+			clear(qhat[i])
+			for _, c := range nd.Children {
+				tr.Set(cd.Grids[i], cd.Grids[c])
+				tr.Up(qhat[c], qhat[i])
+			}
+		}
+	}
+}
+
+// fromChildren reports whether the charge pass charges node nd from its
+// children's modified charges (chebyshev.Transfer.Up, 3(n+1)^4
+// multiply-adds per child) rather than from its particles ((n+1)^3 terms
+// each): when nd is internal and the first costs less. The rule reads the
+// tree and the degree alone, never which nodes a pass needs, so a node's
+// bits are the same under every mask.
+func (cd *ClusterData) fromChildren(nd *tree.Node) bool {
+	return len(nd.Children) > 0 && 3*(cd.Degree+1)*len(nd.Children) < nd.Count()
+}
+
+// closeNeed adds to need the children of every selected node charged from
+// its children, and theirs in turn: one preorder sweep, since nodes are
+// stored parents first.
+func (cd *ClusterData) closeNeed(t *tree.Tree, need []bool) {
+	for i := range t.Nodes {
+		if nd := &t.Nodes[i]; need[i] && cd.fromChildren(nd) {
+			for _, c := range nd.Children {
+				need[c] = true
+			}
+		}
+	}
 }
 
 // everyNode returns need flags that select all n nodes: the device charges

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,9 +88,91 @@ func TestUnreadChargesNeverRead(t *testing.T) {
 	}
 }
 
+// chargeClosure returns the nodes a charge pass must charge for every
+// node that reads selects to hold its modified charges: each read node
+// and, recursively, the children of each one cd charges from its children.
+func chargeClosure(cd *ClusterData, tr *tree.Tree, reads []bool) []bool {
+	want := make([]bool, len(reads))
+	var mark func(i int32)
+	mark = func(i int32) {
+		want[i] = true
+		if cd.fromChildren(&tr.Nodes[i]) {
+			for _, c := range tr.Nodes[i].Children {
+				mark(c)
+			}
+		}
+	}
+	for i, r := range reads {
+		if r {
+			mark(int32(i))
+		}
+	}
+	return want
+}
+
+// TestChargesMaskIndependent pins that a node's modified charges do not
+// depend on which nodes a pass charges: under random masks, each applied
+// to a fresh state whose slots hold NaN and, in turn, to one state that
+// keeps what earlier masks charged (as EvaluateSampled does), every
+// charged node equals (==) the full pass, and a fresh state charges
+// exactly the mask's closure. Both trees mix internal nodes charged from
+// their children with internal nodes charged from their particles.
+func TestChargesMaskIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	pts := particle.Plummer(3000, 1, rng)
+	mort, _ := tree.BuildMortonWorkers(pts, 50, 0)
+	for _, tc := range []struct {
+		name   string
+		tr     *tree.Tree
+		degree int
+	}{{"midpoint-leaf10-n10", tree.Build(pts, 10), 10}, {"morton-leaf50-n4", mort, 4}} {
+		pl := &Plan{Sources: tc.tr, Clusters: NewClusterData(tc.tr, tc.degree)}
+		var fromParticles, fromChildren int // internal nodes
+		for i := range tc.tr.Nodes {
+			switch nd := &tc.tr.Nodes[i]; {
+			case nd.IsLeaf():
+			case pl.Clusters.fromChildren(nd):
+				fromChildren++
+			default:
+				fromParticles++
+			}
+		}
+		if fromParticles == 0 || fromChildren == 0 {
+			t.Fatalf("%s: %d internal nodes charged from their particles, %d from their children; want both",
+				tc.name, fromParticles, fromChildren)
+		}
+		full := chargedState(pl, 1)
+		for _, w := range []int{1, 2} {
+			kept := nanState(pl)
+			for trial := 0; trial < 6; trial++ {
+				need := make([]bool, len(tc.tr.Nodes))
+				for i := range need {
+					need[i] = rng.Intn(10) == 0
+				}
+				closure := chargeClosure(pl.Clusters, tc.tr, need)
+				fresh := nanState(pl)
+				for _, st := range []*ChargeState{fresh, kept} {
+					st.chargeNodes(pl, append([]bool(nil), need...), w)
+					for i, c := range st.charged {
+						if c != closure[i] && (st == fresh || !c) {
+							t.Fatalf("%s workers=%d trial %d: node %d charged %v, in the mask's closure %v", tc.name, w, trial, i, c, closure[i])
+						}
+						if c {
+							wantExact(t, st.Qhat[i], full.Qhat[i], fmt.Sprintf("%s workers=%d trial %d node %d", tc.name, w, trial, i))
+						}
+					}
+				}
+				if n, want := countCharged(kept), countCharged(full); n == want {
+					break
+				}
+			}
+		}
+	}
+}
+
 // TestChargePassChargesApproxNodes pins which nodes the charge pass
 // charges: none when every pair is direct, and on a probe-like geometry
-// exactly the nodes on some batch's approximation list.
+// exactly the closure of the nodes on some batch's approximation list.
 func TestChargePassChargesApproxNodes(t *testing.T) {
 	t.Run("all-direct", func(t *testing.T) {
 		// The serve-open-2k workload's plan: (n+1)^3 = 343 points exceed
@@ -132,23 +215,29 @@ func TestChargePassChargesApproxNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]bool, len(pl.Sources.Nodes))
+		reads := make([]bool, len(pl.Sources.Nodes))
+		nreads := 0
 		for _, approx := range pl.Lists.Approx {
 			for _, ci := range approx {
-				want[ci] = true
+				if !reads[ci] {
+					reads[ci] = true
+					nreads++
+				}
 			}
 		}
+		want := chargeClosure(pl.Clusters, pl.Sources, reads)
 		st := NewChargeState(pl)
 		if flops, full := st.Compute(pl, 0), pl.Clusters.TotalChargeWork(pl.Sources); flops != full {
 			t.Errorf("Compute returned %g flops, want the full pass's %g", flops, full)
 		}
 		for i, c := range st.charged {
 			if c != want[i] {
-				t.Fatalf("node %d: charged %v, on an approximation list %v", i, c, want[i])
+				t.Fatalf("node %d: charged %v, read %v, in the closure of the read nodes %v", i, c, reads[i], want[i])
 			}
 		}
-		if n := countCharged(st); n == 0 || n == len(st.Qhat) {
-			t.Fatalf("charged %d of %d nodes; want a strict, non-empty subset", n, len(st.Qhat))
+		if n := countCharged(st); n == 0 || n == len(st.Qhat) || n == nreads {
+			t.Fatalf("charged %d of %d nodes, %d of them read; want a strict, non-empty subset larger than the read set",
+				n, len(st.Qhat), nreads)
 		}
 		if flops := st.Compute(pl, 0); flops != 0 {
 			t.Errorf("Compute on a charged state returned %g flops, want a no-op", flops)
@@ -177,6 +266,6 @@ func TestWarmRechargeAllocs(t *testing.T) {
 		t.Errorf("warm recharge allocates %v objects with a 2k-particle root, %v with a 50k one", small, large)
 	}
 	if large > 3 {
-		t.Errorf("warm recharge allocates %v objects, want at most 3 (the flags, the worker closure and its rows)", large)
+		t.Errorf("warm recharge allocates %v objects, want at most 3 (the flags, the worker closure and the arena of its rows and the transfer)", large)
 	}
 }

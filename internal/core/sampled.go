@@ -19,10 +19,11 @@ import (
 // — the O(N log N) bulk — run only for a sampled subset of targets, exactly
 // mirroring how the paper samples its error measurement for systems of 8M
 // particles and more. Modified charges are computed lazily into st, only
-// for clusters that appear on a sampled batch's interaction list and are
-// not yet charged, so a state reused across calls (and across plans that
-// share the plan's Sources and Clusters) charges each cluster once. The
-// plan is only read: concurrent calls with distinct states are safe.
+// for clusters that appear on a sampled batch's interaction list, and
+// those they are charged from, that are not yet charged, so a state
+// reused across calls (and across plans that share the plan's Sources and
+// Clusters) charges each cluster once. The plan is only read: concurrent
+// calls with distinct states are safe.
 func EvaluateSampled(pl *Plan, k kernel.Kernel, st *ChargeState, sample []int) ([]float64, error) {
 	st.checkGen(pl)
 	nTargets := pl.Batches.Targets.Len()

@@ -98,16 +98,17 @@ func (st *ChargeState) SetCharges(pl *Plan, q []float64) error {
 }
 
 // Compute fills the modified charges of every node that some batch's
-// approximation list of pl reads and that is not yet charged for the
-// current Q, using up to `workers` goroutines (<= 0 selects a sensible
-// default). No evaluation of pl reads another node; a plan without lists
-// (a bare source tree and its cluster data) reads, and so charges, every
-// node. The flags come from pl's lists on every call, so nothing needs
-// refreshing when Plan.Update changes the lists. Every node's operation
-// order is fixed, so equal charges yield bit-identical modified charges
-// for every worker count. It returns the modeled flop-equivalents of the
-// paper's full charge pass over every node, or 0 if every node pl reads
-// was already charged.
+// approximation list of pl reads, and of the nodes those are charged
+// from, that is not yet charged for the current Q, using up to `workers`
+// goroutines (<= 0 selects a sensible default). No evaluation of pl reads
+// another node; a plan without lists (a bare source tree and its cluster
+// data) reads, and so charges, every node. The flags come from pl's lists
+// on every call, so nothing needs refreshing when Plan.Update changes the
+// lists. Every node's operation order is fixed by the tree alone, so
+// equal charges yield bit-identical modified charges for every worker
+// count and every set of nodes charged. It returns the modeled
+// flop-equivalents of the paper's full charge pass over every node, or 0
+// if every node pl reads was already charged.
 func (st *ChargeState) Compute(pl *Plan, workers int) float64 {
 	st.checkGen(pl)
 	if !st.chargeNodes(pl, approxReads(pl), workers) {
@@ -133,11 +134,12 @@ func approxReads(pl *Plan) []bool {
 }
 
 // chargeNodes computes, with up to workers goroutines, the modified
-// charges of every node i that need[i] selects and that is not yet
-// charged (see ClusterData.chargeNodes), and marks them charged. need is
-// overwritten with the nodes it charges; it reports whether there were
-// any.
+// charges of every node i that need[i] selects, and of the nodes those
+// are charged from (ClusterData.closeNeed), that is not yet charged (see
+// ClusterData.chargeNodes), and marks them charged. need is overwritten
+// with the nodes it charges; it reports whether there were any.
 func (st *ChargeState) chargeNodes(pl *Plan, need []bool, workers int) bool {
+	pl.Clusters.closeNeed(pl.Sources, need)
 	todo := false
 	for i, done := range st.charged {
 		need[i] = need[i] && !done

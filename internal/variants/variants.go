@@ -25,6 +25,7 @@ package variants
 import (
 	"fmt"
 
+	"barytree/internal/chebyshev"
 	"barytree/internal/core"
 	"barytree/internal/kernel"
 	"barytree/internal/particle"
@@ -136,16 +137,18 @@ func scatterCP(tiles []kernel.Sized[kernel.Tile], tt *tree.Tree, tcd *core.Clust
 }
 
 // downward pushes accumulated proxy potentials from parents into children
-// (evaluating the parent's interpolant at the child's Chebyshev points) and
-// finally interpolates each leaf's proxies to its particles.
+// (the parent's interpolant at the child's Chebyshev points, through the
+// transfer operator the charge pass pushes charges up with) and finally
+// interpolates each leaf's proxies to its particles.
 func downward(tt *tree.Tree, tcd *core.ClusterData, phiHat *clusterPotentials, phi []float64, st *Stats) {
+	tr := chebyshev.NewTransfer(tcd.Degree, make([]float64, chebyshev.TransferLen(tcd.Degree)))
 	// Nodes are stored parent-before-children (construction order), so a
 	// forward sweep is a correct topological order.
 	for ti := range tt.Nodes {
 		t := &tt.Nodes[ti]
 		src := phiHat.data[ti]
+		g := tcd.Grids[ti]
 		if t.IsLeaf() {
-			g := tcd.Grids[ti]
 			for i := t.Lo; i < t.Hi; i++ {
 				phi[i] += g.Interpolate(src, tt.Particles.At(i))
 				st.DownwardInterp++
@@ -153,13 +156,9 @@ func downward(tt *tree.Tree, tcd *core.ClusterData, phiHat *clusterPotentials, p
 			continue
 		}
 		for _, ci := range t.Children {
-			g := tcd.Grids[ti]
-			dst := phiHat.data[ci]
-			cg := tcd.Grids[ci]
-			for m := range dst {
-				dst[m] += g.Interpolate(src, cg.Point(m))
-				st.DownwardInterp++
-			}
+			tr.Set(g, tcd.Grids[ci])
+			tr.Down(src, phiHat.data[ci])
+			st.DownwardInterp += int64(len(phiHat.data[ci]))
 		}
 	}
 }
