@@ -557,6 +557,30 @@ func BenchmarkDistributedOverlap4Ranks(b *testing.B) {
 	}
 }
 
+// BenchmarkDistributedYukawa4Ranks is bltcbench's gpu-4rank-32k solve as
+// a Go benchmark: 32k uniform points, Yukawa at kappa = 0.5, degree 6,
+// leaf and batch size 1000 on four P100 ranks with the LET exchange
+// overlapped. Nearly all of its wall clock is the Yukawa tiles and the
+// device launcher around them, so it gives both a go test A/B.
+func BenchmarkDistributedYukawa4Ranks(b *testing.B) {
+	pts := barytree.UniformCube(32_000, 6)
+	cfg := dist.Config{
+		Ranks:       4,
+		Params:      core.Params{Theta: 0.8, Degree: 6, LeafSize: 1000, BatchSize: 1000},
+		GPU:         perfmodel.P100(),
+		CPU:         perfmodel.XeonX5650(),
+		Net:         perfmodel.CometIB(),
+		OverlapComm: true,
+	}
+	k := kernel.Yukawa{Kappa: 0.5}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dist.Run(cfg, k, pts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDeviceSimulatorDrain(b *testing.B) {
 	// Cost of the fluid-flow stream scheduler itself at 10k launches.
 	spec := perfmodel.TitanV()

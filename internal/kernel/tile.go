@@ -93,6 +93,7 @@ var (
 	coulombTile4Asm    Tile
 	coulombF32Tile8Asm F32Tile
 	yukawaTile4Asm     func(tx, ty, tz, sx, sy, sz, q []float64, negKappa float64, phi []float64)
+	yukawaTile8Asm     func(tx, ty, tz, sx, sy, sz, q []float64, negKappa float64, phi []float64)
 	yukawaF32Tile8Asm  func(tx, ty, tz []float32, sx, sy, sz, q []float64, negKappa float32, phi []float32)
 	regCoulombGrad4Asm func(tx, ty, tz, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz []float64)
 )
@@ -101,13 +102,17 @@ var (
 // tile. Coulomb runs 8 → 4 → 1 with the assembly installed and 4 → 1
 // without: there is no pure-Go 8-wide tile because an exact kernel's
 // width-8 tile is bit-identical to two width-4 tiles of the same targets.
-// The other built-ins run their hand-specialized 4 → 1 loops; Yukawa's
-// width 4 is the assembly tile under YukawaTileMaxULP when installed, and
-// its width 1 stays the math.Exp loop, so which targets take the vector
-// exp is the same on every driver. Any other kernel, kernel.Func
-// included, gets only the width-1 Eval loop. Resolve once per driver
-// call, outside the hot loops: the result follows SetAsmKernels only when
-// resolved again.
+// Yukawa runs 8 → 4 → 1 on avx512vl and 4 → 1 elsewhere: its width 4 is
+// the assembly tile under YukawaTileMaxULP when installed, its width 8
+// (the ZMM tile) is bit-identical to two of those width-4 calls, and its
+// width 1 stays the math.Exp loop. Because 8 is a multiple of 4, the
+// cascade sends the same targets to the vector exp with or without the
+// width-8 tile, so which targets take it is the same on every driver and
+// every machine with the width-4 tile. The other built-ins run their
+// hand-specialized 4 → 1 loops. Any other kernel, kernel.Func included,
+// gets only the width-1 Eval loop. Resolve once per driver call, outside
+// the hot loops: the result follows SetAsmKernels only when resolved
+// again.
 func Tiles(k Kernel) []Sized[Tile] {
 	switch k := k.(type) {
 	case Coulomb:
@@ -119,6 +124,9 @@ func Tiles(k Kernel) []Sized[Tile] {
 		t4 := Tile(k.tile4)
 		if yukawaTile4Asm != nil {
 			t4 = yukawaAsm{yukawaTile4Asm, -k.Kappa}.tile
+		}
+		if yukawaTile8Asm != nil {
+			return []Sized[Tile]{{8, yukawaAsm{yukawaTile8Asm, -k.Kappa}.tile}, {4, t4}, {1, k.tile1}}
 		}
 		return []Sized[Tile]{{4, t4}, {1, k.tile1}}
 	case Gaussian:
@@ -282,12 +290,15 @@ func (l evalGradLoop) tile(tx, ty, tz, sx, sy, sz, q, phi, gx, gy, gz []float64)
 // TestYukawaTileULPContract fails if the implementation ever drifts past
 // them, exactly as the bit-identity tests fail on a single flipped bit.
 const (
-	// YukawaTileMaxULP bounds |yukawaTileFMA - scalar| for one pairwise
-	// Yukawa term, in fp64 ulps of the scalar term. EXPPD's error budget:
-	// ~2.2 ulp from the polynomial + reduction, ~0.5 from each scale
-	// multiply, ~0.5 from the division, against math.Exp's own ~1 ulp —
-	// measured max over the fuzz corpus is 4 ulp; 6 leaves margin without
-	// weakening the contract below observability.
+	// YukawaTileMaxULP bounds |tile - scalar| for one pairwise Yukawa term
+	// of the vector fp64 tiles (yukawaTileFMA at width 4, yukawaTile8ZMM
+	// at width 8, which equals two width-4 calls bit for bit), in fp64
+	// ulps of the scalar term. EXPPD's error budget: ~2.2 ulp from the
+	// polynomial + reduction, ~0.5 from the scale rounding, ~0.5 from the
+	// division, against math.Exp's own ~1 ulp. TestYukawaTileULPContract
+	// measures at most 2 ulp at both widths, and the fuzz corpus once
+	// reached 4; 6 leaves margin without weakening the contract below
+	// observability.
 	YukawaTileMaxULP = 6
 
 	// YukawaTileF32MaxULP bounds the fp32 Yukawa tile's per-term error in

@@ -54,6 +54,16 @@ func regCoulombGradTileAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int
 //go:noescape
 func yukawaTileFMA(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, negKappa float64, phi *[4]float64)
 
+// yukawaTile8ZMM is yukawaTileFMA on an 8-target tile in one ZMM lane
+// group, bit-identical to yukawaTileFMA on targets 0:4 and then 4:8: the
+// same lane arithmetic, with EXPPD's exponent reassembly done by one
+// VSCALEFPD that rounds as EXPPD's two multiplies do. So it carries the
+// same YukawaTileMaxULP contract and moves no target to or from the
+// scalar exp. Requires AVX-512F. See tile_amd64.s.
+//
+//go:noescape
+func yukawaTile8ZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, negKappa float64, phi *[8]float64)
+
 // coulombTileF32AVX2 evaluates a Coulomb source block against an
 // 8-target fp32 tile, bit-identical to the scalar fp32 chains. Requires
 // AVX2 (register-source VBROADCASTSS). See tile_amd64.s.
@@ -114,6 +124,13 @@ func yukawaTile4FMA(tx, ty, tz, sx, sy, sz, q []float64, negKappa float64, phi [
 }
 
 //hot:path
+func yukawaTile8ZMMSlices(tx, ty, tz, sx, sy, sz, q []float64, negKappa float64, phi []float64) {
+	if len(q) > 0 {
+		yukawaTile8ZMM((*[8]float64)(tx), (*[8]float64)(ty), (*[8]float64)(tz), &sx[0], &sy[0], &sz[0], &q[0], len(q), negKappa, (*[8]float64)(phi))
+	}
+}
+
+//hot:path
 func yukawaF32Tile8FMA(tx, ty, tz []float32, sx, sy, sz, q []float64, negKappa float32, phi []float32) {
 	if len(q) > 0 {
 		yukawaTileF32FMA((*[8]float32)(tx), (*[8]float32)(ty), (*[8]float32)(tz), &sx[0], &sy[0], &sz[0], &q[0], len(q), negKappa, (*[8]float32)(phi))
@@ -151,6 +168,7 @@ func init() {
 			coulombTile4Asm = nil
 			coulombF32Tile8Asm = nil
 			yukawaTile4Asm = nil
+			yukawaTile8Asm = nil
 			yukawaF32Tile8Asm = nil
 			regCoulombGrad4Asm = nil
 			return
@@ -170,6 +188,9 @@ func init() {
 		yukawaTile4Asm = yukawaTile4FMA
 		coulombF32Tile8Asm = coulombF32Tile8AVX2
 		yukawaF32Tile8Asm = yukawaF32Tile8FMA
+		if avx512 {
+			yukawaTile8Asm = yukawaTile8ZMMSlices
+		}
 	}
 	asmInstall(true)
 }

@@ -236,6 +236,52 @@ DATA ·avxOnesF32+28(SB)/4, $0x3f800000
 	VMULPD       Y13, Y12, Y12;           \
 	VMULPD       Y14, Y12, Y12
 
+// EXPPDZ is EXPPD on eight fp64 lanes (AVX-512F), with the same bits in
+// every lane: Z11 = x in, Z12 = exp(x) out, Z10 and Z11 clobbered.
+//
+// Steps 1-3 are EXPPD's instructions in EVEX form with the same operand
+// order, so every lane rounds (and propagates a NaN payload) exactly as
+// EXPPD's does. The clamps still load their bound into a register: with
+// an embedded broadcast the bound would have to be MIN/MAX's second
+// source, which is the operand they return on a NaN, and a NaN x must
+// pass through as in EXPPD. The coefficients are embedded broadcasts
+// (the first eight bytes of EXPPD's 32-byte tables), so no register holds
+// a constant. VRNDSCALEPD $0 is VROUNDPD $0: round to nearest even.
+//
+// Step 4 is one VSCALEFPD, p * 2^k rounded once, in place of EXPPD's
+// integer split and two multiplies. The two agree bit for bit: p lies in
+// [0.7, 1.42] and k1 = floor(k/2) in [-539, 512], so p * 2^k1 is a normal
+// number and exact, and the second multiply is the only rounding, the
+// same one VSCALEFPD makes (to the subnormal range or +Inf included). A
+// NaN p comes out as QNaN(p) both ways: VSCALEFPD returns its first
+// source's NaN before looking at k, and EXPPD's scale is then 1.0 (the
+// integer indefinite that CVTPD2DQ makes of a NaN k shifts out to a bias
+// of exactly 1023).
+#define EXPPDZ \
+	VBROADCASTSD      ·expMax(SB), Z10;        \
+	VMINPD            Z11, Z10, Z11;           \
+	VBROADCASTSD      ·expMin(SB), Z10;        \
+	VMAXPD            Z11, Z10, Z11;           \
+	VMULPD.BCST       ·expLog2E(SB), Z11, Z10; \
+	VRNDSCALEPD       $0, Z10, Z10;            \
+	VFNMADD231PD.BCST ·expLn2Hi(SB), Z10, Z11; \
+	VFNMADD231PD.BCST ·expLn2Lo(SB), Z10, Z11; \
+	VBROADCASTSD      ·expC13(SB), Z12;        \
+	VFMADD213PD.BCST  ·expC12(SB), Z11, Z12;   \
+	VFMADD213PD.BCST  ·expC11(SB), Z11, Z12;   \
+	VFMADD213PD.BCST  ·expC10(SB), Z11, Z12;   \
+	VFMADD213PD.BCST  ·expC9(SB), Z11, Z12;    \
+	VFMADD213PD.BCST  ·expC8(SB), Z11, Z12;    \
+	VFMADD213PD.BCST  ·expC7(SB), Z11, Z12;    \
+	VFMADD213PD.BCST  ·expC6(SB), Z11, Z12;    \
+	VFMADD213PD.BCST  ·expC5(SB), Z11, Z12;    \
+	VFMADD213PD.BCST  ·expC4(SB), Z11, Z12;    \
+	VFMADD213PD.BCST  ·expC3(SB), Z11, Z12;    \
+	VFMADD213PD.BCST  ·expC2(SB), Z11, Z12;    \
+	VFMADD213PD.BCST  ·expOnes(SB), Z11, Z12;  \
+	VFMADD213PD.BCST  ·expOnes(SB), Z11, Z12;  \
+	VSCALEFPD         Z10, Z12, Z12
+
 // func cpuHasAVX() bool
 //
 // CPUID leaf 1: ECX bit 28 is AVX, bit 27 is OSXSAVE; XGETBV(0) bits 1 and
@@ -710,6 +756,66 @@ yukloop:
 	VMOVUPD (AX), Y6
 	VADDPD  Y3, Y6, Y6
 	VMOVUPD Y6, (AX)
+	VZEROUPPER
+	RET
+
+// func yukawaTile8ZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, negKappa float64, phi *[8]float64)
+//
+// yukawaTileFMA's loop on eight targets in one ZMM lane group, equal bit
+// for bit to yukawaTileFMA on targets 0:4 and then on 4:8: every lane
+// runs the same instructions in the same operand order (VSQRTPD and
+// VDIVPD on the divider, EXPPDZ for EXPPD, see above), and the r2 == 0
+// lanes get the +0 that VANDNPD leaves there, from a zero-masked divide
+// (VPTESTMQ on the bits equals the r2 != 0 compare: r2 is never -0, and
+// a NaN r2 stays valid as under EQ_OQ). So the Tile cascade's 8 -> 4 -> 1
+// takes the vector exp for the same targets as 4 -> 1 did, and no
+// result changes. Like coulombTile8ZMM it keeps to ZMM0-ZMM15 and ends
+// in VZEROUPPER. Requires AVX-512F. n must be positive.
+TEXT ·yukawaTile8ZMM(SB), NOSPLIT, $0-80
+	MOVQ         tx+0(FP), AX
+	VMOVUPD      (AX), Z0            // tx[0:8]
+	MOVQ         ty+8(FP), AX
+	VMOVUPD      (AX), Z1            // ty[0:8]
+	MOVQ         tz+16(FP), AX
+	VMOVUPD      (AX), Z2            // tz[0:8]
+	VBROADCASTSD negKappa+64(FP), Z4
+	MOVQ         sx+24(FP), SI
+	MOVQ         sy+32(FP), DI
+	MOVQ         sz+40(FP), R8
+	MOVQ         q+48(FP), R9
+	MOVQ         n+56(FP), CX
+	XORQ         DX, DX              // j
+	VPXORQ       Z3, Z3, Z3          // per-lane block accumulators
+
+yuk8loop:
+	VBROADCASTSD (SI)(DX*8), Z6      // sx[j] in every lane
+	VBROADCASTSD (DI)(DX*8), Z7      // sy[j]
+	VBROADCASTSD (R8)(DX*8), Z8      // sz[j]
+	VSUBPD       Z6, Z0, Z6          // dx = tx - sx[j]
+	VSUBPD       Z7, Z1, Z7          // dy = ty - sy[j]
+	VSUBPD       Z8, Z2, Z8          // dz = tz - sz[j]
+	VMULPD       Z6, Z6, Z6          // dx*dx
+	VMULPD       Z7, Z7, Z7          // dy*dy
+	VMULPD       Z8, Z8, Z8          // dz*dz
+	VADDPD       Z7, Z6, Z6          // dx*dx + dy*dy
+	VADDPD       Z8, Z6, Z6          // r2 = (dx*dx + dy*dy) + dz*dz
+	VPTESTMQ     Z6, Z6, K1          // valid = (r2 != 0)
+	VSQRTPD      Z6, Z9              // s = sqrt(r2)
+	VMULPD       Z9, Z4, Z11         // x = -kappa * s
+	EXPPDZ                           // Z12 = exp(x); clobbers Z10, Z11
+	VDIVPD.Z     Z9, Z12, K1, Z12    // g = exp(-kappa*s) / s; +0 on r2 == 0 lanes
+	VMULPD.BCST  (R9)(DX*8), Z12, Z12 // g * q[j]
+	VADDPD       Z12, Z3, Z3         // p[t] += g*q[j], in source order per lane
+
+	INCQ DX
+	CMPQ DX, CX
+	JNE  yuk8loop
+
+	// phi[t] += p[t]: one per-lane add of the block total.
+	MOVQ    phi+72(FP), AX
+	VMOVUPD (AX), Z6
+	VADDPD  Z3, Z6, Z6
+	VMOVUPD Z6, (AX)
 	VZEROUPPER
 	RET
 

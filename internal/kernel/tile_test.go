@@ -442,17 +442,29 @@ func TestAsBlockResolution(t *testing.T) {
 
 // TestAsTileResolution pins the widths each kernel resolves, widest first,
 // with the assembly installed and switched off: Coulomb 8 → 4 → 1 with
-// the assembly and 4 → 1 without, the other built-ins 4 → 1, every
-// built-in F32 kernel 8 → 1, and kernel.Func only 1. Only Coulomb has an
-// 8-wide fp64 tile.
+// the assembly and 4 → 1 without, Yukawa 8 → 4 → 1 with the ZMM tile
+// (avx512vl) and 4 → 1 without, the other built-ins 4 → 1, every
+// built-in F32 kernel 8 → 1, and kernel.Func only 1. It logs the CPU
+// feature level and every resolved width, so a run's log shows which
+// tiles it exercised: the ZMM tiles run only on AVX-512 hosts.
 func TestAsTileResolution(t *testing.T) {
+	t.Logf("kernel.CPUFeatures() = %q", CPUFeatures())
 	inAsmModes(t, func(label string) {
 		for _, k := range blockTestKernels() {
 			want := []int{4, 1}
-			if _, ok := k.(Coulomb); ok && coulombTile8Asm != nil {
-				want = []int{8, 4, 1}
+			switch k.(type) {
+			case Coulomb:
+				if coulombTile8Asm != nil {
+					want = []int{8, 4, 1}
+				}
+			case Yukawa:
+				if yukawaTile8Asm != nil {
+					want = []int{8, 4, 1}
+				}
 			}
-			if got := widthsOf(Tiles(k)); !equalInts(got, want) {
+			got := widthsOf(Tiles(k))
+			t.Logf("%s: Tiles(%s) widths %v", label, k.Name(), got)
+			if !equalInts(got, want) {
 				t.Errorf("%s: Tiles(%s) widths %v, want %v", label, k.Name(), got, want)
 			}
 			fn := Func{KernelName: k.Name() + "-func", F: k.Eval}
@@ -611,12 +623,17 @@ func testF32TileContract(t *testing.T, seed int64) {
 // TestCoulombTile8BitIdentical pins the register-blocked 8-wide Coulomb
 // tile against the width-1 loop: bit-identity at every ragged size, self
 // terms in both 4-lane groups included — regrouping targets into a wider
-// tile must not change any target's accumulation chain. Only Coulomb
-// resolves a width-8 fp64 tile, and only with the assembly installed.
+// tile must not change any target's accumulation chain. Only Coulomb and
+// Yukawa resolve a width-8 fp64 tile, and only with the assembly
+// installed; Yukawa's is pinned by TestYukawaTile8MatchesTile4.
 func TestCoulombTile8BitIdentical(t *testing.T) {
 	for _, k := range blockTestKernels() {
-		if _, isCoulomb := k.(Coulomb); !isCoulomb && Tiles(k)[0].Width > 4 {
-			t.Fatalf("Tiles(%s) resolved an 8-wide tile; only Coulomb has one", k.Name())
+		switch k.(type) {
+		case Coulomb, Yukawa:
+		default:
+			if Tiles(k)[0].Width > 4 {
+				t.Fatalf("Tiles(%s) resolved an 8-wide tile; only Coulomb and Yukawa have one", k.Name())
+			}
 		}
 	}
 	tiles := Tiles(Coulomb{})
@@ -828,11 +845,12 @@ func itoa(v int) string {
 // covering the exp argument range from ~-0 down through the underflow
 // cutoff, single-source single-term tiles are compared against the scalar
 // term in exact ULP distance, which must stay within YukawaTileMaxULP
-// (fp64) and YukawaTileF32MaxULP (fp32). This is the measured bound the
-// constants document; if the polynomial, the reduction, or the scaling
-// ever drift past it, this test fails just as the bit-identity tests fail
-// on a flipped bit. Skipped when no vector Yukawa is installed (the Go
-// loops ARE the scalar reference).
+// (fp64, at every vector width Tiles resolves) and YukawaTileF32MaxULP
+// (fp32). This is the measured bound the constants document; if the
+// polynomial, the reduction, or the scaling ever drift past it, this test
+// fails just as the bit-identity tests fail on a flipped bit. Skipped
+// when no vector Yukawa is installed (the Go loops ARE the scalar
+// reference).
 func TestYukawaTileULPContract(t *testing.T) {
 	if yukawaTile4Asm == nil && yukawaF32Tile8Asm == nil {
 		t.Skip("no vectorized Yukawa tile on this machine")
@@ -845,11 +863,11 @@ func TestYukawaTileULPContract(t *testing.T) {
 	}
 	q := []float64{1}
 	sx, sy, sz := []float64{0}, []float64{0}, []float64{0}
-	var maxSeen uint64
+	maxSeen := map[int]uint64{} // by fp64 tile width
 	var maxSeen32 uint32
 	for _, kappa := range kappas {
 		k := Yukawa{Kappa: kappa}
-		t4, f8 := Tiles(k)[0], F32Tiles(k)[0]
+		f8 := F32Tiles(k)[0]
 		// Distances such that x = -kappa*r sweeps [-760, -1e-8]: past the
 		// underflow cutoff at the bottom (where the clamp and scale
 		// rounding must agree with math.Exp's flush to zero / minimum
@@ -857,27 +875,15 @@ func TestYukawaTileULPContract(t *testing.T) {
 		lo, hi := 1e-8/kappa, 760/kappa
 		step := math.Pow(hi/lo, 1/float64(points-1))
 		d := lo
+		var r []float64 // the fp64 sweep, on the x axis
 		for i := 0; i < points; i += 4 {
-			tx, ty, tz := make([]float64, 4), make([]float64, 4), make([]float64, 4)
+			tx := make([]float64, 4)
 			for l := range tx {
 				// Jitter the mantissa so the sweep isn't phase-locked.
 				tx[l] = d * (1 + rng.Float64()*1e-3)
 				d *= step
 			}
-			if yukawaTile4Asm != nil {
-				got := make([]float64, 4)
-				t4.Eval(tx, ty, tz, sx, sy, sz, q, got)
-				for l := range got {
-					want := scalarAccum(k, tx[l], ty[l], tz[l], sx, sy, sz, q)
-					if ud := ulpDiff64(got[l], want); ud > maxSeen {
-						maxSeen = ud
-						if ud > YukawaTileMaxULP {
-							t.Errorf("kappa=%g r=%g: fp64 tile %v vs scalar %v = %d ulps > %d",
-								kappa, tx[l], got[l], want, ud, YukawaTileMaxULP)
-						}
-					}
-				}
-			}
+			r = append(r, tx...)
 			if yukawaF32Tile8Asm != nil && kappa*float64(float32(d)) < 100 {
 				ftx, fty, ftz := make([]float32, 8), make([]float32, 8), make([]float32, 8)
 				for l := range ftx {
@@ -897,9 +903,118 @@ func TestYukawaTileULPContract(t *testing.T) {
 				}
 			}
 		}
+		if yukawaTile4Asm == nil {
+			continue
+		}
+		// Every vector width walks the whole sweep, w targets per call.
+		tiles := Tiles(k)
+		for _, s := range tiles[:len(tiles)-1] {
+			w := s.Width
+			zeros := make([]float64, w)
+			for i := 0; i+w <= len(r); i += w {
+				tx := r[i : i+w]
+				got := make([]float64, w)
+				s.Eval(tx, zeros, zeros, sx, sy, sz, q, got)
+				for l := range got {
+					want := scalarAccum(k, tx[l], 0, 0, sx, sy, sz, q)
+					if ud := ulpDiff64(got[l], want); ud > maxSeen[w] {
+						maxSeen[w] = ud
+						if ud > YukawaTileMaxULP {
+							t.Errorf("kappa=%g r=%g: fp64 width-%d tile %v vs scalar %v = %d ulps > %d",
+								kappa, tx[l], w, got[l], want, ud, YukawaTileMaxULP)
+						}
+					}
+				}
+			}
+		}
 	}
-	t.Logf("max ULP distance seen: fp64 %d (bound %d), fp32 %d (bound %d)",
-		maxSeen, YukawaTileMaxULP, maxSeen32, YukawaTileF32MaxULP)
+	for w, m := range maxSeen {
+		t.Logf("max ULP distance seen: fp64 width %d: %d (bound %d)", w, m, YukawaTileMaxULP)
+	}
+	t.Logf("max ULP distance seen: fp32 width 8: %d (bound %d)", maxSeen32, YukawaTileF32MaxULP)
+}
+
+// checkTile8Split requires tiles' width-8 tile to equal its width-4 tile
+// called on targets 0:4 and then on 4:8, bit for bit in every lane, NaN
+// payloads included: the cascade's 8 → 4 → 1 then produces exactly the
+// bits of 4 → 1.
+func checkTile8Split(t *testing.T, label string, tiles []Sized[Tile], tx, ty, tz, sx, sy, sz, q, phi0 []float64) {
+	t.Helper()
+	if tiles[0].Width != 8 || tiles[1].Width != 4 {
+		t.Fatalf("%s: widths %v, want 8 then 4", label, widthsOf(tiles))
+	}
+	got := append([]float64(nil), phi0[:8]...)
+	tiles[0].Eval(tx[:8], ty[:8], tz[:8], sx, sy, sz, q, got)
+	want := append([]float64(nil), phi0[:8]...)
+	tiles[1].Eval(tx[:4], ty[:4], tz[:4], sx, sy, sz, q, want[:4])
+	tiles[1].Eval(tx[4:8], ty[4:8], tz[4:8], sx, sy, sz, q, want[4:])
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s n=%d lane %d: width 8 %v (%x) != two width-4 calls %v (%x)",
+				label, len(q), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestYukawaTile8MatchesTile4 pins Yukawa's 8-wide tile to two calls of
+// its 4-wide tile, bit for bit (checkTile8Split), over: the ULP sweep's
+// arguments down to x = -760, where exp is clamped, subnormal or 0; kappa
+// 0; r2 == 0 lanes; NaN coordinates on targets and sources; every ragged
+// source count of tileTestSizes, from 1; and newFuzzBlock's blocks at
+// 2^±540, where squared distances overflow or underflow. Skipped where
+// Tiles(Yukawa) has no width 8.
+func TestYukawaTile8MatchesTile4(t *testing.T) {
+	if Tiles(Yukawa{})[0].Width != 8 {
+		t.Skip("no 8-wide Yukawa tile on this machine")
+	}
+	rng := rand.New(rand.NewSource(51))
+	phi0 := randomPhi(rng, 8)
+	zero8 := make([]float64, 8)
+
+	// Single sources at the origin, targets on the x axis so that
+	// x = -kappa*r sweeps [-760, -1e-8] as in TestYukawaTileULPContract.
+	one, origin := []float64{1}, []float64{0}
+	for _, kappa := range []float64{1e-6, 0.3, 0.7, 2.5, 10, 100, 1500} {
+		tiles := Tiles(Yukawa{Kappa: kappa})
+		lo, hi := 1e-8/kappa, 760/kappa
+		step := math.Pow(hi/lo, 1/float64(4000-1))
+		d := lo
+		for i := 0; i < 4000; i += 8 {
+			tx := make([]float64, 8)
+			for l := range tx {
+				tx[l] = d * (1 + rng.Float64()*1e-3)
+				d *= step
+			}
+			checkTile8Split(t, "sweep kappa="+strconv.FormatFloat(kappa, 'g', -1, 64), tiles, tx, zero8, zero8, origin, origin, origin, one, zero8)
+		}
+	}
+
+	// Ragged blocks with self terms in both 4-lane groups, at kappa 0 and
+	// the workloads' 0.5, then NaN coordinates on a target of each group
+	// and on one source.
+	for _, kappa := range []float64{0, 0.5, 0.7} {
+		tiles := Tiles(Yukawa{Kappa: kappa})
+		label := "kappa=" + strconv.FormatFloat(kappa, 'g', -1, 64)
+		for _, n := range tileTestSizes {
+			tx, ty, tz := tileTestTargets(rng, 8)
+			sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
+			sx[0], sy[0], sz[0] = tx[6], ty[6], tz[6]
+			checkTile8Split(t, label, tiles, tx, ty, tz, sx, sy, sz, q, phi0)
+			tx[2], tz[5] = math.NaN(), math.NaN()
+			checkTile8Split(t, label+" NaN targets", tiles, tx, ty, tz, sx, sy, sz, q, phi0)
+			sy[n-1] = math.NaN()
+			checkTile8Split(t, label+" NaN source", tiles, tx, ty, tz, sx, sy, sz, q, phi0)
+		}
+	}
+
+	// newFuzzBlock at 2^±540 and unit scale.
+	tiles := Tiles(Yukawa{Kappa: 0.7})
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, exp := range []int16{-540, -498, 0, 498, 540} {
+			b := newFuzzBlock(seed, uint(seed*37), exp, 0)
+			checkTile8Split(t, "fuzz block 2^"+itoa(int(exp)), tiles, b.tx, b.ty, b.tz, b.sx, b.sy, b.sz, b.q, b.phi0)
+		}
+	}
 }
 
 // fuzzBlock is one randomized fuzz input: eight targets and a source
@@ -958,7 +1073,8 @@ func newFuzzBlock(seed int64, size uint, exp int16, epsSel uint8) fuzzBlock {
 // scalar Eval or EvalF32 chains on randomized blocks (newFuzzBlock) for
 // every built-in kernel, under each kernel's per-width contract: exact
 // bits for exact kernels and every width-1 tile, the pinned ULP tolerance
-// for transcendental tiles. The fp64 inputs are scaled by 2^exp (exp in
+// for transcendental tiles. Yukawa's width 8, where resolved, must also
+// equal two width-4 calls bit for bit (checkTile8Split). The fp64 inputs are scaled by 2^exp (exp in
 // [-540, 540], about 1e±162, where squared distances underflow or
 // overflow); the fp32 inputs stay unscaled, inside float32's range.
 func FuzzTileAccum(f *testing.F) {
@@ -979,6 +1095,9 @@ func FuzzTileAccum(f *testing.F) {
 			checkTiles(t, "fuzz", k, b.tx, b.ty, b.tz, b.sx, b.sy, b.sz, b.q, b.phi0)
 			if f32, ok := k.(F32Kernel); ok {
 				checkF32Tiles(t, "fuzz", f32, ftx, fty, ftz, b.usx, b.usy, b.usz, b.q, fphi0)
+			}
+			if _, ok := k.(Yukawa); ok && Tiles(k)[0].Width == 8 {
+				checkTile8Split(t, "fuzz", Tiles(k), b.tx, b.ty, b.tz, b.sx, b.sy, b.sz, b.q, b.phi0)
 			}
 		}
 	})

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strings"
 	"sync"
@@ -366,8 +369,14 @@ func TestServerConcurrentSolves(t *testing.T) {
 	}
 
 	// hammer runs 8 goroutines of 4 requests each over gs; request r of
-	// worker w sends only 7 charges when short(w, r) holds.
-	hammer := func(t *testing.T, gs []*geom, short func(w, r int) bool) {
+	// worker w is of kind(w, r): a valid solve, one that sends only 7
+	// charges, or a valid solve whose client gives up once it is sent.
+	const (
+		valid = iota
+		short
+		cancelled
+	)
+	hammer := func(t *testing.T, gs []*geom, kind func(w, r int) int) {
 		var wg sync.WaitGroup
 		errs := make(chan error, 64)
 		for w := 0; w < 8; w++ {
@@ -378,10 +387,17 @@ func TestServerConcurrentSolves(t *testing.T) {
 					g := gs[(w+r)%len(gs)]
 					v := (w + 2*r) % len(kernels)
 					req := SolveRequest{Plan: g.key, Kernel: kernels[v].spec, Charges: g.q[v]}
-					if short(w, r) {
+					switch kind(w, r) {
+					case short:
 						req.Charges = req.Charges[:7]
 						if code, raw := doJSON(t, "POST", ts.URL+"/v1/solve", req, nil); code != http.StatusBadRequest {
 							errs <- fmt.Errorf("worker %d, 7 charges: %d %s, want 400", w, code, raw)
+							return
+						}
+						continue
+					case cancelled:
+						if err := postCancelled(ts.URL+"/v1/solve", req); err != nil {
+							errs <- fmt.Errorf("worker %d, cancelled: %v", w, err)
 							return
 						}
 						continue
@@ -407,18 +423,84 @@ func TestServerConcurrentSolves(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	never := func(w, r int) bool { return false }
+	allValid := func(w, r int) int { return valid }
+	everyFourth := func(k int) func(w, r int) int {
+		return func(w, r int) int {
+			if (w+r)%4 == 3 {
+				return k
+			}
+			return valid
+		}
+	}
 
 	// Every kernel at once on one plan: a request's potentials do not
 	// depend on which other kernels or charges share the plan.
-	t.Run("mixed-kernels", func(t *testing.T) { hammer(t, geoms[:1], never) })
+	t.Run("mixed-kernels", func(t *testing.T) { hammer(t, geoms[:1], allValid) })
 	// Concurrent submissions spread over two cached plans.
-	t.Run("shared-cache", func(t *testing.T) { hammer(t, geoms, never) })
+	t.Run("shared-cache", func(t *testing.T) { hammer(t, geoms, allValid) })
 	// Every fourth request is short: it gets its 400 without disturbing
 	// the valid requests running beside it on the same plan.
-	t.Run("short-charges", func(t *testing.T) {
-		hammer(t, geoms[:1], func(w, r int) bool { return (w+r)%4 == 3 })
+	t.Run("short-charges", func(t *testing.T) { hammer(t, geoms[:1], everyFourth(short)) })
+	// Every fourth client gives up once its request is sent: it returns
+	// at once, its peers on the plan still get the library's bytes, and
+	// once the abandoned solves finish the admission gauge is back at 0
+	// and no goroutine is left behind (the check FuzzSolveHandler makes).
+	t.Run("cancelled", func(t *testing.T) {
+		http.DefaultClient.CloseIdleConnections()
+		before := runtime.NumGoroutine()
+		hammer(t, geoms[:1], everyFourth(cancelled))
+		deadline := time.Now().Add(10 * time.Second)
+		for !strings.Contains(scrape(t, ts), "\nbltcd_inflight 0\n") {
+			if time.Now().After(deadline) {
+				t.Fatal("bltcd_inflight did not drain to 0")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		http.DefaultClient.CloseIdleConnections()
+		if n := goroutinesAfter(before); n > before {
+			t.Fatalf("%d goroutines after the hammer, %d before", n, before)
+		}
 	})
+}
+
+// postCancelled posts req with a client context that is cancelled as soon
+// as the request, body included, has been written. The client call must
+// then return promptly: with the cancellation, or with a response that
+// raced ahead of it.
+func postCancelled(url string, req SolveRequest) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sent := make(chan time.Time, 1)
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+		WroteRequest: func(httptrace.WroteRequestInfo) {
+			sent <- time.Now()
+			cancel()
+		},
+	})
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	returned := time.Now()
+	if err == nil {
+		resp.Body.Close()
+	} else if !errors.Is(err, context.Canceled) {
+		return fmt.Errorf("client error %v, want context.Canceled", err)
+	}
+	select {
+	case at := <-sent:
+		if d := returned.Sub(at); d > 5*time.Second {
+			return fmt.Errorf("client returned %v after its cancel", d)
+		}
+	default:
+		return fmt.Errorf("client returned (%v) before its request was sent", err)
+	}
+	return nil
 }
 
 // FuzzSolveHandler sends arbitrary POST /v1/solve bodies to a daemon
