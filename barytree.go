@@ -96,8 +96,8 @@ func KernelFunc(name string, f func(tx, ty, tz, sx, sy, sz float64) float64, cpu
 // Workers field bounds the host goroutines of the setup phase and of plan
 // solves' charge and compute passes; output is bit-identical for every
 // worker count. Morton selects the canonical Z-order build that enables
-// Plan.Update for dynamic simulations, with DriftTol tuning its
-// refit/repair/rebuild policy.
+// Plan.Update for dynamic simulations; a Morton plan's targets must sit
+// at its sources' positions.
 type Params = core.Params
 
 // DefaultParams returns the paper's scaling-run parameters (theta = 0.8,

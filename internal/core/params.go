@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"barytree/internal/interaction"
 	"barytree/internal/particle"
@@ -34,32 +35,13 @@ type Params struct {
 	// instead of the midpoint-split build. A Morton plan supports
 	// Plan.Update — in-place refit, incremental repair, or full rebuild
 	// after its particles move — because the whole structure is a pure
-	// function of the particle multiset; see internal/tree/morton.go. The
-	// two builds produce different (both valid) trees, so Morton changes
-	// result bits relative to the default build and participates in the
-	// serving layer's geometry hash.
+	// function of the particle multiset; see internal/tree/morton.go. Its
+	// targets must sit at the sources' positions (the N-body setting):
+	// the particles are sorted once and the batches cut from that order.
+	// The two builds produce different (both valid) trees, so Morton
+	// changes result bits relative to the default build and participates
+	// in the serving layer's geometry hash.
 	Morton bool
-
-	// DriftTol is Plan.Update's refit tolerance: a particle may stray from
-	// its leaf's bounding box by at most DriftTol times the leaf radius
-	// (boundary inclusive) for the update to refit boxes in place and keep
-	// the cached interaction lists. 0 selects DefaultDriftTol; it does not
-	// affect results (every update path is exact for its geometry), only
-	// the refit/repair/rebuild policy, so it is excluded from the serving
-	// layer's geometry hash.
-	DriftTol float64
-}
-
-// DefaultDriftTol is the refit drift tolerance used when Params.DriftTol
-// is zero: a quarter of the leaf radius per side.
-const DefaultDriftTol = 0.25
-
-// driftTol returns the effective update drift tolerance.
-func (p Params) driftTol() float64 {
-	if p.DriftTol > 0 {
-		return p.DriftTol
-	}
-	return DefaultDriftTol
 }
 
 // DefaultParams returns the parameters of the paper's scaling runs:
@@ -81,9 +63,6 @@ func (p Params) Validate() error {
 	}
 	if p.BatchSize < 1 {
 		return fmt.Errorf("core: batch size must be >= 1, got %d", p.BatchSize)
-	}
-	if p.DriftTol < 0 {
-		return fmt.Errorf("core: drift tolerance must be >= 0, got %g", p.DriftTol)
 	}
 	return nil
 }
@@ -114,6 +93,8 @@ type Plan struct {
 
 // NewPlan runs the setup phase: build the source tree and target batches,
 // create the interaction lists, and lay out the cluster interpolation grids.
+// A Morton plan (Params.Morton) requires the targets at the sources'
+// positions, bit for bit; their charges are not read.
 func NewPlan(targets, sources *particle.Set, p Params) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -125,7 +106,10 @@ func NewPlan(targets, sources *particle.Set, p Params) (*Plan, error) {
 		return nil, fmt.Errorf("core: bad targets: %w", err)
 	}
 	if p.Morton {
-		return newMortonPlan(targets, sources, p), nil
+		if !samePositions(targets, sources) {
+			return nil, fmt.Errorf("core: a Morton plan requires the targets at the sources' positions")
+		}
+		return newMortonPlan(sources, p), nil
 	}
 	t := tree.BuildWorkers(sources, p.LeafSize, p.Workers)
 	b := tree.BuildBatchesWorkers(targets, p.BatchSize, p.Workers)
@@ -139,15 +123,16 @@ func NewPlan(targets, sources *particle.Set, p Params) (*Plan, error) {
 	}, nil
 }
 
-// newMortonPlan is the Morton-mode setup phase, shared by NewPlan and
-// Plan.Update's rebuild path (which is what makes a rebuild trivially
-// bit-identical to a fresh plan at the new positions). The target batches
-// come from a Morton tree of the targets with leaf size BatchSize, kept
-// alongside the plan so updates can refit and repair it too.
-func newMortonPlan(targets, sources *particle.Set, p Params) *Plan {
-	st, srcIdx := tree.BuildMortonWorkers(sources, p.LeafSize, p.Workers)
-	tt, tgtIdx := tree.BuildMortonWorkers(targets, p.BatchSize, p.Workers)
-	b := tree.BatchSetFromTree(tt)
+// newMortonPlan is the Morton-mode setup phase over particles that are
+// both the sources and the targets, shared by NewPlan and Plan.Update's
+// rebuild path (which is what makes a rebuild trivially bit-identical to
+// a fresh plan at the new positions). The particles are sorted once: the
+// target batches are the source tree's Morton order cut at BatchSize, and
+// the cut is kept alongside the plan so updates can refit and re-cut it.
+func newMortonPlan(pts *particle.Set, p Params) *Plan {
+	st, idx := tree.BuildMortonWorkers(pts, p.LeafSize, p.Workers)
+	cut := st.MortonCut(idx, p.BatchSize, p.Workers)
+	b := tree.BatchSetFromTree(cut)
 	lists := interaction.BuildListsWorkers(b, st, p.MAC(), p.Workers)
 	return &Plan{
 		Params:   p,
@@ -155,12 +140,7 @@ func newMortonPlan(targets, sources *particle.Set, p Params) *Plan {
 		Batches:  b,
 		Lists:    lists,
 		Clusters: NewClusterDataWorkers(st, p.Degree, p.Workers),
-		upd: &updState{
-			srcIdx: srcIdx,
-			tgt:    tt,
-			tgtIdx: tgtIdx,
-			shared: samePositions(targets, sources),
-		},
+		upd:      &updState{idx: idx, cut: cut},
 	}
 }
 
@@ -170,8 +150,9 @@ func samePositions(a, b *particle.Set) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
+	same := func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }
 	for i := range a.X {
-		if a.X[i] != b.X[i] || a.Y[i] != b.Y[i] || a.Z[i] != b.Z[i] {
+		if !same(a.X[i], b.X[i]) || !same(a.Y[i], b.Y[i]) || !same(a.Z[i], b.Z[i]) {
 			return false
 		}
 	}

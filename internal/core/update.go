@@ -66,12 +66,13 @@ func UpdateSpanNames() []string {
 type UpdateStats struct {
 	// Action is the structural path taken.
 	Action UpdateAction
-	// OutOfTolerance counts particles (sources + targets) that left their
-	// leaf's drift-tolerance envelope; beyond RefitMaxOutOfTolerance of
-	// the particle count it disables the refit path.
+	// OutOfTolerance counts the particles that left their source leaf's
+	// drift-tolerance envelope (see driftTol); beyond
+	// RefitMaxOutOfTolerance of the particle count it disables the refit
+	// path.
 	OutOfTolerance int
-	// Drifters counts particles (sources + targets) whose Morton code left
-	// its leaf's cell — the particles a repair re-buckets. Beyond
+	// Drifters counts the particles whose Morton code left their source
+	// leaf's cell — the particles a repair re-buckets. Beyond
 	// RepairMaxFraction of the particles, Update rebuilds instead.
 	Drifters int
 	// MACViolations counts cached approximation pairs that failed the
@@ -99,37 +100,43 @@ var RefitMaxMACDemotions = 0.01
 
 // RefitMaxOutOfTolerance bounds the refit fast path: the tentative refit
 // (and its MAC recheck) is attempted while at most this fraction of the
-// particles (targets and sources counted together) breached their leaf's
-// drift envelope. The envelope is a locality heuristic, not a correctness
-// bound — the MAC recheck is what keeps a refit exact — so the few
-// stragglers every large dynamic system produces (tight pairs whose leaf
-// envelope is tiny) must not force a repair of an otherwise-stationary
-// tree. Zero admits only fully-in-tolerance refits. A variable so tests
-// can pin each path.
+// particles breached their leaf's drift envelope. The envelope is a
+// locality heuristic, not a correctness bound — the MAC recheck is what
+// keeps a refit exact — so the few stragglers every large dynamic system
+// produces (tight pairs whose leaf envelope is tiny) must not force a
+// repair of an otherwise-stationary tree. Zero admits only
+// fully-in-tolerance refits. A variable so tests can pin each path.
 var RefitMaxOutOfTolerance = 0.001
 
-// updState is the per-plan state behind Plan.Update (Morton mode only):
-// the source-tree Morton index, the hidden target tree whose leaves are
-// the batch set, a modeled clock for trace spans, and scratch reused
-// across updates.
-type updState struct {
-	srcIdx *tree.MortonIndex
-	tgt    *tree.Tree // target tree with leaf size = BatchSize; Batches are its leaves
-	tgtIdx *tree.MortonIndex
-	shared bool    // targets and sources had bit-identical positions at build
-	clock  float64 // modeled seconds consumed by updates so far (span placement)
+// driftTol is Plan.Update's refit tolerance: a particle may stray from its
+// leaf's bounding box by at most driftTol times the leaf's drift scale
+// (boundary inclusive; see tree.MortonIndex.OutOfTolerance) and still
+// count as in tolerance. It shapes only the refit/repair/rebuild policy,
+// never results: every update path is exact for its geometry.
+const driftTol = 0.25
 
-	srcCodes, tgtCodes   []uint64
-	srcDrifts, tgtDrifts []int32
+// updState is the per-plan state behind Plan.Update (Morton mode only):
+// the source tree's Morton index, the cut of its order at BatchSize whose
+// leaves are the batch set, a modeled clock for trace spans, and scratch
+// reused across updates.
+type updState struct {
+	idx   *tree.MortonIndex
+	cut   *tree.Tree // pl.Sources cut at BatchSize; Batches are its leaves
+	clock float64    // modeled seconds consumed by updates so far (span placement)
+
+	codes  []uint64
+	drifts []int32
 }
 
 // Update moves the plan to new particle positions, given in the order the
 // particles were originally passed to NewPlan. It requires a Morton-mode
-// plan (Params.Morton) whose targets and sources coincide, and picks the
-// cheapest structural path that keeps the plan exact for the new geometry:
+// plan (Params.Morton), whose targets sit at its sources' positions, so
+// the evidence is gathered once per particle on the source tree. It picks
+// the cheapest structural path that keeps the plan exact for the new
+// geometry:
 //
 //   - refit: all but a vanishing fraction of the particles (see
-//     RefitMaxOutOfTolerance) are within DriftTol of their leaf and the
+//     RefitMaxOutOfTolerance) are within driftTol of their leaf and the
 //     cached approximations still pass the MAC recheck — boxes are refit
 //     bottom-up, the Chebyshev grids re-laid in place, and the few
 //     marginal approximation pairs that flipped (at most
@@ -157,9 +164,6 @@ func (pl *Plan) Update(x, y, z []float64, tr *trace.Tracer) (UpdateStats, error)
 	if u == nil {
 		return st, fmt.Errorf("core: Plan.Update requires a Morton-mode plan (set Params.Morton)")
 	}
-	if !u.shared {
-		return st, fmt.Errorf("core: Plan.Update requires the plan's targets and sources to be the same particles")
-	}
 	n := pl.Sources.Particles.Len()
 	if len(x) != n || len(y) != n || len(z) != n {
 		return st, fmt.Errorf("core: Update got %d/%d/%d coordinates for %d particles", len(x), len(y), len(z), n)
@@ -176,44 +180,35 @@ func (pl *Plan) Update(x, y, z []float64, tr *trace.Tracer) (UpdateStats, error)
 		return st, nil
 	}
 
-	// New positions into tree order (sources) and batch order (targets).
-	// pl.Batches.Targets aliases u.tgt.Particles, so one scatter covers
-	// both views.
+	// New positions into tree order. The cut and pl.Batches.Targets share
+	// pl.Sources' particle storage, so one scatter covers every view.
 	src := pl.Sources.Particles
 	for ti, oi := range pl.Sources.Perm {
 		src.X[ti], src.Y[ti], src.Z[ti] = x[oi], y[oi], z[oi]
 	}
-	tgt := u.tgt.Particles
-	for ti, oi := range u.tgt.Perm {
-		tgt.X[ti], tgt.Y[ti], tgt.Z[ti] = x[oi], y[oi], z[oi]
-	}
 
 	// Evidence: tolerance breaches against the current leaf boxes, new
 	// Morton codes under the current domain, cell drifters, domain drift.
-	tol := pl.Params.driftTol()
-	st.OutOfTolerance = u.srcIdx.OutOfTolerance(pl.Sources, tol) + u.tgtIdx.OutOfTolerance(u.tgt, tol)
-	u.srcCodes = u.srcIdx.EncodeInto(u.srcCodes, src, workers)
-	u.tgtCodes = u.tgtIdx.EncodeInto(u.tgtCodes, tgt, workers)
-	u.srcDrifts = u.srcIdx.Drifters(pl.Sources, u.srcCodes, u.srcDrifts[:0])
-	u.tgtDrifts = u.tgtIdx.Drifters(u.tgt, u.tgtCodes, u.tgtDrifts[:0])
-	st.Drifters = len(u.srcDrifts) + len(u.tgtDrifts)
-	domainOK := tree.SnapMortonDomain(src.Bounds()) == u.srcIdx.Domain
+	st.OutOfTolerance = u.idx.OutOfTolerance(pl.Sources, driftTol)
+	u.codes = u.idx.EncodeInto(u.codes, src, workers)
+	u.drifts = u.idx.Drifters(pl.Sources, u.codes, u.drifts[:0])
+	st.Drifters = len(u.drifts)
+	domainOK := tree.SnapMortonDomain(src.Bounds()) == u.idx.Domain
 
-	if float64(st.OutOfTolerance) <= RefitMaxOutOfTolerance*float64(2*n) {
+	if float64(st.OutOfTolerance) <= RefitMaxOutOfTolerance*float64(n) {
 		// Tentative refit: new boxes, then recheck every cached
 		// approximation. Falling through to repair/rebuild is safe — both
 		// recompute boxes from scratch.
 		pl.Sources.RefitBoxesWorkers(workers)
-		u.tgt.RefitBoxesWorkers(workers)
-		pl.Batches.RefreshFromTree(u.tgt)
+		u.cut.RefitBoxesWorkers(workers)
+		pl.Batches.RefreshFromTree(u.cut)
 		st.MACViolations = interaction.RecheckApproxWorkers(pl.Lists, pl.Batches, pl.Sources, pl.Params.MAC(), workers)
 		if float64(st.MACViolations) <= RefitMaxMACDemotions*float64(pl.Lists.Stats.ApproxPairs) {
 			if st.MACViolations > 0 {
 				interaction.DemoteFailingApprox(pl.Lists, pl.Batches, pl.Sources, pl.Params.MAC(), workers)
 			}
 			pl.Clusters.RefitGridsWorkers(pl.Sources, workers)
-			u.srcIdx.Codes, u.srcCodes = u.srcCodes, u.srcIdx.Codes
-			u.tgtIdx.Codes, u.tgtCodes = u.tgtCodes, u.tgtIdx.Codes
+			u.idx.Codes, u.codes = u.codes, u.idx.Codes
 			st.Action = UpdateRefit
 			spec := perfmodel.XeonX5650()
 			dur := 4*float64(n)/spec.TreeOpRate + float64(pl.Lists.Stats.ApproxPairs)/spec.MACTestRate
@@ -222,11 +217,12 @@ func (pl *Plan) Update(x, y, z []float64, tr *trace.Tracer) (UpdateStats, error)
 		}
 	}
 
-	maxRepair := int(RepairMaxFraction * float64(n))
-	if domainOK && len(u.srcDrifts) <= maxRepair && len(u.tgtDrifts) <= maxRepair {
-		pl.Sources.MortonRepair(u.srcIdx, u.srcCodes, u.srcDrifts, workers)
-		u.tgt.MortonRepair(u.tgtIdx, u.tgtCodes, u.tgtDrifts, workers)
-		pl.Batches = tree.BatchSetFromTree(u.tgt)
+	if domainOK && st.Drifters <= int(RepairMaxFraction*float64(n)) {
+		// The repair replaces the source tree's particle storage, so the
+		// batches are cut again from the repaired order.
+		pl.Sources.MortonRepair(u.idx, u.codes, u.drifts, workers)
+		u.cut = pl.Sources.MortonCut(u.idx, pl.Params.BatchSize, workers)
+		pl.Batches = tree.BatchSetFromTree(u.cut)
 		pl.Lists = interaction.BuildListsWorkers(pl.Batches, pl.Sources, pl.Params.MAC(), workers)
 		pl.Clusters = NewClusterDataWorkers(pl.Sources, pl.Params.Degree, workers)
 		st.Action = UpdateRepair
@@ -236,16 +232,13 @@ func (pl *Plan) Update(x, y, z []float64, tr *trace.Tracer) (UpdateStats, error)
 
 	// Full rebuild through the same code path as NewPlan, from the
 	// original-order coordinates and the charges carried by the current
-	// trees (scattered back to original order).
-	origSrc := &particle.Set{X: cloneF(x), Y: cloneF(y), Z: cloneF(z), Q: make([]float64, n)}
+	// tree (scattered back to original order). The build copies its
+	// input, so x, y and z are read, not kept.
+	orig := &particle.Set{X: x, Y: y, Z: z, Q: make([]float64, n)}
 	for ti, oi := range pl.Sources.Perm {
-		origSrc.Q[oi] = src.Q[ti]
+		orig.Q[oi] = src.Q[ti]
 	}
-	origTgt := &particle.Set{X: cloneF(x), Y: cloneF(y), Z: cloneF(z), Q: make([]float64, n)}
-	for ti, oi := range u.tgt.Perm {
-		origTgt.Q[oi] = tgt.Q[ti]
-	}
-	np := newMortonPlan(origTgt, origSrc, pl.Params)
+	np := newMortonPlan(orig, pl.Params)
 	np.upd.clock = u.clock
 	pl.Sources, pl.Batches, pl.Lists, pl.Clusters, pl.upd = np.Sources, np.Batches, np.Lists, np.Clusters, np.upd
 	st.Action = UpdateRebuild
@@ -272,9 +265,3 @@ func (pl *Plan) finishUpdate(st UpdateStats, modeled float64, tr *trace.Tracer) 
 }
 
 func isFinite(v float64) bool { return v-v == 0 }
-
-func cloneF(s []float64) []float64 {
-	c := make([]float64, len(s))
-	copy(c, s)
-	return c
-}

@@ -16,8 +16,7 @@ import (
 )
 
 // updParams are the Morton-mode parameters shared by the update tests.
-// LeafSize == BatchSize makes the hidden target tree identical to the
-// source tree, so tolerance/drift evidence is symmetric and easy to pin.
+// LeafSize == BatchSize makes the batches the source tree's leaves.
 func updParams() Params {
 	return Params{Theta: 0.7, Degree: 4, LeafSize: 50, BatchSize: 50, Morton: true}
 }
@@ -69,6 +68,55 @@ func wantFreshEqual(t *testing.T, pl *Plan, x, y, z, q []float64, p Params) *Pla
 		t.Fatal("updated cluster data differs from fresh build")
 	}
 	return fresh
+}
+
+// TestMortonBatchesMatchSeparateBuild pins the batches a Morton plan cuts
+// from its source order against the construction the cut replaced: a
+// Morton build of the targets alone at leaf size BatchSize. Ranges,
+// centers, radii, Stats, Perm and target storage must be reflect.DeepEqual,
+// at build and after a forced repair, for BatchSize below, above and equal
+// to LeafSize.
+func TestMortonBatchesMatchSeparateBuild(t *testing.T) {
+	defer func(f, r float64) { RefitMaxOutOfTolerance, RepairMaxFraction = f, r }(RefitMaxOutOfTolerance, RepairMaxFraction)
+	RefitMaxOutOfTolerance, RepairMaxFraction = 0, 1 // any drift repairs
+
+	const n = 2000
+	pts := testParticles(t, n, 25)
+	for _, c := range []struct{ leaf, batch int }{{60, 37}, {40, 100}, {50, 50}} {
+		t.Run(fmt.Sprintf("leaf%d_batch%d", c.leaf, c.batch), func(t *testing.T) {
+			p := Params{Theta: 0.7, Degree: 3, LeafSize: c.leaf, BatchSize: c.batch, Morton: true}
+			pl, err := NewPlan(pts, pts, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, targets *particle.Set) {
+				t.Helper()
+				tt, _ := tree.BuildMortonWorkers(targets, p.BatchSize, 0)
+				if !reflect.DeepEqual(pl.Batches, tree.BatchSetFromTree(tt)) {
+					t.Fatalf("%s: batches differ from a separate Morton build at BatchSize", what)
+				}
+			}
+			check("build", pts)
+
+			rng := rand.New(rand.NewSource(26))
+			moved := &particle.Set{
+				X: append([]float64(nil), pts.X...), Y: append([]float64(nil), pts.Y...),
+				Z: append([]float64(nil), pts.Z...), Q: pts.Q,
+			}
+			for m := 0; m < 40; m++ {
+				i := rng.Intn(n)
+				moved.X[i], moved.Y[i], moved.Z[i] = 0.05+0.9*rng.Float64(), 0.05+0.9*rng.Float64(), 0.05+0.9*rng.Float64()
+			}
+			st, err := pl.update(moved.X, moved.Y, moved.Z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Action != UpdateRepair {
+				t.Fatalf("teleports took %v (evidence %+v), want the forced repair", st.Action, st)
+			}
+			check("repair", moved)
+		})
+	}
 }
 
 func TestUpdateZeroDriftByteIdentical(t *testing.T) {
@@ -238,7 +286,6 @@ func TestUpdateToleranceBoundary(t *testing.T) {
 
 	n := 800
 	p := updParams()
-	p.DriftTol = 0.05
 	pts := testParticles(t, n, 18)
 	k := kernel.Coulomb{}
 
@@ -252,7 +299,7 @@ func TestUpdateToleranceBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := pl.upd.srcIdx
+		idx := pl.upd.idx
 		side := idx.Domain.Hi.X - idx.Domain.Lo.X
 		for i := range pl.Sources.Nodes {
 			nd := &pl.Sources.Nodes[i]
@@ -262,7 +309,7 @@ func TestUpdateToleranceBoundary(t *testing.T) {
 					scale = half
 				}
 				oi := pl.Sources.Perm[nd.Lo]
-				return pl, oi, nd.Box.Hi.X + p.DriftTol*scale
+				return pl, oi, nd.Box.Hi.X + driftTol*scale
 			}
 		}
 		t.Fatal("no suitable leaf")
@@ -424,12 +471,8 @@ func TestUpdateErrors(t *testing.T) {
 
 	t.Run("distinct targets", func(t *testing.T) {
 		tg := testParticles(t, 300, 21)
-		pl, err := NewPlan(tg, pts, updParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pl.update(pts.X, pts.Y, pts.Z); err == nil {
-			t.Fatal("Update with distinct target particles did not fail")
+		if _, err := NewPlan(tg, pts, updParams()); err == nil {
+			t.Fatal("NewPlan built a Morton plan whose targets are not at the sources' positions")
 		}
 	})
 
@@ -618,23 +661,27 @@ func TestUpdateRefitDemotionCharges(t *testing.T) {
 // FuzzPlanUpdate drives a small Morton plan through a drift sequence, one
 // step per byte of steps: the low two bits pick the drift (0 jiggles every
 // particle, 1 teleports a few inside the domain, 2 teleports half of them,
-// 3 stretches the domain) and the high six bits its size. After a repair or
-// rebuild the plan must equal a fresh NewPlan at the same positions and
-// solve bit-identically to it; after a refit every cached approximation
-// must pass the MAC recheck. After every step, a solve on a state charged
+// 3 stretches the domain) and the high six bits its size. batch picks the
+// plan's BatchSize, 20, 40 or 100 against LeafSize 40, so the batches are
+// cut from the source order below, at and above its leaves. After a repair
+// or rebuild the plan must equal a fresh NewPlan at the same positions and
+// solve bit-identically to it; after a refit every batch must bound its
+// moved targets and every cached approximation must pass the MAC recheck. After every step, a solve on a state charged
 // only where the lists read must equal one charged everywhere. The seeds
-// reach all three paths.
+// reach all three paths at every batch size.
 func FuzzPlanUpdate(f *testing.F) {
-	f.Add(int64(1), []byte{0x00, 0x40, 0xfc}) // jiggles: refit
-	f.Add(int64(2), []byte{0x01, 0x05})       // a few teleports: repair
-	f.Add(int64(3), []byte{0x02, 0x00, 0x03}) // half teleported, then a stretch: rebuild
-	f.Fuzz(func(t *testing.T, seed int64, steps []byte) {
+	for batch := uint8(0); batch < 3; batch++ {
+		f.Add(int64(1), batch, []byte{0x00, 0x40, 0xfc}) // jiggles: refit
+		f.Add(int64(2), batch, []byte{0x01, 0x05})       // a few teleports: repair
+		f.Add(int64(3), batch, []byte{0x02, 0x00, 0x03}) // half teleported, then a stretch: rebuild
+	}
+	f.Fuzz(func(t *testing.T, seed int64, batch uint8, steps []byte) {
 		const n = 600
 		if len(steps) > 4 {
 			steps = steps[:4]
 		}
 		pts := testParticles(t, n, seed)
-		p := Params{Theta: 0.7, Degree: 3, LeafSize: 40, BatchSize: 40, Morton: true}
+		p := Params{Theta: 0.7, Degree: 3, LeafSize: 40, BatchSize: []int{20, 40, 100}[batch%3], Morton: true}
 		pl, err := NewPlan(pts, pts, p)
 		if err != nil {
 			t.Fatal(err)
@@ -677,7 +724,7 @@ func FuzzPlanUpdate(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			what := fmt.Sprintf("step %d (%#02x, %v, %d MAC violations)", s, b, st.Action, st.MACViolations)
+			what := fmt.Sprintf("batch %d, step %d (%#02x, %v, %d MAC violations)", p.BatchSize, s, b, st.Action, st.MACViolations)
 			t.Log(what)
 			// The charge pass follows the updated lists: a state charged
 			// only where they read must evaluate exactly like one charged
@@ -686,6 +733,12 @@ func FuzzPlanUpdate(f *testing.F) {
 			wantExact(t, SolvePotentials(pl, k, nanState(pl), 0),
 				SolvePotentials(pl, k, chargedState(pl, 0), 0), what+", unread slots NaN")
 			if st.Action == UpdateRefit {
+				for bi, bt := range pl.Batches.Batches {
+					box := pl.Batches.Targets.Slice(bt.Lo, bt.Hi).Bounds()
+					if bt.Center != box.Center() || bt.Radius != box.Radius() {
+						t.Fatalf("%s: batch %d geometry does not bound its moved targets", what, bi)
+					}
+				}
 				if v := interaction.RecheckApproxWorkers(pl.Lists, pl.Batches, pl.Sources, p.MAC(), 1); v != 0 {
 					t.Fatalf("%s: %d approximation pairs fail the MAC", what, v)
 				}

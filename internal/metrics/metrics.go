@@ -43,20 +43,6 @@ func RelErr2(ref, approx []float64) float64 {
 	return math.Sqrt(num / den)
 }
 
-// MaxAbsErr returns max_i |ref_i - approx_i|.
-func MaxAbsErr(ref, approx []float64) float64 {
-	if len(ref) != len(approx) {
-		panic(fmt.Sprintf("metrics: MaxAbsErr length mismatch %d vs %d", len(ref), len(approx)))
-	}
-	var m float64
-	for i := range ref {
-		if d := math.Abs(ref[i] - approx[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // SampleIndices returns k distinct indices drawn uniformly from [0, n). If
 // k >= n it returns all indices 0..n-1. The result is sorted ascending, so
 // it does not leak the iteration order of the selection set.

@@ -71,12 +71,6 @@ func TestRelErr2ScaleInvariant(t *testing.T) {
 	}
 }
 
-func TestMaxAbsErr(t *testing.T) {
-	if got := MaxAbsErr([]float64{1, 2, 3}, []float64{1, 2.5, 2.9}); got != 0.5 {
-		t.Errorf("max abs err = %g", got)
-	}
-}
-
 func TestSampleIndices(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := SampleIndices(1000, 50, rng)

@@ -127,15 +127,3 @@ func (r *Rank) Flush() float64 {
 	}
 	return stall
 }
-
-// PendingOps returns the number of nonblocking operations issued and not
-// yet completed by Wait or Flush.
-func (r *Rank) PendingOps() int {
-	n := 0
-	for _, rq := range r.pending {
-		if !rq.done {
-			n++
-		}
-	}
-	return n
-}

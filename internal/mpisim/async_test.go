@@ -139,8 +139,8 @@ func TestIgetOverlapHidesWireTime(t *testing.T) {
 }
 
 // TestFlushCompletesAllPending checks Flush semantics: clock lands on the
-// last pending completion, PendingOps drains, and a second Flush is a free
-// no-op.
+// last pending completion, every request it drained reports Done, and a
+// second Flush is a free no-op.
 func TestFlushCompletesAllPending(t *testing.T) {
 	net := testNet()
 	err := Run(2, net, func(r *Rank) error {
@@ -148,15 +148,18 @@ func TestFlushCompletesAllPending(t *testing.T) {
 		r.Barrier()
 		if r.ID() == 0 {
 			var wire float64
+			var reqs []*Request
 			w.Lock(1)
 			for i := 0; i < 3; i++ {
 				dst := make([]float64, 1024)
-				w.Iget(r, 1, 0, dst)
+				reqs = append(reqs, w.Iget(r, 1, 0, dst))
 				wire += net.TransferTime(0, 1, len(dst)*8)
 			}
 			w.Unlock(1)
-			if got := r.PendingOps(); got != 3 {
-				return fmt.Errorf("PendingOps = %d, want 3", got)
+			for i, rq := range reqs {
+				if rq.Done() {
+					return fmt.Errorf("request %d done before any wait or flush", i)
+				}
 			}
 			before := r.Clock.Now()
 			stall := r.Flush()
@@ -166,8 +169,10 @@ func TestFlushCompletesAllPending(t *testing.T) {
 			if got := r.Clock.Now() - before; got-stall > 1e-12 || stall-got > 1e-12 {
 				return fmt.Errorf("flush advanced clock %.6g but reported stall %.6g", got, stall)
 			}
-			if got := r.PendingOps(); got != 0 {
-				return fmt.Errorf("PendingOps = %d after flush", got)
+			for i, rq := range reqs {
+				if !rq.Done() {
+					return fmt.Errorf("request %d not done after flush", i)
+				}
 			}
 			if again := r.Flush(); again != 0 {
 				return fmt.Errorf("second flush stalled %.6g", again)
@@ -204,39 +209,6 @@ func TestSelfIgetIsFree(t *testing.T) {
 		if dst[2] != 3 {
 			return fmt.Errorf("self iget copied %v", dst)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPutAdvancesClockAndStats covers the synchronous Put path's cost
-// model and counters, symmetric to TestGetAdvancesClock.
-func TestPutAdvancesClockAndStats(t *testing.T) {
-	net := testNet()
-	err := Run(2, net, func(r *Rank) error {
-		w := NewWindow(r, make([]float64, 500))
-		r.Barrier()
-		if r.ID() == 0 {
-			src := make([]float64, 500)
-			before := r.Clock.Now()
-			w.Lock(1)
-			w.Put(r, 1, 0, src)
-			w.Unlock(1)
-			want := net.TransferTime(0, 1, 4000)
-			got := r.Clock.Now() - before
-			if got-want > 1e-12 || want-got > 1e-12 {
-				return fmt.Errorf("put advanced clock by %.6g, want %.6g", got, want)
-			}
-			if r.Stats.Puts != 1 || r.Stats.PutBytes != 4000 {
-				return fmt.Errorf("stats %+v", r.Stats)
-			}
-			if r.Stats.RMASeconds-got > 1e-15 || got-r.Stats.RMASeconds > 1e-15 {
-				return fmt.Errorf("RMASeconds %.6g, want %.6g", r.Stats.RMASeconds, got)
-			}
-		}
-		r.Barrier()
 		return nil
 	})
 	if err != nil {
@@ -319,8 +291,10 @@ func TestConcurrentMultiOriginEpochs(t *testing.T) {
 			}
 			total.Add(1)
 		}
-		if r.PendingOps() != 0 {
-			return fmt.Errorf("rank %d: pending ops after flush", r.ID())
+		for _, rq := range reqs {
+			if !rq.Done() {
+				return fmt.Errorf("rank %d: request to rank %d not done after flush", r.ID(), rq.target)
+			}
 		}
 		if r.Stats.IGets != ranks-1 {
 			return fmt.Errorf("rank %d: %d igets", r.ID(), r.Stats.IGets)
@@ -337,7 +311,7 @@ func TestConcurrentMultiOriginEpochs(t *testing.T) {
 }
 
 // TestRMAPanicMessages checks the exact shape of the out-of-bounds panic
-// messages on all three one-sided operations — they name the operation,
+// messages on both one-sided operations — they name the operation,
 // the bad range, the window bounds, and the target rank.
 func TestRMAPanicMessages(t *testing.T) {
 	cases := []struct {
@@ -348,9 +322,6 @@ func TestRMAPanicMessages(t *testing.T) {
 		{"get", func(r *Rank, w *Window[float64]) {
 			w.Get(r, 1, 3, make([]float64, 10))
 		}, "mpisim: Get [3,13) out of window bounds [0,5) on rank 1"},
-		{"put", func(r *Rank, w *Window[float64]) {
-			w.Put(r, 1, -1, make([]float64, 2))
-		}, "mpisim: Put [-1,1) out of window bounds [0,5) on rank 1"},
 		{"iget", func(r *Rank, w *Window[float64]) {
 			w.Iget(r, 1, 4, make([]float64, 2))
 		}, "mpisim: Iget [4,6) out of window bounds [0,5) on rank 1"},

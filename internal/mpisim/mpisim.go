@@ -74,19 +74,17 @@ type Rank struct {
 
 // CommStats counts one rank's communication operations and volume.
 type CommStats struct {
-	// Gets and Puts count one-sided operations this rank originated
-	// (nonblocking gets included).
+	// Gets counts the one-sided gets this rank originated (nonblocking
+	// gets included).
 	Gets int
-	Puts int
 	// IGets counts the nonblocking (Iget) operations among Gets.
 	IGets int
-	// GetBytes and PutBytes total the payload moved by those operations.
+	// GetBytes totals the payload moved by those operations.
 	GetBytes int64
-	PutBytes int64
 	// Barriers counts collective barrier participations.
 	Barriers int
 	// RMASeconds totals the modeled seconds this rank's clock advanced
-	// inside RMA operations: synchronous Get/Put transfers plus the stall
+	// inside RMA operations: synchronous Get transfers plus the stall
 	// portion of Wait/Flush. In-flight wire time hidden under other work
 	// is *not* counted, which is what makes comm/compute overlap
 	// measurable from the executed timeline.

@@ -10,8 +10,9 @@ import (
 
 // Window is a typed one-sided RMA window, the analogue of an MPI-3 memory
 // window used with passive target synchronization. Each rank exposes a
-// local slice; any rank may Lock a target rank's window, Get or Put data
-// with no involvement from the target, and Unlock. Creation is collective.
+// local slice; any rank may Lock a target rank's window, Get data with no
+// involvement from the target, and Unlock. Creation is collective. The
+// window is get-only: the LET exchange only ever reads remote trees.
 //
 // The element size used for the communication cost model is derived from T.
 type Window[T any] struct {
@@ -42,9 +43,8 @@ func (ws *winShared[T]) abort() {
 // Every rank must call NewWindow in the same order with the same type T;
 // windows are matched across ranks by creation order, exactly like MPI
 // window creation over a communicator. The local slice is shared, not
-// copied: remote Puts become visible to the owner (after its next access)
-// and local writes become visible to remote Gets, matching passive RMA
-// semantics at barrier granularity.
+// copied: local writes become visible to remote Gets, matching passive
+// RMA semantics at barrier granularity.
 func NewWindow[T any](r *Rank, local []T) *Window[T] {
 	seq := r.winSeq
 	r.winSeq++
@@ -103,25 +103,14 @@ func (w *Window[T]) Lock(target int) { w.shared.locks[target].Lock() }
 // issued while holding the lock are complete when Unlock returns.
 func (w *Window[T]) Unlock(target int) { w.shared.locks[target].Unlock() }
 
-// completeTransfer reserves the origin NIC for one synchronous transfer of
-// nbytes to/from target and advances the clock to its completion. With an
-// idle link this is the classic inline advance by TransferTime; with
-// nonblocking operations still in flight the transfer queues behind them,
-// so synchronous and asynchronous traffic share one occupancy timeline.
-func (r *Rank) completeTransfer(target, nbytes int) {
-	if target == r.id {
-		return // self transfers bypass the NIC and are free
-	}
-	now := r.Clock.Now()
-	_, completion := r.nic.Enqueue(now, r.comm.net.TransferTime(r.id, target, nbytes))
-	r.Clock.AdvanceTo(completion)
-	r.Stats.RMASeconds += r.Clock.Now() - now
-}
-
 // Get copies len(dst) elements starting at offset from the target rank's
-// window into dst, advancing the origin's clock by the modeled transfer
-// time (queued behind any in-flight nonblocking operations). The caller
-// must hold the target's lock.
+// window into dst, reserving the origin NIC for the transfer and advancing
+// the origin's clock to its completion. With an idle link this is the
+// classic inline advance by TransferTime; with nonblocking operations
+// still in flight the transfer queues behind them, so synchronous and
+// asynchronous traffic share one occupancy timeline. A rank's gets from
+// itself bypass the NIC and are free. The caller must hold the target's
+// lock.
 func (w *Window[T]) Get(r *Rank, target, offset int, dst []T) {
 	src := w.shared.data[target]
 	if offset < 0 || offset+len(dst) > len(src) {
@@ -133,31 +122,14 @@ func (w *Window[T]) Get(r *Rank, target, offset int, dst []T) {
 	r.Stats.Gets++
 	r.Stats.GetBytes += int64(nbytes)
 	start := r.Clock.Now()
-	r.completeTransfer(target, nbytes)
+	if target != r.id {
+		_, completion := r.nic.Enqueue(start, r.comm.net.TransferTime(r.id, target, nbytes))
+		r.Clock.AdvanceTo(completion)
+		r.Stats.RMASeconds += r.Clock.Now() - start
+	}
 	r.Tracer.Span("rma.get", trace.CatComm, r.id, trace.TrackNet, start, r.Clock.Now(),
 		trace.A("target", target), trace.A("bytes", nbytes))
 	r.Tracer.Add("rma.get_bytes", float64(nbytes))
-}
-
-// Put copies src into the target rank's window starting at offset,
-// advancing the origin's clock by the modeled transfer time (queued behind
-// any in-flight nonblocking operations). The caller must hold the
-// target's lock.
-func (w *Window[T]) Put(r *Rank, target, offset int, src []T) {
-	dst := w.shared.data[target]
-	if offset < 0 || offset+len(src) > len(dst) {
-		panic(fmt.Sprintf("mpisim: Put [%d,%d) out of window bounds [0,%d) on rank %d",
-			offset, offset+len(src), len(dst), target))
-	}
-	copy(dst[offset:offset+len(src)], src)
-	nbytes := len(src) * w.elemSize
-	r.Stats.Puts++
-	r.Stats.PutBytes += int64(nbytes)
-	start := r.Clock.Now()
-	r.completeTransfer(target, nbytes)
-	r.Tracer.Span("rma.put", trace.CatComm, r.id, trace.TrackNet, start, r.Clock.Now(),
-		trace.A("target", target), trace.A("bytes", nbytes))
-	r.Tracer.Add("rma.put_bytes", float64(nbytes))
 }
 
 // GetAll locks, gets the target's entire window into a new slice, and

@@ -33,9 +33,6 @@ import (
 //   - Params.Workers: a host execution knob with bit-identical output for
 //     every value (see core.Params), so plans built with different worker
 //     counts are interchangeable;
-//   - Params.DriftTol: an update-policy knob — every update path is exact
-//     for its geometry, so plans differing only in tolerance are
-//     interchangeable (and served plans are never updated);
 //   - the kernel: plans are kernel-independent (the paper's Figure 4
 //     evaluates Coulomb and Yukawa on one set of structures).
 func GeometryKey(targets, sources *particle.Set, p core.Params) string {

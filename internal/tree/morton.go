@@ -225,20 +225,47 @@ func BuildMortonWorkers(src *particle.Set, leafSize, workers int) (*Tree, *Morto
 // fresh builds and repairs. Boxes are not set; callers follow with
 // RefitBoxesWorkers.
 func deriveMortonTopology(t *Tree, mi *MortonIndex) {
-	n := len(mi.Codes)
+	mb := mortonTopology(mi.Codes, t.LeafSize)
+	t.Nodes, t.Stats = mb.nodes, mb.stats
+	mi.CellPrefix, mi.CellShift = mb.prefix, mb.shift
+}
+
+// mortonTopology derives the canonical topology at leafSize from
+// non-empty sorted codes.
+func mortonTopology(codes []uint64, leafSize int) *mortonBuilder {
+	n := len(codes)
 	mb := &mortonBuilder{
-		codes:    mi.Codes,
-		leafSize: t.LeafSize,
-		nodes:    make([]Node, 0, nodeCapHint(n, t.LeafSize)),
+		codes:    codes,
+		leafSize: leafSize,
+		nodes:    make([]Node, 0, nodeCapHint(n, leafSize)),
 	}
 	// The sort's gather pass moves every particle once; charge it like the
 	// midpoint build charges its partition swaps.
 	mb.stats.ParticleMoves = n
 	mb.build(-1, 0, n, 0, mortonTopShift)
-	t.Nodes = mb.nodes
-	t.Stats = mb.stats
-	mi.CellPrefix = mb.prefix
-	mi.CellShift = mb.shift
+	return mb
+}
+
+// MortonCut cuts t's Morton order at leafSize: the canonical topology of
+// mi's codes, which must be sorted as t's build or last repair left them,
+// with leaves of at most leafSize particles, as a tree that shares t's
+// particles and permutation, with boxes from RefitBoxesWorkers. Its
+// nodes, boxes, permutation and statistics equal BuildMortonWorkers' at
+// leafSize on the same particles — the statistics still charge the sort's
+// gather pass, which the cut reuses instead of repeating — and a cut at
+// t.LeafSize reproduces t's nodes. A Morton plan takes its target batches
+// from the cut at BatchSize of its source tree, so the particles are
+// sorted once. A repair replaces t's particle storage, so a cut must be
+// taken again after one.
+func (t *Tree) MortonCut(mi *MortonIndex, leafSize, workers int) *Tree {
+	c := &Tree{Particles: t.Particles, Perm: t.Perm, LeafSize: leafSize}
+	if len(mi.Codes) == 0 {
+		return c
+	}
+	mb := mortonTopology(mi.Codes, leafSize)
+	c.Nodes, c.Stats = mb.nodes, mb.stats
+	c.RefitBoxesWorkers(workers)
+	return c
 }
 
 // mortonBuilder derives the canonical topology from sorted Morton codes.
@@ -481,8 +508,9 @@ func (t *Tree) MortonRepair(mi *MortonIndex, codes []uint64, drifters []int32, w
 }
 
 // BatchSetFromTree derives the target batch set from a cluster tree built
-// with leaf size equal to the batch size: the batches are exactly the
-// tree's leaves, sharing the tree's particle storage and permutation.
+// (or cut, see MortonCut) with leaf size equal to the batch size: the
+// batches are exactly the tree's leaves, sharing the tree's particle
+// storage and permutation.
 func BatchSetFromTree(t *Tree) *BatchSet {
 	bs := &BatchSet{
 		Targets:   t.Particles,

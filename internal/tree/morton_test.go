@@ -90,6 +90,34 @@ func TestMortonRefitIdempotent(t *testing.T) {
 	}
 }
 
+// TestMortonCut pins MortonCut against the builds it stands in for: a cut
+// at the tree's own leaf size reproduces its nodes and statistics over
+// the tree's own particle storage, and a cut at any leaf size equals a
+// fresh BuildMortonWorkers there.
+func TestMortonCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for name, src := range mortonTestSets(3000, rng) {
+		tr, mi := BuildMortonWorkers(src, 64, 0)
+		self := tr.MortonCut(mi, tr.LeafSize, 0)
+		if !reflect.DeepEqual(self.Nodes, tr.Nodes) || self.Stats != tr.Stats {
+			t.Fatalf("%s: cut at the leaf size differs from the tree", name)
+		}
+		if self.Particles != tr.Particles || &self.Perm[0] != &tr.Perm[0] {
+			t.Fatalf("%s: cut does not share the tree's particles and permutation", name)
+		}
+		for _, leaf := range []int{1, 7, 200, 5000} {
+			want, _ := BuildMortonWorkers(src, leaf, 1)
+			if got := tr.MortonCut(mi, leaf, 2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: cut at leaf %d differs from a fresh build", name, leaf)
+			}
+		}
+	}
+	empty, mi := BuildMortonWorkers(&particle.Set{}, 4, 0)
+	if c := empty.MortonCut(mi, 2, 0); len(c.Nodes) != 0 || c.Stats != (BuildStats{}) {
+		t.Fatalf("cut of an empty tree has %d nodes, stats %+v", len(c.Nodes), c.Stats)
+	}
+}
+
 // TestMortonRepairMatchesFreshBuild is the canonicity pin behind
 // Plan.Update's repair path: after drifting a subset of the particles,
 // detecting drifters and repairing must reproduce a fresh Morton build of

@@ -47,7 +47,8 @@ type Plan struct {
 // batches, create the interaction lists, lay out the cluster grids — and
 // returns the shareable Plan. The charges in sources are remembered as the
 // default right-hand side for Solve(k, nil); only the positions influence
-// the plan's structure.
+// the plan's structure. A Morton plan (Params.Morton) requires targets at
+// the sources' positions and returns an error otherwise.
 func NewPlan(targets, sources *Particles, p Params) (*Plan, error) {
 	pl, err := core.NewPlan(targets, sources, p)
 	if err != nil {
@@ -135,20 +136,21 @@ type UpdateStats = core.UpdateStats
 // Update moves the plan to new particle positions — the timestep operation
 // of a dynamic simulation. x, y, z are the new coordinates in the order
 // the particles were originally passed to NewPlan; they must all have
-// length NumSources. The plan must have been built with Params.Morton and
-// with targets and sources at identical positions (the N-body setting: the
-// same particles feel and exert the force).
+// length NumSources. The plan must have been built with Params.Morton,
+// which requires targets and sources at identical positions (the N-body
+// setting: the same particles feel and exert the force).
 //
 // Update picks the cheapest structural path that keeps the plan exact for
 // the new geometry — in-place box/grid refit when every particle stayed
-// within Params.DriftTol of its leaf and the cached interaction lists
-// still pass the MAC recheck; incremental tree repair when drift is local;
-// full rebuild otherwise — and reports the decision in UpdateStats. With
-// unchanged positions the updated plan solves byte-identically to the
-// original; after a repair or rebuild it is bit-identical to a fresh
-// NewPlan at the new positions. If a tracer is attached (SetTracer), the
-// decision is emitted as update.refit / update.repair / update.rebuild
-// spans with drifter and violation counters.
+// within a quarter of its leaf's drift scale of the leaf box and the
+// cached interaction lists still pass the MAC recheck; incremental tree
+// repair when drift is local; full rebuild otherwise — and reports the
+// decision in UpdateStats. With unchanged positions the updated plan
+// solves byte-identically to the original; after a repair or rebuild it
+// is bit-identical to a fresh NewPlan at the new positions. If a tracer
+// is attached (SetTracer), the decision is emitted as update.refit /
+// update.repair / update.rebuild spans with drifter and violation
+// counters.
 //
 // Update mutates the plan and requires exclusive access: no concurrent
 // Solve calls, and Solvers bound to the plan before the update panic on

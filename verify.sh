@@ -6,9 +6,10 @@
 #                      (native and for the pure-Go arm64 build, which has no
 #                      assembly), the project's own static analysis suite
 #                      (cmd/bltcvet, see docs/static-analysis.md), full build,
-#                      full tests with the race detector, vet and tests of the
-#                      bench/ module, the bltcd smoke and a one-iteration
-#                      smoke run of every root benchmark so none can bit-rot.
+#                      full tests with the race detector, vet of the bench/
+#                      module and its tests with the race detector too, the
+#                      bltcd smoke and a one-iteration smoke run of every
+#                      root benchmark so none can bit-rot.
 #   ./verify.sh fast   the quick tier for use while editing: the same gofmt,
 #                      vets, bltcvet and build, then go test -short ./...
 #                      without the race detector, and vet and tests of
@@ -72,10 +73,12 @@ echo "go test -race: ok"
 
 # bench/ is a module of its own (bltcbench, see bench/README.md), so the
 # root ./... above never enters it, yet it calls internal packages
-# directly: vet it and run its tests (every workload at toy sizes).
+# directly: vet it and run its tests (every workload at toy sizes) under
+# the race detector, since its split distributed run shares one recorder
+# and one potential array across the mpisim rank goroutines.
 go -C bench vet ./...
-go -C bench test ./...
-echo "bench module vet + test: ok"
+go -C bench test -race ./...
+echo "bench module vet + test -race: ok"
 
 # Daemon smoke: start bltcd in-process, create a plan, run one solve
 # through the full HTTP path, verify the potentials bit-for-bit against
