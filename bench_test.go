@@ -399,46 +399,69 @@ func BenchmarkModifiedCharges(b *testing.B) {
 // charged from. probe200k is bltcbench's probe-sparse-200k plan
 // (BenchmarkTreeBuildProbe200k's sources, 2000 probes on the faces of
 // their bounding cube, the workload's params), where the charge pass is
-// most of an op. leaf10 is 50k Plummer sources at leaf size 10 and degree
-// 10, where a node of fewer than 66 to 264 particles is cheaper to charge
-// from its particles than from its children, so the pass must not charge
-// read nodes' subtrees down to the leaves.
+// most of an op; probe200k-degree8 is that plan at degree 8, whose rows
+// of 9 points take two ZMM chunks. leaf10 is 50k Plummer sources at leaf
+// size 10 and degree 10, where a node of fewer than 66 to 264 particles
+// is cheaper to charge from its particles than from its children, so the
+// pass must not charge read nodes' subtrees down to the leaves. Each
+// reports ns/term: the op's time over N·(n+1)³, one term per source
+// particle and interpolation point, comparable to BenchmarkEvalTile's ns
+// per interaction. The probe plans charge every particle in exactly one
+// node from its particles, so that is every term they add; leaf10 adds
+// 2% fewer and spends most of its op charging nodes from their children.
 func BenchmarkChargePass(b *testing.B) {
-	b.Run("probe200k", func(b *testing.B) {
-		h := fnv.New64a()
-		h.Write([]byte("probe-sparse-200k/sources"))
-		sources := barytree.PlummerSphere(200_000, 1, int64(h.Sum64()))
-		rng := rand.New(rand.NewSource(1))
-		bx := sources.Bounds()
-		c, sz := bx.Center(), bx.Size()
-		hw := max(sz.X, sz.Y, sz.Z) / 2
-		probes := particle.NewSet(2000)
-		for i := 0; i < 2000; i++ {
-			p := [3]float64{2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1}
-			face := rng.Intn(6)
-			p[face/2] = float64(2*(face%2) - 1)
-			probes.Append(c.X+hw*p[0], c.Y+hw*p[1], c.Z+hw*p[2], 0)
+	h := fnv.New64a()
+	h.Write([]byte("probe-sparse-200k/sources"))
+	sources := barytree.PlummerSphere(200_000, 1, int64(h.Sum64()))
+	rng := rand.New(rand.NewSource(1))
+	bx := sources.Bounds()
+	c, sz := bx.Center(), bx.Size()
+	hw := max(sz.X, sz.Y, sz.Z) / 2
+	probes := particle.NewSet(2000)
+	for i := 0; i < 2000; i++ {
+		p := [3]float64{2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1}
+		face := rng.Intn(6)
+		p[face/2] = float64(2*(face%2) - 1)
+		probes.Append(c.X+hw*p[0], c.Y+hw*p[1], c.Z+hw*p[2], 0)
+	}
+	for _, degree := range []int{6, 8} {
+		name := "probe200k"
+		if degree != 6 {
+			name += "-degree" + strconv.Itoa(degree)
 		}
-		benchChargePass(b, probes, sources, core.Params{Theta: 0.8, Degree: 6, LeafSize: 1000, BatchSize: 100})
-	})
+		b.Run(name, func(b *testing.B) {
+			benchChargePass(b, probes, sources, core.Params{Theta: 0.8, Degree: degree, LeafSize: 1000, BatchSize: 100})
+		})
+	}
 	b.Run("leaf10", func(b *testing.B) {
 		pts := barytree.PlummerSphere(50_000, 1, 4)
 		benchChargePass(b, pts, pts, core.Params{Theta: 0.8, Degree: 10, LeafSize: 10, BatchSize: 10})
 	})
 }
 
-// benchChargePass runs BenchmarkChargePass's op on one plan through
-// benchWorkers.
+// benchChargePass runs BenchmarkChargePass's op on one plan, serial and
+// at every core, and reports its ns/term.
 func benchChargePass(b *testing.B, targets, sources *particle.Set, p core.Params) {
 	pl, err := core.NewPlan(targets, sources, p)
 	if err != nil {
 		b.Fatal(err)
 	}
 	st := core.NewChargeState(pl)
-	benchWorkers(b, func(w int) {
-		st.Invalidate()
-		st.Compute(pl, w)
-	})
+	m := float64(p.Degree + 1)
+	terms := float64(sources.Len()) * m * m * m
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st.Invalidate()
+				st.Compute(pl, c.workers)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*terms), "ns/term")
+		})
+	}
 }
 
 func BenchmarkTreecodeCPU50k(b *testing.B) {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"barytree/internal/chebyshev"
+	"barytree/internal/kernel"
 	"barytree/internal/particle"
 	"barytree/internal/pool"
 	"barytree/internal/tree"
@@ -128,36 +130,112 @@ func chargeWork(n, nc int) (pass1, pass2 float64) {
 // need[i] selects. Each child of a selected node charged from its
 // children (see fromChildren) must be selected too or already charged in
 // qhat; closeNeed makes need so. The nodes charged from their particles
-// go first, split over the workers; one reverse-preorder sweep then
-// charges the rest from their children, each child before its parent.
-// One arena holds every worker's barycentric rows and the sweep's
-// transfer, so the allocations of a pass do not depend on the clusters'
-// sizes.
+// go first, split over the workers by index, each particle's terms added
+// by the resolved kernel.ChargeUpdate. The rest are then charged from
+// their children one tree level at a time, deepest first, each level
+// split over the workers (levelOrder). One worker sweeps them in reverse
+// preorder instead, which needs no level order, so a one-worker pass
+// allocates only its arena and closure. Either way each child is charged
+// before its parent, and every parent sums its children in Children
+// order, so no bit depends on the worker count. The arena holds every
+// worker's barycentric rows and transfer, so no allocation depends on
+// the clusters' sizes.
 func (cd *ClusterData) chargeNodes(t *tree.Tree, q []float64, qhat [][]float64, need []bool, workers int) {
-	m := cd.Degree + 1
-	// A cache line of padding after each worker's rows keeps the workers
-	// from writing to one line.
-	stride := 3*m + 8
 	w := pool.Workers(len(t.Nodes), workers)
-	arena := make([]float64, w*stride+chebyshev.TransferLen(cd.Degree))
+	arena := make([]float64, w*cd.scratchLen())
 	pool.Blocks(len(t.Nodes), w, func(wi, lo, hi int) {
-		rows := arena[wi*stride : wi*stride+3*m]
+		rows, _ := cd.scratch(arena, wi)
 		for i := lo; i < hi; i++ {
 			if need[i] && !cd.fromChildren(&t.Nodes[i]) {
 				cd.chargeNode(t.Particles, q, &t.Nodes[i], i, rows, qhat[i])
 			}
 		}
 	})
-	tr := chebyshev.NewTransfer(cd.Degree, arena[w*stride:])
-	for i := len(t.Nodes) - 1; i >= 0; i-- {
-		if nd := &t.Nodes[i]; need[i] && cd.fromChildren(nd) {
-			clear(qhat[i])
-			for _, c := range nd.Children {
-				tr.Set(cd.Grids[i], cd.Grids[c])
-				tr.Up(qhat[c], qhat[i])
+	if w == 1 {
+		_, tr := cd.scratch(arena, 0)
+		for i := len(t.Nodes) - 1; i >= 0; i-- {
+			if need[i] && cd.fromChildren(&t.Nodes[i]) {
+				cd.chargeFromChildren(t, tr, i, qhat)
 			}
 		}
+		return
 	}
+	order, start := cd.levelOrder(t, need)
+	for l := len(start) - 2; l >= 0; l-- {
+		level := order[start[l]:start[l+1]]
+		pool.Blocks(len(level), w, func(wi, lo, hi int) {
+			_, tr := cd.scratch(arena, wi)
+			for _, i := range level[lo:hi] {
+				cd.chargeFromChildren(t, tr, int(i), qhat)
+			}
+		})
+	}
+}
+
+// scratchLen is the length of one worker's slot in a charge pass's
+// arena: its barycentric rows, its transfer and a cache line of padding,
+// which keeps the workers from writing to one line.
+func (cd *ClusterData) scratchLen() int {
+	return 3*(cd.Degree+1) + chebyshev.TransferLen(cd.Degree) + 8
+}
+
+// scratch carves worker wi's barycentric rows and transfer from its slot
+// of arena.
+func (cd *ClusterData) scratch(arena []float64, wi int) ([]float64, chebyshev.Transfer) {
+	slot := arena[wi*cd.scratchLen():]
+	m3 := 3 * (cd.Degree + 1)
+	return slot[:m3:m3], chebyshev.NewTransfer(cd.Degree, slot[m3:m3+chebyshev.TransferLen(cd.Degree)])
+}
+
+// chargeFromChildren charges node i as the sum of its children's modified
+// charges pushed through tr, in Children order.
+func (cd *ClusterData) chargeFromChildren(t *tree.Tree, tr chebyshev.Transfer, i int, qhat [][]float64) {
+	clear(qhat[i])
+	for _, c := range t.Nodes[i].Children {
+		tr.Set(cd.Grids[i], cd.Grids[c])
+		tr.Up(qhat[c], qhat[i])
+	}
+}
+
+// levelOrder returns the nodes need selects that are charged from their
+// children by tree level: those at level l are order[start[l]:start[l+1]],
+// in index order. A child lies one level below its parent
+// (tree.Node.Level, which both tree builders set), so a sweep that runs
+// the levels deepest first reads at each level only charges the levels
+// before it wrote; a tree without levels, such as a deserialized remote
+// tree, is a bug here and panics.
+func (cd *ClusterData) levelOrder(t *tree.Tree, need []bool) (order, start []int32) {
+	deepest, count := -1, 0
+	for i := range t.Nodes {
+		if nd := &t.Nodes[i]; need[i] && cd.fromChildren(nd) {
+			for _, c := range nd.Children {
+				if t.Nodes[c].Level != nd.Level+1 {
+					panic(fmt.Sprintf("core: node %d at level %d has child %d at level %d", i, nd.Level, c, t.Nodes[c].Level))
+				}
+			}
+			deepest = max(deepest, nd.Level)
+			count++
+		}
+	}
+	levels := deepest + 1
+	buf := make([]int32, count+2*levels+1)
+	order, start, next := buf[:count], buf[count:count+levels+1], buf[count+levels+1:]
+	for i := range t.Nodes {
+		if nd := &t.Nodes[i]; need[i] && cd.fromChildren(nd) {
+			start[nd.Level+1]++
+		}
+	}
+	for l := range levels {
+		start[l+1] += start[l]
+	}
+	copy(next, start)
+	for i := range t.Nodes {
+		if nd := &t.Nodes[i]; need[i] && cd.fromChildren(nd) {
+			order[next[nd.Level]] = int32(i)
+			next[nd.Level]++
+		}
+	}
+	return order, start
 }
 
 // fromChildren reports whether the charge pass charges node nd from its
@@ -197,8 +275,9 @@ func everyNode(n int) []bool {
 // order) into qhat, one particle at a time: the particle's three rows of
 // barycentric factors and its intermediate charge q-tilde (equation (14)),
 // then its term t_x[k1]*t_y[k2]*t_z[k3]*q-tilde added into every point's
-// running sum (equation (15)). Each point sums from +0 in particle order
-// with the equation's association, so the values are bit-identical to the
+// running sum (equation (15)) by kernel.ChargeUpdate, on ZMM rows where
+// the CPU has them. Each point sums from +0 in particle order with the
+// equation's association, so the values are bit-identical to the
 // paper's two kernels run one after the other whenever the product of the
 // three denominators lies within 2^-900 and 2^900 in magnitude, as it does
 // for every box whose sides lie between about 1e-90 and 1e90. rows is the
@@ -209,6 +288,7 @@ func (cd *ClusterData) chargeNode(src *particle.Set, q []float64, nd *tree.Node,
 	g := cd.Grids[ni]
 	m := cd.Degree + 1
 	tx, ty, tz := rows[:m], rows[m:2*m], rows[2*m:3*m]
+	update := kernel.ResolveChargeUpdate()
 	clear(qhat)
 	for p := nd.Lo; p < nd.Hi; p++ {
 		dx := barycentricFactorsInto(g.Dims[0], src.X[p], tx)
@@ -228,17 +308,7 @@ func (cd *ClusterData) chargeNode(src *particle.Set, q []float64, nd *tree.Node,
 			divideRow(tz, dz)
 			qt = q[p]
 		}
-		b := 0
-		for _, x := range tx {
-			for _, y := range ty {
-				xy := x * y
-				out := qhat[b : b+len(tz)]
-				for k, z := range tz {
-					out[k] += xy * z * qt
-				}
-				b += len(tz)
-			}
-		}
+		update(qhat, tx, ty, tz, qt)
 	}
 }
 

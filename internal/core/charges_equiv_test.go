@@ -187,9 +187,10 @@ func checkChargesNearReference(t *testing.T, cd *ClusterData, tr *tree.Tree, qha
 // (ChargeState.Compute) against the allocating reference at several
 // degrees, on midpoint and Morton trees: bit-identical where a node is
 // charged from its particles, within the derived chargeErrorBounds where
-// it is charged from its children. Serial and parallel passes must agree
-// exactly (scratch reuse across clusters must not leak state between
-// them).
+// it is charged from its children. Serial and parallel passes, with the
+// assembly kernels installed and switched off, must all agree exactly
+// (scratch reuse across clusters must not leak state between them, and
+// the ZMM charge update must add the Go loop's bits).
 func TestComputeChargesMatchesReference(t *testing.T) {
 	src := testParticles(t, 4000, 17)
 	mort, _ := tree.BuildMortonWorkers(src, 60, 0)
@@ -210,12 +211,14 @@ func TestComputeChargesMatchesReference(t *testing.T) {
 			}
 			what := fmt.Sprintf("%s n=%d", tc.name, degree)
 			st := chargedState(pl, 1)
-			for _, workers := range []int{3, 0} {
-				par := chargedState(pl, workers)
-				for ni := range par.Qhat {
-					wantExact(t, par.Qhat[ni], st.Qhat[ni], fmt.Sprintf("%s workers=%d node %d", what, workers, ni))
+			asmModes(func(label string) {
+				for _, workers := range []int{1, 3, 0} {
+					par := chargedState(pl, workers)
+					for ni := range par.Qhat {
+						wantExact(t, par.Qhat[ni], st.Qhat[ni], fmt.Sprintf("%s %s workers=%d node %d", what, label, workers, ni))
+					}
 				}
-			}
+			})
 			worst := checkChargesNearReference(t, pl.Clusters, tc.tr, st.Qhat, what)
 			t.Logf("%s: %d of %d nodes charged from their children, worst error %.3g u*S",
 				what, upward, len(tc.tr.Nodes), worst)
@@ -282,14 +285,16 @@ func TestBlockPathBitIdenticalToScalar(t *testing.T) {
 var chargeFuzzScales = [4]float64{1, 1e150, 1e-150, 1e104}
 
 // FuzzChargePass drives the charge pass through adversarial geometry: N
-// from 1 to 600 with leaf sizes from 1 to N, degrees 1 to 10, midpoint or
+// from 1 to 600 with leaf sizes from 1 to N, degrees 1 to 12, midpoint or
 // Morton trees, and shape%5 keeping the uniform cube (0) or making the
 // points coincident (1), collinear on a tilted line (2), planar on z = 0
 // (3) or snapped to a half-unit lattice (4), where child boxes collapse
 // grid axes to one point. Axis d is scaled by chargeFuzzScales[scales>>(2d)&3].
 // Every charge must be finite; the full pass must be == at 1, 2 and 4
-// workers and within chargeErrorBounds of the reference; and a pass under
-// a random mask must charge the mask's closure with the full pass's bits.
+// workers, at 2 and 4 also with the assembly kernels switched off (the
+// Go charge update), and within chargeErrorBounds of the reference; and a
+// pass under a random mask must charge the mask's closure with the full
+// pass's bits.
 func FuzzChargePass(f *testing.F) {
 	f.Add(int64(1), uint16(400), uint16(20), uint8(5), uint8(0), uint8(0))
 	f.Add(int64(2), uint16(599), uint16(9), uint8(9), uint8(5), uint8(0))
@@ -302,7 +307,7 @@ func FuzzChargePass(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, leafRaw uint16, degRaw, shape, scales uint8) {
 		n := int(nRaw%600) + 1
 		leaf := int(leafRaw)%n + 1
-		degree := int(degRaw%10) + 1
+		degree := int(degRaw%12) + 1
 		rng := rand.New(rand.NewSource(seed))
 		pts := particle.UniformCube(n, rng)
 		for i := range pts.X {
@@ -335,12 +340,14 @@ func FuzzChargePass(f *testing.F) {
 				}
 			}
 		}
-		for _, w := range []int{2, 4} {
-			st := chargedState(pl, w)
-			for ni := range st.Qhat {
-				wantExact(t, st.Qhat[ni], full.Qhat[ni], fmt.Sprintf("workers=%d node %d", w, ni))
+		asmModes(func(label string) {
+			for _, w := range []int{2, 4} {
+				st := chargedState(pl, w)
+				for ni := range st.Qhat {
+					wantExact(t, st.Qhat[ni], full.Qhat[ni], fmt.Sprintf("%s workers=%d node %d", label, w, ni))
+				}
 			}
-		}
+		})
 		checkChargesNearReference(t, pl.Clusters, tr, full.Qhat, "full pass")
 
 		need := make([]bool, len(tr.Nodes))

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"barytree/internal/chebyshev"
@@ -87,4 +89,28 @@ func TestNewClusterDataEmptyTree(t *testing.T) {
 	if len(cd.Grids) != 0 || len(cd.Qhat) != 0 {
 		t.Fatalf("empty tree produced %d grids", len(cd.Grids))
 	}
+}
+
+// TestLevelSweepNeedsLevels pins the level sweep's guard: a tree whose
+// nodes do not carry their depth, as a deserialized remote tree does
+// not, panics on a parallel pass instead of charging a parent in the
+// same round as its children. One worker sweeps in reverse preorder and
+// needs no levels.
+func TestLevelSweepNeedsLevels(t *testing.T) {
+	pts := particle.UniformCube(3000, rand.New(rand.NewSource(8)))
+	tr := tree.Build(pts, 40)
+	pl := &Plan{Sources: tr, Clusters: NewClusterData(tr, 3)}
+	want := chargedState(pl, 1)
+	for i := range tr.Nodes {
+		tr.Nodes[i].Level = 0
+	}
+	for ni, qh := range chargedState(pl, 1).Qhat {
+		wantExact(t, qh, want.Qhat[ni], "serial pass without levels")
+	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "at level") {
+			t.Fatalf("a parallel pass over a tree without levels recovered %v, want the level guard's panic", r)
+		}
+	}()
+	chargedState(pl, 2)
 }

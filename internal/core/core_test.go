@@ -30,6 +30,17 @@ func chargedState(pl *Plan, workers int) *ChargeState {
 	return st
 }
 
+// asmModes runs check with the assembly kernels as installed and, where
+// there are any, switched off, so the pure-Go loops (the Go charge update
+// among them) run too; label names the mode.
+func asmModes(check func(label string)) {
+	check("installed")
+	if kernel.AsmKernelsAvailable() {
+		defer kernel.SetAsmKernels(kernel.SetAsmKernels(false))
+		check("pure-go")
+	}
+}
+
 // countCharged returns the number of nodes st holds modified charges for.
 func countCharged(st *ChargeState) int {
 	n := 0

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -85,7 +86,8 @@ var (
 )
 
 // TestAsmRegisterHygiene pins the register rules tile_amd64.s documents
-// for its tiles. No operand may name X16–X31, Y16–Y31 or Z16–Z31: writes
+// for its tiles in every *_amd64.s file of the package, so a new file is
+// held to them too. No operand may name X16–X31, Y16–Y31 or Z16–Z31: writes
 // to those registers dirty the Hi16_ZMM state, which VZEROUPPER does not
 // clear, and a tile that used them measured about 10% slower end to end.
 // Every TEXT block that writes a Y or Z register must execute VZEROUPPER
@@ -93,11 +95,18 @@ var (
 // could enter by, so no tile leaves a dirty upper state to the Go code
 // around it. Macro invocations (EXPPD, EXPPDZ) are checked as expanded.
 func TestAsmRegisterHygiene(t *testing.T) {
-	src, err := os.ReadFile("tile_amd64.s")
+	files, err := filepath.Glob("*_amd64.s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := parseAsm(string(src))
+	var blocks []asmBlock
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, parseAsm(string(src))...)
+	}
 	wide := 0
 	for _, b := range blocks {
 		writesWide := false
@@ -124,7 +133,7 @@ func TestAsmRegisterHygiene(t *testing.T) {
 		}
 	}
 	if wide == 0 {
-		t.Fatalf("parsed %d TEXT blocks and none writes a Y or Z register; the parser is broken", len(blocks))
+		t.Fatalf("parsed %d TEXT blocks in %v and none writes a Y or Z register; the parser is broken", len(blocks), files)
 	}
-	t.Logf("%d TEXT blocks, %d write Y or Z registers", len(blocks), wide)
+	t.Logf("%v: %d TEXT blocks, %d write Y or Z registers", files, len(blocks), wide)
 }

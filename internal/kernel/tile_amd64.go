@@ -171,6 +171,7 @@ func init() {
 			yukawaTile8Asm = nil
 			yukawaF32Tile8Asm = nil
 			regCoulombGrad4Asm = nil
+			chargeUpdateAsm = nil
 			return
 		}
 		coulombTile4Asm = asm4(coulombTileAVX).tile
@@ -180,6 +181,7 @@ func init() {
 			// square-root resources (see tile_amd64.s).
 			coulombTile4Asm = asm4(coulombTileAVX512).tile
 			coulombTile8Asm = asm8(coulombTile8ZMM).tile
+			chargeUpdateAsm = chargeUpdateZMMSlices
 		}
 		regCoulombGrad4Asm = regCoulombGrad4AVX
 		if !fma {

@@ -444,12 +444,20 @@ func TestAsBlockResolution(t *testing.T) {
 // with the assembly installed and switched off: Coulomb 8 → 4 → 1 with
 // the assembly and 4 → 1 without, Yukawa 8 → 4 → 1 with the ZMM tile
 // (avx512vl) and 4 → 1 without, the other built-ins 4 → 1, every
-// built-in F32 kernel 8 → 1, and kernel.Func only 1. It logs the CPU
-// feature level and every resolved width, so a run's log shows which
-// tiles it exercised: the ZMM tiles run only on AVX-512 hosts.
+// built-in F32 kernel 8 → 1, and kernel.Func only 1. It also pins that
+// the ZMM charge update is installed exactly when the assembly is on and
+// the CPU has avx512vl. It logs the CPU feature level, every resolved
+// width and the charge update, so a run's log shows which tiles it
+// exercised: the ZMM tiles and the ZMM charge update run only on AVX-512
+// hosts.
 func TestAsTileResolution(t *testing.T) {
 	t.Logf("kernel.CPUFeatures() = %q", CPUFeatures())
 	inAsmModes(t, func(label string) {
+		zmm := chargeUpdateAsm != nil
+		t.Logf("%s: ZMM charge update installed: %v", label, zmm)
+		if want := asmOn && CPUFeatures() == "avx512vl"; zmm != want {
+			t.Errorf("%s: ZMM charge update installed %v, want %v", label, zmm, want)
+		}
 		for _, k := range blockTestKernels() {
 			want := []int{4, 1}
 			switch k.(type) {
