@@ -377,9 +377,9 @@ func BenchmarkClusterData50k(b *testing.B) {
 // no interaction lists, so the pass charges every node: the leaves from
 // their particles and every internal node from its children. It writes
 // into the state's q-hat arena, and its only allocations are the node
-// flags, the worker closure and the one arena of every worker's
-// barycentric rows and the transfer operator: a few KB per op, whatever
-// the cluster sizes.
+// flags, the worker closure and the one arena of every worker's chunk
+// of barycentric rows and the transfer operator: a few KB per op,
+// whatever the cluster sizes.
 func BenchmarkModifiedCharges(b *testing.B) {
 	pts := barytree.UniformCube(50_000, 2)
 	t := tree.Build(pts, 2000)

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"barytree/internal/geom"
+	"barytree/internal/kernel"
 )
 
 // SingularityTol is the tolerance within which a point is considered to
@@ -304,10 +305,12 @@ type Transfer struct {
 	m   int
 	a   [3][]float64 // A_x, A_y, A_z: row j is the child point, column k the parent basis
 	tmp [2][]float64 // two (n+1)^2 partial contractions
+	up  kernel.TransferUp
 }
 
 // NewTransfer carves a degree-n transfer from buf, which must have length
-// TransferLen(n); the transfer allocates nothing.
+// TransferLen(n); the transfer allocates nothing. It resolves Up's loop
+// (kernel.ResolveTransferUp) once, here.
 func NewTransfer(n int, buf []float64) Transfer {
 	if len(buf) != TransferLen(n) {
 		panic(fmt.Sprintf("chebyshev: NewTransfer buffer length %d, want %d", len(buf), TransferLen(n)))
@@ -315,7 +318,12 @@ func NewTransfer(n int, buf []float64) Transfer {
 	m := n + 1
 	mm := m * m
 	part := func(i int) []float64 { return buf[i*mm : (i+1)*mm : (i+1)*mm] }
-	return Transfer{m: m, a: [3][]float64{part(0), part(1), part(2)}, tmp: [2][]float64{part(3), part(4)}}
+	return Transfer{
+		m:   m,
+		a:   [3][]float64{part(0), part(1), part(2)},
+		tmp: [2][]float64{part(3), part(4)},
+		up:  kernel.ResolveTransferUp(),
+	}
 }
 
 // Set fills the matrices for parent grid p and child grid c, both of the
@@ -333,34 +341,12 @@ func (tr Transfer) Set(p, c Grid3D) {
 // parent's: parent[k1,k2,k3] += sum over j of A_x[j1][k1] A_y[j2][k2]
 // A_z[j3][k3] w[j1,j2,j3]. For each j1 it contracts the child's j1 slab
 // along z and then y, and adds the result times A_x[j1][k1] to parent
-// slab k1, so every parent value sums its terms in j1 order.
+// slab k1, so every parent value sums its terms in j1 order
+// (kernel.TransferUp, on ZMM rows where the CPU has them).
 //
 //hot:path
 func (tr Transfer) Up(w, parent []float64) {
-	m := tr.m
-	mm := m * m
-	ax, ay, az := tr.a[0], tr.a[1], tr.a[2]
-	t1, t2 := tr.tmp[0], tr.tmp[1]
-	for j1 := 0; j1 < m; j1++ {
-		slab := w[j1*mm : (j1+1)*mm]
-		clear(t1) // t1[j2][k3] = sum_j3 slab[j2][j3] A_z[j3][k3]
-		for j2 := 0; j2 < m; j2++ {
-			row := t1[j2*m : (j2+1)*m]
-			for j3, v := range slab[j2*m : (j2+1)*m] {
-				axpy(row, v, az[j3*m:(j3+1)*m])
-			}
-		}
-		clear(t2) // t2[k2][k3] = sum_j2 A_y[j2][k2] t1[j2][k3]
-		for j2 := 0; j2 < m; j2++ {
-			row := t1[j2*m : (j2+1)*m]
-			for k2, a := range ay[j2*m : (j2+1)*m] {
-				axpy(t2[k2*m:(k2+1)*m], a, row)
-			}
-		}
-		for k1, a := range ax[j1*m : (j1+1)*m] {
-			axpy(parent[k1*mm:(k1+1)*mm], a, t2)
-		}
-	}
+	tr.up(tr.m, tr.a[0], tr.a[1], tr.a[2], w, parent, tr.tmp[0], tr.tmp[1])
 }
 
 // Down adds the parent's nodal values f interpolated at the child's points

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"barytree/internal/chebyshev"
 	"barytree/internal/kernel"
@@ -130,24 +129,24 @@ func chargeWork(n, nc int) (pass1, pass2 float64) {
 // need[i] selects. Each child of a selected node charged from its
 // children (see fromChildren) must be selected too or already charged in
 // qhat; closeNeed makes need so. The nodes charged from their particles
-// go first, split over the workers by index, each particle's terms added
-// by the resolved kernel.ChargeUpdate. The rest are then charged from
-// their children one tree level at a time, deepest first, each level
-// split over the workers (levelOrder). One worker sweeps them in reverse
+// go first, split over the workers by index, a chunk of particles at a
+// time (chargeNode). The rest are then charged from their children one
+// tree level at a time, deepest first, each level split over the
+// workers (levelOrder). One worker sweeps them in reverse
 // preorder instead, which needs no level order, so a one-worker pass
 // allocates only its arena and closure. Either way each child is charged
 // before its parent, and every parent sums its children in Children
 // order, so no bit depends on the worker count. The arena holds every
-// worker's barycentric rows and transfer, so no allocation depends on
-// the clusters' sizes.
+// worker's chunk of barycentric rows and its transfer, so no allocation
+// depends on the clusters' sizes.
 func (cd *ClusterData) chargeNodes(t *tree.Tree, q []float64, qhat [][]float64, need []bool, workers int) {
 	w := pool.Workers(len(t.Nodes), workers)
 	arena := make([]float64, w*cd.scratchLen())
 	pool.Blocks(len(t.Nodes), w, func(wi, lo, hi int) {
-		rows, _ := cd.scratch(arena, wi)
+		chunk, _ := cd.scratch(arena, wi)
 		for i := lo; i < hi; i++ {
 			if need[i] && !cd.fromChildren(&t.Nodes[i]) {
-				cd.chargeNode(t.Particles, q, &t.Nodes[i], i, rows, qhat[i])
+				cd.chargeNode(t.Particles, q, &t.Nodes[i], i, chunk, qhat[i])
 			}
 		}
 	})
@@ -173,18 +172,18 @@ func (cd *ClusterData) chargeNodes(t *tree.Tree, q []float64, qhat [][]float64, 
 }
 
 // scratchLen is the length of one worker's slot in a charge pass's
-// arena: its barycentric rows, its transfer and a cache line of padding,
-// which keeps the workers from writing to one line.
+// arena: its chunk of barycentric rows, its transfer and a cache line of
+// padding, which keeps the workers from writing to one line.
 func (cd *ClusterData) scratchLen() int {
-	return 3*(cd.Degree+1) + chebyshev.TransferLen(cd.Degree) + 8
+	return kernel.ChargeChunkLen(cd.Degree+1) + chebyshev.TransferLen(cd.Degree) + 8
 }
 
-// scratch carves worker wi's barycentric rows and transfer from its slot
-// of arena.
+// scratch carves worker wi's chunk of barycentric rows and its transfer
+// from its slot of arena.
 func (cd *ClusterData) scratch(arena []float64, wi int) ([]float64, chebyshev.Transfer) {
 	slot := arena[wi*cd.scratchLen():]
-	m3 := 3 * (cd.Degree + 1)
-	return slot[:m3:m3], chebyshev.NewTransfer(cd.Degree, slot[m3:m3+chebyshev.TransferLen(cd.Degree)])
+	c := kernel.ChargeChunkLen(cd.Degree + 1)
+	return slot[:c:c], chebyshev.NewTransfer(cd.Degree, slot[c:c+chebyshev.TransferLen(cd.Degree)])
 }
 
 // chargeFromChildren charges node i as the sum of its children's modified
@@ -272,76 +271,32 @@ func everyNode(n int) []bool {
 }
 
 // chargeNode computes node ni's modified charges for charges q (tree
-// order) into qhat, one particle at a time: the particle's three rows of
-// barycentric factors and its intermediate charge q-tilde (equation (14)),
-// then its term t_x[k1]*t_y[k2]*t_z[k3]*q-tilde added into every point's
-// running sum (equation (15)) by kernel.ChargeUpdate, on ZMM rows where
-// the CPU has them. Each point sums from +0 in particle order with the
-// equation's association, so the values are bit-identical to the
-// paper's two kernels run one after the other whenever the product of the
-// three denominators lies within 2^-900 and 2^900 in magnitude, as it does
-// for every box whose sides lie between about 1e-90 and 1e90. rows is the
-// caller's scratch of 3*(degree+1) values.
+// order) into qhat, a chunk of kernel.ChargeChunk particles at a time, in
+// the shape of the paper's two kernels: kernel.ChargeRows computes the
+// chunk's barycentric rows and intermediate charges q-tilde (equation
+// (14)), then kernel.ChargeUpdate adds each particle's term
+// t_x[k1]*t_y[k2]*t_z[k3]*q-tilde into every point's running sum
+// (equation (15)), both on ZMM rows where the CPU has them. Each point
+// sums from +0 in particle order with the equation's association, so the
+// values are bit-identical to the paper's two kernels run one after the
+// other whenever the product of the three denominators lies within
+// 2^-900 and 2^900 in magnitude, as it does for every box whose sides
+// lie between about 1e-90 and 1e90; beyond it each row is divided by its
+// own denominator (ChargeRows). chunk is the caller's scratch of
+// kernel.ChargeChunkLen(degree+1) values.
 //
 //hot:path
-func (cd *ClusterData) chargeNode(src *particle.Set, q []float64, nd *tree.Node, ni int, rows, qhat []float64) {
+func (cd *ClusterData) chargeNode(src *particle.Set, q []float64, nd *tree.Node, ni int, chunk, qhat []float64) {
 	g := cd.Grids[ni]
 	m := cd.Degree + 1
-	tx, ty, tz := rows[:m], rows[m:2*m], rows[2*m:3*m]
-	update := kernel.ResolveChargeUpdate()
+	gx, gy, gz, w := g.Dims[0].Points, g.Dims[1].Points, g.Dims[2].Points, g.Dims[0].Weights
+	rows, update := kernel.ResolveChargeRows(), kernel.ResolveChargeUpdate()
 	clear(qhat)
-	for p := nd.Lo; p < nd.Hi; p++ {
-		dx := barycentricFactorsInto(g.Dims[0], src.X[p], tx)
-		dy := barycentricFactorsInto(g.Dims[1], src.Y[p], ty)
-		dz := barycentricFactorsInto(g.Dims[2], src.Z[p], tz)
-		den := dx * dy * dz
-		qt := q[p] / den
-		if a := math.Abs(den); !(a >= 0x1p-900 && a <= 0x1p900) {
-			// Box sides beyond about 1e90 or below about 1e-90: the
-			// product of the three denominators, the charge over it, or
-			// a term's three factors (each up to the Lebesgue constant
-			// times its row's denominator) can leave the float64 range.
-			// Divide each row by its own denominator instead, the same
-			// terms in exact arithmetic.
-			divideRow(tx, dx)
-			divideRow(ty, dy)
-			divideRow(tz, dz)
-			qt = q[p]
-		}
-		update(qhat, tx, ty, tz, qt)
+	for lo := nd.Lo; lo < nd.Hi; lo += kernel.ChargeChunk {
+		hi := min(lo+kernel.ChargeChunk, nd.Hi)
+		rows(chunk, gx, gy, gz, w, src.X[lo:hi], src.Y[lo:hi], src.Z[lo:hi], q[lo:hi])
+		update(qhat, chunk, m, hi-lo)
 	}
-}
-
-// divideRow divides every entry of t by d.
-//
-//hot:path
-func divideRow(t []float64, d float64) {
-	for k := range t {
-		t[k] /= d
-	}
-}
-
-// barycentricFactorsInto fills t[k] = w_k/(x - s_k) for a 1D grid and
-// returns the sum d. If x coincides with a node within the singularity
-// tolerance, t becomes the Kronecker delta at that node and d = 1, which
-// enforces L_k(x) = delta exactly (Section 2.3 of the paper). len(t) is the
-// number of grid points m.
-//
-//hot:path
-func barycentricFactorsInto(g chebyshev.Grid1D, x float64, t []float64) (d float64) {
-	for k := range t {
-		diff := x - g.Points[k]
-		if math.Abs(diff) <= chebyshev.SingularityTol {
-			for i := range t {
-				t[i] = 0
-			}
-			t[k] = 1
-			return 1
-		}
-		t[k] = g.Weights[k] / diff
-		d += t[k]
-	}
-	return d
 }
 
 // TotalChargeWork returns the modeled flop-equivalents of a full charge

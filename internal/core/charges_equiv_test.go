@@ -190,7 +190,7 @@ func checkChargesNearReference(t *testing.T, cd *ClusterData, tr *tree.Tree, qha
 // it is charged from its children. Serial and parallel passes, with the
 // assembly kernels installed and switched off, must all agree exactly
 // (scratch reuse across clusters must not leak state between them, and
-// the ZMM charge update must add the Go loop's bits).
+// the ZMM rows, update and transfer must give the Go loops' bits).
 func TestComputeChargesMatchesReference(t *testing.T) {
 	src := testParticles(t, 4000, 17)
 	mort, _ := tree.BuildMortonWorkers(src, 60, 0)
@@ -285,14 +285,18 @@ func TestBlockPathBitIdenticalToScalar(t *testing.T) {
 var chargeFuzzScales = [4]float64{1, 1e150, 1e-150, 1e104}
 
 // FuzzChargePass drives the charge pass through adversarial geometry: N
-// from 1 to 600 with leaf sizes from 1 to N, degrees 1 to 12, midpoint or
-// Morton trees, and shape%5 keeping the uniform cube (0) or making the
+// from 1 to 600 with leaf sizes from 1 to N, or, when leafRaw's top bit
+// is set, leaf sizes one below, at and one above one and two
+// kernel.ChargeChunk (so leaves end just short of, on and just past a
+// chunk boundary), degrees 1 to 12, midpoint or Morton trees, and
+// shape%5 keeping the uniform cube (0) or making the
 // points coincident (1), collinear on a tilted line (2), planar on z = 0
 // (3) or snapped to a half-unit lattice (4), where child boxes collapse
 // grid axes to one point. Axis d is scaled by chargeFuzzScales[scales>>(2d)&3].
 // Every charge must be finite; the full pass must be == at 1, 2 and 4
 // workers, at 2 and 4 also with the assembly kernels switched off (the
-// Go charge update), and within chargeErrorBounds of the reference; and a
+// Go rows, update and transfer loops), and within chargeErrorBounds of
+// the reference; and a
 // pass under a random mask must charge the mask's closure with the full
 // pass's bits.
 func FuzzChargePass(f *testing.F) {
@@ -304,9 +308,15 @@ func FuzzChargePass(f *testing.F) {
 	f.Add(int64(6), uint16(450), uint16(12), uint8(7), uint8(8), uint8(0b101010))
 	f.Add(int64(7), uint16(350), uint16(40), uint8(4), uint8(3), uint8(0b111111))
 	f.Add(int64(8), uint16(250), uint16(5), uint8(2), uint8(9), uint8(0b011001))
+	f.Add(int64(9), uint16(500), uint16(0x8000), uint8(6), uint8(0), uint8(0))
+	f.Add(int64(10), uint16(400), uint16(0x8004), uint8(8), uint8(5), uint8(0))
+	f.Add(int64(11), uint16(300), uint16(0x8002), uint8(11), uint8(3), uint8(0b010000))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, leafRaw uint16, degRaw, shape, scales uint8) {
 		n := int(nRaw%600) + 1
 		leaf := int(leafRaw)%n + 1
+		if leafRaw&0x8000 != 0 {
+			leaf = kernel.ChargeChunk*(1+int(leafRaw%2)) + int(leafRaw/2%3) - 1
+		}
 		degree := int(degRaw%12) + 1
 		rng := rand.New(rand.NewSource(seed))
 		pts := particle.UniformCube(n, rng)

@@ -23,11 +23,11 @@ func AsmKernelsAvailable() bool {
 // SetAsmKernels enables (true) or disables (false) every assembly kernel
 // loop at once, returning the previous setting so callers can restore
 // it. With the kernels disabled, the resolvers (Tiles, F32Tiles,
-// GradTiles, ResolveChargeUpdate) return the pure-Go loops — the
-// reference implementations the assembly is tested against — and the
-// accuracy API (TileMaxULP, F32TileMaxULP) reflects the change,
-// reporting the Go loops' exactness. Loops resolved before the switch
-// keep running.
+// GradTiles, and the charge pass's ResolveTransferUp, ResolveChargeRows
+// and ResolveChargeUpdate) return the pure-Go loops — the reference
+// implementations the assembly is tested against — and the accuracy API
+// (TileMaxULP, F32TileMaxULP) reflects the change, reporting the Go
+// loops' exactness. Loops resolved before the switch keep running.
 //
 // The switch is package-global and not synchronized with running
 // evaluations: it is a test and benchmark knob, to be flipped only while

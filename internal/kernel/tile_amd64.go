@@ -171,6 +171,8 @@ func init() {
 			yukawaTile8Asm = nil
 			yukawaF32Tile8Asm = nil
 			regCoulombGrad4Asm = nil
+			transferUpAsm = nil
+			chargeRowsAsm = nil
 			chargeUpdateAsm = nil
 			return
 		}
@@ -181,6 +183,8 @@ func init() {
 			// square-root resources (see tile_amd64.s).
 			coulombTile4Asm = asm4(coulombTileAVX512).tile
 			coulombTile8Asm = asm8(coulombTile8ZMM).tile
+			transferUpAsm = transferUpZMMSlices
+			chargeRowsAsm = chargeRowsZMMSlices
 			chargeUpdateAsm = chargeUpdateZMMSlices
 		}
 		regCoulombGrad4Asm = regCoulombGrad4AVX

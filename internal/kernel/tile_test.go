@@ -445,18 +445,28 @@ func TestAsBlockResolution(t *testing.T) {
 // the assembly and 4 → 1 without, Yukawa 8 → 4 → 1 with the ZMM tile
 // (avx512vl) and 4 → 1 without, the other built-ins 4 → 1, every
 // built-in F32 kernel 8 → 1, and kernel.Func only 1. It also pins that
-// the ZMM charge update is installed exactly when the assembly is on and
+// the three ZMM charge kernels (the upward transfer, the chunk's rows and
+// the chunk's update) are installed exactly when the assembly is on and
 // the CPU has avx512vl. It logs the CPU feature level, every resolved
-// width and the charge update, so a run's log shows which tiles it
-// exercised: the ZMM tiles and the ZMM charge update run only on AVX-512
-// hosts.
+// width and each charge kernel, so a run's log shows which tiles and
+// kernels it exercised: the ZMM tiles and charge kernels run only on
+// AVX-512 hosts.
 func TestAsTileResolution(t *testing.T) {
 	t.Logf("kernel.CPUFeatures() = %q", CPUFeatures())
 	inAsmModes(t, func(label string) {
-		zmm := chargeUpdateAsm != nil
-		t.Logf("%s: ZMM charge update installed: %v", label, zmm)
-		if want := asmOn && CPUFeatures() == "avx512vl"; zmm != want {
-			t.Errorf("%s: ZMM charge update installed %v, want %v", label, zmm, want)
+		want := asmOn && CPUFeatures() == "avx512vl"
+		for _, c := range []struct {
+			name      string
+			installed bool
+		}{
+			{"transfer up", transferUpAsm != nil},
+			{"charge rows", chargeRowsAsm != nil},
+			{"charge update", chargeUpdateAsm != nil},
+		} {
+			t.Logf("%s: ZMM %s installed: %v", label, c.name, c.installed)
+			if c.installed != want {
+				t.Errorf("%s: ZMM %s installed %v, want %v", label, c.name, c.installed, want)
+			}
 		}
 		for _, k := range blockTestKernels() {
 			want := []int{4, 1}
