@@ -132,8 +132,12 @@ func fuzzSet(n int, seed int64, shape, scales uint8) *barytree.Particles {
 // across the parallel build's task cutoff), per-axis scales mixing 1,
 // 1e150, 1e-150 and 1e104, and separate targets when nt > 0. No input may
 // panic or yield a non-finite potential, and the potentials must be ==
-// across Params.Workers 1, 2 and 4 and == the one-shot Solve. The first
-// two seeds and the last are the scaled cubes of
+// across Params.Workers 1, 2 and 4 and == the one-shot Solve. Each plan
+// also runs Plan.SolveWithField with RegularizedCoulomb at eps 0.05 and
+// 0: its potentials and gradients must be bit-identical across the worker
+// counts and to the one-shot SolveWithField, and finite at eps 0.05. At
+// eps 0 they may overflow, as EvalGrad's own c = -g/d2 does at tiny
+// separations. The first two seeds and the last are the scaled cubes of
 // TestSolveScaledCoordinates.
 func FuzzPlanSolve(f *testing.F) {
 	f.Add(int64(3), uint16(1999), uint8(7), uint8(0), uint8(0b010101), uint16(0))
@@ -158,6 +162,13 @@ func FuzzPlanSolve(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Solve: %v", err)
 		}
+		epsilons := []float64{0.05, 0}
+		wantFields := make([]*barytree.FieldResult, len(epsilons))
+		for e, eps := range epsilons {
+			if wantFields[e], err = barytree.SolveWithField(barytree.RegularizedCoulomb(eps), targets, sources, p); err != nil {
+				t.Fatalf("eps=%g: SolveWithField: %v", eps, err)
+			}
+		}
 		for _, w := range []int{1, 2, 4} {
 			p.Workers = w
 			pl, err := barytree.NewPlan(targets, sources, p)
@@ -174,6 +185,25 @@ func FuzzPlanSolve(f *testing.F) {
 				}
 				if v != want[i] {
 					t.Fatalf("workers=%d: potential %d = %v, Solve gave %v", w, i, v, want[i])
+				}
+			}
+			for e, eps := range epsilons {
+				f, err := pl.SolveWithField(barytree.RegularizedCoulomb(eps), sources.Q)
+				if err != nil {
+					t.Fatalf("workers=%d eps=%g: Plan.SolveWithField: %v", w, eps, err)
+				}
+				wf := wantFields[e]
+				for i := range wf.Phi {
+					got := [4]float64{f.Phi[i], f.GX[i], f.GY[i], f.GZ[i]}
+					want := [4]float64{wf.Phi[i], wf.GX[i], wf.GY[i], wf.GZ[i]}
+					for o, v := range got {
+						if math.Float64bits(v) != math.Float64bits(want[o]) {
+							t.Fatalf("workers=%d eps=%g: field %d = %v, SolveWithField gave %v", w, eps, i, got, want)
+						}
+						if eps != 0 && (math.IsNaN(v) || math.IsInf(v, 0)) {
+							t.Fatalf("workers=%d eps=%g: field %d = %v", w, eps, i, got)
+						}
+					}
 				}
 			}
 		}

@@ -101,12 +101,15 @@ func TestFieldTimesExceedPotentialTimes(t *testing.T) {
 }
 
 // TestFieldsTiledBitIdentical pins the tiled field path to the per-target
-// one: RunCPUFields and RunFieldsState return exactly (==) the potentials
-// and gradients they return with the assembly kernels off, where
-// kernel.GradTiles resolves only the width-1 tile and every target takes
-// the per-target path. It covers midpoint and Morton plans whose batches
-// leave every tail length 0-3 after the 4-wide tiles, and zero softening
-// with targets == sources, where the self terms take the masked lanes.
+// EvalGrad chains: RunCPUFields and RunFieldsState return exactly (==, bit
+// for bit) the potentials and gradients they return for the same kernel
+// hidden behind a foreign type, which kernel.GradTiles resolves to the
+// width-1 loop that calls EvalGrad through the interface. That holds with
+// the assembly kernels installed (8 → 4 → 1 on avx512vl) and switched off,
+// where RegularizedCoulomb runs its own width-1 loop alone. It covers
+// midpoint and Morton plans whose batches leave every tail length 0-7
+// after the 8- and 4-wide tiles, and zero softening with targets ==
+// sources, where the self terms take the masked lanes.
 func TestFieldsTiledBitIdentical(t *testing.T) {
 	pts := testParticles(t, 2203, 31)
 	for _, morton := range []bool{false, true} {
@@ -114,7 +117,7 @@ func TestFieldsTiledBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tails [4]int
+		var tails [8]int
 		for _, b := range pl.Batches.Batches {
 			tails[(b.Hi-b.Lo)%len(tails)]++
 		}
@@ -125,26 +128,36 @@ func TestFieldsTiledBitIdentical(t *testing.T) {
 		}
 		for _, eps := range []float64{0.05, 0} {
 			k := kernel.RegularizedCoulomb{Eps: eps}
+			refCPU, refState := fieldsBothWays(pl, foreignGrad{k})
 			tiledCPU, tiledState := fieldsBothWays(pl, k)
 			prev := kernel.SetAsmKernels(false)
-			scalarCPU, scalarState := fieldsBothWays(pl, k)
+			goCPU, goState := fieldsBothWays(pl, k)
 			kernel.SetAsmKernels(prev)
 			for _, c := range []struct {
 				name      string
 				got, want *FieldResult
-			}{{"RunCPUFields", tiledCPU, scalarCPU}, {"RunFieldsState", tiledState, scalarState}} {
+			}{
+				{"RunCPUFields", tiledCPU, refCPU}, {"RunFieldsState", tiledState, refState},
+				{"RunCPUFields, assembly off", goCPU, refCPU}, {"RunFieldsState, assembly off", goState, refState},
+			} {
 				for i := range c.want.Phi {
-					if c.got.Phi[i] != c.want.Phi[i] || c.got.GX[i] != c.want.GX[i] ||
-						c.got.GY[i] != c.want.GY[i] || c.got.GZ[i] != c.want.GZ[i] {
-						t.Fatalf("morton=%v eps=%g %s: target %d tiled (%g,%g,%g,%g) != per-target (%g,%g,%g,%g)",
-							morton, eps, c.name, i, c.got.Phi[i], c.got.GX[i], c.got.GY[i], c.got.GZ[i],
-							c.want.Phi[i], c.want.GX[i], c.want.GY[i], c.want.GZ[i])
+					got := [4]float64{c.got.Phi[i], c.got.GX[i], c.got.GY[i], c.got.GZ[i]}
+					want := [4]float64{c.want.Phi[i], c.want.GX[i], c.want.GY[i], c.want.GZ[i]}
+					for o := range got {
+						if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
+							t.Fatalf("morton=%v eps=%g %s: target %d tiled %v != EvalGrad chains %v",
+								morton, eps, c.name, i, got, want)
+						}
 					}
 				}
 			}
 		}
 	}
 }
+
+// foreignGrad hides a gradient kernel behind a type kernel.GradTiles does
+// not recognize, so it resolves the width-1 EvalGrad loop alone.
+type foreignGrad struct{ kernel.GradKernel }
 
 // fieldsBothWays evaluates pl's fields through RunCPUFields (input order)
 // and through RunFieldsState on a fresh ChargeState (batch order).

@@ -25,9 +25,11 @@ func AsmKernelsAvailable() bool {
 // it. With the kernels disabled, the resolvers (Tiles, F32Tiles,
 // GradTiles, and the charge pass's ResolveTransferUp, ResolveChargeRows
 // and ResolveChargeUpdate) return the pure-Go loops — the reference
-// implementations the assembly is tested against — and the accuracy API
-// (TileMaxULP, F32TileMaxULP) reflects the change, reporting the Go
-// loops' exactness. Loops resolved before the switch keep running.
+// implementations the assembly is tested against; GradTiles then resolves
+// RegularizedCoulomb's width-1 Go loop alone, in place of its 8-wide ZMM
+// and 4-wide AVX gradient tiles — and the accuracy API (TileMaxULP,
+// F32TileMaxULP) reflects the change, reporting the Go loops' exactness.
+// Loops resolved before the switch keep running.
 //
 // The switch is package-global and not synchronized with running
 // evaluations: it is a test and benchmark knob, to be flipped only while

@@ -96,6 +96,7 @@ var (
 	yukawaTile8Asm     func(tx, ty, tz, sx, sy, sz, q []float64, negKappa float64, phi []float64)
 	yukawaF32Tile8Asm  func(tx, ty, tz []float32, sx, sy, sz, q []float64, negKappa float32, phi []float32)
 	regCoulombGrad4Asm func(tx, ty, tz, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz []float64)
+	regCoulombGrad8Asm func(tx, ty, tz, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz []float64)
 )
 
 // Tiles resolves k's fp64 tiles widest first, ending with its width-1
@@ -165,17 +166,31 @@ func F32Tiles(k F32Kernel) []Sized[F32Tile] {
 	return []Sized[F32Tile]{{1, evalF32Loop{k}.tile}}
 }
 
-// GradTiles resolves k's gradient tiles widest first: the 4-wide assembly
-// tile for RegularizedCoulomb when installed, then the width-1 EvalGrad
-// loop, which is every other kernel's only tile. There is deliberately no
-// pure-Go wide gradient tile: it would keep the scalar chain's square
-// root and two divides per interaction (docs/performance.md).
+// GradTiles resolves k's gradient tiles widest first. RegularizedCoulomb
+// resolves 8 → 4 → 1 on avx512vl, 4 → 1 with AVX, and 1 without AVX or
+// after SetAsmKernels(false). Its width 8 is the ZMM tile, bit-identical
+// to two calls of its width 4, the AVX tile; its width 1 is gradTile1, a
+// Go loop without dynamic dispatch. Each is bit-identical to the
+// per-target EvalGrad chains. Every other gradient kernel gets only the
+// width-1 loop that calls EvalGrad through the interface. There is
+// deliberately no pure-Go wide gradient tile: it would keep the scalar
+// chain's square root and two divides per interaction
+// (docs/performance.md).
 func GradTiles(k GradKernel) []Sized[GradTile] {
-	t1 := Sized[GradTile]{1, evalGradLoop{k}.tile}
-	if rc, ok := k.(RegularizedCoulomb); ok && regCoulombGrad4Asm != nil {
-		return []Sized[GradTile]{{4, regCoulombGradAsm{regCoulombGrad4Asm, rc.Eps * rc.Eps}.tile}, t1}
+	rc, ok := k.(RegularizedCoulomb)
+	if !ok {
+		return []Sized[GradTile]{{1, evalGradLoop{k}.tile}}
 	}
-	return []Sized[GradTile]{t1}
+	t1 := Sized[GradTile]{1, rc.gradTile1}
+	if regCoulombGrad4Asm == nil {
+		return []Sized[GradTile]{t1}
+	}
+	e2 := rc.Eps * rc.Eps
+	t4 := Sized[GradTile]{4, regCoulombGradAsm{regCoulombGrad4Asm, e2}.tile}
+	if regCoulombGrad8Asm == nil {
+		return []Sized[GradTile]{t4, t1}
+	}
+	return []Sized[GradTile]{{8, regCoulombGradAsm{regCoulombGrad8Asm, e2}.tile}, t4, t1}
 }
 
 // yukawaAsm, yukawaF32Asm and regCoulombGradAsm bind a kernel's constant
@@ -247,8 +262,9 @@ func (l evalF32Loop) tile(tx, ty, tz []float32, sx, sy, sz, q []float64, phi []f
 	}
 }
 
-// evalGradLoop is every gradient kernel's width-1 tile: per target, four
-// EvalGrad chains accumulated from zero in source order.
+// evalGradLoop is the width-1 tile of every gradient kernel but
+// RegularizedCoulomb: per target, four EvalGrad chains accumulated from
+// zero in source order.
 type evalGradLoop struct{ k GradKernel }
 
 //hot:path

@@ -110,6 +110,44 @@ func (r RegularizedCoulomb) tile1(tx, ty, tz, sx, sy, sz, q, phi []float64) {
 	}
 }
 
+// gradTile1 is RegularizedCoulomb's width-1 gradient tile: EvalGrad's
+// arithmetic inline, four chains per target from +0 in source order.
+//
+//hot:path
+func (r RegularizedCoulomb) gradTile1(tx, ty, tz, sx, sy, sz, q, phi, gx, gy, gz []float64) {
+	// Hoist the slice bounds: one check here instead of three per source.
+	sx, sy, sz = sx[:len(q)], sy[:len(q)], sz[:len(q)]
+	e2 := r.Eps * r.Eps
+	for t := range phi {
+		x, y, z := tx[t], ty[t], tz[t]
+		var p, px, py, pz float64
+		for j := range q {
+			dx, dy, dz := x-sx[j], y-sy[j], z-sz[j]
+			d2 := dx*dx + dy*dy + dz*dz + e2
+			var g, ex, ey, ez float64
+			if d2 != 0 {
+				// The square root of a copy that dies here: SQRTSD writes
+				// only the low half of its destination, and the copy keeps
+				// the compiler from handing it a register the previous
+				// source's accumulate chain still owns. d2 is never -0, so
+				// d2+0 == d2.
+				g = 1 / math.Sqrt(d2+0)
+				c := -g / d2
+				ex, ey, ez = c*dx, c*dy, c*dz
+			}
+			qj := q[j]
+			p += g * qj
+			px += ex * qj
+			py += ey * qj
+			pz += ez * qj
+		}
+		phi[t] += p
+		gx[t] += px
+		gy[t] += py
+		gz[t] += pz
+	}
+}
+
 // --- Width-1 fp32 tiles of the built-in F32 kernels.
 
 // f32Tile1 is Coulomb's width-1 fp32 tile.

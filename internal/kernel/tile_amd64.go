@@ -46,6 +46,16 @@ func coulombTile8ZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi 
 //go:noescape
 func regCoulombGradTileAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[4]float64)
 
+// regCoulombGradTile8ZMM is regCoulombGradTileAVX on an 8-target tile in
+// one ZMM lane group, bit-identical to it on targets 0:4 and then 4:8:
+// VSQRTPD and VDIVPD form g on the divider, and c = (-g)/d2 is a
+// correctly rounded Markstein quotient on the FMA ports, with a VDIVPD
+// patch for d2 outside [2^-600, 2^600]. Requires AVX-512F. See
+// tile_amd64.s.
+//
+//go:noescape
+func regCoulombGradTile8ZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[8]float64)
+
 // yukawaTileFMA evaluates a Yukawa source block against a 4-target tile
 // with exp computed by a range-reduced polynomial on the FMA ports
 // (EXPPD in tile_amd64.s). Requires AVX2+FMA; carries the measured-ULP
@@ -145,6 +155,14 @@ func regCoulombGrad4AVX(tx, ty, tz, sx, sy, sz, q []float64, e2 float64, phi, gx
 	}
 }
 
+//hot:path
+func regCoulombGrad8ZMM(tx, ty, tz, sx, sy, sz, q []float64, e2 float64, phi, gx, gy, gz []float64) {
+	if len(q) > 0 {
+		regCoulombGradTile8ZMM((*[8]float64)(tx), (*[8]float64)(ty), (*[8]float64)(tz), &sx[0], &sy[0], &sz[0], &q[0], len(q), e2,
+			(*[8]float64)(phi), (*[8]float64)(gx), (*[8]float64)(gy), (*[8]float64)(gz))
+	}
+}
+
 func init() {
 	if !cpuHasAVX() {
 		return
@@ -171,6 +189,7 @@ func init() {
 			yukawaTile8Asm = nil
 			yukawaF32Tile8Asm = nil
 			regCoulombGrad4Asm = nil
+			regCoulombGrad8Asm = nil
 			transferUpAsm = nil
 			chargeRowsAsm = nil
 			chargeUpdateAsm = nil
@@ -186,6 +205,7 @@ func init() {
 			transferUpAsm = transferUpZMMSlices
 			chargeRowsAsm = chargeRowsZMMSlices
 			chargeUpdateAsm = chargeUpdateZMMSlices
+			regCoulombGrad8Asm = regCoulombGrad8ZMM
 		}
 		regCoulombGrad4Asm = regCoulombGrad4AVX
 		if !fma {

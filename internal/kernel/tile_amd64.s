@@ -19,6 +19,13 @@ GLOBL ·avxHalf(SB), RODATA|NOPTR, $8
 DATA ·avxTiny+0(SB)/8, $0x1ff0000000000000
 GLOBL ·avxTiny(SB), RODATA|NOPTR, $8
 
+// 2^-600 and 2^600, the gradient ZMM tile's fast range for d2: inside it
+// d2, 1/d2, g/d2 and every Markstein residual are normal numbers.
+DATA ·gradLo+0(SB)/8, $0x1a70000000000000
+GLOBL ·gradLo(SB), RODATA|NOPTR, $8
+DATA ·gradHi+0(SB)/8, $0x6570000000000000
+GLOBL ·gradHi(SB), RODATA|NOPTR, $8
+
 // --- Constants for the vectorized fp64 exp (EXPPD below). All are full
 // 256-bit lanes of the same value because VEX instructions cannot
 // broadcast a memory operand (that is EVEX-only) and the polynomial wants
@@ -686,6 +693,154 @@ gradloop:
 	VMOVUPD Y10, (AX)
 	VZEROUPPER
 	RET
+
+// func regCoulombGradTile8ZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, e2 float64, phi, gx, gy, gz *[8]float64)
+//
+// regCoulombGradTileAVX on eight targets in one ZMM lane group, equal bit
+// for bit to it on targets 0:4 and then 4:8, and so to the per-target
+// EvalGrad chains. Each lane computes
+//
+//	d2 = ((dx*dx + dy*dy) + dz*dz) + e2    (no FMA)
+//	g  = 1 / sqrt(d2)                      (VSQRTPD, then VDIVPD)
+//	c  = (-g) / d2                         (a Markstein quotient, below)
+//
+// and accumulates g*q[j], (c*dx)*q[j], (c*dy)*q[j] and (c*dz)*q[j] from
+// +0 in source order, with one add of each block total into the outputs.
+//
+// Why c leaves the divider: a ZMM VSQRTPD or VDIVPD occupies the
+// divide/sqrt unit about twice as long as a YMM one, so eight lanes cost
+// the divider what two 4-lane calls do. The 4-wide tile issues three
+// divider operations per source. Here g keeps its two, and c is formed on
+// the FMA ports as a correctly rounded quotient:
+//
+//	y  = RN(1/d2)          VRCP14PD, then three Newton steps in Markstein
+//	                       form (coulombTileAVX512's sequence for 1/s)
+//	q0 = RN(a*y)           a = -g
+//	q1 = q0 + (a - d2*q0)*y    faithful
+//	c  = q1 + (a - d2*q1)*y    == RN(a/d2), by Markstein's theorem
+//
+// Each residual a - d2*q is one VFNMADD (exact once q is faithful) and
+// each correction one VFMADD. a = -g makes c the quotient itself, so the
+// lanes need no sign flip after it, and every operation keeps the 4-wide
+// tile's operand order, so NaN payloads propagate alike.
+//
+// The guard: a source whose valid lanes have any d2 outside [2^-600,
+// 2^600], or NaN, forms c with VDIVPD in a patch block instead, exactly as
+// the 4-wide tile does. Inside that range d2, y, g, c and every residual
+// and correction are normal, so the sequence above is exact; treecode
+// distances never leave it. Lanes with d2 == 0 (a self term at Eps = 0,
+// where EvalGrad returns zeros) are found by VPTESTMQ on the bits (d2 is
+// never -0) and get g = +0 from a zero-masked VDIVPD and c = +0 from a
+// zero-masked last step, the zeros the 4-wide tile's VANDNPD leaves.
+//
+// Like coulombTile8ZMM it keeps to ZMM0-ZMM15 (e2, the sign bit and the
+// guard bounds are embedded broadcasts) and ends in VZEROUPPER. Requires
+// AVX-512F. n must be positive.
+TEXT ·regCoulombGradTile8ZMM(SB), NOSPLIT, $0-104
+	MOVQ         tx+0(FP), AX
+	VMOVUPD      (AX), Z0            // tx[0:8]
+	MOVQ         ty+8(FP), AX
+	VMOVUPD      (AX), Z1            // ty[0:8]
+	MOVQ         tz+16(FP), AX
+	VMOVUPD      (AX), Z2            // tz[0:8]
+	VBROADCASTSD ·avxOne(SB), Z3
+	MOVQ         sx+24(FP), SI
+	MOVQ         sy+32(FP), DI
+	MOVQ         sz+40(FP), R8
+	MOVQ         q+48(FP), R9
+	MOVQ         n+56(FP), CX
+	XORQ         DX, DX              // j
+	VPXORQ       Z4, Z4, Z4          // per-lane block sums: potential,
+	VPXORQ       Z5, Z5, Z5          // x,
+	VPXORQ       Z6, Z6, Z6          // y
+	VPXORQ       Z7, Z7, Z7          // and z gradient
+
+grad8loop:
+	VSUBPD.BCST  (SI)(DX*8), Z0, Z8  // dx = tx - sx[j]
+	VSUBPD.BCST  (DI)(DX*8), Z1, Z9  // dy = ty - sy[j]
+	VSUBPD.BCST  (R8)(DX*8), Z2, Z10 // dz = tz - sz[j]
+	VMULPD       Z8, Z8, Z11         // dx*dx
+	VMULPD       Z9, Z9, Z12         // dy*dy
+	VADDPD       Z12, Z11, Z11       // dx*dx + dy*dy
+	VMULPD       Z10, Z10, Z12       // dz*dz
+	VADDPD       Z12, Z11, Z11       // (dx*dx + dy*dy) + dz*dz
+	VADDPD.BCST  e2+64(FP), Z11, Z11 // d2 = ... + e2
+	VPTESTMQ     Z11, Z11, K1        // valid = (d2 != 0)
+	VSQRTPD      Z11, Z12            // sqrt(d2), on the divider
+	VDIVPD.Z     Z12, Z3, K1, Z12    // g = 1 / sqrt(d2); +0 on d2 == 0 lanes
+	VCMPPD.BCST  $25, ·gradLo(SB), Z11, K1, K2 // valid and !(d2 >= 2^-600), NGE_UQ: small or NaN
+	VCMPPD.BCST  $30, ·gradHi(SB), Z11, K1, K3 // valid and d2 > 2^600, GT_OQ
+	KORTESTW     K3, K2
+	JNZ          grad8patch
+
+	// y = RN(1/d2) on the FMA ports.
+	VRCP14PD     Z11, Z13            // y0 ~ 1/d2
+	VMOVAPD      Z3, Z14
+	VFNMADD231PD Z13, Z11, Z14       // e0 = 1 - d2*y0
+	VFMADD213PD  Z13, Z13, Z14       // y1 = y0 + y0*e0
+	VMOVAPD      Z3, Z13
+	VFNMADD231PD Z14, Z11, Z13       // e1 = 1 - d2*y1
+	VFMADD213PD  Z14, Z14, Z13       // y2
+	VMOVAPD      Z3, Z14
+	VFNMADD231PD Z13, Z11, Z14       // e = 1 - d2*y2, exact
+	VFMADD213PD  Z13, Z13, Z14       // y = RN(1/d2), in Z14
+
+	// c = RN(-g/d2): two Markstein corrections of RN(-g*y).
+	VPXORQ.BCST  ·avxSignBit(SB), Z12, Z15 // a = -g
+	VMULPD       Z14, Z15, Z13       // q0 = RN(a*y)
+	VFNMADD231PD Z13, Z11, Z15       // r0 = a - d2*q0
+	VFMADD231PD  Z15, Z14, Z13       // q1 = q0 + r0*y, faithful
+	VPXORQ.BCST  ·avxSignBit(SB), Z12, Z15 // a = -g
+	VFNMADD231PD Z13, Z11, Z15       // r1 = a - d2*q1, exact
+	VFMADD231PD.Z Z15, Z14, K1, Z13  // c = q1 + r1*y = RN(a/d2); +0 on d2 == 0 lanes
+
+grad8join:
+	// g in Z12 and c in Z13; the four adds in regCoulombGradTileAVX's order.
+	VBROADCASTSD (R9)(DX*8), Z14     // q[j]
+	VMULPD       Z14, Z12, Z12       // g * q[j]
+	VADDPD       Z12, Z4, Z4         // p += g*q[j]
+	VMULPD       Z13, Z8, Z8         // c*dx
+	VMULPD       Z14, Z8, Z8         // (c*dx) * q[j]
+	VADDPD       Z8, Z5, Z5          // x += (c*dx)*q[j]
+	VMULPD       Z13, Z9, Z9         // c*dy
+	VMULPD       Z14, Z9, Z9
+	VADDPD       Z9, Z6, Z6          // y += (c*dy)*q[j]
+	VMULPD       Z13, Z10, Z10       // c*dz
+	VMULPD       Z14, Z10, Z10
+	VADDPD       Z10, Z7, Z7         // z += (c*dz)*q[j]
+
+	INCQ DX
+	CMPQ DX, CX
+	JNE  grad8loop
+
+	// phi[t] += p[t], gx[t] += x[t], ...: one per-lane add of each block
+	// total.
+	MOVQ    phi+72(FP), AX
+	VMOVUPD (AX), Z8
+	VADDPD  Z4, Z8, Z8
+	VMOVUPD Z8, (AX)
+	MOVQ    gx+80(FP), AX
+	VMOVUPD (AX), Z8
+	VADDPD  Z5, Z8, Z8
+	VMOVUPD Z8, (AX)
+	MOVQ    gy+88(FP), AX
+	VMOVUPD (AX), Z8
+	VADDPD  Z6, Z8, Z8
+	VMOVUPD Z8, (AX)
+	MOVQ    gz+96(FP), AX
+	VMOVUPD (AX), Z8
+	VADDPD  Z7, Z8, Z8
+	VMOVUPD Z8, (AX)
+	VZEROUPPER
+	RET
+
+grad8patch:
+	// A valid lane's d2 is outside the fast range: c on the divider, as
+	// regCoulombGradTileAVX forms it. Both paths give RN(-g/d2), so which
+	// sources take this block changes no bits.
+	VPXORQ.BCST  ·avxSignBit(SB), Z12, Z13 // -g
+	VDIVPD.Z     Z11, Z13, K1, Z13   // c = -g / d2; +0 on d2 == 0 lanes
+	JMP          grad8join
 
 // func yukawaTileFMA(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, negKappa float64, phi *[4]float64)
 //

@@ -444,7 +444,9 @@ func TestAsBlockResolution(t *testing.T) {
 // with the assembly installed and switched off: Coulomb 8 → 4 → 1 with
 // the assembly and 4 → 1 without, Yukawa 8 → 4 → 1 with the ZMM tile
 // (avx512vl) and 4 → 1 without, the other built-ins 4 → 1, every
-// built-in F32 kernel 8 → 1, and kernel.Func only 1. It also pins that
+// built-in F32 kernel 8 → 1, kernel.Func only 1, and RegularizedCoulomb's
+// gradient tiles 8 → 4 → 1 exactly when the assembly is on and the CPU
+// has avx512vl, 4 → 1 with AVX only and 1 otherwise. It also pins that
 // the three ZMM charge kernels (the upward transfer, the chunk's rows and
 // the chunk's update) are installed exactly when the assembly is on and
 // the CPU has avx512vl. It logs the CPU feature level, every resolved
@@ -467,6 +469,12 @@ func TestAsTileResolution(t *testing.T) {
 			if c.installed != want {
 				t.Errorf("%s: ZMM %s installed %v, want %v", label, c.name, c.installed, want)
 			}
+		}
+		rc := RegularizedCoulomb{Eps: 0.05}
+		grad := widthsOf(GradTiles(rc))
+		t.Logf("%s: GradTiles(%s) widths %v", label, rc.Name(), grad)
+		if want := regCoulombGradWidths(); !equalInts(grad, want) {
+			t.Errorf("%s: GradTiles(%s) widths %v, want %v", label, rc.Name(), grad, want)
 		}
 		for _, k := range blockTestKernels() {
 			want := []int{4, 1}
@@ -500,7 +508,8 @@ func TestAsTileResolution(t *testing.T) {
 
 // TestTileKernelEmpty verifies that an empty source block leaves the
 // accumulated values unchanged (phi[t] += 0 at most) at every resolved
-// fp64, fp32 and gradient width, kernel.Func's width-1 loop included.
+// fp64, fp32 and gradient width, up to 8, kernel.Func's width-1 loop and
+// the width-1 EvalGrad loop of a foreign gradient kernel included.
 func TestTileKernelEmpty(t *testing.T) {
 	tx := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
 	ftx := toF32(tx)
@@ -529,11 +538,11 @@ func TestTileKernelEmpty(t *testing.T) {
 				}
 			}
 			if gk, ok := k.(GradKernel); ok {
-				for _, s := range GradTiles(gk) {
+				for _, s := range append(GradTiles(gk), GradTiles(customGrad{gk})...) {
 					w := s.Width
-					p := []float64{1, 2, 3, 4}[:w]
+					p := []float64{1, 2, 3, 4, 5, 6, 7, 8}[:w]
 					s.Eval(tx[:w], tx[:w], tx[:w], nil, nil, nil, nil, p, p, p, p)
-					if !sameBits(p, []float64{1, 2, 3, 4}[:w]) {
+					if !sameBits(p, []float64{1, 2, 3, 4, 5, 6, 7, 8}[:w]) {
 						t.Errorf("%s: %s gradient width-%d empty block changed phi to %v", label, k.Name(), w, p)
 					}
 				}
@@ -974,6 +983,34 @@ func checkTile8Split(t *testing.T, label string, tiles []Sized[Tile], tx, ty, tz
 	}
 }
 
+// checkGradTile8Split is checkTile8Split for gradient tiles: the width-8
+// tile must equal its width-4 tile on targets 0:4 and then 4:8 in all four
+// outputs, bit for bit in every lane, NaN payloads included.
+func checkGradTile8Split(t *testing.T, label string, tiles []Sized[GradTile], tx, ty, tz, sx, sy, sz, q, phi0 []float64) {
+	t.Helper()
+	if tiles[0].Width != 8 || tiles[1].Width != 4 {
+		t.Fatalf("%s: widths %v, want 8 then 4", label, widthsOf(tiles))
+	}
+	var got, want [4][]float64
+	for o := range got {
+		got[o] = append([]float64(nil), phi0[:8]...)
+		want[o] = append([]float64(nil), phi0[:8]...)
+	}
+	tiles[0].Eval(tx[:8], ty[:8], tz[:8], sx, sy, sz, q, got[0], got[1], got[2], got[3])
+	for _, h := range [][2]int{{0, 4}, {4, 8}} {
+		i, j := h[0], h[1]
+		tiles[1].Eval(tx[i:j], ty[i:j], tz[i:j], sx, sy, sz, q, want[0][i:j], want[1][i:j], want[2][i:j], want[3][i:j])
+	}
+	for o, name := range []string{"phi", "gx", "gy", "gz"} {
+		for i := range got[o] {
+			if math.Float64bits(got[o][i]) != math.Float64bits(want[o][i]) {
+				t.Fatalf("%s n=%d %s lane %d: width 8 %v (%x) != two width-4 calls %v (%x)",
+					label, len(q), name, i, got[o][i], math.Float64bits(got[o][i]), want[o][i], math.Float64bits(want[o][i]))
+			}
+		}
+	}
+}
+
 // TestYukawaTile8MatchesTile4 pins Yukawa's 8-wide tile to two calls of
 // its 4-wide tile, bit for bit (checkTile8Split), over: the ULP sweep's
 // arguments down to x = -760, where exp is clamped, subnormal or 0; kappa
@@ -1127,7 +1164,8 @@ func FuzzTileAccum(f *testing.F) {
 // sources on targets and duplicated sources, zero and nonzero softening
 // of the regularized Coulomb kernel, and coordinates scaled by 2^exp for
 // exp in [-540, 540] (about 1e±162), where squared distances underflow or
-// overflow.
+// overflow. Where RegularizedCoulomb resolves a width-8 tile, it must
+// also equal two width-4 calls bit for bit (checkGradTile8Split).
 func FuzzGradTile(f *testing.F) {
 	f.Add(int64(1), uint(4), int16(0), uint8(0))
 	f.Add(int64(2), uint(7), int16(498), uint8(1))    // about 1e150
@@ -1135,10 +1173,14 @@ func FuzzGradTile(f *testing.F) {
 	f.Add(int64(4), uint(1), int16(-540), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, size uint, exp int16, epsSel uint8) {
 		b := newFuzzBlock(seed, size, exp, epsSel)
-		for _, k := range append(gradKernels(), RegularizedCoulomb{Eps: b.eps}) {
+		rc := RegularizedCoulomb{Eps: b.eps}
+		for _, k := range append(gradKernels(), rc) {
 			for _, gt := range GradTiles(k) {
 				checkGradTile(t, "fuzz", k, gt, b.tx, b.ty, b.tz, b.sx, b.sy, b.sz, b.q, b.phi0)
 			}
+		}
+		if tiles := GradTiles(rc); tiles[0].Width == 8 {
+			checkGradTile8Split(t, "fuzz", tiles, b.tx, b.ty, b.tz, b.sx, b.sy, b.sz, b.q, b.phi0)
 		}
 	})
 }
@@ -1147,7 +1189,9 @@ func FuzzGradTile(f *testing.F) {
 // width-1 calls over the same 2000-source block — the amortization the
 // wide tiles exist to provide — for the Coulomb and Yukawa fp64 paths,
 // the 8-wide register-blocked Coulomb tile, the fp32 tiles, and the
-// softened-Coulomb gradient tile against four per-target EvalGrad chains.
+// softened-Coulomb gradient tiles: grad-x4 runs the width-1 tile
+// (gradTile1) on four targets one at a time, grad-tile the 4-wide tile and
+// grad-tile8 the 8-wide one, each reporting ns/interaction.
 func BenchmarkEvalTile(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 2000
@@ -1190,6 +1234,9 @@ func BenchmarkEvalTile(b *testing.B) {
 	}
 	rc := RegularizedCoulomb{Eps: 0.05}
 	gts := GradTiles(rc)
+	perInteraction := func(b *testing.B, targets int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(targets*n)), "ns/interaction")
+	}
 	b.Run(rc.Name()+"/grad-x4", func(b *testing.B) {
 		t1 := gts[len(gts)-1].Eval
 		p, x, y, z := make([]float64, 4), make([]float64, 4), make([]float64, 4), make([]float64, 4)
@@ -1199,15 +1246,19 @@ func BenchmarkEvalTile(b *testing.B) {
 				t1(tx[t:t+1], ty[t:t+1], tz[t:t+1], sx, sy, sz, q, p[t:t+1], x[t:t+1], y[t:t+1], z[t:t+1])
 			}
 		}
+		perInteraction(b, 4)
 	})
-	if gts[0].Width == 4 {
-		b.Run(rc.Name()+"/grad-tile", func(b *testing.B) {
-			t4 := gts[0].Eval
-			p, x, y, z := make([]float64, 4), make([]float64, 4), make([]float64, 4), make([]float64, 4)
-			b.SetBytes(4 * n * 8)
+	for _, s := range gts[:len(gts)-1] {
+		s := s
+		name := map[int]string{4: "/grad-tile", 8: "/grad-tile8"}[s.Width]
+		b.Run(rc.Name()+name, func(b *testing.B) {
+			w := s.Width
+			p, x, y, z := make([]float64, w), make([]float64, w), make([]float64, w), make([]float64, w)
+			b.SetBytes(int64(w) * n * 8)
 			for i := 0; i < b.N; i++ {
-				t4(tx[:4], ty[:4], tz[:4], sx, sy, sz, q, p, x, y, z)
+				s.Eval(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, p, x, y, z)
 			}
+			perInteraction(b, w)
 		})
 	}
 }
