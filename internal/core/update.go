@@ -196,17 +196,16 @@ func (pl *Plan) Update(x, y, z []float64, tr *trace.Tracer) (UpdateStats, error)
 	domainOK := tree.SnapMortonDomain(src.Bounds()) == u.idx.Domain
 
 	if float64(st.OutOfTolerance) <= RefitMaxOutOfTolerance*float64(n) {
-		// Tentative refit: new boxes, then recheck every cached
-		// approximation. Falling through to repair/rebuild is safe — both
-		// recompute boxes from scratch.
+		// Tentative refit: new boxes, then one MAC pass over every cached
+		// approximation that demotes the pairs failing it. Falling through
+		// to repair/rebuild is safe — both recompute boxes from scratch
+		// and replace the lists.
 		pl.Sources.RefitBoxesWorkers(workers)
 		u.cut.RefitBoxesWorkers(workers)
 		pl.Batches.RefreshFromTree(u.cut)
-		st.MACViolations = interaction.RecheckApproxWorkers(pl.Lists, pl.Batches, pl.Sources, pl.Params.MAC(), workers)
-		if float64(st.MACViolations) <= RefitMaxMACDemotions*float64(pl.Lists.Stats.ApproxPairs) {
-			if st.MACViolations > 0 {
-				interaction.DemoteFailingApprox(pl.Lists, pl.Batches, pl.Sources, pl.Params.MAC(), workers)
-			}
+		approx := pl.Lists.Stats.ApproxPairs
+		st.MACViolations = interaction.DemoteFailingApprox(pl.Lists, pl.Batches, pl.Sources, pl.Params.MAC(), workers)
+		if float64(st.MACViolations) <= RefitMaxMACDemotions*float64(approx) {
 			pl.Clusters.RefitGridsWorkers(pl.Sources, workers)
 			u.idx.Codes, u.codes = u.codes, u.idx.Codes
 			st.Action = UpdateRefit

@@ -624,19 +624,21 @@ func TestUpdateTraceSpans(t *testing.T) {
 	}
 }
 
-// TestUpdateRefitDemotionCharges pins the charge pass after a refit that
-// demotes approximation pairs to direct summation: the lists change while
-// the node count does not, and a state charged only where the new lists
-// read must still evaluate exactly like one charged everywhere.
-// FuzzPlanUpdate cannot reach this path: its 600-particle plans hold fewer
-// than 100 approximation pairs, so RefitMaxMACDemotions (1%) admits none.
+// TestUpdateRefitDemotionCharges pins both outcomes of the refit's MAC
+// pass on a jiggle that flips approximation pairs. Under the default
+// RefitMaxMACDemotions the refit stands with the failing pairs demoted to
+// direct summation: the lists change while the node count does not, and a
+// state charged only where the new lists read must still evaluate exactly
+// like one charged everywhere. With the threshold at 0 the same pass
+// demotes the same pairs and the update falls through, so the repair or
+// rebuild must replace the demoted lists: the plan must equal a fresh
+// NewPlan. FuzzPlanUpdate cannot reach the first path: its 600-particle
+// plans hold fewer than 100 approximation pairs, so RefitMaxMACDemotions
+// (1%) admits none.
 func TestUpdateRefitDemotionCharges(t *testing.T) {
 	const n = 2000
 	pts := testParticles(t, n, 2)
-	pl, err := NewPlan(pts, pts, Params{Theta: 0.7, Degree: 3, LeafSize: 40, BatchSize: 40, Morton: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Params{Theta: 0.7, Degree: 3, LeafSize: 40, BatchSize: 40, Morton: true}
 	x := append([]float64(nil), pts.X...)
 	y := append([]float64(nil), pts.Y...)
 	z := append([]float64(nil), pts.Z...)
@@ -646,16 +648,33 @@ func TestUpdateRefitDemotionCharges(t *testing.T) {
 		y[i] += 1e-3 * (2*rng.Float64() - 1)
 		z[i] += 1e-3 * (2*rng.Float64() - 1)
 	}
-	st, err := pl.update(x, y, z)
-	if err != nil {
-		t.Fatal(err)
+	defer func(f float64) { RefitMaxMACDemotions = f }(RefitMaxMACDemotions)
+	demoted := 0
+	for _, maxDemotions := range []float64{RefitMaxMACDemotions, 0} {
+		RefitMaxMACDemotions = maxDemotions
+		pl, err := NewPlan(pts, pts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := pl.update(x, y, z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if maxDemotions == 0 {
+			if st.Action == UpdateRefit || st.MACViolations != demoted {
+				t.Fatalf("threshold 0 gave %v with %d MAC violations; want a fall-through with %d", st.Action, st.MACViolations, demoted)
+			}
+			wantFreshEqual(t, pl, x, y, z, pts.Q, p)
+			continue
+		}
+		if st.Action != UpdateRefit || st.MACViolations == 0 {
+			t.Fatalf("jiggle gave %v with %d MAC violations; want a refit that demotes", st.Action, st.MACViolations)
+		}
+		demoted = st.MACViolations
+		k := kernel.Coulomb{}
+		wantExact(t, SolvePotentials(pl, k, nanState(pl), 0),
+			SolvePotentials(pl, k, chargedState(pl, 0), 0), "refit with demotions, unread slots NaN")
 	}
-	if st.Action != UpdateRefit || st.MACViolations == 0 {
-		t.Fatalf("jiggle gave %v with %d MAC violations; want a refit that demotes", st.Action, st.MACViolations)
-	}
-	k := kernel.Coulomb{}
-	wantExact(t, SolvePotentials(pl, k, nanState(pl), 0),
-		SolvePotentials(pl, k, chargedState(pl, 0), 0), "refit with demotions, unread slots NaN")
 }
 
 // FuzzPlanUpdate drives a small Morton plan through a drift sequence, one
@@ -666,9 +685,10 @@ func TestUpdateRefitDemotionCharges(t *testing.T) {
 // cut from the source order below, at and above its leaves. After a repair
 // or rebuild the plan must equal a fresh NewPlan at the same positions and
 // solve bit-identically to it; after a refit every batch must bound its
-// moved targets and every cached approximation must pass the MAC recheck. After every step, a solve on a state charged
-// only where the lists read must equal one charged everywhere. The seeds
-// reach all three paths at every batch size.
+// moved targets and every cached approximation must pass the MAC: a
+// second DemoteFailingApprox moves no pair. After every step, a solve on a
+// state charged only where the lists read must equal one charged
+// everywhere. The seeds reach all three paths at every batch size.
 func FuzzPlanUpdate(f *testing.F) {
 	for batch := uint8(0); batch < 3; batch++ {
 		f.Add(int64(1), batch, []byte{0x00, 0x40, 0xfc}) // jiggles: refit
@@ -739,7 +759,7 @@ func FuzzPlanUpdate(f *testing.F) {
 						t.Fatalf("%s: batch %d geometry does not bound its moved targets", what, bi)
 					}
 				}
-				if v := interaction.RecheckApproxWorkers(pl.Lists, pl.Batches, pl.Sources, p.MAC(), 1); v != 0 {
+				if v := interaction.DemoteFailingApprox(pl.Lists, pl.Batches, pl.Sources, p.MAC(), 1); v != 0 {
 					t.Fatalf("%s: %d approximation pairs fail the MAC", what, v)
 				}
 				continue

@@ -100,27 +100,35 @@ var (
 )
 
 // Tiles resolves k's fp64 tiles widest first, ending with its width-1
-// tile. Coulomb runs 8 → 4 → 1 with the assembly installed and 4 → 1
-// without: there is no pure-Go 8-wide tile because an exact kernel's
-// width-8 tile is bit-identical to two width-4 tiles of the same targets.
-// Yukawa runs 8 → 4 → 1 on avx512vl and 4 → 1 elsewhere: its width 4 is
-// the assembly tile under YukawaTileMaxULP when installed, its width 8
-// (the ZMM tile) is bit-identical to two of those width-4 calls, and its
-// width 1 stays the math.Exp loop. Because 8 is a multiple of 4, the
-// cascade sends the same targets to the vector exp with or without the
-// width-8 tile, so which targets take it is the same on every driver and
-// every machine with the width-4 tile. The other built-ins run their
-// hand-specialized 4 → 1 loops. Any other kernel, kernel.Func included,
-// gets only the width-1 Eval loop. Resolve once per driver call, outside
-// the hot loops: the result follows SetAsmKernels only when resolved
-// again.
+// tile. Coulomb runs 8 → 4 → 1 on avx512vl and 4 → 1 elsewhere: its
+// width 4 is the AVX tile when installed and the Go loop otherwise, both
+// bit-identical to the width-1 loop, and its width 8 is the ZMM tile,
+// bit-identical too except at a distance whose significand is all ones,
+// where its reciprocal is one ulp low. Elsewhere the cascade starts at 4
+// because an exact kernel's width-8 tile is bit-identical to two width-4
+// tiles of the same targets, and an AVX width 8 measured no faster than
+// those two calls (docs/performance.md). Yukawa runs 8 → 4 → 1 on
+// avx512vl and 4 → 1 elsewhere: its width 4 is the assembly tile under
+// YukawaTileMaxULP when installed, its width 8 (the ZMM tile) is
+// bit-identical to two of those width-4 calls, and its width 1 stays the
+// math.Exp loop. Because 8 is a multiple of 4, the cascade sends the same
+// targets to the vector exp with or without the width-8 tile, so which
+// targets take it is the same on every driver and every machine with the
+// width-4 tile. The other built-ins run their hand-specialized 4 → 1
+// loops. Any other kernel, kernel.Func included, gets only the width-1
+// Eval loop. Resolve once per driver call, outside the hot loops: the
+// result follows SetAsmKernels only when resolved again.
 func Tiles(k Kernel) []Sized[Tile] {
 	switch k := k.(type) {
 	case Coulomb:
-		if coulombTile8Asm != nil {
-			return []Sized[Tile]{{8, coulombTile8Asm}, {4, coulombTile4Asm}, {1, k.tile1}}
+		t4 := coulombTile4Asm
+		if t4 == nil {
+			t4 = k.tile4
 		}
-		return []Sized[Tile]{{4, k.tile4}, {1, k.tile1}}
+		if coulombTile8Asm != nil {
+			return []Sized[Tile]{{8, coulombTile8Asm}, {4, t4}, {1, k.tile1}}
+		}
+		return []Sized[Tile]{{4, t4}, {1, k.tile1}}
 	case Yukawa:
 		t4 := Tile(k.tile4)
 		if yukawaTile4Asm != nil {

@@ -14,26 +14,14 @@ func cpuHasAVX() bool
 //go:noescape
 func coulombTileAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, phi *[4]float64)
 
-// coulombTileAVX512 is the EVEX variant: same tile layout, but the
-// reciprocal runs as a correctly-rounded Newton–Raphson sequence on the
-// FMA ports, off the divide/sqrt unit that bounds the AVX loop. Requires
-// AVX-512 F+VL. See tile_amd64.s.
-//
-//go:noescape
-func coulombTileAVX512(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, phi *[4]float64)
-
-// coulombTile8AVX is the register-blocked 8-target Coulomb tile: two
-// 4-lane groups sharing each source's broadcasts. AVX only. See
-// tile_amd64.s.
-//
-//go:noescape
-func coulombTile8AVX(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
-
-// coulombTile8ZMM is the 512-bit 8-target variant for parts with dual
-// 512-bit FMA pipes: one ZMM lane group with the square root computed by
-// a correctly-rounded Goldschmidt/Markstein sequence on the FMA ports,
-// off the divide/sqrt unit that bounds the YMM tiles. Still bit-identical
-// to the scalar loop. Requires AVX-512 F+VL. See tile_amd64.s.
+// coulombTile8ZMM is the 512-bit 8-target tile for parts with dual
+// 512-bit FMA pipes: one ZMM lane group, sources in pairs, every other
+// square root computed by a correctly-rounded Goldschmidt/Markstein
+// sequence on the FMA ports, off the divide/sqrt unit that bounds the
+// YMM tile, and every reciprocal by Newton steps on the FMA ports.
+// Bit-identical to the scalar loop except at a distance whose
+// significand is all ones, (2 - 2^-52)·2^k, where its reciprocal is one
+// ulp low. Requires AVX-512 F+VL. See tile_amd64.s.
 //
 //go:noescape
 func coulombTile8ZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
@@ -196,11 +184,9 @@ func init() {
 			return
 		}
 		coulombTile4Asm = asm4(coulombTileAVX).tile
-		coulombTile8Asm = asm8(coulombTile8AVX).tile
 		if avx512 {
 			// The pair-wise Goldschmidt/divider ZMM tile overlaps the two
 			// square-root resources (see tile_amd64.s).
-			coulombTile4Asm = asm4(coulombTileAVX512).tile
 			coulombTile8Asm = asm8(coulombTile8ZMM).tile
 			transferUpAsm = transferUpZMMSlices
 			chargeRowsAsm = chargeRowsZMMSlices

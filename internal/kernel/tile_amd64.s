@@ -372,109 +372,6 @@ nofma:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func coulombTileAVX512(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, phi *[4]float64)
-//
-// Coulomb source block against a 4-target tile, one target per YMM lane,
-// with the reciprocal computed on the FMA ports instead of the divider.
-// The tile loops are divider-throughput-bound on this generation of x86
-// (VSQRTPD+VDIVPD ymm occupy the one divide/sqrt unit for ~13-16 cycles
-// combined), so the division is replaced by the classic Newton–Raphson /
-// Markstein sequence — the same construction GPUs use for IEEE fp64
-// division in software, which keeps the result CORRECTLY ROUNDED and
-// therefore bit-identical to VDIVPD:
-//
-//	y0 = rcp14(s)                         |rel err| <= 2^-14
-//	y1 = y0 + y0*(1 - s*y0)  (2 FMAs)     err ~ 2^-28
-//	y2 = y1 + y1*(1 - s*y1)  (2 FMAs)     err < 1 ulp (faithful)
-//	y3 = y2 + y2*(1 - s*y2)  (2 FMAs)     == RN(1/s) exactly
-//
-// Each 1 - s*y is one VFNMADD (exact in the final step, by the standard
-// cancellation lemma once y is faithful) and each update one VFMADD;
-// Markstein's round-off theorem gives correct rounding of the last
-// iterate for every s with normal 1/s. s = sqrt(r2) of a positive finite
-// r2 lies in [2^-537, 2^512], so 1/s is always normal and the theorem
-// applies on every unmasked lane; TestCoulombTileExtremeMagnitudes and
-// FuzzTileAccum pin the equality empirically across the magnitude range.
-// Edge lanes are handled with k-masks, matching the scalar code's
-// branches: r2 == 0 lanes (self-interaction) and s == +Inf lanes
-// (overflowed r2, where 1/Inf = +0) force g*q to +0 via zero-masking;
-// NaN coordinates keep the lane valid so the NaN propagates like the
-// scalar path (NEQ_UQ compares are unordered-true). Zeroing the product
-// instead of g alone cannot change the accumulator bits: the chain
-// starts at +0 and x + (+0) == x + (-0) for every x that is not -0, and
-// no partial sum here can be -0.
-//
-// Per-lane accumulation order and the single phi[t] += add match
-// coulombTileAVX below; bit-identity to the scalar loop in tile1.go holds
-// for the same reasons, with VDIVPD's role taken by the proven-equal NR
-// reciprocal. The loop is deliberately one source per iteration and
-// 256-bit throughout: the iteration's ~18 FP uops on two FMA ports (~9
-// cycles) sit just above the 7-cycle VSQRTPD floor, and measured
-// variants — a two-source unroll on disjoint YMM chains, and a packed
-// two-sources-per-ZMM form — were no faster or slower here (the ZMM
-// form progressively downclocks under sustained 512-bit sqrt+FMA load).
-// n must be positive; sources are broadcast one at a time, so there is
-// no alignment or multiple-of-anything requirement.
-TEXT ·coulombTileAVX512(SB), NOSPLIT, $0-72
-	MOVQ         tx+0(FP), AX
-	VMOVUPD      (AX), Y0          // tx[0:4]
-	MOVQ         ty+8(FP), AX
-	VMOVUPD      (AX), Y1          // ty[0:4]
-	MOVQ         tz+16(FP), AX
-	VMOVUPD      (AX), Y2          // tz[0:4]
-	VBROADCASTSD ·avxOne(SB), Y4
-	VBROADCASTSD ·avxInf(SB), Y14
-	MOVQ         sx+24(FP), SI
-	MOVQ         sy+32(FP), DI
-	MOVQ         sz+40(FP), R8
-	MOVQ         q+48(FP), R9
-	MOVQ         n+56(FP), CX
-	XORQ         DX, DX            // j; indexed loads keep the integer
-	VXORPD       Y3, Y3, Y3        // per-lane block accumulators ...
-	VXORPD       Y5, Y5, Y5        // ... bookkeeping off the FP ports
-
-avx512loop:
-	VBROADCASTSD (SI)(DX*8), Y6    // sx[j] in every lane
-	VBROADCASTSD (DI)(DX*8), Y7    // sy[j]
-	VBROADCASTSD (R8)(DX*8), Y8    // sz[j]
-	VSUBPD       Y6, Y0, Y6        // dx = tx - sx[j]
-	VSUBPD       Y7, Y1, Y7        // dy = ty - sy[j]
-	VSUBPD       Y8, Y2, Y8        // dz = tz - sz[j]
-	VMULPD       Y6, Y6, Y6        // dx*dx
-	VMULPD       Y7, Y7, Y7        // dy*dy
-	VMULPD       Y8, Y8, Y8        // dz*dz
-	VADDPD       Y7, Y6, Y6        // dx*dx + dy*dy
-	VADDPD       Y8, Y6, Y6        // r2 = (dx*dx + dy*dy) + dz*dz
-	VCMPPD       $4, Y5, Y6, K1    // valid = (r2 != 0), NEQ_UQ
-	VSQRTPD      Y6, Y9            // s = sqrt(r2)
-	VCMPPD       $4, Y14, Y9, K2   // finite = (s != +Inf), NEQ_UQ
-	KANDW        K2, K1, K1
-	VRCP14PD     Y9, Y10           // y0 ~ 1/s
-	VMOVAPD      Y4, Y11
-	VFNMADD231PD Y10, Y9, Y11      // e0 = 1 - s*y0
-	VFMADD213PD  Y10, Y10, Y11     // y1 = y0 + y0*e0
-	VMOVAPD      Y4, Y12
-	VFNMADD231PD Y11, Y9, Y12      // e1 = 1 - s*y1
-	VFMADD213PD  Y11, Y11, Y12     // y2 = y1 + y1*e1
-	VMOVAPD      Y4, Y13
-	VFNMADD231PD Y12, Y9, Y13      // e2 = 1 - s*y2, exact
-	VFMADD213PD  Y12, Y12, Y13     // g = y2 + y2*e2 = RN(1/s)
-	VBROADCASTSD (R9)(DX*8), Y9    // q[j]
-	VMULPD.Z     Y9, Y13, K1, Y10  // g*q[j]; +0 on masked lanes
-	VADDPD       Y10, Y3, Y3       // p[t] += g*q[j], in source order per lane
-
-	INCQ DX
-	CMPQ DX, CX
-	JNE  avx512loop
-
-	// phi[t] += p[t]: one per-lane add of the block total.
-	MOVQ    phi+64(FP), AX
-	VMOVUPD (AX), Y6
-	VADDPD  Y3, Y6, Y6
-	VMOVUPD Y6, (AX)
-	VZEROUPPER
-	RET
-
 // func coulombTileAVX(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, phi *[4]float64)
 //
 // Coulomb source block against a 4-target tile, one target per YMM lane.
@@ -713,16 +610,21 @@ gradloop:
 // divider operations per source. Here g keeps its two, and c is formed on
 // the FMA ports as a correctly rounded quotient:
 //
-//	y  = RN(1/d2)          VRCP14PD, then three Newton steps in Markstein
-//	                       form (coulombTileAVX512's sequence for 1/s)
+//	y  ~ 1/d2              VRCP14PD, then three Newton steps in Markstein
+//	                       form (coulombTile8ZMM's sequence for 1/s)
 //	q0 = RN(a*y)           a = -g
 //	q1 = q0 + (a - d2*q0)*y    faithful
-//	c  = q1 + (a - d2*q1)*y    == RN(a/d2), by Markstein's theorem
+//	c  = q1 + (a - d2*q1)*y    == RN(a/d2)
 //
 // Each residual a - d2*q is one VFNMADD (exact once q is faithful) and
-// each correction one VFMADD. a = -g makes c the quotient itself, so the
-// lanes need no sign flip after it, and every operation keeps the 4-wide
-// tile's operand order, so NaN payloads propagate alike.
+// each correction one VFMADD. y is RN(1/d2) except when d2's significand
+// is all ones, where it is one ulp low (see coulombTile8ZMM). Markstein's
+// theorem makes c = RN(a/d2) from y = RN(1/d2); for the all-ones d2 it
+// does not apply, and TestGradTileD2Range checks that c still rounds
+// correctly there in every binade of the fast range. a = -g makes c the
+// quotient itself, so the lanes need no sign flip after it, and every
+// operation keeps the 4-wide tile's operand order, so NaN payloads
+// propagate alike.
 //
 // The guard: a source whose valid lanes have any d2 outside [2^-600,
 // 2^600], or NaN, forms c with VDIVPD in a patch block instead, exactly as
@@ -1127,91 +1029,6 @@ yf32loop:
 	VZEROUPPER
 	RET
 
-// func coulombTile8AVX(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
-//
-// The VEX-only 8-target Coulomb tile: two 4-lane groups sharing each
-// source's broadcasts, with VDIVPD for the reciprocal (coulombTileAVX's
-// arithmetic, in two register-blocked groups). The sixteen VEX
-// registers force the two groups to run back-to-back per source with a
-// two-register working set each; out-of-order execution still overlaps
-// group B's distance math with group A's sqrt/divide latency. Bit-
-// identity per lane follows exactly as in coulombTileAVX. n must be
-// positive.
-TEXT ·coulombTile8AVX(SB), NOSPLIT, $0-72
-	MOVQ         tx+0(FP), AX
-	VMOVUPD      (AX), Y0          // tx[0:4]
-	VMOVUPD      32(AX), Y10       // tx[4:8]
-	MOVQ         ty+8(FP), AX
-	VMOVUPD      (AX), Y1          // ty[0:4]
-	VMOVUPD      32(AX), Y11       // ty[4:8]
-	MOVQ         tz+16(FP), AX
-	VMOVUPD      (AX), Y2          // tz[0:4]
-	VMOVUPD      32(AX), Y12       // tz[4:8]
-	VBROADCASTSD ·avxOne(SB), Y4
-	MOVQ         sx+24(FP), SI
-	MOVQ         sy+32(FP), DI
-	MOVQ         sz+40(FP), R8
-	MOVQ         q+48(FP), R9
-	MOVQ         n+56(FP), CX
-	XORQ         DX, DX            // j
-	VXORPD       Y3, Y3, Y3        // accumulators, lanes 0:4
-	VXORPD       Y13, Y13, Y13     // accumulators, lanes 4:8
-	VXORPD       Y5, Y5, Y5        // zeros for the r2 == 0 mask
-
-tile8avxloop:
-	VBROADCASTSD (SI)(DX*8), Y6    // sx[j], shared by both groups
-	VBROADCASTSD (DI)(DX*8), Y7    // sy[j]
-	VBROADCASTSD (R8)(DX*8), Y8    // sz[j]
-	VBROADCASTSD (R9)(DX*8), Y9    // q[j]
-
-	// Group A (lanes 0:4) in the Y14/Y15 working pair.
-	VSUBPD  Y6, Y0, Y14            // dx
-	VMULPD  Y14, Y14, Y14          // dx*dx
-	VSUBPD  Y7, Y1, Y15            // dy
-	VMULPD  Y15, Y15, Y15
-	VADDPD  Y15, Y14, Y14          // dx*dx + dy*dy
-	VSUBPD  Y8, Y2, Y15            // dz
-	VMULPD  Y15, Y15, Y15
-	VADDPD  Y15, Y14, Y14          // r2 = (dx*dx + dy*dy) + dz*dz
-	VCMPPD  $0, Y5, Y14, Y15       // mask = (r2 == 0), EQ_OQ
-	VSQRTPD Y14, Y14
-	VDIVPD  Y14, Y4, Y14           // g = 1 / sqrt(r2)
-	VANDNPD Y14, Y15, Y14          // g = 0 on self-interaction lanes
-	VMULPD  Y9, Y14, Y14           // g * q[j]
-	VADDPD  Y14, Y3, Y3            // pA[t] += g*q[j], in source order
-
-	// Group B (lanes 4:8), same sequence against the shared broadcasts.
-	VSUBPD  Y6, Y10, Y14
-	VMULPD  Y14, Y14, Y14
-	VSUBPD  Y7, Y11, Y15
-	VMULPD  Y15, Y15, Y15
-	VADDPD  Y15, Y14, Y14
-	VSUBPD  Y8, Y12, Y15
-	VMULPD  Y15, Y15, Y15
-	VADDPD  Y15, Y14, Y14
-	VCMPPD  $0, Y5, Y14, Y15
-	VSQRTPD Y14, Y14
-	VDIVPD  Y14, Y4, Y14
-	VANDNPD Y14, Y15, Y14
-	VMULPD  Y9, Y14, Y14
-	VADDPD  Y14, Y13, Y13          // pB[t] += g*q[j]
-
-	INCQ DX
-	CMPQ DX, CX
-	JNE  tile8avxloop
-
-	// phi[t] += p[t]: one per-lane add of each block total.
-	MOVQ    phi+64(FP), AX
-	VMOVUPD (AX), Y6
-	VADDPD  Y3, Y6, Y6
-	VMOVUPD Y6, (AX)
-	VMOVUPD 32(AX), Y6
-	VADDPD  Y13, Y6, Y6
-	VMOVUPD Y6, 32(AX)
-	VZEROUPPER
-	RET
-
-
 // func coulombTile8ZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, phi *[8]float64)
 //
 // Coulomb source block against an 8-target fp64 tile in one ZMM lane
@@ -1219,19 +1036,37 @@ tile8avxloop:
 // DIFFERENT execution resources concurrently: the even source's sqrt goes
 // to the divide/sqrt unit (VSQRTPD zmm, ~22 cycles throughput), while the
 // odd source's sqrt is computed entirely on the FMA ports by a
-// Goldschmidt/Markstein sequence (~27 FMA-port uops). The YMM tiles above
-// serialize two VSQRTPD ymm on the one divider (~23 cycles per 8
+// Goldschmidt/Markstein sequence (~27 FMA-port uops). Two coulombTileAVX
+// calls serialize two VSQRTPD ymm on the one divider (~23 cycles per 8
 // targets); here a PAIR of sources (16 interactions) retires in
 // max(divider ~22, FMA-ports ~27-31) cycles because the streams overlap,
 // which measures ~1.5x faster per interaction on dual-512-bit-FMA parts.
 //
-// The even/A stream is coulombTileAVX512's proven arithmetic: VSQRTPD
-// then the Newton-Raphson reciprocal (correctly rounded by Markstein's
-// theorem, see the 4-wide prologue). The odd/B stream computes the square
-// root itself on the FMA ports with the classic Goldschmidt/Markstein
-// construction (Markstein, "IA-64 and Elementary Functions"; the same
-// scheme GPUs use for IEEE fp64 sqrt in software), which keeps the result
-// CORRECTLY ROUNDED and therefore bit-identical to VSQRTPD / math.Sqrt:
+// Neither stream divides: each forms g = 1/s by Newton-Raphson steps in
+// Markstein form on the FMA ports. The even/A stream takes s from VSQRTPD
+// and seeds from VRCP14PD:
+//
+//	y0 = rcp14(s)                         |rel err| <= 2^-14
+//	y1 = y0 + y0*(1 - s*y0)  (2 FMAs)     err ~ 2^-28
+//	y2 = y1 + y1*(1 - s*y1)  (2 FMAs)     err < 1 ulp (faithful)
+//	g  = y2 + y2*(1 - s*y2)  (2 FMAs)     RN(1/s), but see below
+//
+// Each 1 - s*y is one VFNMADD (exact in the final step, by the standard
+// cancellation lemma once y is faithful) and each update one VFMADD.
+// s = sqrt(r2) of a positive finite r2 lies in [2^-537, 2^512], so 1/s
+// is always normal, and Markstein's theorem makes the last step from a
+// faithful iterate correctly rounded for every such s but one kind: the
+// theorem excludes a divisor whose significand is all ones. At
+// s = (2 - 2^-52)*2^k, 1/s lies just above the midpoint between
+// 0.5*2^-k and the next double up, RN(1/s). From y2 = 0.5*2^-k the last
+// step's fused sum is exactly that midpoint and rounds to even, down, so
+// g is 0.5*2^-k, one ulp below RN(1/s).
+//
+// The odd/B stream computes the square root itself on the FMA ports with
+// the classic Goldschmidt/Markstein construction (Markstein, "IA-64 and
+// Elementary Functions"; the same scheme GPUs use for IEEE fp64 sqrt in
+// software), which keeps the root CORRECTLY ROUNDED, the bits of
+// VSQRTPD / math.Sqrt:
 //
 //	y0 = rsqrt14(x)                     |y0*sqrt(x) - 1| <= 2^-14
 //	g = x*y0, h = 0.5*y0                ~ sqrt(x), 1/(2 sqrt(x))
@@ -1244,8 +1079,17 @@ tile8avxloop:
 // double; Markstein's square-root theorem gives correct rounding of the
 // final iterate (h is accurate to ~1.25 ulp, well inside the theorem's
 // slack). The reciprocal then seeds from y = 2h ~ 1/s, one ulp-class
-// error, so two Markstein steps (faithful, then RN) deliver RN(1/s) in 5
-// more FMA-port ops instead of VRCP14PD + 6.
+// error, so two of the A stream's Markstein steps (faithful, then the
+// last) form g in 5 more FMA-port ops instead of VRCP14PD + 6, with the
+// same exception.
+//
+// So the tile is bit-identical to the scalar loop's RN(1/RN(sqrt(r2)))
+// except at distances with an all-ones significand: there every lane of
+// both streams, and of the patch block and the odd tail below, was
+// measured at 0.5*2^-k for every k in [-500, 500], one ulp below the
+// width-1 loop. It is the one Coulomb width with that defect: the 4-wide
+// tile divides, and TestCoulombTileAllOnesDistance pins every width up
+// to 4 there.
 //
 // The Goldschmidt proof needs x comfortably normal: VRSQRT14PD flushes
 // denormal inputs to zero (giving +Inf seeds) and maps +Inf to +0, and
@@ -1253,18 +1097,22 @@ tile8avxloop:
 // denormal range, where its coarse rounding no longer steers the final
 // correction (observed 1-ulp misses at x ~ 2^-1022). Two range compares
 // per B source — (x < 2^-512 && x != 0) || x == +Inf — route such
-// iterations to a patch block that redoes the B source on the divider.
-// Every path produces the same correctly rounded RN(1/RN(sqrt(x)))*q per
-// valid lane, so a target whose sources take different paths still
-// accumulates bit-identically to the scalar loop: the two per-pair
+// iterations to a patch block that redoes the B source with the A
+// stream's arithmetic. Both paths give every valid lane the same value
+// (RN(1/RN(sqrt(x)))*q, or the low reciprocal above at an all-ones s),
+// so which path a source takes changes no bits: the two per-pair
 // accumulator adds retire in source order (j then j+1), x == 0
-// (self-interaction) lanes are zero-masked exactly like the YMM tiles
+// (self-interaction) lanes are zero-masked exactly like the YMM tile
 // (the B stream's NaN dataflow on those lanes is discarded by the mask;
 // VPTESTMQ on the bit pattern equals the r2 != 0 compare because r2 is
 // never -0), and NaN coordinates (unordered on both range compares) stay
 // in the fast path and propagate like the scalar code. In treecode
 // workloads the patch block is cold: unit-box distances never leave
-// [2^-512, +Inf).
+// [2^-512, +Inf). The s == +Inf lanes of an overflowed r2 get g*q = +0
+// by zero-masking, the scalar 1/Inf; zeroing the product instead of g
+// alone cannot change the accumulator bits, because the chain starts at
+// +0, x + (+0) == x + (-0) for every x that is not -0, and no partial sum
+// here can be -0.
 //
 // The whole function deliberately stays inside ZMM0-ZMM15, taking the
 // compare constants as EVEX embedded broadcasts: writes to ZMM16-ZMM31
@@ -1277,9 +1125,9 @@ tile8avxloop:
 // end-to-end).
 //
 // Expression order for dx/dy/dz/r2 and the per-lane accumulate matches
-// the scalar loop exactly, as in the other tiles; bit-identity of the
-// whole tile follows. An odd trailing source runs through a single-source
-// copy of the A stream. Requires AVX-512 F+VL. n must be positive.
+// the scalar loop exactly, as in the other tiles. An odd trailing source
+// runs through a single-source copy of the A stream. Requires AVX-512
+// F+VL. n must be positive.
 TEXT ·coulombTile8ZMM(SB), NOSPLIT, $0-72
 	MOVQ         tx+0(FP), AX
 	VMOVUPD      (AX), Z0          // tx[0:8]
@@ -1367,8 +1215,8 @@ tile8zpair:
 	VFMADD213PD  Z12, Z12, Z13     // gB = RN(1/sB), in Z13
 
 tile8zjoin:
-	// A: Newton-Raphson reciprocal of sA (see coulombTileAVX512), then
-	// both accumulator adds in source order: j first, j+1 second.
+	// A: Newton-Raphson reciprocal of sA (see the header), then both
+	// accumulator adds in source order: j first, j+1 second.
 	VCMPPD.BCST  $4, ·avxInf(SB), Z7, K2 // finiteA = (sA != +Inf), NEQ_UQ
 	KANDW        K2, K1, K1
 	VRCP14PD     Z7, Z9            // y0 ~ 1/sA

@@ -441,22 +441,22 @@ func TestAsBlockResolution(t *testing.T) {
 }
 
 // TestAsTileResolution pins the widths each kernel resolves, widest first,
-// with the assembly installed and switched off: Coulomb 8 → 4 → 1 with
-// the assembly and 4 → 1 without, Yukawa 8 → 4 → 1 with the ZMM tile
-// (avx512vl) and 4 → 1 without, the other built-ins 4 → 1, every
-// built-in F32 kernel 8 → 1, kernel.Func only 1, and RegularizedCoulomb's
-// gradient tiles 8 → 4 → 1 exactly when the assembly is on and the CPU
-// has avx512vl, 4 → 1 with AVX only and 1 otherwise. It also pins that
-// the three ZMM charge kernels (the upward transfer, the chunk's rows and
-// the chunk's update) are installed exactly when the assembly is on and
-// the CPU has avx512vl. It logs the CPU feature level, every resolved
-// width and each charge kernel, so a run's log shows which tiles and
-// kernels it exercised: the ZMM tiles and charge kernels run only on
-// AVX-512 hosts.
+// with the assembly installed and switched off, from the CPU rather than
+// from what the amd64 init installed: Coulomb and Yukawa 8 → 4 → 1
+// exactly when the assembly is on and the CPU has avx512vl and 4 → 1
+// otherwise, the other built-ins 4 → 1, every built-in F32 kernel 8 → 1,
+// kernel.Func only 1, and RegularizedCoulomb's gradient tiles 8 → 4 → 1
+// exactly when the assembly is on and the CPU has avx512vl, 4 → 1 with
+// AVX only and 1 otherwise. It also pins that the three ZMM charge
+// kernels (the upward transfer, the chunk's rows and the chunk's update)
+// are installed exactly when the assembly is on and the CPU has
+// avx512vl. It logs the CPU feature level, every resolved width and each
+// charge kernel, so a run's log shows which tiles and kernels it
+// exercised: the ZMM tiles and charge kernels run only on AVX-512 hosts.
 func TestAsTileResolution(t *testing.T) {
 	t.Logf("kernel.CPUFeatures() = %q", CPUFeatures())
 	inAsmModes(t, func(label string) {
-		want := asmOn && CPUFeatures() == "avx512vl"
+		zmm := asmOn && CPUFeatures() == "avx512vl"
 		for _, c := range []struct {
 			name      string
 			installed bool
@@ -466,8 +466,8 @@ func TestAsTileResolution(t *testing.T) {
 			{"charge update", chargeUpdateAsm != nil},
 		} {
 			t.Logf("%s: ZMM %s installed: %v", label, c.name, c.installed)
-			if c.installed != want {
-				t.Errorf("%s: ZMM %s installed %v, want %v", label, c.name, c.installed, want)
+			if c.installed != zmm {
+				t.Errorf("%s: ZMM %s installed %v, want %v", label, c.name, c.installed, zmm)
 			}
 		}
 		rc := RegularizedCoulomb{Eps: 0.05}
@@ -479,12 +479,8 @@ func TestAsTileResolution(t *testing.T) {
 		for _, k := range blockTestKernels() {
 			want := []int{4, 1}
 			switch k.(type) {
-			case Coulomb:
-				if coulombTile8Asm != nil {
-					want = []int{8, 4, 1}
-				}
-			case Yukawa:
-				if yukawaTile8Asm != nil {
+			case Coulomb, Yukawa:
+				if zmm {
 					want = []int{8, 4, 1}
 				}
 			}
@@ -647,12 +643,12 @@ func testF32TileContract(t *testing.T, seed int64) {
 	}
 }
 
-// TestCoulombTile8BitIdentical pins the register-blocked 8-wide Coulomb
-// tile against the width-1 loop: bit-identity at every ragged size, self
-// terms in both 4-lane groups included — regrouping targets into a wider
-// tile must not change any target's accumulation chain. Only Coulomb and
-// Yukawa resolve a width-8 fp64 tile, and only with the assembly
-// installed; Yukawa's is pinned by TestYukawaTile8MatchesTile4.
+// TestCoulombTile8BitIdentical pins the 8-wide Coulomb tile against the
+// width-1 loop: bit-identity at every ragged size, self terms in both
+// 4-lane groups included — regrouping targets into a wider tile must not
+// change any target's accumulation chain. Only Coulomb and Yukawa resolve
+// a width-8 fp64 tile, and only with the assembly installed on avx512vl;
+// Yukawa's is pinned by TestYukawaTile8MatchesTile4.
 func TestCoulombTile8BitIdentical(t *testing.T) {
 	for _, k := range blockTestKernels() {
 		switch k.(type) {
@@ -756,12 +752,13 @@ func TestAsmVsGoTiles(t *testing.T) {
 
 // TestCoulombTileExtremeMagnitudes sweeps coordinate scales across the
 // full binary exponent range, so s = sqrt(r2) runs from the bottom of its
-// domain (r2 subnormal) to +Inf overflow. This is the empirical pin for
-// the AVX-512 tiles' Newton–Raphson reciprocal and Goldschmidt square
-// root being correctly rounded — hence bit-identical to the scalar
-// 1/math.Sqrt — at every magnitude, and for the masked s == +Inf lanes
-// matching the scalar 1/Inf = +0. Every resolved width is compared with
-// the width-1 loop.
+// domain (r2 subnormal) to +Inf overflow. It pins the ZMM tile's
+// Goldschmidt square root and Newton–Raphson reciprocals to the scalar
+// 1/math.Sqrt at every magnitude on random distances, which almost never
+// have the all-ones significand where that reciprocal is one ulp low
+// (TestCoulombTileAllOnesDistance), and the masked s == +Inf lanes to the
+// scalar 1/Inf = +0. Every resolved width is compared with the width-1
+// loop.
 func TestCoulombTileExtremeMagnitudes(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	tiles := Tiles(Coulomb{})
@@ -802,6 +799,54 @@ func TestCoulombTileExtremeMagnitudes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCoulombTileAllOnesDistance puts one charged source at distance
+// s = (2 - 2^-52)·2^k from four targets, k in [-500, 500]. s has an
+// all-ones significand, which Markstein's reciprocal theorem excludes:
+// RN(1/s) is the double just above 0.5·2^-k, and a Newton step from
+// 0.5·2^-k sums to exactly the midpoint between them, which rounds to
+// even, down. The magnitude sweep above and FuzzTileAccum never draw such
+// an s. Every resolved
+// Coulomb width up to 4 must equal the width-1 loop bit for bit, with
+// the charged source at each index of a three-source block (the 4-wide
+// tile's two-source iteration and its odd tail). Width 8 is left out:
+// coulombTile8ZMM's reciprocals are one ulp low at these distances in
+// both of its streams (docs/performance.md).
+func TestCoulombTileAllOnesDistance(t *testing.T) {
+	inAsmModes(t, func(label string) {
+		tiles := Tiles(Coulomb{})
+		t1 := tiles[len(tiles)-1].Eval
+		for k := -500; k <= 500; k++ {
+			s := math.Ldexp(2-0x1p-52, k)
+			// One target on each axis through the source at the origin:
+			// r2 = RN(s*s), whose square root rounds back to s.
+			tx, ty, tz := []float64{s, 0, 0, -s}, []float64{0, s, 0, 0}, []float64{0, 0, s, 0}
+			for j := 0; j < 3; j++ {
+				sx, sy, sz := []float64{3 * s, 3 * s, 3 * s}, []float64{3 * s, 3 * s, 3 * s}, []float64{3 * s, 3 * s, 3 * s}
+				q := make([]float64, 3)
+				sx[j], sy[j], sz[j], q[j] = 0, 0, 0, 1
+				want := make([]float64, 4)
+				t1(tx, ty, tz, sx, sy, sz, q, want)
+				for i, p := range want {
+					if p != 1/s {
+						t.Fatalf("%s: k=%d source %d: width-1 potential at target %d is %v, want 1/s = %v", label, k, j, i, p, 1/s)
+					}
+				}
+				for _, tile := range tiles[:len(tiles)-1] {
+					w := tile.Width
+					if w > 4 {
+						continue
+					}
+					got := make([]float64, w)
+					tile.Eval(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, got)
+					if !sameBits(got, want[:w]) {
+						t.Fatalf("%s: k=%d source %d: width-%d tile %v != width-1 tile %v", label, k, j, w, got, want[:w])
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestF32TileExtremeMagnitudes is the fp32 magnitude sweep (the fp32 half
