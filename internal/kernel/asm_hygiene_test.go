@@ -93,7 +93,7 @@ var (
 // Every TEXT block that writes a Y or Z register must execute VZEROUPPER
 // immediately before each RET, with no label between them that a jump
 // could enter by, so no tile leaves a dirty upper state to the Go code
-// around it. Macro invocations (EXPPD, EXPPDZ) are checked as expanded.
+// around it. Macro invocations (EXPPD, YUK8A, ...) are checked as expanded.
 func TestAsmRegisterHygiene(t *testing.T) {
 	files, err := filepath.Glob("*_amd64.s")
 	if err != nil {

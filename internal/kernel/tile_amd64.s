@@ -243,51 +243,101 @@ DATA ·avxOnesF32+28(SB)/4, $0x3f800000
 	VMULPD       Y13, Y12, Y12;           \
 	VMULPD       Y14, Y12, Y12
 
-// EXPPDZ is EXPPD on eight fp64 lanes (AVX-512F), with the same bits in
-// every lane: Z11 = x in, Z12 = exp(x) out, Z10 and Z11 clobbered.
+// YUK8A, YUK8B and YUK8C are yukawaTile8ZMM's loop body cut into three
+// stages, each working on a different source, so that one iteration of
+// the loop below carries three independent dependency chains:
 //
-// Steps 1-3 are EXPPD's instructions in EVEX form with the same operand
-// order, so every lane rounds (and propagates a NaN payload) exactly as
-// EXPPD's does. The clamps still load their bound into a register: with
-// an embedded broadcast the bound would have to be MIN/MAX's second
-// source, which is the operand they return on a NaN, and a NaN x must
-// pass through as in EXPPD. The coefficients are embedded broadcasts
-// (the first eight bytes of EXPPD's 32-byte tables), so no register holds
-// a constant. VRNDSCALEPD $0 is VROUNDPD $0: round to nearest even.
+//	YUK8A, source j (Z6-Z8, mask K3): dx, dy, dz from the broadcast
+//	       source at DX, r2 = (dx*dx + dy*dy) + dz*dz, K3 = (r2 != 0),
+//	       s = sqrt(r2), x = -kappa*s, and EXPPD's steps 1 and 2: the
+//	       clamp, k = roundne(x*log2e) and r = x - k*Ln2Hi - k*Ln2Lo.
+//	       Leaves s in Z6, k in Z7 and r in Z8.
+//	YUK8B, source j-1 (Z9-Z12, mask K2): p = C13, then Horner down to C7.
+//	YUK8C, source j-2 (Z13-Z15 and Z5, mask K1): Horner from C6 down to
+//	       the two ones, p*2^k, g = p/s (+0 on r2 == 0 lanes), and
+//	       p[t] += g*q[j-2], q read at -16(R9)(DX*8).
 //
-// Step 4 is one VSCALEFPD, p * 2^k rounded once, in place of EXPPD's
-// integer split and two multiplies. The two agree bit for bit: p lies in
-// [0.7, 1.42] and k1 = floor(k/2) in [-539, 512], so p * 2^k1 is a normal
-// number and exact, and the second multiply is the only rounding, the
-// same one VSCALEFPD makes (to the subnormal range or +Inf included). A
-// NaN p comes out as QNaN(p) both ways: VSCALEFPD returns its first
-// source's NaN before looking at k, and EXPPD's scale is then 1.0 (the
-// integer indefinite that CVTPD2DQ makes of a NaN k shifts out to a bias
-// of exactly 1023).
-#define EXPPDZ \
-	VBROADCASTSD      ·expMax(SB), Z10;        \
-	VMINPD            Z11, Z10, Z11;           \
-	VBROADCASTSD      ·expMin(SB), Z10;        \
-	VMAXPD            Z11, Z10, Z11;           \
-	VMULPD.BCST       ·expLog2E(SB), Z11, Z10; \
-	VRNDSCALEPD       $0, Z10, Z10;            \
-	VFNMADD231PD.BCST ·expLn2Hi(SB), Z10, Z11; \
-	VFNMADD231PD.BCST ·expLn2Lo(SB), Z10, Z11; \
-	VBROADCASTSD      ·expC13(SB), Z12;        \
-	VFMADD213PD.BCST  ·expC12(SB), Z11, Z12;   \
-	VFMADD213PD.BCST  ·expC11(SB), Z11, Z12;   \
-	VFMADD213PD.BCST  ·expC10(SB), Z11, Z12;   \
-	VFMADD213PD.BCST  ·expC9(SB), Z11, Z12;    \
-	VFMADD213PD.BCST  ·expC8(SB), Z11, Z12;    \
-	VFMADD213PD.BCST  ·expC7(SB), Z11, Z12;    \
-	VFMADD213PD.BCST  ·expC6(SB), Z11, Z12;    \
-	VFMADD213PD.BCST  ·expC5(SB), Z11, Z12;    \
-	VFMADD213PD.BCST  ·expC4(SB), Z11, Z12;    \
-	VFMADD213PD.BCST  ·expC3(SB), Z11, Z12;    \
-	VFMADD213PD.BCST  ·expC2(SB), Z11, Z12;    \
-	VFMADD213PD.BCST  ·expOnes(SB), Z11, Z12;  \
-	VFMADD213PD.BCST  ·expOnes(SB), Z11, Z12;  \
-	VSCALEFPD         Z10, Z12, Z12
+// YUK8BC moves B's s, k, r, p and mask into C's registers, and YUK8AB
+// A's s, k, r and mask into B's, so a stage always finds its source in
+// the same registers.
+//
+// Taken in order, the three stages are EXPPD's instructions in EVEX form
+// with the same operand order, so every lane rounds (and propagates a NaN
+// payload) exactly as EXPPD's does. The clamps still load their bound
+// into a register: with an embedded broadcast the bound would have to be
+// MIN/MAX's second source, which is the operand they return on a NaN, and
+// a NaN x must pass through as in EXPPD. The coefficients are embedded
+// broadcasts (the first eight bytes of EXPPD's 32-byte tables), so no
+// register holds a constant. VRNDSCALEPD $0 is VROUNDPD $0: round to
+// nearest even.
+//
+// EXPPD's step 4 is one VSCALEFPD, p * 2^k rounded once, in place of
+// EXPPD's integer split and two multiplies. The two agree bit for bit: p
+// lies in [0.7, 1.42] and k1 = floor(k/2) in [-539, 512], so p * 2^k1 is
+// a normal number and exact, and the second multiply is the only
+// rounding, the same one VSCALEFPD makes (to the subnormal range or +Inf
+// included). A NaN p comes out as QNaN(p) both ways: VSCALEFPD returns
+// its first source's NaN before looking at k, and EXPPD's scale is then
+// 1.0 (the integer indefinite that CVTPD2DQ makes of a NaN k shifts out
+// to a bias of exactly 1023).
+#define YUK8A \
+	VBROADCASTSD      (SI)(DX*8), Z6;        \
+	VBROADCASTSD      (DI)(DX*8), Z7;        \
+	VBROADCASTSD      (R8)(DX*8), Z8;        \
+	VSUBPD            Z6, Z0, Z6;            \
+	VSUBPD            Z7, Z1, Z7;            \
+	VSUBPD            Z8, Z2, Z8;            \
+	VMULPD            Z6, Z6, Z6;            \
+	VMULPD            Z7, Z7, Z7;            \
+	VMULPD            Z8, Z8, Z8;            \
+	VADDPD            Z7, Z6, Z6;            \
+	VADDPD            Z8, Z6, Z6;            \
+	VPTESTMQ          Z6, Z6, K3;            \
+	VSQRTPD           Z6, Z6;                \
+	VMULPD            Z6, Z4, Z8;            \
+	VBROADCASTSD      ·expMax(SB), Z7;       \
+	VMINPD            Z8, Z7, Z8;            \
+	VBROADCASTSD      ·expMin(SB), Z7;       \
+	VMAXPD            Z8, Z7, Z8;            \
+	VMULPD.BCST       ·expLog2E(SB), Z8, Z7; \
+	VRNDSCALEPD       $0, Z7, Z7;            \
+	VFNMADD231PD.BCST ·expLn2Hi(SB), Z7, Z8; \
+	VFNMADD231PD.BCST ·expLn2Lo(SB), Z7, Z8
+
+#define YUK8B \
+	VBROADCASTSD     ·expC13(SB), Z12;      \
+	VFMADD213PD.BCST ·expC12(SB), Z11, Z12; \
+	VFMADD213PD.BCST ·expC11(SB), Z11, Z12; \
+	VFMADD213PD.BCST ·expC10(SB), Z11, Z12; \
+	VFMADD213PD.BCST ·expC9(SB), Z11, Z12;  \
+	VFMADD213PD.BCST ·expC8(SB), Z11, Z12;  \
+	VFMADD213PD.BCST ·expC7(SB), Z11, Z12
+
+#define YUK8C \
+	VFMADD213PD.BCST ·expC6(SB), Z15, Z5;   \
+	VFMADD213PD.BCST ·expC5(SB), Z15, Z5;   \
+	VFMADD213PD.BCST ·expC4(SB), Z15, Z5;   \
+	VFMADD213PD.BCST ·expC3(SB), Z15, Z5;   \
+	VFMADD213PD.BCST ·expC2(SB), Z15, Z5;   \
+	VFMADD213PD.BCST ·expOnes(SB), Z15, Z5; \
+	VFMADD213PD.BCST ·expOnes(SB), Z15, Z5; \
+	VSCALEFPD        Z14, Z5, Z5;           \
+	VDIVPD.Z         Z13, Z5, K1, Z5;       \
+	VMULPD.BCST      -16(R9)(DX*8), Z5, Z5; \
+	VADDPD           Z5, Z3, Z3
+
+#define YUK8BC \
+	VMOVAPD Z9, Z13;  \
+	VMOVAPD Z10, Z14; \
+	VMOVAPD Z11, Z15; \
+	VMOVAPD Z12, Z5;  \
+	KMOVW   K2, K1
+
+#define YUK8AB \
+	VMOVAPD Z6, Z9;  \
+	VMOVAPD Z7, Z10; \
+	VMOVAPD Z8, Z11; \
+	KMOVW   K3, K2
 
 // func cpuHasAVX() bool
 //
@@ -821,13 +871,28 @@ yukloop:
 // yukawaTileFMA's loop on eight targets in one ZMM lane group, equal bit
 // for bit to yukawaTileFMA on targets 0:4 and then on 4:8: every lane
 // runs the same instructions in the same operand order (VSQRTPD and
-// VDIVPD on the divider, EXPPDZ for EXPPD, see above), and the r2 == 0
-// lanes get the +0 that VANDNPD leaves there, from a zero-masked divide
-// (VPTESTMQ on the bits equals the r2 != 0 compare: r2 is never -0, and
-// a NaN r2 stays valid as under EQ_OQ). So the Tile cascade's 8 -> 4 -> 1
-// takes the vector exp for the same targets as 4 -> 1 did, and no
-// result changes. Like coulombTile8ZMM it keeps to ZMM0-ZMM15 and ends
-// in VZEROUPPER. Requires AVX-512F. n must be positive.
+// VDIVPD on the divider, EXPPD in EVEX form, see YUK8A above), and the
+// r2 == 0 lanes get the +0 that VANDNPD leaves there, from a zero-masked
+// divide (VPTESTMQ on the bits equals the r2 != 0 compare: r2 is never
+// -0, and a NaN r2 stays valid as under EQ_OQ). So the Tile cascade's
+// 8 -> 4 -> 1 takes the vector exp for the same targets as 4 -> 1 did,
+// and no result changes.
+//
+// The loop is software-pipelined: each iteration runs YUK8A on source j,
+// YUK8B on source j-1 and YUK8C on source j-2. Each source is one long
+// dependency chain (square root, exp reduction, 13 Horner FMAs, scale,
+// divide), and only the sums are carried from one source to the next,
+// yet on the 2-core avx512vl record VM a loop of one source per
+// iteration ran 27-41 % above the 17.8 ns per source that one ZMM
+// VSQRTPD and one VDIVPD cost there: one out-of-order window did not
+// find enough independent work in it to keep the divider busy. With
+// three sources in flight it runs 2-10 % above (docs/performance.md).
+// Only YUK8C accumulates, once per source and in source order, so the
+// sums round as before. The prologue fills A and B, and the drain
+// empties C, then B through C; a block of one source enters at yuk8last
+// and one of two at yuk8drain. Like coulombTile8ZMM it keeps to
+// ZMM0-ZMM15, all sixteen of them, and ends in VZEROUPPER. Requires
+// AVX-512F. n must be positive.
 TEXT ·yukawaTile8ZMM(SB), NOSPLIT, $0-80
 	MOVQ         tx+0(FP), AX
 	VMOVUPD      (AX), Z0            // tx[0:8]
@@ -841,32 +906,42 @@ TEXT ·yukawaTile8ZMM(SB), NOSPLIT, $0-80
 	MOVQ         sz+40(FP), R8
 	MOVQ         q+48(FP), R9
 	MOVQ         n+56(FP), CX
-	XORQ         DX, DX              // j
+	XORQ         DX, DX              // j, the source YUK8A loads
 	VPXORQ       Z3, Z3, Z3          // per-lane block accumulators
 
-yuk8loop:
-	VBROADCASTSD (SI)(DX*8), Z6      // sx[j] in every lane
-	VBROADCASTSD (DI)(DX*8), Z7      // sy[j]
-	VBROADCASTSD (R8)(DX*8), Z8      // sz[j]
-	VSUBPD       Z6, Z0, Z6          // dx = tx - sx[j]
-	VSUBPD       Z7, Z1, Z7          // dy = ty - sy[j]
-	VSUBPD       Z8, Z2, Z8          // dz = tz - sz[j]
-	VMULPD       Z6, Z6, Z6          // dx*dx
-	VMULPD       Z7, Z7, Z7          // dy*dy
-	VMULPD       Z8, Z8, Z8          // dz*dz
-	VADDPD       Z7, Z6, Z6          // dx*dx + dy*dy
-	VADDPD       Z8, Z6, Z6          // r2 = (dx*dx + dy*dy) + dz*dz
-	VPTESTMQ     Z6, Z6, K1          // valid = (r2 != 0)
-	VSQRTPD      Z6, Z9              // s = sqrt(r2)
-	VMULPD       Z9, Z4, Z11         // x = -kappa * s
-	EXPPDZ                           // Z12 = exp(x); clobbers Z10, Z11
-	VDIVPD.Z     Z9, Z12, K1, Z12    // g = exp(-kappa*s) / s; +0 on r2 == 0 lanes
-	VMULPD.BCST  (R9)(DX*8), Z12, Z12 // g * q[j]
-	VADDPD       Z12, Z3, Z3         // p[t] += g*q[j], in source order per lane
+	YUK8A                            // source 0
+	YUK8AB
+	INCQ DX
+	CMPQ CX, $1
+	JEQ  yuk8last
+	YUK8A                            // source 1
+	YUK8B                            // source 0
+	YUK8BC
+	YUK8AB
+	INCQ DX
+	CMPQ DX, CX
+	JEQ  yuk8drain
 
+yuk8loop:
+	YUK8A                            // source j = DX
+	YUK8B                            // source j-1
+	YUK8C                            // source j-2
+	YUK8BC
+	YUK8AB
 	INCQ DX
 	CMPQ DX, CX
 	JNE  yuk8loop
+
+yuk8drain:
+	// DX = n. B holds source n-1 from YUK8A, C source n-2 from YUK8B.
+	YUK8C                            // source n-2
+
+yuk8last:
+	// DX = n. B holds source n-1 from YUK8A, and C nothing.
+	YUK8B                            // source n-1
+	YUK8BC
+	INCQ DX
+	YUK8C                            // source n-1, q at -16 + 8(n+1)
 
 	// phi[t] += p[t]: one per-lane add of the block total.
 	MOVQ    phi+72(FP), AX

@@ -1060,9 +1060,11 @@ func checkGradTile8Split(t *testing.T, label string, tiles []Sized[GradTile], tx
 // its 4-wide tile, bit for bit (checkTile8Split), over: the ULP sweep's
 // arguments down to x = -760, where exp is clamped, subnormal or 0; kappa
 // 0; r2 == 0 lanes; NaN coordinates on targets and sources; every ragged
-// source count of tileTestSizes, from 1; and newFuzzBlock's blocks at
-// 2^±540, where squared distances overflow or underflow. Skipped where
-// Tiles(Yukawa) has no width 8.
+// source count of tileTestSizes, from 1; a self term, a NaN coordinate
+// and a source where exp is 0 at every position of short blocks and of
+// one of 343 sources; and newFuzzBlock's blocks at 2^±540, where squared
+// distances overflow or underflow. Skipped where Tiles(Yukawa) has no
+// width 8.
 func TestYukawaTile8MatchesTile4(t *testing.T) {
 	if Tiles(Yukawa{})[0].Width != 8 {
 		t.Skip("no 8-wide Yukawa tile on this machine")
@@ -1104,6 +1106,36 @@ func TestYukawaTile8MatchesTile4(t *testing.T) {
 			checkTile8Split(t, label+" NaN targets", tiles, tx, ty, tz, sx, sy, sz, q, phi0)
 			sy[n-1] = math.NaN()
 			checkTile8Split(t, label+" NaN source", tiles, tx, ty, tz, sx, sy, sz, q, phi0)
+		}
+	}
+
+	// Blocks of 1-6 sources and one of 343 (an n = 6 cluster) with one
+	// special source at each position in turn: a self term on lane
+	// pos%8, a NaN coordinate, or a source so far that -kappa*s < -745
+	// and exp is 0 at kappa 0.5. The width-8 tile works on three sources
+	// at once, so this walks each kind through its prologue, its loop and
+	// both drain stages, with each stage's r2 == 0 mask.
+	for _, kappa := range []float64{0, 0.5} {
+		tiles := Tiles(Yukawa{Kappa: kappa})
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 343} {
+			tx, ty, tz := tileTestTargets(rng, 8)
+			for pos := 0; pos < n; pos++ {
+				for _, kind := range []string{"self", "NaN", "far"} {
+					sx, sy, sz := tileTestTargets(rng, n)
+					q := randomPhi(rng, n)
+					switch kind {
+					case "self":
+						l := pos % 8
+						sx[pos], sy[pos], sz[pos] = tx[l], ty[l], tz[l]
+					case "NaN":
+						[][]float64{sx, sy, sz}[pos%3][pos] = math.NaN()
+					case "far":
+						sx[pos] = 2000
+					}
+					label := "kappa=" + strconv.FormatFloat(kappa, 'g', -1, 64) + " " + kind + " at " + itoa(pos)
+					checkTile8Split(t, label, tiles, tx, ty, tz, sx, sy, sz, q, phi0)
+				}
+			}
 		}
 	}
 
@@ -1236,13 +1268,18 @@ func FuzzGradTile(f *testing.F) {
 // the 8-wide register-blocked Coulomb tile, the fp32 tiles, and the
 // softened-Coulomb gradient tiles: grad-x4 runs the width-1 tile
 // (gradTile1) on four targets one at a time, grad-tile the 4-wide tile and
-// grad-tile8 the 8-wide one, each reporting ns/interaction.
+// grad-tile8 the 8-wide one. Yukawa's width 8 also runs on the block's
+// first 8 and 343 sources (an n = 6 cluster), where its pipeline's fill
+// and drain weigh more. Every sub-benchmark reports ns/interaction.
 func BenchmarkEvalTile(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 2000
 	tx, ty, tz := tileTestTargets(rng, 8)
 	sx, sy, sz, q := blockTestSources(rng, n, tx[1], ty[1], tz[1])
 	ftx, fty, ftz := toF32(tx), toF32(ty), toF32(tz)
+	perInteraction := func(b *testing.B, interactions int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(interactions)), "ns/interaction")
+	}
 	perTarget := func(b *testing.B, t1 Tile) {
 		phi := make([]float64, 4)
 		b.SetBytes(4 * n * 8)
@@ -1251,20 +1288,32 @@ func BenchmarkEvalTile(b *testing.B) {
 				t1(tx[t:t+1], ty[t:t+1], tz[t:t+1], sx, sy, sz, q, phi[t:t+1])
 			}
 		}
+		perInteraction(b, 4*n)
 	}
 	for _, k := range []Kernel{Coulomb{}, Yukawa{Kappa: 0.7}} {
 		tiles := Tiles(k)
 		b.Run(k.Name()+"/block-x4", func(b *testing.B) { perTarget(b, tiles[len(tiles)-1].Eval) })
 		for _, s := range tiles[:len(tiles)-1] {
 			s := s
-			name := map[int]string{4: "/tile", 8: "/tile8"}[s.Width]
-			b.Run(k.Name()+name, func(b *testing.B) {
-				phi := make([]float64, s.Width)
-				b.SetBytes(int64(s.Width) * n * 8)
-				for i := 0; i < b.N; i++ {
-					s.Eval(tx[:s.Width], ty[:s.Width], tz[:s.Width], sx, sy, sz, q, phi)
+			sizes := []int{n}
+			if _, ok := k.(Yukawa); ok && s.Width == 8 {
+				sizes = []int{8, 343, n}
+			}
+			for _, m := range sizes {
+				m := m
+				name := k.Name() + map[int]string{4: "/tile", 8: "/tile8"}[s.Width]
+				if len(sizes) > 1 {
+					name += "/n=" + itoa(m)
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					phi := make([]float64, s.Width)
+					b.SetBytes(int64(s.Width) * int64(m) * 8)
+					for i := 0; i < b.N; i++ {
+						s.Eval(tx[:s.Width], ty[:s.Width], tz[:s.Width], sx[:m], sy[:m], sz[:m], q[:m], phi)
+					}
+					perInteraction(b, s.Width*m)
+				})
+			}
 		}
 		if f32, ok := k.(F32Kernel); ok {
 			t8 := F32Tiles(f32)[0].Eval
@@ -1274,14 +1323,12 @@ func BenchmarkEvalTile(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					t8(ftx, fty, ftz, sx, sy, sz, q, phi)
 				}
+				perInteraction(b, 8*n)
 			})
 		}
 	}
 	rc := RegularizedCoulomb{Eps: 0.05}
 	gts := GradTiles(rc)
-	perInteraction := func(b *testing.B, targets int) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(targets*n)), "ns/interaction")
-	}
 	b.Run(rc.Name()+"/grad-x4", func(b *testing.B) {
 		t1 := gts[len(gts)-1].Eval
 		p, x, y, z := make([]float64, 4), make([]float64, 4), make([]float64, 4), make([]float64, 4)
@@ -1291,7 +1338,7 @@ func BenchmarkEvalTile(b *testing.B) {
 				t1(tx[t:t+1], ty[t:t+1], tz[t:t+1], sx, sy, sz, q, p[t:t+1], x[t:t+1], y[t:t+1], z[t:t+1])
 			}
 		}
-		perInteraction(b, 4)
+		perInteraction(b, 4*n)
 	})
 	for _, s := range gts[:len(gts)-1] {
 		s := s
@@ -1303,7 +1350,7 @@ func BenchmarkEvalTile(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Eval(tx[:w], ty[:w], tz[:w], sx, sy, sz, q, p, x, y, z)
 			}
-			perInteraction(b, w)
+			perInteraction(b, w*n)
 		})
 	}
 }

@@ -9,7 +9,9 @@
 #                      full tests with the race detector, vet of the bench/
 #                      module and its tests with the race detector too, the
 #                      bltcd smoke and a one-iteration smoke run of every
-#                      root benchmark so none can bit-rot.
+#                      benchmark of the root package and of internal/kernel
+#                      (the tile and charge-kernel microbenchmarks) so none
+#                      can bit-rot.
 #   ./verify.sh fast   the quick tier for use while editing: the same gofmt,
 #                      vets, bltcvet and build, then go test -short ./...
 #                      without the race detector, and vet and tests of
@@ -86,11 +88,14 @@ echo "bench module vet + test -race: ok"
 go run ./cmd/bltcd -smoke
 echo "bltcd smoke: ok"
 
-# Smoke-run every root benchmark, one iteration each: this only proves
-# they still compile and run. Performance is recorded by bltcbench
-# (bench/README.md). The output lands in bench-smoke.txt (not a perf
-# record: one untimed iteration), which CI uploads as an artifact so a
-# failing or silently vanishing benchmark is visible from the workflow run.
-go test -run '^$' -bench . -benchtime 1x . >bench-smoke.txt
+# Smoke-run every benchmark of the root package and of internal/kernel,
+# one iteration each: this only proves they still compile and run.
+# internal/kernel's (BenchmarkEvalTile, BenchmarkChargeUpdate,
+# BenchmarkTransferUp, ...) are the ones kernel changes cite.
+# Performance is recorded by bltcbench (bench/README.md). The output
+# lands in bench-smoke.txt (not a perf record: one untimed iteration),
+# which CI uploads as an artifact so a failing or silently vanishing
+# benchmark is visible from the workflow run.
+go test -run '^$' -bench . -benchtime 1x . ./internal/kernel >bench-smoke.txt
 echo "bench smoke (-benchtime=1x): ok"
 echo "verify: all checks passed"
