@@ -683,6 +683,28 @@ func BenchmarkPlanSolve50k(b *testing.B) {
 	}
 }
 
+// BenchmarkNewPlan50k times the setup phase on one 50k uniform set at
+// solve-uniform-50k's parameters: nb=nl, where the targets are the
+// sources and BatchSize == LeafSize, so the batches are the source tree's
+// leaves (one tree), and nb=500, where the targets' tree is built as well.
+func BenchmarkNewPlan50k(b *testing.B) {
+	pts := barytree.UniformCube(50_000, 3)
+	for _, c := range []struct {
+		name string
+		nb   int
+	}{{"nb=nl", 1000}, {"nb=500", 500}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := barytree.Params{Theta: 0.8, Degree: 6, LeafSize: 1000, BatchSize: c.nb}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := barytree.NewPlan(pts, pts, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkServeSolve20k measures one solve through the full daemon path
 // — HTTP round-trip, JSON decode/encode of charges and potentials,
 // admission, cached plan, pooled charge state — at a size where the serving

@@ -8,10 +8,12 @@ import (
 
 	"barytree/internal/device"
 	"barytree/internal/direct"
+	"barytree/internal/interaction"
 	"barytree/internal/kernel"
 	"barytree/internal/metrics"
 	"barytree/internal/particle"
 	"barytree/internal/perfmodel"
+	"barytree/internal/tree"
 )
 
 func testParticles(t *testing.T, n int, seed int64) *particle.Set {
@@ -288,6 +290,61 @@ func TestTargetsDifferentFromSources(t *testing.T) {
 	}
 	if len(res.Phi) != targets.Len() {
 		t.Errorf("got %d potentials, want %d", len(res.Phi), targets.Len())
+	}
+}
+
+// TestNewPlanSharesSourceTree pins NewPlan's one-tree midpoint plan: with
+// the targets at the sources' positions and BatchSize == LeafSize the
+// batches are the source tree's leaves, and they must equal what a second
+// build of the targets' tree gives (batches, target positions,
+// permutation, stats, lists and modeled setup work). Only that plan shares
+// the tree's particle storage.
+func TestNewPlanSharesSourceTree(t *testing.T) {
+	pts := testParticles(t, 3000, 91)
+	recharged := pts.Clone()
+	for i := range recharged.Q {
+		recharged.Q[i] = 0.5 - 2*recharged.Q[i]
+	}
+	others := testParticles(t, 2000, 92)
+	p := Params{Theta: 0.7, Degree: 5, LeafSize: 64, BatchSize: 64, Workers: 2}
+	nb := p
+	nb.BatchSize = 100
+	cpu := perfmodel.XeonX5650()
+	for _, c := range []struct {
+		name    string
+		targets *particle.Set
+		p       Params
+		shared  bool
+	}{
+		{"one set", pts, p, true},
+		{"position-equal copy", recharged, p, true},
+		{"NB != NL", pts, nb, false},
+		{"targets != sources", others, p, false},
+	} {
+		pl, err := NewPlan(c.targets, pts, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := tree.BuildBatchesWorkers(c.targets, c.p.BatchSize, c.p.Workers)
+		refLists := interaction.BuildListsWorkers(ref, pl.Sources, c.p.MAC(), c.p.Workers)
+		got, tg := pl.Batches, pl.Batches.Targets
+		if !reflect.DeepEqual(got.Batches, ref.Batches) || !reflect.DeepEqual(got.Perm, ref.Perm) ||
+			got.Stats != ref.Stats || got.BatchSize != ref.BatchSize {
+			t.Errorf("%s: batches, permutation or stats differ from the targets' own build", c.name)
+		}
+		if !reflect.DeepEqual([][]float64{tg.X, tg.Y, tg.Z}, [][]float64{ref.Targets.X, ref.Targets.Y, ref.Targets.Z}) {
+			t.Errorf("%s: batch target positions differ from the targets' own build", c.name)
+		}
+		if !reflect.DeepEqual(pl.Lists, refLists) {
+			t.Errorf("%s: lists differ from those on the targets' own build", c.name)
+		}
+		two := &Plan{Sources: pl.Sources, Batches: ref, Lists: refLists}
+		if w, want := pl.SetupWork(cpu), two.SetupWork(cpu); w != want {
+			t.Errorf("%s: SetupWork %v, two builds %v", c.name, w, want)
+		}
+		if shares := tg == pl.Sources.Particles; shares != c.shared {
+			t.Errorf("%s: batch targets alias the source tree's particles: %v, want %v", c.name, shares, c.shared)
+		}
 	}
 }
 

@@ -94,7 +94,11 @@ type Plan struct {
 // NewPlan runs the setup phase: build the source tree and target batches,
 // create the interaction lists, and lay out the cluster interpolation grids.
 // A Morton plan (Params.Morton) requires the targets at the sources'
-// positions, bit for bit; their charges are not read.
+// positions, bit for bit; their charges are not read. A midpoint plan
+// whose targets sit at the sources' positions with BatchSize == LeafSize
+// takes its batches from the source tree's leaves, which the targets'
+// own build would reproduce bit for bit; Batches.Targets then aliases
+// Sources.Particles (target charges are never read).
 func NewPlan(targets, sources *particle.Set, p Params) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -112,7 +116,14 @@ func NewPlan(targets, sources *particle.Set, p Params) (*Plan, error) {
 		return newMortonPlan(sources, p), nil
 	}
 	t := tree.BuildWorkers(sources, p.LeafSize, p.Workers)
-	b := tree.BuildBatchesWorkers(targets, p.BatchSize, p.Workers)
+	var b *tree.BatchSet
+	if p.BatchSize == p.LeafSize && samePositions(targets, sources) {
+		// The targets' tree at BatchSize would be t again: the midpoint
+		// build reads positions alone and is deterministic.
+		b = tree.BatchSetFromTree(t)
+	} else {
+		b = tree.BuildBatchesWorkers(targets, p.BatchSize, p.Workers)
+	}
 	lists := interaction.BuildListsWorkers(b, t, p.MAC(), p.Workers)
 	return &Plan{
 		Params:   p,

@@ -197,7 +197,14 @@ func Run(cfg Config, k kernel.Kernel, pts *particle.Set) (*Result, error) {
 		tr.Span("rcb", trace.CatBuild, r.ID(), trace.TrackHost, 0, rcbEnd,
 			trace.A("particles", local.Len()), trace.A("levels", int(rcbLevels)))
 		t := tree.BuildWorkers(local, cfg.Params.LeafSize, setupW)
-		batches := tree.BuildBatchesWorkers(local, cfg.Params.BatchSize, setupW)
+		var batches *tree.BatchSet
+		if cfg.Params.BatchSize == cfg.Params.LeafSize {
+			// A rank's targets are its sources: their tree at BatchSize
+			// would be t again, so its leaves are the batches.
+			batches = tree.BatchSetFromTree(t)
+		} else {
+			batches = tree.BuildBatchesWorkers(local, cfg.Params.BatchSize, setupW)
+		}
 		cd := core.NewClusterDataWorkers(t, cfg.Params.Degree, setupW)
 		treeOps := float64(t.Stats.ParticleScans + t.Stats.ParticleMoves +
 			batches.Stats.ParticleScans + batches.Stats.ParticleMoves)

@@ -20,9 +20,51 @@ type asmBlock struct {
 	insns []asmInsn
 }
 
+// asmMacro is one #define: its parameters, if it takes any, and its body
+// split at ';'.
+type asmMacro struct {
+	params []string
+	body   []string
+}
+
+// macroWord matches the identifiers a macro argument can replace.
+var macroWord = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+
+// expand returns m's body for an invocation whose text after the macro's
+// name is args: "" for a macro without parameters, "(a, b, ...)" for one
+// with them, each parameter replaced by its argument as a whole word. It
+// reports false when the arguments do not fit the parameters.
+func (m asmMacro) expand(args string) ([]string, bool) {
+	args = strings.TrimSpace(args)
+	if len(m.params) == 0 {
+		return m.body, args == ""
+	}
+	vals := strings.Split(strings.TrimSuffix(strings.TrimPrefix(args, "("), ")"), ",")
+	if !strings.HasPrefix(args, "(") || !strings.HasSuffix(args, ")") || len(vals) != len(m.params) {
+		return nil, false
+	}
+	sub := map[string]string{}
+	for i, p := range m.params {
+		sub[p] = strings.TrimSpace(vals[i])
+	}
+	out := make([]string, len(m.body))
+	for i, st := range m.body {
+		out[i] = macroWord.ReplaceAllStringFunc(st, func(w string) string {
+			if v, ok := sub[w]; ok {
+				return v
+			}
+			return w
+		})
+	}
+	return out, true
+}
+
 // parseAsm splits Go assembly source into its TEXT blocks. Comments are
 // dropped, #define bodies are joined across their continuation lines and
-// split at ';', and a line that names a macro is replaced by its body.
+// split at ';', and a line that names a macro is replaced by its body,
+// with the arguments put in for the parameters of a macro that takes
+// them. An invocation whose arguments do not fit is kept as written, so
+// its instruction name holds the "(" the test reports.
 func parseAsm(src string) []asmBlock {
 	var lines []string
 	for _, l := range strings.Split(src, "\n") {
@@ -31,7 +73,7 @@ func parseAsm(src string) []asmBlock {
 		}
 		lines = append(lines, strings.TrimSpace(l))
 	}
-	macros := map[string][]string{}
+	macros := map[string]asmMacro{}
 	var blocks []asmBlock
 	for i := 0; i < len(lines); i++ {
 		l := lines[i]
@@ -42,8 +84,21 @@ func parseAsm(src string) []asmBlock {
 				i++
 				def = strings.TrimSuffix(def, `\`) + " " + lines[i]
 			}
-			name, body, _ := strings.Cut(strings.TrimSpace(strings.TrimPrefix(def, "#define")), " ")
-			macros[name] = strings.Split(body, ";")
+			def = strings.TrimSpace(strings.TrimPrefix(def, "#define"))
+			name, rest := def, ""
+			if j := strings.IndexAny(def, " ("); j >= 0 {
+				name, rest = def[:j], def[j:]
+			}
+			var m asmMacro
+			if strings.HasPrefix(rest, "(") {
+				j := strings.Index(rest, ")")
+				for _, p := range strings.Split(rest[1:j], ",") {
+					m.params = append(m.params, strings.TrimSpace(p))
+				}
+				rest = rest[j+1:]
+			}
+			m.body = strings.Split(rest, ";")
+			macros[name] = m
 		case strings.HasPrefix(l, "TEXT"):
 			name := strings.TrimSpace(strings.TrimPrefix(l, "TEXT"))
 			if j := strings.Index(name, "(SB)"); j >= 0 {
@@ -57,8 +112,14 @@ func parseAsm(src string) []asmBlock {
 		default:
 			b := &blocks[len(blocks)-1]
 			stmts := []string{l}
-			if body, ok := macros[strings.Fields(l)[0]]; ok {
-				stmts = body
+			name := l
+			if j := strings.IndexAny(l, " \t("); j >= 0 {
+				name = l[:j]
+			}
+			if m, ok := macros[name]; ok {
+				if body, ok := m.expand(l[len(name):]); ok {
+					stmts = body
+				}
 			}
 			for _, st := range stmts {
 				if st = strings.TrimSpace(st); st == "" {
@@ -93,7 +154,8 @@ var (
 // Every TEXT block that writes a Y or Z register must execute VZEROUPPER
 // immediately before each RET, with no label between them that a jump
 // could enter by, so no tile leaves a dirty upper state to the Go code
-// around it. Macro invocations (EXPPD, YUK8A, ...) are checked as expanded.
+// around it. Macro invocations (EXPPD, YUK8B, GOLDSQRT(...), ...) are
+// checked as expanded, with their arguments put in.
 func TestAsmRegisterHygiene(t *testing.T) {
 	files, err := filepath.Glob("*_amd64.s")
 	if err != nil {
@@ -115,6 +177,9 @@ func TestAsmRegisterHygiene(t *testing.T) {
 				if upperVecReg.MatchString(o) {
 					t.Errorf("%s: %s %s names an upper vector register", b.name, in.op, strings.Join(in.operands, ", "))
 				}
+			}
+			if strings.Contains(in.op, "(") {
+				t.Errorf("%s: %s %s is a macro call that does not match its #define", b.name, in.op, strings.Join(in.operands, ", "))
 			}
 			if n := len(in.operands); n > 0 && wideVecReg.MatchString(in.operands[n-1]) {
 				writesWide = true

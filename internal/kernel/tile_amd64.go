@@ -57,11 +57,12 @@ func yukawaTileFMA(tx, ty, tz *[4]float64, sx, sy, sz, q *float64, n int, negKap
 // same lane arithmetic, with EXPPD's exponent reassembly done by one
 // VSCALEFPD that rounds as EXPPD's two multiplies do. So it carries the
 // same YukawaTileMaxULP contract and moves no target to or from the
-// scalar exp. The loop is software-pipelined, three sources in flight:
-// the distance, square root and exp reduction of source j, the first
-// half of the exp polynomial of source j-1, and the rest of source j-2
-// through its divide and accumulate, which stays in source order.
-// Requires AVX-512F. See tile_amd64.s.
+// scalar exp. The loop is software-pipelined over pairs of sources, four
+// stages deep, and pairs the square roots across the two kinds of
+// execution unit as coulombTile8ZMM does: the even source's on the
+// divider (VSQRTPD), the odd source's on the FMA ports by the
+// Goldschmidt/Markstein sequence both tiles share, equal to VSQRTPD bit
+// for bit. Requires AVX-512F. See tile_amd64.s.
 //
 //go:noescape
 func yukawaTile8ZMM(tx, ty, tz *[8]float64, sx, sy, sz, q *float64, n int, negKappa float64, phi *[8]float64)

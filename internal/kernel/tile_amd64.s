@@ -12,12 +12,18 @@ GLOBL ·avxInf(SB), RODATA|NOPTR, $8
 DATA ·avxHalf+0(SB)/8, $0x3fe0000000000000
 GLOBL ·avxHalf(SB), RODATA|NOPTR, $8
 
-// 2^-512, the ZMM tile's fast-path cutoff: below it the Markstein
-// residual x - g*g can fall into the denormal range, where its rounding
-// is too coarse to steer the final correction (observed 1-ulp misses at
-// x ~ 2^-1022). Lanes below the cutoff take the VSQRTPD slow path.
+// 2^-512, GOLDSQRT's cutoff in the Coulomb and Yukawa ZMM tiles: below
+// it the Markstein residual x - g*g can fall into the denormal range,
+// where its rounding is too coarse to steer the final correction
+// (observed 1-ulp misses at x ~ 2^-1022). Sources with a lane below the
+// cutoff take the VSQRTPD slow path.
 DATA ·avxTiny+0(SB)/8, $0x1ff0000000000000
 GLOBL ·avxTiny(SB), RODATA|NOPTR, $8
+
+// bits(+Inf) - bits(2^-512): an r2 whose bits less bits(2^-512) are below
+// it, as unsigned integers, lies in [2^-512, +Inf).
+DATA ·yukSpan+0(SB)/8, $0x6000000000000000
+GLOBL ·yukSpan(SB), RODATA|NOPTR, $8
 
 // 2^-600 and 2^600, the gradient ZMM tile's fast range for d2: inside it
 // d2, 1/d2, g/d2 and every Markstein residual are normal numbers.
@@ -243,32 +249,97 @@ DATA ·avxOnesF32+28(SB)/4, $0x3f800000
 	VMULPD       Y13, Y12, Y12;           \
 	VMULPD       Y14, Y12, Y12
 
-// YUK8A, YUK8B and YUK8C are yukawaTile8ZMM's loop body cut into three
-// stages, each working on a different source, so that one iteration of
-// the loop below carries three independent dependency chains:
+// GOLDSQRT(x, y0, g, h, t, half) sets g = RN(sqrt(x)), the bits of VSQRTPD
+// and math.Sqrt, on the FMA ports, off the divide/sqrt unit, by the
+// classic Goldschmidt/Markstein construction (Markstein, "IA-64 and
+// Elementary Functions"; the same scheme GPUs use for IEEE fp64 sqrt in
+// software):
 //
-//	YUK8A, source j (Z6-Z8, mask K3): dx, dy, dz from the broadcast
-//	       source at DX, r2 = (dx*dx + dy*dy) + dz*dz, K3 = (r2 != 0),
-//	       s = sqrt(r2), x = -kappa*s, and EXPPD's steps 1 and 2: the
-//	       clamp, k = roundne(x*log2e) and r = x - k*Ln2Hi - k*Ln2Lo.
-//	       Leaves s in Z6, k in Z7 and r in Z8.
-//	YUK8B, source j-1 (Z9-Z12, mask K2): p = C13, then Horner down to C7.
-//	YUK8C, source j-2 (Z13-Z15 and Z5, mask K1): Horner from C6 down to
-//	       the two ones, p*2^k, g = p/s (+0 on r2 == 0 lanes), and
-//	       p[t] += g*q[j-2], q read at -16(R9)(DX*8).
+//	y0 = rsqrt14(x)                     |y0*sqrt(x) - 1| <= 2^-14
+//	g = x*y0, h = 0.5*y0                ~ sqrt(x), 1/(2 sqrt(x))
+//	r = 0.5 - g*h; g += g*r; h += h*r   rel err ~ 2^-27
+//	r = 0.5 - g*h; g += g*r; h += h*r   rel err ~ 2.5*2^-53
+//	d = x - g*g;   g += d*h             faithful (< 1 ulp)
+//	d = x - g*g;   g += d*h             == RN(sqrt(x))
 //
-// YUK8BC moves B's s, k, r, p and mask into C's registers, and YUK8AB
-// A's s, k, r and mask into B's, so a stage always finds its source in
-// the same registers.
+// Each d is one VFNMADD whose tiny exact residual steers g to the nearest
+// double; Markstein's square-root theorem gives correct rounding of the
+// final iterate (h is accurate to ~1.25 ulp, well inside the theorem's
+// slack). It leaves that h, about 1/(2 sqrt(x)), in h and clobbers t; half
+// must hold 0.5 in every lane, and y0 may name the same register as h.
 //
-// Taken in order, the three stages are EXPPD's instructions in EVEX form
+// The proof needs x comfortably normal: VRSQRT14PD flushes denormal inputs
+// to zero (giving +Inf seeds) and maps +Inf to +0, and even for normal x
+// below ~2^-512 the residual x - g*g can land in the denormal range, where
+// its coarse rounding no longer steers the final correction (observed
+// 1-ulp misses at x ~ 2^-1022). So a caller expands it only for sources
+// whose valid lanes all have x in [2^-512, +Inf), and redoes any other
+// source with VSQRTPD in a cold patch block. An x == 0 lane (a self term)
+// comes out NaN (0 * +Inf), so the caller masks it off (Coulomb) or sends
+// its source to the patch as well (Yukawa); a NaN x propagates, as
+// through VSQRTPD.
+#define GOLDSQRT(x, y0, g, h, t, half) \
+	VRSQRT14PD   x, y0;       \
+	VMULPD       y0, x, g;    \
+	VMULPD       y0, half, h; \
+	VMOVAPD      half, t;     \
+	VFNMADD231PD h, g, t;     \
+	VFMADD231PD  t, g, g;     \
+	VFMADD213PD  h, h, t;     \
+	VMOVAPD      half, h;     \
+	VFNMADD231PD t, g, h;     \
+	VFMADD231PD  h, g, g;     \
+	VFMADD213PD  t, t, h;     \
+	VMOVAPD      x, t;        \
+	VFNMADD231PD g, g, t;     \
+	VFMADD231PD  h, t, g;     \
+	VMOVAPD      x, t;        \
+	VFNMADD231PD g, g, t;     \
+	VFMADD231PD  h, t, g
+
+// YUK8AE, YUK8AO, YUK8B, YUK8C and YUK8D are yukawaTile8ZMM's loop body
+// cut into four stages over PAIRS of sources, each stage working on a
+// different pair, so that one iteration of the loop below carries eight
+// independent dependency chains. Pair p is sources 2p (even) and 2p+1
+// (odd), and DX = 2p in the iteration whose stage A takes pair p:
+//
+//	A, pair p: r2 = (dx*dx + dy*dy) + dz*dz of each source. YUK8AE puts
+//	   the even source's s = sqrt(r2) through VSQRTPD, on the divider;
+//	   YUK8AO leaves the odd source's r2 in Z14 for GOLDSQRT, on the FMA
+//	   ports, which YUK8G guards. Both square roots go to the pair's ring
+//	   slot. Temporaries Z11-Z15.
+//	B, pair p-1: x = -kappa*s (s read from the ring) and EXPPD's steps 1
+//	   and 2: the lower clamp, k = roundne(x*log2e), stored to the ring, and
+//	   r = x - k*Ln2Hi - k*Ln2Lo, left in Z5 (even) and Z6 (odd).
+//	C, pair p-2: moves r to Z7 and Z8, then Horner from C13 down to C7
+//	   into Z9 and Z10.
+//	D, pair p-3: Horner from C6 down to the two ones, p*2^k (k from the
+//	   ring), g = p/s (+0 on r2 == 0 lanes, found from s), and
+//	   p[t] += g*q, even source first, q read at -48 and -40(R9)(DX*8).
+//
+// The ring is four 256-byte pair slots on the stack (s even, s odd, k
+// even, k odd), BX its 64-byte-aligned base: R10 is stage A's slot, R11
+// stage B's and R12 stage D's, and YUK8NEXT turns them one slot on. Only
+// r and p stay in registers between stages, so the pipeline fits
+// ZMM0-ZMM15 at four stages deep: three sources in flight did not hide
+// the odd sources' longer chain. The stages run A, D, C, B in an
+// iteration: D reads C's registers and C B's before they are written
+// again, and A, whose output goes to the ring, issues its square roots
+// first.
+//
+// Taken in order, a source's stages are EXPPD's instructions in EVEX form
 // with the same operand order, so every lane rounds (and propagates a NaN
-// payload) exactly as EXPPD's does. The clamps still load their bound
-// into a register: with an embedded broadcast the bound would have to be
-// MIN/MAX's second source, which is the operand they return on a NaN, and
-// a NaN x must pass through as in EXPPD. The coefficients are embedded
-// broadcasts (the first eight bytes of EXPPD's 32-byte tables), so no
-// register holds a constant. VRNDSCALEPD $0 is VROUNDPD $0: round to
+// payload) exactly as EXPPD's does, with one exception: B leaves out the
+// clamp to 710, which is the identity for the x <= 0 that -kappa <= 0
+// gives (a NaN x included), and the tile takes the loop only when -kappa
+// <= 0. The lower clamp still loads its bound into a register: with an
+// embedded broadcast the bound would have to be MAX's second source, which
+// is the operand it returns on a NaN, and a NaN x must pass through as in
+// EXPPD. -kappa is broadcast into a register for the same reason: as an
+// embedded broadcast it would be the multiply's second source, and a NaN
+// kappa's payload must win over a NaN s's as it does in yukawaTileFMA.
+// The coefficients are embedded broadcasts (the first eight bytes of
+// EXPPD's 32-byte tables). VRNDSCALEPD $0 is VROUNDPD $0: round to
 // nearest even.
 //
 // EXPPD's step 4 is one VSCALEFPD, p * 2^k rounded once, in place of
@@ -280,64 +351,162 @@ DATA ·avxOnesF32+28(SB)/4, $0x3f800000
 // its first source's NaN before looking at k, and EXPPD's scale is then
 // 1.0 (the integer indefinite that CVTPD2DQ makes of a NaN k shifts out
 // to a bias of exactly 1023).
-#define YUK8A \
-	VBROADCASTSD      (SI)(DX*8), Z6;        \
-	VBROADCASTSD      (DI)(DX*8), Z7;        \
-	VBROADCASTSD      (R8)(DX*8), Z8;        \
-	VSUBPD            Z6, Z0, Z6;            \
-	VSUBPD            Z7, Z1, Z7;            \
-	VSUBPD            Z8, Z2, Z8;            \
-	VMULPD            Z6, Z6, Z6;            \
-	VMULPD            Z7, Z7, Z7;            \
-	VMULPD            Z8, Z8, Z8;            \
-	VADDPD            Z7, Z6, Z6;            \
-	VADDPD            Z8, Z6, Z6;            \
-	VPTESTMQ          Z6, Z6, K3;            \
-	VSQRTPD           Z6, Z6;                \
-	VMULPD            Z6, Z4, Z8;            \
-	VBROADCASTSD      ·expMax(SB), Z7;       \
-	VMINPD            Z8, Z7, Z8;            \
-	VBROADCASTSD      ·expMin(SB), Z7;       \
-	VMAXPD            Z8, Z7, Z8;            \
-	VMULPD.BCST       ·expLog2E(SB), Z8, Z7; \
-	VRNDSCALEPD       $0, Z7, Z7;            \
-	VFNMADD231PD.BCST ·expLn2Hi(SB), Z7, Z8; \
-	VFNMADD231PD.BCST ·expLn2Lo(SB), Z7, Z8
+#define YUK8AE \
+	VBROADCASTSD (SI)(DX*8), Z11; \
+	VBROADCASTSD (DI)(DX*8), Z12; \
+	VBROADCASTSD (R8)(DX*8), Z13; \
+	VSUBPD       Z11, Z0, Z11;    \
+	VSUBPD       Z12, Z1, Z12;    \
+	VSUBPD       Z13, Z2, Z13;    \
+	VMULPD       Z11, Z11, Z11;   \
+	VMULPD       Z12, Z12, Z12;   \
+	VMULPD       Z13, Z13, Z13;   \
+	VADDPD       Z12, Z11, Z12;   \
+	VADDPD       Z13, Z12, Z13;   \
+	VSQRTPD      Z13, Z11;        \
+	VMOVAPD      Z11, (BX)(R10*1)
+
+#define YUK8AO \
+	VBROADCASTSD 8(SI)(DX*8), Z12; \
+	VBROADCASTSD 8(DI)(DX*8), Z13; \
+	VBROADCASTSD 8(R8)(DX*8), Z14; \
+	VSUBPD       Z12, Z0, Z12;     \
+	VSUBPD       Z13, Z1, Z13;     \
+	VSUBPD       Z14, Z2, Z14;     \
+	VMULPD       Z12, Z12, Z12;    \
+	VMULPD       Z13, Z13, Z13;    \
+	VMULPD       Z14, Z14, Z14;    \
+	VADDPD       Z13, Z12, Z13;    \
+	VADDPD       Z14, Z13, Z14
+
+// YUK8G clears ZF when a lane of the odd source's r2 in Z14 lies outside
+// GOLDSQRT's range [2^-512, +Inf): bits(r2) - bits(2^-512) is then not
+// below yukSpan as an unsigned integer. That takes r2 == 0 (a self term)
+// and a NaN r2 to the patch block as well, where VSQRTPD gives them the
+// +0 or the NaN the other path would, so no lane of the FMA-port path
+// needs a mask. Clobbers Z12.
+#define YUK8G \
+	VPSUBQ.BCST   ·avxTiny(SB), Z14, Z12;       \
+	VPCMPUQ.BCST  $5, ·yukSpan(SB), Z12, K5;    \
+	KORTESTW      K5, K5
 
 #define YUK8B \
-	VBROADCASTSD     ·expC13(SB), Z12;      \
-	VFMADD213PD.BCST ·expC12(SB), Z11, Z12; \
-	VFMADD213PD.BCST ·expC11(SB), Z11, Z12; \
-	VFMADD213PD.BCST ·expC10(SB), Z11, Z12; \
-	VFMADD213PD.BCST ·expC9(SB), Z11, Z12;  \
-	VFMADD213PD.BCST ·expC8(SB), Z11, Z12;  \
-	VFMADD213PD.BCST ·expC7(SB), Z11, Z12
+	VBROADCASTSD      negKappa+64(FP), Z11;    \
+	VMULPD            (BX)(R11*1), Z11, Z5;    \
+	VMULPD            64(BX)(R11*1), Z11, Z6;  \
+	VBROADCASTSD      ·expMin(SB), Z11;        \
+	VMAXPD            Z5, Z11, Z5;             \
+	VMAXPD            Z6, Z11, Z6;             \
+	VMULPD.BCST       ·expLog2E(SB), Z5, Z11;  \
+	VMULPD.BCST       ·expLog2E(SB), Z6, Z12;  \
+	VRNDSCALEPD       $0, Z11, Z11;            \
+	VRNDSCALEPD       $0, Z12, Z12;            \
+	VMOVAPD           Z11, 128(BX)(R11*1);     \
+	VMOVAPD           Z12, 192(BX)(R11*1);     \
+	VFNMADD231PD.BCST ·expLn2Hi(SB), Z11, Z5;  \
+	VFNMADD231PD.BCST ·expLn2Hi(SB), Z12, Z6;  \
+	VFNMADD231PD.BCST ·expLn2Lo(SB), Z11, Z5;  \
+	VFNMADD231PD.BCST ·expLn2Lo(SB), Z12, Z6
 
 #define YUK8C \
-	VFMADD213PD.BCST ·expC6(SB), Z15, Z5;   \
-	VFMADD213PD.BCST ·expC5(SB), Z15, Z5;   \
-	VFMADD213PD.BCST ·expC4(SB), Z15, Z5;   \
-	VFMADD213PD.BCST ·expC3(SB), Z15, Z5;   \
-	VFMADD213PD.BCST ·expC2(SB), Z15, Z5;   \
-	VFMADD213PD.BCST ·expOnes(SB), Z15, Z5; \
-	VFMADD213PD.BCST ·expOnes(SB), Z15, Z5; \
-	VSCALEFPD        Z14, Z5, Z5;           \
-	VDIVPD.Z         Z13, Z5, K1, Z5;       \
-	VMULPD.BCST      -16(R9)(DX*8), Z5, Z5; \
-	VADDPD           Z5, Z3, Z3
+	VMOVAPD          Z5, Z7;               \
+	VMOVAPD          Z6, Z8;               \
+	VBROADCASTSD     ·expC13(SB), Z9;      \
+	VBROADCASTSD     ·expC13(SB), Z10;     \
+	VFMADD213PD.BCST ·expC12(SB), Z7, Z9;  \
+	VFMADD213PD.BCST ·expC12(SB), Z8, Z10; \
+	VFMADD213PD.BCST ·expC11(SB), Z7, Z9;  \
+	VFMADD213PD.BCST ·expC11(SB), Z8, Z10; \
+	VFMADD213PD.BCST ·expC10(SB), Z7, Z9;  \
+	VFMADD213PD.BCST ·expC10(SB), Z8, Z10; \
+	VFMADD213PD.BCST ·expC9(SB), Z7, Z9;   \
+	VFMADD213PD.BCST ·expC9(SB), Z8, Z10;  \
+	VFMADD213PD.BCST ·expC8(SB), Z7, Z9;   \
+	VFMADD213PD.BCST ·expC8(SB), Z8, Z10;  \
+	VFMADD213PD.BCST ·expC7(SB), Z7, Z9;   \
+	VFMADD213PD.BCST ·expC7(SB), Z8, Z10
 
-#define YUK8BC \
-	VMOVAPD Z9, Z13;  \
-	VMOVAPD Z10, Z14; \
-	VMOVAPD Z11, Z15; \
-	VMOVAPD Z12, Z5;  \
-	KMOVW   K2, K1
+#define YUK8D \
+	VFMADD213PD.BCST ·expC6(SB), Z7, Z9;    \
+	VFMADD213PD.BCST ·expC6(SB), Z8, Z10;   \
+	VFMADD213PD.BCST ·expC5(SB), Z7, Z9;    \
+	VFMADD213PD.BCST ·expC5(SB), Z8, Z10;   \
+	VFMADD213PD.BCST ·expC4(SB), Z7, Z9;    \
+	VFMADD213PD.BCST ·expC4(SB), Z8, Z10;   \
+	VFMADD213PD.BCST ·expC3(SB), Z7, Z9;    \
+	VFMADD213PD.BCST ·expC3(SB), Z8, Z10;   \
+	VFMADD213PD.BCST ·expC2(SB), Z7, Z9;    \
+	VFMADD213PD.BCST ·expC2(SB), Z8, Z10;   \
+	VFMADD213PD.BCST ·expOnes(SB), Z7, Z9;  \
+	VFMADD213PD.BCST ·expOnes(SB), Z8, Z10; \
+	VFMADD213PD.BCST ·expOnes(SB), Z7, Z9;  \
+	VFMADD213PD.BCST ·expOnes(SB), Z8, Z10; \
+	VSCALEFPD        128(BX)(R12*1), Z9, Z9;   \
+	VSCALEFPD        192(BX)(R12*1), Z10, Z10; \
+	VMOVAPD          (BX)(R12*1), Z11;         \
+	VMOVAPD          64(BX)(R12*1), Z12;       \
+	VPTESTMQ         Z11, Z11, K1;             \
+	VPTESTMQ         Z12, Z12, K2;             \
+	VDIVPD.Z         Z11, Z9, K1, Z9;          \
+	VDIVPD.Z         Z12, Z10, K2, Z10;        \
+	VMULPD.BCST      -48(R9)(DX*8), Z9, Z9;    \
+	VMULPD.BCST      -40(R9)(DX*8), Z10, Z10;  \
+	VADDPD           Z9, Z3, Z3;               \
+	VADDPD           Z10, Z3, Z3
 
-#define YUK8AB \
-	VMOVAPD Z6, Z9;  \
-	VMOVAPD Z7, Z10; \
-	VMOVAPD Z8, Z11; \
-	KMOVW   K3, K2
+// YUK8ONE adds source DX, alone: EXPPD's sequence in EVEX form as the
+// stages run it, with the clamp to 710 kept, q read at (R9)(DX*8).
+#define YUK8ONE \
+	VBROADCASTSD      (SI)(DX*8), Z11;        \
+	VBROADCASTSD      (DI)(DX*8), Z12;        \
+	VBROADCASTSD      (R8)(DX*8), Z13;        \
+	VSUBPD            Z11, Z0, Z11;           \
+	VSUBPD            Z12, Z1, Z12;           \
+	VSUBPD            Z13, Z2, Z13;           \
+	VMULPD            Z11, Z11, Z11;          \
+	VMULPD            Z12, Z12, Z12;          \
+	VMULPD            Z13, Z13, Z13;          \
+	VADDPD            Z12, Z11, Z12;          \
+	VADDPD            Z13, Z12, Z13;          \
+	VSQRTPD           Z13, Z14;               \
+	VBROADCASTSD      negKappa+64(FP), Z11;   \
+	VMULPD            Z14, Z11, Z5;           \
+	VBROADCASTSD      ·expMax(SB), Z11;       \
+	VMINPD            Z5, Z11, Z5;            \
+	VBROADCASTSD      ·expMin(SB), Z11;       \
+	VMAXPD            Z5, Z11, Z5;            \
+	VMULPD.BCST       ·expLog2E(SB), Z5, Z11; \
+	VRNDSCALEPD       $0, Z11, Z11;           \
+	VFNMADD231PD.BCST ·expLn2Hi(SB), Z11, Z5; \
+	VFNMADD231PD.BCST ·expLn2Lo(SB), Z11, Z5; \
+	VBROADCASTSD      ·expC13(SB), Z9;        \
+	VFMADD213PD.BCST  ·expC12(SB), Z5, Z9;    \
+	VFMADD213PD.BCST  ·expC11(SB), Z5, Z9;    \
+	VFMADD213PD.BCST  ·expC10(SB), Z5, Z9;    \
+	VFMADD213PD.BCST  ·expC9(SB), Z5, Z9;     \
+	VFMADD213PD.BCST  ·expC8(SB), Z5, Z9;     \
+	VFMADD213PD.BCST  ·expC7(SB), Z5, Z9;     \
+	VFMADD213PD.BCST  ·expC6(SB), Z5, Z9;     \
+	VFMADD213PD.BCST  ·expC5(SB), Z5, Z9;     \
+	VFMADD213PD.BCST  ·expC4(SB), Z5, Z9;     \
+	VFMADD213PD.BCST  ·expC3(SB), Z5, Z9;     \
+	VFMADD213PD.BCST  ·expC2(SB), Z5, Z9;     \
+	VFMADD213PD.BCST  ·expOnes(SB), Z5, Z9;   \
+	VFMADD213PD.BCST  ·expOnes(SB), Z5, Z9;   \
+	VSCALEFPD         Z11, Z9, Z9;            \
+	VPTESTMQ          Z14, Z14, K1;           \
+	VDIVPD.Z          Z14, Z9, K1, Z9;        \
+	VMULPD.BCST       (R9)(DX*8), Z9, Z9;     \
+	VADDPD            Z9, Z3, Z3
+
+// YUK8NEXT moves the ring slots one pair on (B's slot was A's, A's was
+// D's, D's is the next) and DX to the next pair.
+#define YUK8NEXT \
+	MOVQ R10, R11;     \
+	MOVQ R12, R10;     \
+	ADDQ $256, R12;    \
+	ANDQ $1023, R12;   \
+	ADDQ $2, DX
 
 // func cpuHasAVX() bool
 //
@@ -870,79 +1039,139 @@ yukloop:
 //
 // yukawaTileFMA's loop on eight targets in one ZMM lane group, equal bit
 // for bit to yukawaTileFMA on targets 0:4 and then on 4:8: every lane
-// runs the same instructions in the same operand order (VSQRTPD and
-// VDIVPD on the divider, EXPPD in EVEX form, see YUK8A above), and the
-// r2 == 0 lanes get the +0 that VANDNPD leaves there, from a zero-masked
-// divide (VPTESTMQ on the bits equals the r2 != 0 compare: r2 is never
-// -0, and a NaN r2 stays valid as under EQ_OQ). So the Tile cascade's
-// 8 -> 4 -> 1 takes the vector exp for the same targets as 4 -> 1 did,
-// and no result changes.
+// gets RN(sqrt(r2)), from VSQRTPD or from GOLDSQRT, and then runs the
+// same instructions in the same operand order (EXPPD in EVEX form and
+// VDIVPD on the divider, see YUK8AE above), and the r2 == 0 lanes get the
+// +0 that VANDNPD leaves there, from a divide zero-masked where s is +0
+// (VPTESTMQ on the bits of s equals the r2 != 0 compare: s is +0 exactly
+// where r2 is, and a NaN stays valid as under EQ_OQ). So the Tile
+// cascade's 8 -> 4 -> 1 takes the vector exp for the same targets as
+// 4 -> 1 did, and no result changes.
 //
-// The loop is software-pipelined: each iteration runs YUK8A on source j,
-// YUK8B on source j-1 and YUK8C on source j-2. Each source is one long
-// dependency chain (square root, exp reduction, 13 Horner FMAs, scale,
-// divide), and only the sums are carried from one source to the next,
-// yet on the 2-core avx512vl record VM a loop of one source per
-// iteration ran 27-41 % above the 17.8 ns per source that one ZMM
-// VSQRTPD and one VDIVPD cost there: one out-of-order window did not
-// find enough independent work in it to keep the divider busy. With
-// three sources in flight it runs 2-10 % above (docs/performance.md).
-// Only YUK8C accumulates, once per source and in source order, so the
-// sums round as before. The prologue fills A and B, and the drain
-// empties C, then B through C; a block of one source enters at yuk8last
-// and one of two at yuk8drain. Like coulombTile8ZMM it keeps to
-// ZMM0-ZMM15, all sixteen of them, and ends in VZEROUPPER. Requires
-// AVX-512F. n must be positive.
-TEXT ·yukawaTile8ZMM(SB), NOSPLIT, $0-80
+// The loop is software-pipelined over pairs of sources, four stages deep
+// (YUK8AE above), and it pairs the square roots across the two kinds of
+// execution unit the way coulombTile8ZMM does: the even source's VSQRTPD
+// on the divide/sqrt unit, the odd source's GOLDSQRT on the FMA ports. A
+// pair then puts one VSQRTPD and two VDIVPD on the divider (21.5-22.9 ns
+// measured on the 2-core avx512vl record VM, against 30.4-33.1 ns for the
+// two VSQRTPD and two VDIVPD that two sources on the divider cost) and
+// about a hundred micro-ops on ports 0 and 5, so the two resources are
+// about equally loaded (docs/performance.md, "Paired Yukawa square roots"). An
+// odd source with a lane outside GOLDSQRT's range takes VSQRTPD in the
+// cold yuk8patch block instead (YUK8G), and the first three pairs take it
+// for both sources. An odd block's first source goes alone, ahead of the
+// pairs, and blocks of fewer than six sources and a positive or NaN
+// -kappa (for which B's dropped clamp is not the identity) go one source
+// at a time, both through YUK8ONE, EXPPD's full sequence. Every path gives
+// every lane the same bits, and only D and YUK8ONE accumulate, once per
+// source and in source order, so the sums round as before. Like
+// coulombTile8ZMM it keeps to ZMM0-ZMM15 and ends in VZEROUPPER; the ring
+// makes it the one tile with a stack frame. Requires AVX-512F. n must be
+// positive.
+TEXT ·yukawaTile8ZMM(SB), $1088-80
 	MOVQ         tx+0(FP), AX
 	VMOVUPD      (AX), Z0            // tx[0:8]
 	MOVQ         ty+8(FP), AX
 	VMOVUPD      (AX), Z1            // ty[0:8]
 	MOVQ         tz+16(FP), AX
 	VMOVUPD      (AX), Z2            // tz[0:8]
-	VBROADCASTSD negKappa+64(FP), Z4
+	VBROADCASTSD ·avxHalf(SB), Z4    // GOLDSQRT's 0.5
 	MOVQ         sx+24(FP), SI
 	MOVQ         sy+32(FP), DI
 	MOVQ         sz+40(FP), R8
 	MOVQ         q+48(FP), R9
 	MOVQ         n+56(FP), CX
-	XORQ         DX, DX              // j, the source YUK8A loads
+	XORQ         DX, DX              // 2p, stage A's pair
 	VPXORQ       Z3, Z3, Z3          // per-lane block accumulators
+	CMPQ         CX, $6
+	JLT          yuk8one
+	MOVQ         negKappa+64(FP), AX
+	TESTQ        AX, AX
+	JGT          yuk8one             // -kappa > 0 or a NaN with the sign clear
+	MOVQ         $0xfff0000000000000, R11
+	CMPQ         AX, R11
+	JHI          yuk8one             // a NaN with the sign set
+	TESTQ        $1, CX
+	JZ           yuk8pairs
 
-	YUK8A                            // source 0
-	YUK8AB
-	INCQ DX
-	CMPQ CX, $1
-	JEQ  yuk8last
-	YUK8A                            // source 1
-	YUK8B                            // source 0
-	YUK8BC
-	YUK8AB
-	INCQ DX
-	CMPQ DX, CX
-	JEQ  yuk8drain
+	// An odd block's source 0 goes alone, first, so its chain overlaps
+	// the fill; the pairs are sources 1 to n-1.
+	YUK8ONE
+	ADDQ         $8, SI
+	ADDQ         $8, DI
+	ADDQ         $8, R8
+	ADDQ         $8, R9
+	DECQ         CX
+
+yuk8pairs:
+	MOVQ         SP, BX
+	ADDQ         $63, BX
+	ANDQ         $-64, BX            // the ring, inside the frame
+	XORQ         R10, R10            // A: pair 0
+	MOVQ         $768, R11           // B: pair -1
+	MOVQ         $256, R12           // D: pair -3
+
+	// Fill: pairs 0 to 2 through A (both square roots on the divider),
+	// pairs 0 and 1 through B and pair 0 through C.
+	YUK8AE
+	YUK8AO
+	VSQRTPD      Z14, Z15
+	VMOVAPD      Z15, 64(BX)(R10*1)
+	YUK8NEXT
+	YUK8B
+	YUK8AE
+	YUK8AO
+	VSQRTPD      Z14, Z15
+	VMOVAPD      Z15, 64(BX)(R10*1)
+	YUK8NEXT
+	YUK8C
+	YUK8B
+	YUK8AE
+	YUK8AO
+	VSQRTPD      Z14, Z15
+	VMOVAPD      Z15, 64(BX)(R10*1)
+	YUK8NEXT
+	CMPQ         DX, CX
+	JEQ          yuk8drain
 
 yuk8loop:
-	YUK8A                            // source j = DX
-	YUK8B                            // source j-1
-	YUK8C                            // source j-2
-	YUK8BC
-	YUK8AB
-	INCQ DX
-	CMPQ DX, CX
-	JNE  yuk8loop
+	YUK8AE                           // pair p: source DX on the divider
+	YUK8AO                           // source DX+1 on the FMA ports
+	YUK8G
+	JNZ          yuk8patch
+	GOLDSQRT(Z14, Z13, Z15, Z13, Z12, Z4)
+
+yuk8join:
+	VMOVAPD      Z15, 64(BX)(R10*1)
+	YUK8D                            // pair p-3
+	YUK8C                            // pair p-2
+	YUK8B                            // pair p-1
+	YUK8NEXT
+	CMPQ         DX, CX
+	JNE          yuk8loop
 
 yuk8drain:
-	// DX = n. B holds source n-1 from YUK8A, C source n-2 from YUK8B.
-	YUK8C                            // source n-2
+	// DX = the pairs' source count: the last three pairs through D, C
+	// and B.
+	YUK8D
+	YUK8C
+	YUK8B
+	YUK8NEXT
+	YUK8D
+	YUK8C
+	YUK8NEXT
+	YUK8D
+	JMP          yuk8done
 
-yuk8last:
-	// DX = n. B holds source n-1 from YUK8A, and C nothing.
-	YUK8B                            // source n-1
-	YUK8BC
-	INCQ DX
-	YUK8C                            // source n-1, q at -16 + 8(n+1)
+yuk8one:
+	// Blocks of fewer than six sources, or -kappa > 0 or NaN: one source
+	// at a time.
+	YUK8ONE
+	INCQ         DX
+	CMPQ         DX, CX
+	JNE          yuk8one
 
+yuk8done:
 	// phi[t] += p[t]: one per-lane add of the block total.
 	MOVQ    phi+72(FP), AX
 	VMOVUPD (AX), Z6
@@ -950,6 +1179,12 @@ yuk8last:
 	VMOVUPD Z6, (AX)
 	VZEROUPPER
 	RET
+
+yuk8patch:
+	// The odd source has a lane outside GOLDSQRT's range: its square root
+	// on the divider instead, RN(sqrt(r2)) on every lane as well.
+	VSQRTPD      Z14, Z15
+	JMP          yuk8join
 
 // func coulombTileF32AVX2(tx, ty, tz *[8]float32, sx, sy, sz, q *float64, n int, phi *[8]float32)
 //
@@ -1138,25 +1373,11 @@ yf32loop:
 // g is 0.5*2^-k, one ulp below RN(1/s).
 //
 // The odd/B stream computes the square root itself on the FMA ports with
-// the classic Goldschmidt/Markstein construction (Markstein, "IA-64 and
-// Elementary Functions"; the same scheme GPUs use for IEEE fp64 sqrt in
-// software), which keeps the root CORRECTLY ROUNDED, the bits of
-// VSQRTPD / math.Sqrt:
-//
-//	y0 = rsqrt14(x)                     |y0*sqrt(x) - 1| <= 2^-14
-//	g = x*y0, h = 0.5*y0                ~ sqrt(x), 1/(2 sqrt(x))
-//	r = 0.5 - g*h; g += g*r; h += h*r   rel err ~ 2^-27
-//	r = 0.5 - g*h; g += g*r; h += h*r   rel err ~ 2.5*2^-53
-//	d = x - g*g;   g += d*h             faithful (< 1 ulp)
-//	d = x - g*g;   s = g + d*h          == RN(sqrt(x))
-//
-// Each d is one VFNMADD whose tiny exact residual steers g to the nearest
-// double; Markstein's square-root theorem gives correct rounding of the
-// final iterate (h is accurate to ~1.25 ulp, well inside the theorem's
-// slack). The reciprocal then seeds from y = 2h ~ 1/s, one ulp-class
-// error, so two of the A stream's Markstein steps (faithful, then the
-// last) form g in 5 more FMA-port ops instead of VRCP14PD + 6, with the
-// same exception.
+// GOLDSQRT (above), which keeps the root CORRECTLY ROUNDED, the bits of
+// VSQRTPD / math.Sqrt. The reciprocal then seeds from y = 2h ~ 1/s, one
+// ulp-class error, so two of the A stream's Markstein steps (faithful,
+// then the last) form g in 5 more FMA-port ops instead of VRCP14PD + 6,
+// with the same exception.
 //
 // So the tile is bit-identical to the scalar loop's RN(1/RN(sqrt(r2)))
 // except at distances with an all-ones significand: there every lane of
@@ -1166,11 +1387,7 @@ yf32loop:
 // tile divides, and TestCoulombTileAllOnesDistance pins every width up
 // to 4 there.
 //
-// The Goldschmidt proof needs x comfortably normal: VRSQRT14PD flushes
-// denormal inputs to zero (giving +Inf seeds) and maps +Inf to +0, and
-// even for normal x below ~2^-512 the residual x - g*g can land in the
-// denormal range, where its coarse rounding no longer steers the final
-// correction (observed 1-ulp misses at x ~ 2^-1022). Two range compares
+// GOLDSQRT needs x in [2^-512, +Inf) (see its comment). Two range compares
 // per B source — (x < 2^-512 && x != 0) || x == +Inf — route such
 // iterations to a patch block that redoes the B source with the A
 // stream's arithmetic. Both paths give every valid lane the same value
@@ -1261,24 +1478,8 @@ tile8zpair:
 	KORTESTW     K5, K5
 	JNZ          tile8zpatch
 
-	// B: sB = RN(sqrt(xB)) on the FMA ports (see prologue).
-	VRSQRT14PD   Z8, Z9            // y0
-	VMULPD       Z9, Z8, Z10       // g = x*y0
-	VMULPD       Z9, Z5, Z11       // h = 0.5*y0
-	VMOVAPD      Z5, Z12
-	VFNMADD231PD Z11, Z10, Z12     // r = 0.5 - g*h
-	VFMADD231PD  Z12, Z10, Z10     // g += g*r
-	VFMADD213PD  Z11, Z11, Z12     // h += h*r         (h now in Z12)
-	VMOVAPD      Z5, Z11
-	VFNMADD231PD Z12, Z10, Z11     // r = 0.5 - g*h
-	VFMADD231PD  Z11, Z10, Z10     // g += g*r
-	VFMADD213PD  Z12, Z12, Z11     // h += h*r         (h now in Z11)
-	VMOVAPD      Z8, Z12
-	VFNMADD231PD Z10, Z10, Z12     // d = x - g*g
-	VFMADD231PD  Z11, Z12, Z10     // g += d*h, faithful
-	VMOVAPD      Z8, Z12
-	VFNMADD231PD Z10, Z10, Z12     // d = x - g*g
-	VFMADD231PD  Z11, Z12, Z10     // sB = RN(sqrt(xB))
+	// B: sB = RN(sqrt(xB)) in Z10 on the FMA ports, h ~ 1/(2 sB) in Z11.
+	GOLDSQRT(Z8, Z9, Z10, Z11, Z12, Z5)
 
 	// B: gB = RN(1/sB), seeded from y = 2h.
 	VADDPD       Z11, Z11, Z9      // y ~ 1/sB

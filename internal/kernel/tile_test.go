@@ -1028,6 +1028,36 @@ func checkTile8Split(t *testing.T, label string, tiles []Sized[Tile], tx, ty, tz
 	}
 }
 
+// offsetForR2 returns a source (a, b, c) whose squared distance from a
+// target at the origin, formed as the tiles form it, is r2 exactly.
+func offsetForR2(t *testing.T, r2 float64) [3]float64 {
+	t.Helper()
+	dist := func(a, b, c float64) float64 {
+		dx, dy, dz := 0-a, 0-b, 0-c
+		return float64(float64(dx*dx)+float64(dy*dy)) + float64(dz*dz)
+	}
+	if math.IsInf(r2, 1) {
+		return [3]float64{math.Ldexp(1, 520), 0, 0}
+	}
+	ulp := math.Nextafter(r2, math.Inf(1)) - r2
+	a0 := math.Sqrt(r2)
+	for da := 0; da < 8; da++ {
+		for _, a := range []float64{a0, math.Nextafter(a0, 0), math.Nextafter(a0, 1)} {
+			for i := 0; i < da; i++ {
+				a = math.Nextafter(a, 0)
+			}
+			for f := 0.0; f <= 3; f += 0.1 {
+				b := math.Sqrt(f * ulp)
+				if dist(a, b, 0) == r2 {
+					return [3]float64{a, b, 0}
+				}
+			}
+		}
+	}
+	t.Fatalf("no source at r2 = %g found", r2)
+	return [3]float64{}
+}
+
 // checkGradTile8Split is checkTile8Split for gradient tiles: the width-8
 // tile must equal its width-4 tile on targets 0:4 and then 4:8 in all four
 // outputs, bit for bit in every lane, NaN payloads included.
@@ -1060,9 +1090,10 @@ func checkGradTile8Split(t *testing.T, label string, tiles []Sized[GradTile], tx
 // its 4-wide tile, bit for bit (checkTile8Split), over: the ULP sweep's
 // arguments down to x = -760, where exp is clamped, subnormal or 0; kappa
 // 0; r2 == 0 lanes; NaN coordinates on targets and sources; every ragged
-// source count of tileTestSizes, from 1; a self term, a NaN coordinate
-// and a source where exp is 0 at every position of short blocks and of
-// one of 343 sources; and newFuzzBlock's blocks at 2^±540, where squared
+// source count of tileTestSizes, from 1; a self term, a NaN coordinate, a
+// source where exp is 0 and r2 on either side of GOLDSQRT's range at
+// every position of short blocks and of one of 343 sources, at kappa 0,
+// 0.5 and -0.5; and newFuzzBlock's blocks at 2^±540, where squared
 // distances overflow or underflow. Skipped where Tiles(Yukawa) has no
 // width 8.
 func TestYukawaTile8MatchesTile4(t *testing.T) {
@@ -1109,31 +1140,57 @@ func TestYukawaTile8MatchesTile4(t *testing.T) {
 		}
 	}
 
-	// Blocks of 1-6 sources and one of 343 (an n = 6 cluster) with one
-	// special source at each position in turn: a self term on lane
-	// pos%8, a NaN coordinate, or a source so far that -kappa*s < -745
-	// and exp is 0 at kappa 0.5. The width-8 tile works on three sources
-	// at once, so this walks each kind through its prologue, its loop and
-	// both drain stages, with each stage's r2 == 0 mask.
-	for _, kappa := range []float64{0, 0.5} {
+	// Blocks of 1-12 sources and one of 343 (an n = 6 cluster) with one
+	// special source at each position in turn, in lane pos%8: a self term,
+	// a NaN coordinate, a source so far that -kappa*s < -745 (exp is 0 at
+	// kappa 0.5 and the clamp to 710 binds at -0.5), r2 at 2^-512 and one
+	// and two ulps on either side, a subnormal r2 and an r2 that overflows
+	// to +Inf. The width-8 tile works on pairs of sources four stages
+	// deep, with the odd source's square root on the FMA ports from the
+	// fourth pair on and on the divider before it, for an odd last source
+	// and in blocks of fewer than six; a negative kappa takes the
+	// one-at-a-time path. So this walks each kind through both square-root
+	// streams, the fill, the loop and the drain, and the patch block that
+	// takes r2 outside [2^-512, +Inf) back to the divider.
+	tiny := math.Ldexp(1, -512)
+	r2Kinds := map[string]float64{
+		"2^-512-2ulp": math.Nextafter(math.Nextafter(tiny, 0), 0),
+		"2^-512-1ulp": math.Nextafter(tiny, 0),
+		"2^-512":      tiny,
+		"2^-512+1ulp": math.Nextafter(tiny, 1),
+		"2^-512+2ulp": math.Nextafter(math.Nextafter(tiny, 1), 1),
+		"subnormal":   math.Ldexp(1, -1060),
+		"overflow":    math.Inf(1),
+	}
+	kinds := []string{"self", "NaN", "far", "2^-512-2ulp", "2^-512-1ulp", "2^-512", "2^-512+1ulp", "2^-512+2ulp", "subnormal", "overflow"}
+	offsets := map[string][3]float64{}
+	for k, r2 := range r2Kinds {
+		offsets[k] = offsetForR2(t, r2)
+	}
+	for _, kappa := range []float64{0, 0.5, -0.5} {
 		tiles := Tiles(Yukawa{Kappa: kappa})
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 343} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 343} {
 			tx, ty, tz := tileTestTargets(rng, 8)
 			for pos := 0; pos < n; pos++ {
-				for _, kind := range []string{"self", "NaN", "far"} {
+				for _, kind := range kinds {
 					sx, sy, sz := tileTestTargets(rng, n)
 					q := randomPhi(rng, n)
+					ttx, tty, ttz := append([]float64(nil), tx...), append([]float64(nil), ty...), append([]float64(nil), tz...)
+					l := pos % 8
 					switch kind {
 					case "self":
-						l := pos % 8
 						sx[pos], sy[pos], sz[pos] = tx[l], ty[l], tz[l]
 					case "NaN":
 						[][]float64{sx, sy, sz}[pos%3][pos] = math.NaN()
 					case "far":
 						sx[pos] = 2000
+					default:
+						o := offsets[kind]
+						ttx[l], tty[l], ttz[l] = 0, 0, 0
+						sx[pos], sy[pos], sz[pos] = o[0], o[1], o[2]
 					}
 					label := "kappa=" + strconv.FormatFloat(kappa, 'g', -1, 64) + " " + kind + " at " + itoa(pos)
-					checkTile8Split(t, label, tiles, tx, ty, tz, sx, sy, sz, q, phi0)
+					checkTile8Split(t, label, tiles, ttx, tty, ttz, sx, sy, sz, q, phi0)
 				}
 			}
 		}
