@@ -393,6 +393,30 @@ func BenchmarkModifiedCharges(b *testing.B) {
 	}
 }
 
+// probePlanParams are bltcbench's probe-sparse-200k parameters.
+var probePlanParams = core.Params{Theta: 0.8, Degree: 6, LeafSize: 1000, BatchSize: 100}
+
+// probePlanInputs returns bltcbench's probe-sparse-200k geometry:
+// BenchmarkTreeBuildProbe200k's 200k Plummer sources and 2000 probes on
+// the faces of their bounding cube.
+func probePlanInputs() (probes, sources *particle.Set) {
+	h := fnv.New64a()
+	h.Write([]byte("probe-sparse-200k/sources"))
+	sources = barytree.PlummerSphere(200_000, 1, int64(h.Sum64()))
+	rng := rand.New(rand.NewSource(1))
+	bx := sources.Bounds()
+	c, sz := bx.Center(), bx.Size()
+	hw := max(sz.X, sz.Y, sz.Z) / 2
+	probes = particle.NewSet(2000)
+	for i := 0; i < 2000; i++ {
+		p := [3]float64{2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1}
+		face := rng.Intn(6)
+		p[face/2] = float64(2*(face%2) - 1)
+		probes.Append(c.X+hw*p[0], c.Y+hw*p[1], c.Z+hw*p[2], 0)
+	}
+	return probes, sources
+}
+
 // BenchmarkChargePass measures the charge pass as Plan.Solve runs it: each
 // op invalidates a charge state and charges, on a plan with interaction
 // lists, the nodes the approximation lists read and those they are
@@ -410,27 +434,16 @@ func BenchmarkModifiedCharges(b *testing.B) {
 // node from its particles, so that is every term they add; leaf10 adds
 // 2% fewer and spends most of its op charging nodes from their children.
 func BenchmarkChargePass(b *testing.B) {
-	h := fnv.New64a()
-	h.Write([]byte("probe-sparse-200k/sources"))
-	sources := barytree.PlummerSphere(200_000, 1, int64(h.Sum64()))
-	rng := rand.New(rand.NewSource(1))
-	bx := sources.Bounds()
-	c, sz := bx.Center(), bx.Size()
-	hw := max(sz.X, sz.Y, sz.Z) / 2
-	probes := particle.NewSet(2000)
-	for i := 0; i < 2000; i++ {
-		p := [3]float64{2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1}
-		face := rng.Intn(6)
-		p[face/2] = float64(2*(face%2) - 1)
-		probes.Append(c.X+hw*p[0], c.Y+hw*p[1], c.Z+hw*p[2], 0)
-	}
+	probes, sources := probePlanInputs()
 	for _, degree := range []int{6, 8} {
 		name := "probe200k"
 		if degree != 6 {
 			name += "-degree" + strconv.Itoa(degree)
 		}
 		b.Run(name, func(b *testing.B) {
-			benchChargePass(b, probes, sources, core.Params{Theta: 0.8, Degree: degree, LeafSize: 1000, BatchSize: 100})
+			p := probePlanParams
+			p.Degree = degree
+			benchChargePass(b, probes, sources, p)
 		})
 	}
 	b.Run("leaf10", func(b *testing.B) {
@@ -702,6 +715,21 @@ func BenchmarkNewPlan50k(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkNewPlanProbe200k times the whole setup phase of bltcbench's
+// probe-sparse-200k workload, the plan BenchmarkChargePass charges:
+// validation, the source tree, the target batches, the interaction lists
+// and the cluster grids.
+func BenchmarkNewPlanProbe200k(b *testing.B) {
+	probes, sources := probePlanInputs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewPlan(probes, sources, probePlanParams); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

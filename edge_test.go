@@ -1,8 +1,11 @@
 package barytree_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"barytree"
 )
@@ -91,6 +94,61 @@ func TestSolveScaledCoordinates(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSolveVariantRejectsNonFinite pins every treecode variant to the
+// public edge's input check: a NaN, +Inf or -Inf in any coordinate of
+// the targets or of the sources is an error naming its index, returned
+// before any tree is built. ClusterParticle and ClusterCluster once built
+// their trees unchecked; a NaN made the partition spin, and an infinity
+// gave a nil error. Each call runs under a deadline, so a hang fails the
+// test instead of stalling it.
+func TestSolveVariantRejectsNonFinite(t *testing.T) {
+	k := barytree.Coulomb()
+	three := barytree.NewParticles(3)
+	three.Append(0, 0, 0, 1)
+	three.Append(0.5, 0.5, 0.5, 1)
+	three.Append(1, 1, 1, 1)
+	inputs := []struct {
+		pts *barytree.Particles
+		bad int
+		p   barytree.Params
+	}{
+		{three, 1, barytree.Params{Theta: 0.8, Degree: 2, LeafSize: 1, BatchSize: 1}},
+		{barytree.UniformCube(200, 1), 137, barytree.Params{Theta: 0.8, Degree: 2, LeafSize: 8, BatchSize: 8}},
+	}
+	for _, in := range inputs {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for axis := 0; axis < 3; axis++ {
+				for _, side := range []string{"targets", "sources"} {
+					bad := in.pts.Clone()
+					[3][]float64{bad.X, bad.Y, bad.Z}[axis][in.bad] = v
+					targets, sources := in.pts, in.pts
+					if side == "targets" {
+						targets = bad
+					} else {
+						sources = bad
+					}
+					want := fmt.Sprintf("core: bad %s: particle: non-finite value at index %d", side, in.bad)
+					for _, variant := range []barytree.TreecodeVariant{barytree.ParticleCluster, barytree.ClusterParticle, barytree.ClusterCluster} {
+						done := make(chan error, 1)
+						go func() {
+							_, err := barytree.SolveVariant(variant, k, targets, sources, in.p)
+							done <- err
+						}()
+						select {
+						case err := <-done:
+							if err == nil || !strings.Contains(err.Error(), want) {
+								t.Errorf("%s: %v at %s axis %d of n=%d: got %v, want %q", variant, v, side, axis, in.pts.Len(), err, want)
+							}
+						case <-time.After(10 * time.Second):
+							t.Fatalf("%s: %v at %s axis %d of n=%d: no return within 10 s", variant, v, side, axis, in.pts.Len())
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -92,11 +92,12 @@ func (s *Set) Validate() error {
 		return fmt.Errorf("particle: ragged SoA lengths x=%d y=%d z=%d q=%d",
 			len(s.X), len(s.Y), len(s.Z), len(s.Q))
 	}
-	for i := 0; i < n; i++ {
-		for _, v := range [4]float64{s.X[i], s.Y[i], s.Z[i], s.Q[i]} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("particle: non-finite value at index %d", i)
-			}
+	ys, zs, qs := s.Y[:n], s.Z[:n], s.Q[:n]
+	for i, x := range s.X {
+		// v-v is 0 for a finite v and NaN for NaN or ±Inf, and a NaN term
+		// makes the sum NaN.
+		if (x-x)+(ys[i]-ys[i])+(zs[i]-zs[i])+(qs[i]-qs[i]) != 0 {
+			return fmt.Errorf("particle: non-finite value at index %d", i)
 		}
 	}
 	return nil

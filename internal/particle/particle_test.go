@@ -64,15 +64,31 @@ func TestValidate(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Error("ragged set accepted")
 	}
-	bad := NewSet(1)
-	bad.Append(math.NaN(), 0, 0, 1)
-	if err := bad.Validate(); err == nil {
-		t.Error("NaN accepted")
+	// Every non-finite value in every field is rejected at its index, and
+	// the first bad index is the one named.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for f := 0; f < 4; f++ {
+			bad := UniformCube(9, rand.New(rand.NewSource(2)))
+			bad.X[1] = -math.MaxFloat64
+			bad.Q[2] = math.SmallestNonzeroFloat64
+			[4][]float64{bad.X, bad.Y, bad.Z, bad.Q}[f][5] = v
+			bad.X[7] = math.NaN()
+			err := bad.Validate()
+			if want := "particle: non-finite value at index 5"; err == nil || err.Error() != want {
+				t.Errorf("%v in field %d at index 5: got %v, want %q", v, f, err, want)
+			}
+		}
 	}
-	inf := NewSet(1)
-	inf.Append(0, math.Inf(1), 0, 1)
-	if err := inf.Validate(); err == nil {
-		t.Error("Inf accepted")
+}
+
+// BenchmarkValidate times the finiteness check NewPlan runs on every
+// source and target set, at probe-sparse-200k's source count.
+func BenchmarkValidate(b *testing.B) {
+	s := UniformCube(200_000, rand.New(rand.NewSource(1)))
+	for i := 0; i < b.N; i++ {
+		if err := s.Validate(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

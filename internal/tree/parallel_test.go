@@ -12,11 +12,11 @@ import (
 	"barytree/internal/particle"
 )
 
-// lowerThresholds sets the subtree-task granularity to two tasks per worker
+// lowerThresholds sets the job granularity to two subtree jobs per worker
 // for the test and restores it on cleanup. The parallel build's only
-// threshold is its task cutoff max(n/(tasksPerWorker*workers), leafSize),
+// threshold is its job cutoff max(n/(tasksPerWorker*workers), leafSize),
 // which small inputs cross at every worker count, so the determinism tests
-// run the task split and the splice with a cutoff other than the default.
+// run the job list and the splice with a cutoff other than the default.
 func lowerThresholds(t testing.TB) {
 	t.Helper()
 	oldTasks := tasksPerWorker

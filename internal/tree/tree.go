@@ -18,20 +18,21 @@
 // source-tree leaves, as in all of the paper's experiments.
 //
 // Construction is parallel (BuildWorkers / BuildBatchesWorkers) and
-// bit-identical to the serial build for every worker count. One recursion
-// serves both: a parallel build runs it over the top of the tree, recording
-// child ranges below a size cutoff as subtree tasks instead of recursing,
-// builds the tasks concurrently over their disjoint particle ranges, and
-// splices the finished subtrees back into the serial construction order.
-// See docs/performance.md ("The setup phase") for the design and the
-// bit-identity argument.
+// bit-identical to the serial build for every worker count. A parallel build
+// keeps one job list that its workers drain from the root down: a range
+// above a size cutoff is a job that becomes one node and pushes its child
+// ranges as jobs, a range at or below it is a job that runs the serial
+// recursion over its own particles, and once the list is drained the jobs
+// are spliced into the serial construction order. Every partition is a
+// block partition that makes exactly the swaps of the two-pointer Hoare
+// loop, without its data-dependent branch. See docs/performance.md ("The
+// setup phase") for the design and the bit-identity argument.
 package tree
 
 import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"barytree/internal/geom"
 	"barytree/internal/particle"
@@ -44,11 +45,11 @@ import (
 // bound relative to the longest side.
 var MaxAspectRatio = math.Sqrt2
 
-// tasksPerWorker controls subtree-task granularity of a parallel build:
-// child ranges at or below n/(tasksPerWorker*workers) particles become
-// independent subtree tasks, so each worker gets several tasks to balance
-// load. A variable so the package tests can lower it and exercise
-// multi-task construction on small inputs.
+// tasksPerWorker controls the job granularity of a parallel build: ranges
+// at or below n/(tasksPerWorker*workers) particles are built as whole
+// subtrees, so each worker gets several of them to balance load. A
+// variable so the package tests can lower it and exercise many jobs on
+// small inputs.
 var tasksPerWorker = 4
 
 // Node is one cluster in the source tree (or one internal node of the batch
@@ -154,7 +155,11 @@ func Build(src *particle.Set, leafSize int) *Tree {
 // BuildWorkers is Build with an explicit worker bound (workers <= 0 selects
 // GOMAXPROCS, 1 is the serial build). The output — Nodes, Perm, the
 // reordered Particles and Stats — is bit-identical for every worker count;
-// workers only bounds the host goroutines used for construction.
+// workers only bounds the host goroutines used for construction, and none
+// outlives the call. Coordinates must not be NaN: the partition makes the
+// two-pointer Hoare loop's swaps only while c < mid and c >= mid are
+// complements, which a NaN breaks. The public entry points reject
+// non-finite input first (particle.Set.Validate).
 //
 // The argument checks run before any path is chosen, so the parallel path
 // can never be entered with a nil particle set or an invalid leaf size:
@@ -176,19 +181,18 @@ func BuildWorkers(src *particle.Set, leafSize, workers int) *Tree {
 	if n == 0 {
 		return t
 	}
-	b := &builder{p: t.Particles, perm: t.Perm, leafSize: leafSize}
 	workers = pool.Workers(n, workers)
 	if workers == 1 || n <= leafSize {
 		// Serial: one worker, or a tree that is a single leaf.
-		b.nodes = make([]Node, 0, nodeCapHint(n, leafSize))
+		b := &builder{p: t.Particles, perm: t.Perm, leafSize: leafSize,
+			nodes: make([]Node, 0, nodeCapHint(n, leafSize))}
 		b.build(-1, 0, n, 0)
-	} else {
-		b.cutoff = max(n/(tasksPerWorker*workers), leafSize)
-		b.build(-1, 0, n, 0)
-		b.runTasks(workers)
+		t.Nodes, t.Stats = b.nodes, b.stats
+		return t
 	}
-	t.Nodes = b.nodes
-	t.Stats = b.stats
+	l := &jobList{p: t.Particles, perm: t.Perm, leafSize: leafSize,
+		cutoff: max(n/(tasksPerWorker*workers), leafSize)}
+	t.Nodes, t.Stats = l.run(n, workers)
 	return t
 }
 
@@ -199,41 +203,45 @@ func nodeCapHint(n, leafSize int) int {
 	return 4*(n/leafSize) + 8
 }
 
-// builder holds the mutable state of one construction. The particle set and
-// permutation are shared by every subtree task (tasks own disjoint index
-// ranges); nodes, stats and tasks are private to the builder.
+// builder holds the mutable state of one serial construction: the whole
+// build, or one job of a parallel build. The particle set and permutation
+// are shared by every job (jobs own disjoint index ranges); nodes and
+// stats are private to the builder.
 type builder struct {
 	p        *particle.Set
 	perm     particle.Permutation
 	leafSize int
-	// cutoff is the task threshold of a parallel build: child ranges of at
-	// most cutoff particles are recorded as subtree tasks instead of being
-	// recursed into. Zero (the serial build and every task) records none.
-	cutoff int
 
 	nodes []Node
 	stats BuildStats
-	tasks []subtreeTask
-}
-
-// subtreeTask is a child range the top of a parallel build handed off: one
-// worker builds it serially into its own node slice, indexed from 0, which
-// splice then moves into place.
-type subtreeTask struct {
-	lo, hi, level int
-	nodes         []Node
-	stats         BuildStats
 }
 
 // build creates the node covering particle range [lo, hi) and recursively
 // partitions it. It returns the index of the created node. The recursion
-// order is the construction order; a child recorded as subtree task k is
-// stored as the child index ^k (negative) until splice replaces it.
+// order is the construction order.
 func (b *builder) build(parent int32, lo, hi, level int) int32 {
+	var ranges [8][2]int
+	nd, nr := b.split(parent, lo, hi, level, &ranges)
 	idx := int32(len(b.nodes))
+	b.nodes = append(b.nodes, nd)
+	if nr == 0 {
+		return idx
+	}
+	children := make([]int32, nr)
+	for k, r := range ranges[:nr] {
+		children[k] = b.build(idx, r[0], r[1], level+1)
+	}
+	b.nodes[idx].Children = children
+	return idx
+}
+
+// split returns the node covering particle range [lo, hi), counted in
+// b.stats, and partitions its particles into the child ranges it fills
+// out with; it returns their count, 0 for a leaf.
+func (b *builder) split(parent int32, lo, hi, level int, out *[8][2]int) (Node, int) {
 	box := boundsRange(b.p, lo, hi)
 	b.stats.ParticleScans += hi - lo
-	b.nodes = append(b.nodes, Node{
+	nd := Node{
 		Box:    box,
 		Center: box.Center(),
 		Radius: box.Radius(),
@@ -241,105 +249,175 @@ func (b *builder) build(parent int32, lo, hi, level int) int32 {
 		Hi:     hi,
 		Parent: parent,
 		Level:  level,
-	})
+	}
 	b.stats.Nodes++
 	if level > b.stats.MaxDepth {
 		b.stats.MaxDepth = level
 	}
 	if hi-lo <= b.leafSize {
 		b.stats.Leaves++
-		return idx
+		return nd, 0
 	}
-
-	dims := splitDims(box)
-	var ranges [8][2]int
-	nr := b.partition(lo, hi, box, dims, &ranges)
+	nr := b.partition(lo, hi, box, splitDims(box), out)
 	if nr <= 1 {
 		// All particles landed in one cell (coincident points): stop.
 		b.stats.Leaves++
-		return idx
+		return nd, 0
 	}
-	children := make([]int32, 0, nr)
-	for _, r := range ranges[:nr] {
-		if r[1]-r[0] <= b.cutoff {
-			b.tasks = append(b.tasks, subtreeTask{lo: r[0], hi: r[1], level: level + 1})
-			children = append(children, ^int32(len(b.tasks)-1))
-			continue
-		}
-		children = append(children, b.build(idx, r[0], r[1], level+1))
-	}
-	b.nodes[idx].Children = children
-	return idx
+	return nd, nr
 }
 
-// runTasks builds the recorded subtree tasks on up to workers goroutines
-// and splices them into the serial construction order. Tasks vary in
-// size, so workers pull from a shared counter rather than owning fixed
-// ranges; the schedule does not affect the output, since every task
-// writes only its own node slice and its disjoint particle range.
-func (b *builder) runTasks(workers int) {
-	var cursor atomic.Int64
+// jobList is the shared state of a parallel build: every job pushed so
+// far (index 0 is the root), the stack of jobs not yet taken, and the
+// count of jobs not yet finished. Workers take the most recent job first,
+// so each descends depth-first into the ranges it just produced.
+type jobList struct {
+	p        *particle.Set
+	perm     particle.Permutation
+	leafSize int
+	// cutoff splits the jobs: a range of more than cutoff particles is a
+	// split job, one node whose child ranges become jobs; a range of at
+	// most cutoff particles is a subtree job, built serially whole.
+	cutoff int
+
+	mu      sync.Mutex
+	more    sync.Cond // broadcast when jobs are pushed or the last one finishes
+	jobs    []job
+	stack   []int32
+	pending int
+}
+
+// job is one particle range of a parallel build and what its worker made
+// of it: a split job's node, whose Children hold job indices until splice
+// renumbers them, or a subtree job's nodes, indexed from 0.
+type job struct {
+	lo, hi, level int
+	node          Node
+	nodes         []Node
+	stats         BuildStats
+}
+
+// run builds the tree over particles [0, n) on the caller and workers-1
+// goroutines, all returning once the job list is drained, and splices the
+// jobs into the serial construction order. The schedule does not affect
+// the output: every job writes only its own node or node slice and its
+// disjoint particle range, and the splice order is fixed by the jobs'
+// ranges alone.
+func (l *jobList) run(n, workers int) ([]Node, BuildStats) {
+	l.more.L = &l.mu
+	l.jobs = append(l.jobs, job{lo: 0, hi: n})
+	l.stack = append(l.stack, 0)
+	l.pending = 1
 	var wg sync.WaitGroup
-	for i := 0; i < min(workers, len(b.tasks)); i++ {
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				ti := int(cursor.Add(1)) - 1
-				if ti >= len(b.tasks) {
-					return
-				}
-				t := &b.tasks[ti]
-				tb := builder{
-					p:        b.p,
-					perm:     b.perm,
-					leafSize: b.leafSize,
-					nodes:    make([]Node, 0, nodeCapHint(t.hi-t.lo, b.leafSize)),
-				}
-				tb.build(-1, t.lo, t.hi, t.level)
-				t.nodes, t.stats = tb.nodes, tb.stats
-			}
+			l.drain()
 		}()
 	}
+	l.drain()
 	wg.Wait()
 
-	for i := range b.tasks {
-		b.stats.add(b.tasks[i].stats)
+	var stats BuildStats
+	for i := range l.jobs {
+		stats.add(l.jobs[i].stats)
 	}
-	out := make([]Node, 0, b.stats.Nodes)
-	b.nodes = b.splice(out, 0, -1)
-	if len(b.nodes) != b.stats.Nodes {
+	nodes := l.splice(make([]Node, 0, stats.Nodes), 0, -1)
+	if len(nodes) != stats.Nodes {
 		panic("tree: internal error: node numbering mismatch")
+	}
+	return nodes, stats
+}
+
+// drain runs jobs until the list is empty and no job is running.
+func (l *jobList) drain() {
+	for {
+		ji, jb, ok := l.take()
+		if !ok {
+			return
+		}
+		b := builder{p: l.p, perm: l.perm, leafSize: l.leafSize}
+		var ranges [8][2]int
+		nr := 0
+		if jb.hi-jb.lo <= l.cutoff {
+			b.nodes = make([]Node, 0, nodeCapHint(jb.hi-jb.lo, l.leafSize))
+			b.build(-1, jb.lo, jb.hi, jb.level)
+			jb.nodes = b.nodes
+		} else {
+			jb.node, nr = b.split(-1, jb.lo, jb.hi, jb.level, &ranges)
+		}
+		jb.stats = b.stats
+		l.finish(ji, jb, ranges[:nr])
 	}
 }
 
-// splice appends top node ti of a parallel build to out, with parent as
-// its final parent index, followed by its subtrees in preorder: top
-// children recursively, each task's node slice with its task-local
-// indices shifted by the position it lands at.
-func (b *builder) splice(out []Node, ti, parent int32) []Node {
-	idx := int32(len(out))
-	nd := b.nodes[ti]
+// take pops the most recent job, waiting while the stack is empty but jobs
+// are still running, since they may push more. It reports false once
+// every job has finished.
+func (l *jobList) take() (int32, job, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.stack) == 0 && l.pending > 0 {
+		l.more.Wait()
+	}
+	if len(l.stack) == 0 {
+		return 0, job{}, false
+	}
+	ji := l.stack[len(l.stack)-1]
+	l.stack = l.stack[:len(l.stack)-1]
+	return ji, l.jobs[ji], true
+}
+
+// finish stores job ji's result and pushes its child ranges as jobs, the
+// first child on top of the stack.
+func (l *jobList) finish(ji int32, jb job, children [][2]int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(children) > 0 {
+		jb.node.Children = make([]int32, len(children))
+		for k, r := range children {
+			jb.node.Children[k] = int32(len(l.jobs))
+			l.jobs = append(l.jobs, job{lo: r[0], hi: r[1], level: jb.level + 1})
+		}
+		for k := len(children) - 1; k >= 0; k-- {
+			l.stack = append(l.stack, jb.node.Children[k])
+		}
+	}
+	l.jobs[ji] = jb
+	l.pending += len(children) - 1
+	if len(children) > 0 || l.pending == 0 {
+		l.more.Broadcast()
+	}
+}
+
+// splice appends job ji to out in serial preorder, with parent as the
+// final index of its parent node: a split job's node followed by its
+// child jobs, or a subtree job's nodes with their job-local indices
+// shifted by the position they land at.
+func (l *jobList) splice(out []Node, ji, parent int32) []Node {
+	jb := &l.jobs[ji]
+	base := int32(len(out))
+	if jb.nodes != nil {
+		for k, nd := range jb.nodes {
+			if k == 0 {
+				nd.Parent = parent
+			} else {
+				nd.Parent += base
+			}
+			for c := range nd.Children {
+				nd.Children[c] += base
+			}
+			out = append(out, nd)
+		}
+		return out
+	}
+	nd := jb.node
 	nd.Parent = parent
 	out = append(out, nd)
-	for ci, c := range nd.Children {
-		nd.Children[ci] = int32(len(out))
-		if c >= 0 {
-			out = b.splice(out, c, idx)
-			continue
-		}
-		base := int32(len(out))
-		for j, tn := range b.tasks[^c].nodes {
-			if j == 0 {
-				tn.Parent = idx
-			} else {
-				tn.Parent += base
-			}
-			for k := range tn.Children {
-				tn.Children[k] += base
-			}
-			out = append(out, tn)
-		}
+	for k, c := range nd.Children {
+		nd.Children[k] = int32(len(out))
+		out = l.splice(out, c, base)
 	}
 	return out
 }
@@ -347,6 +425,8 @@ func (b *builder) splice(out []Node, ti, parent int32) []Node {
 // boundsRange is the minimal-bounding-box scan over [lo, hi), which must be
 // non-empty. Plain comparisons keep the first-encountered value on ties
 // (only observable for inputs mixing -0 and +0), a rule combineBox shares.
+//
+//hot:path
 func boundsRange(p *particle.Set, lo, hi int) geom.Box {
 	xs, ys, zs := p.X[lo:hi], p.Y[lo:hi], p.Z[lo:hi]
 	box := geom.Box{
@@ -428,6 +508,8 @@ func splitDims(box geom.Box) []int {
 // chosen dimensions, producing up to 2^len(dims) contiguous sub-ranges. It
 // fills out with the non-empty ranges in cell order and returns their
 // count.
+//
+//hot:path
 func (b *builder) partition(lo, hi int, box geom.Box, dims []int, out *[8][2]int) int {
 	out[0] = [2]int{lo, hi}
 	n := 1
@@ -437,7 +519,7 @@ func (b *builder) partition(lo, hi int, box geom.Box, dims []int, out *[8][2]int
 		t := 0
 		for i := 0; i < n; i++ {
 			r0, r1 := out[i][0], out[i][1]
-			m := b.hoare(r0, r1, d, mid)
+			m := b.bisect(r0, r1, d, mid)
 			if m > r0 {
 				tmp[t] = [2]int{r0, m}
 				t++
@@ -464,34 +546,136 @@ func (b *builder) coord(d int) []float64 {
 	return b.p.X
 }
 
-// swap exchanges particles i and j together with their permutation entries.
-func (b *builder) swap(i, j int) {
-	b.p.Swap(i, j)
-	b.perm[i], b.perm[j] = b.perm[j], b.perm[i]
+// blockLen is the number of particles bisect classifies per block. At 256
+// a uint8 indexes its offset arrays, so their stores need no bounds check.
+const blockLen = 256
+
+// bisect partitions particles [lo, hi) so that those with coordinate d <
+// mid come first; it returns m, the index of the first particle with
+// coordinate >= mid.
+//
+// It makes the swaps of the two-pointer Hoare loop, which pairs the t-th
+// particle >= mid from the left of [lo, m) with the t-th particle < mid
+// from the right of [m, hi), but finds them without a data-dependent
+// branch (BlockQuicksort's block partition, Edelkamp and Weiss, ESA 2016):
+// a first pass counts the particles < mid, which fixes m, and each side
+// is then classified a block at a time, writing every offset into an
+// array and advancing the array's length by the predicate, 0 or 1. The
+// pairs are swapped in Hoare's order as both sides have them, so the
+// particle order, Perm and ParticleMoves are the two-pointer loop's.
+//
+//hot:path
+func (b *builder) bisect(lo, hi, d int, mid float64) int {
+	coord := b.coord(d)
+	m := lo + countBelow(coord[lo:hi], mid)
+	b.stats.ParticleScans += hi - lo
+
+	// The left side [i0, i) and the right side [j, j0) are classified:
+	// offL[sl:nl] are the offsets from i0 of the left particles >= mid not
+	// yet swapped, offR[sr:nr] those from j0-1 leftward of the right
+	// particles < mid. Every swap pairs one of each, so both sides run out
+	// of pairs together: the two sides hold as many misplaced particles.
+	var offL, offR [blockLen]uint8
+	i, j := lo, hi
+	var i0, j0, nl, sl, nr, sr int
+	for {
+		if sl == nl {
+			if i == m {
+				break
+			}
+			blk := coord[i:min(i+blockLen, m)]
+			i0, nl, sl = i, offsetsAbove(blk, mid, &offL), 0
+			i += len(blk)
+		}
+		if sr == nr {
+			if j == m {
+				break
+			}
+			blk := coord[max(j-blockLen, m):j]
+			j0, nr, sr = j, offsetsBelowRev(blk, mid, &offR), 0
+			j -= len(blk)
+		}
+		n := min(nl-sl, nr-sr)
+		b.swapPairs(i0, j0-1, offL[sl:sl+n], offR[sr:sr+n])
+		sl += n
+		sr += n
+		b.stats.ParticleMoves += n
+	}
+	return m
 }
 
-// hoare partitions particles [lo, hi) so that those with coordinate d < mid
-// come first; it returns the index of the first particle with coordinate
-// >= mid.
-func (b *builder) hoare(lo, hi, d int, mid float64) int {
-	coord := b.coord(d)
-	i, j := lo, hi
-	for i < j {
-		for i < j && coord[i] < mid {
-			i++
-		}
-		for i < j && coord[j-1] >= mid {
-			j--
-		}
-		if i < j-1 {
-			b.swap(i, j-1)
-			b.stats.ParticleMoves++
-			i++
-			j--
-		}
+// countBelow returns the number of cs below mid, four at a step into four
+// running counts, which keeps the loop's adds independent.
+//
+//hot:path
+func countBelow(cs []float64, mid float64) int {
+	var n0, n1, n2, n3 int
+	k := 0
+	for ; k+4 <= len(cs); k += 4 {
+		q := cs[k : k+4 : k+4]
+		n0 += below(q[0], mid)
+		n1 += below(q[1], mid)
+		n2 += below(q[2], mid)
+		n3 += below(q[3], mid)
 	}
-	b.stats.ParticleScans += hi - lo
-	return i
+	for _, c := range cs[k:] {
+		n0 += below(c, mid)
+	}
+	return n0 + n1 + n2 + n3
+}
+
+// offsetsAbove writes the offsets of blk's coordinates >= mid, in order,
+// to the front of off and returns their count.
+//
+//hot:path
+func offsetsAbove(blk []float64, mid float64, off *[blockLen]uint8) int {
+	o := off[:]
+	n := 0
+	for k, c := range blk {
+		o[uint8(n)] = uint8(k)
+		n += 1 ^ below(c, mid)
+	}
+	return n
+}
+
+// offsetsBelowRev writes the offsets from blk's end of its coordinates <
+// mid, from the right, to the front of off and returns their count.
+//
+//hot:path
+func offsetsBelowRev(blk []float64, mid float64, off *[blockLen]uint8) int {
+	o := off[:]
+	n := 0
+	for k := range blk {
+		o[uint8(n)] = uint8(k)
+		n += below(blk[len(blk)-1-k], mid)
+	}
+	return n
+}
+
+// swapPairs swaps particle left+offL[k] with particle right-offR[k],
+// together with their permutation entries, for every k in order.
+//
+//hot:path
+func (b *builder) swapPairs(left, right int, offL, offR []uint8) {
+	x, y, z, q, perm := b.p.X, b.p.Y, b.p.Z, b.p.Q, b.perm
+	offR = offR[:len(offL)]
+	for k, o := range offL {
+		i, j := left+int(o), right-int(offR[k])
+		x[i], x[j] = x[j], x[i]
+		y[i], y[j] = y[j], y[i]
+		z[i], z[j] = z[j], z[i]
+		q[i], q[j] = q[j], q[i]
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+}
+
+// below is 1 when c < mid and 0 otherwise, NaN included. The compiler
+// turns it into a flag move (SETHI), not a branch, in every loop above.
+func below(c, mid float64) int {
+	if c < mid {
+		return 1
+	}
+	return 0
 }
 
 // Validate checks the structural invariants of the tree and returns an error

@@ -74,7 +74,7 @@ func newClusterPotentials(t *tree.Tree, np int) *clusterPotentials {
 // well-separated target cluster; a downward pass interpolates the
 // accumulated proxies to the targets.
 func RunCP(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := validate(targets, sources, p); err != nil {
 		return nil, err
 	}
 	tt := tree.Build(targets, p.BatchSize)
@@ -168,7 +168,7 @@ func downward(tt *tree.Tree, tcd *core.ClusterData, phiHat *clusterPotentials, p
 // potentials compress the target side, and well-separated cluster pairs
 // interact proxy-to-proxy.
 func RunCC(k kernel.Kernel, targets, sources *particle.Set, p core.Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := validate(targets, sources, p); err != nil {
 		return nil, err
 	}
 	tt := tree.Build(targets, p.BatchSize)
@@ -257,6 +257,22 @@ func directPP(tiles []kernel.Sized[kernel.Tile], tg *particle.Set, t *tree.Node,
 		src.X[s.Lo:s.Hi], src.Y[s.Lo:s.Hi], src.Z[s.Lo:s.Hi], src.Q[s.Lo:s.Hi], phi[t.Lo:t.Hi])
 	stats.PPPairs++
 	stats.PPInteractions += int64(t.Count()) * int64(s.Count())
+}
+
+// validate checks what core.NewPlan checks before RunPC's tree builds, in
+// its order and with its wording: the parameters, then that the sources
+// and the targets are finite (the tree build assumes no NaN).
+func validate(targets, sources *particle.Set, p core.Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if err := sources.Validate(); err != nil {
+		return fmt.Errorf("core: bad sources: %w", err)
+	}
+	if err := targets.Validate(); err != nil {
+		return fmt.Errorf("core: bad targets: %w", err)
+	}
+	return nil
 }
 
 // RunPC evaluates the potentials with the paper's particle-cluster BLTC
