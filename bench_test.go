@@ -779,6 +779,37 @@ func BenchmarkServeSolve20k(b *testing.B) {
 	}
 }
 
+// BenchmarkServePlans2k times bltcbench serve-open-2k's set-up in
+// process: a fresh daemon, then four POST /v1/plans of 2000 uniform points
+// each at theta 0.7, n 6 and NL = NB = 320. Most of it is decoding the
+// four 118 KB bodies.
+func BenchmarkServePlans2k(b *testing.B) {
+	bodies := make([][]byte, 4)
+	for g := range bodies {
+		pts := barytree.UniformCube(2000, int64(g+1))
+		var err error
+		bodies[g], err = json.Marshal(serve.PlanRequest{GeometrySpec: serve.GeometrySpec{
+			Targets: &serve.PointsSpec{X: pts.X, Y: pts.Y, Z: pts.Z},
+			Params:  &serve.ParamsSpec{Theta: 0.7, Degree: 6, LeafSize: 320, BatchSize: 320},
+		}})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := serve.New(serve.Config{}).Handler()
+		for _, body := range bodies {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/plans", bytes.NewReader(body)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("POST /v1/plans: %d %s", w.Code, w.Body)
+			}
+		}
+	}
+}
+
 // BenchmarkBuildLists100k measures interaction-list construction for a
 // 100k-particle system, serial versus the parallel traversal (which is
 // byte-identical to serial; see the interaction package tests).

@@ -21,7 +21,8 @@
 // Every served solve is core.SolvePotentials on the request goroutine,
 // with a ChargeState pooled by the plan's cache entry: the sequence
 // Plan.Solve runs, so served potentials equal the library's by
-// construction.
+// construction. Request bodies are decoded in one pass (wire.go), with
+// the bits encoding/json would give every coordinate and charge.
 //
 // Observability: /metrics exposes serving counters and latency quantiles
 // plus the plan-cache and tracer counters; /trace exports the daemon's
@@ -32,7 +33,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -163,20 +163,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decode parses a JSON body under the configured size cap.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return fmt.Errorf("bad JSON: %v", err)
-	}
-	return nil
-}
-
 // buildPlan runs the setup phase for a resolved geometry and records its
 // modeled build span and counters.
 func (s *Server) buildPlan(key string, targets, sources *particle.Set, p core.Params) (*core.Plan, error) {
@@ -231,7 +217,11 @@ func shortKey(key string) string {
 
 func (s *Server) handlePlanCreate(w http.ResponseWriter, r *http.Request) {
 	var req PlanRequest
-	if err := s.decode(w, r, &req); err != nil {
+	body, err := readBody(w, r, s.cfg.MaxRequestBytes)
+	if err == nil {
+		req, err = decodePlanRequest(body)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -312,7 +302,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req SolveRequest
-	if err := s.decode(w, r, &req); err != nil {
+	body, err := readBody(w, r, s.cfg.MaxRequestBytes)
+	if err == nil {
+		req, err = decodeSolveRequest(body)
+	}
+	if err != nil {
 		s.metrics.ObserveError()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

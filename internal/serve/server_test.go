@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"net/http/httptrace"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -215,6 +216,98 @@ func TestServerSolveErrors(t *testing.T) {
 	}, nil)
 	if code != http.StatusBadRequest || !strings.Contains(string(raw), "ragged") {
 		t.Errorf("ragged geometry: %d %s, want 400 mentioning ragged arrays", code, raw)
+	}
+
+	// A null element is rejected by name and index: encoding/json would
+	// store nothing for it, leaving a zero charge, or an earlier array's
+	// value when the key repeats.
+	for _, c := range []struct {
+		name, body, msg string
+	}{
+		{"null charge by key", `{"plan":"` + plan.Plan + `","charges":` + withNull(q, 1) + `}`, "charges[1] is null"},
+		{"null after a repeated key", `{"plan":"` + plan.Plan + `","charges":` + withNull(q, -1) + `,"charges":` + withNull(q, 0) + `}`,
+			"charges[0] is null"},
+		{"null coordinate inline", `{"targets":{"x":` + withNull(s.X, -1) + `,"y":` + withNull(s.Y, 7) + `,"z":` + withNull(s.Z, -1) +
+			`},"params":` + string(mustJSON(t, paramsSpec(p))) + `,"charges":` + withNull(q, -1) + `}`, "targets.y[7] is null"},
+	} {
+		code, raw := postRaw(t, ts.URL+"/v1/solve", c.body)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), c.msg) {
+			t.Errorf("%s: %d %s, want 400 naming %q", c.name, code, raw, c.msg)
+		}
+	}
+}
+
+// withNull encodes v as a JSON array with element i written as null, or
+// every element as a number when i < 0.
+func withNull(v []float64, i int) string {
+	parts := make([]string, len(v))
+	for k, x := range v {
+		parts[k] = strconv.FormatFloat(x, 'g', -1, 64)
+	}
+	if i >= 0 {
+		parts[i] = "null"
+	}
+	return "[" + strings.Join(parts, ",") + "]"
+}
+
+func mustJSON(tb testing.TB, v any) []byte {
+	tb.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// postRaw posts body as is and returns the status code and raw response.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestServerBodyIsOneValueUnderCap pins two rules of both POST endpoints:
+// a body is one JSON value, with nothing but whitespace after it, and
+// MaxRequestBytes caps the whole body, not only its first value.
+func TestServerBodyIsOneValueUnderCap(t *testing.T) {
+	const limit = 4096
+	_, ts := newTestServer(t, Config{MaxRequestBytes: limit})
+	s, q := testSet(20, 79)
+	planBody := string(mustJSON(t, PlanRequest{GeometrySpec: GeometrySpec{Targets: pointsSpec(s), Params: paramsSpec(testParams())}}))
+	var plan PlanResponse
+	code, raw := postRaw(t, ts.URL+"/v1/plans", planBody+" \n")
+	if code != http.StatusOK || json.Unmarshal(raw, &plan) != nil {
+		t.Fatalf("plan body with trailing whitespace: %d %s, want 200", code, raw)
+	}
+	solveBody := string(mustJSON(t, SolveRequest{Plan: plan.Plan, Charges: q}))
+	if code, raw := postRaw(t, ts.URL+"/v1/solve", solveBody+"\r\n"); code != http.StatusOK {
+		t.Fatalf("solve body with trailing whitespace: %d %s, want 200", code, raw)
+	}
+	if len(planBody) > limit/2 || len(solveBody) > limit/2 {
+		t.Fatalf("bodies of %d and %d bytes leave no room under the %d-byte cap", len(planBody), len(solveBody), limit)
+	}
+	for _, c := range []struct {
+		name, path, body, msg string
+	}{
+		{"plan then bytes", "/v1/plans", planBody + "xyz", "after top-level value"},
+		{"plan then a second value", "/v1/plans", planBody + planBody, "after top-level value"},
+		{"solve then bytes", "/v1/solve", solveBody + "xyz", "after top-level value"},
+		{"solve then a second value", "/v1/solve", solveBody + " " + solveBody, "after top-level value"},
+		{"plan then whitespace past the cap", "/v1/plans", planBody + strings.Repeat(" ", limit), "request body exceeds 4096 bytes"},
+		{"solve then whitespace past the cap", "/v1/solve", solveBody + strings.Repeat("\n", limit), "request body exceeds 4096 bytes"},
+	} {
+		code, raw := postRaw(t, ts.URL+c.path, c.body)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), c.msg) {
+			t.Errorf("%s: %d %s, want 400 containing %q", c.name, code, raw, c.msg)
+		}
 	}
 }
 
